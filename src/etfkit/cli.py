@@ -45,9 +45,7 @@ from .frames import (
     EtfType,
     FrameError,
     classify_type,
-    gram,
     verify_etf,
-    verify_tdtf,
 )
 from .hadamard import HadamardError, dephase, fourier, paley_i, paley_ii, \
     sylvester, verify_hadamard
@@ -103,32 +101,6 @@ def certificate_line(cert) -> str:
     a_str = str(a.numerator) if a.denominator == 1 else str(a)
     return (f"ETF D={cert.d} N={cert.n} s={cert.s} t={cert.t} A={a_str} "
             f"types={_types_field(cert.d, cert.n)}")
-
-
-def _diagnose_frame(frame) -> str:
-    """Name the first Gram entry that breaks the ETF identities."""
-    g = gram(frame)
-    ref = g.entry(0, 0)
-    for i in range(g.rows):
-        if g.entry(i, i) != ref:
-            return (f"Gram entry ({i}, {i}) = {g.entry(i, i).coeffs} breaks "
-                    f"equal norms (entry (0, 0) = {ref.coeffs})")
-    if not ref.is_rational_integer:
-        return f"Gram diagonal {ref.coeffs} is not a rational integer"
-    mods = g.abs_squared_entries()
-    t_ref = None
-    pos = None
-    for r in range(g.rows):
-        for c in range(g.cols):
-            if r == c:
-                continue
-            if t_ref is None:
-                t_ref, pos = mods.entry(r, c), (r, c)
-            elif mods.entry(r, c) != t_ref:
-                return (f"Gram entry ({r}, {c}) has |.|^2 = "
-                        f"{mods.entry(r, c).coeffs}, entry {pos} has "
-                        f"{t_ref.coeffs}: equiangularity fails")
-    return "frame is equal-norm and equiangular but not tight"
 
 
 def _write(path: str, text: str) -> None:
@@ -198,9 +170,8 @@ def cmd_build(args) -> int:
     if cert.welch_equality:
         print(certificate_line(cert))
     else:
-        rep = verify_tdtf(frame)
         vals = ",".join(str(v.coeffs if not v.is_rational_integer
-                            else v.as_integer()) for v in rep.values)
+                            else v.as_integer()) for v in cert.tdtf.values)
         print(f"TDTF D={cert.d} N={cert.n} s={cert.s} values={vals}")
     return 0
 
@@ -240,11 +211,10 @@ def cmd_verify(args) -> int:
     if cert.welch_equality:
         print(certificate_line(cert))
         return 0
-    rep = verify_tdtf(frame)    # a frame file may hold a non-ETF TDTF
-    if rep.ok:
+    if cert.tdtf.ok:            # a frame file may hold a non-ETF TDTF
         print(f"TDTF D={cert.d} N={cert.n} s={cert.s}")
         return 0
-    print(f"fail: {_diagnose_frame(frame)}")
+    print(f"fail: {cert.witness}")
     return VERIFY_ERROR
 
 

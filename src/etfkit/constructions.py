@@ -25,7 +25,6 @@ from .frames import (
     Frame,
     classify_type,
     verify_etf,
-    verify_tdtf,
 )
 from .hadamard import HadamardMatrix, simplex_from_hadamard
 
@@ -155,7 +154,7 @@ def mols_tdtf(td: GroupDivisibleDesign, h: HadamardMatrix,
         if cert.welch_equality:
             raise ConstructionError(
                 f"unexpected ETF outside the equiangular regime: {cert}")
-        tdtf = verify_tdtf(frame)
+        tdtf = cert.tdtf
         if not (tdtf.ok and cert.flat):
             raise ConstructionError(f"TDTF certification failed: {tdtf}")
     return frame, cert
@@ -215,14 +214,15 @@ def plan_gdd_etf(seed_type: EtfType, u: int) -> GddEtfPlan:
 
     m = seed_type.seed_group_size
     r = m * (u - 1) // (k - 1)
-    assert r % (s + ell) == 0
-    w = r // (s + ell)
+    w, w_rem = divmod(r, s + ell)
     s_out = s + r
-    assert (m * u - ell) % (k - 1) == 0 and s_out == (m * u - ell) // (k - 1)
     b = m * m * u * (u - 1) // (k * (k - 1))
     d_out = u * seed_type.dimension + b
     out_type = EtfType(k, ell, s_out)
-    assert d_out == out_type.dimension
+    # the conditions above imply these identities; a failure is a bug
+    if (w_rem or (k - 1) * s_out != m * u - ell
+            or d_out != out_type.dimension):
+        raise AssertionError(f"inconsistent plan for {seed_type}, U={u}")
     return GddEtfPlan(seed_type, u, m, r, w, s_out, d_out, out_type.count,
                       b, s + ell, w + 1)
 
@@ -479,10 +479,8 @@ def check_chen_classification(q: int, j: int) -> list[EtfType]:
     if q < 2 or j < 1:
         raise ConstructionError("need Q >= 2 and J >= 1")
     q2j = q ** (2 * j)
-    d_num = q ** (2 * j - 1) * (2 * q2j + q - 1)
-    assert d_num % (q + 1) == 0
-    d = d_num // (q + 1)
-    n_num = 4 * q2j * (q2j - 1)
-    assert n_num % (q * q - 1) == 0
-    n = n_num // (q * q - 1)
+    d, d_rem = divmod(q ** (2 * j - 1) * (2 * q2j + q - 1), q + 1)
+    n, n_rem = divmod(4 * q2j * (q2j - 1), q * q - 1)
+    if d_rem or n_rem:
+        raise AssertionError(f"D or N of Q={q}, J={j} is not an integer")
     return classify_type(d, n)

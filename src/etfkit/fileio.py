@@ -113,12 +113,13 @@ def parse_frame(text: str) -> Frame:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != d:
         raise FileFormatError(f"header promises {d} rows, file has {len(body)}")
-    arr = np.zeros((d, n, deg), dtype=object)
-    for r, ln in enumerate(body):
-        cells = ln.split(" | ")
+    rows = [ln.split(" | ") for ln in body]
+    for r, cells in enumerate(rows):     # before allocating (D, N, deg)
         if len(cells) != n:
             raise FileFormatError(
                 f"row {r} has {len(cells)} entries, expected {n}")
+    arr = np.zeros((d, n, deg), dtype=object)
+    for r, cells in enumerate(rows):
         for c, cell in enumerate(cells):
             parts = cell.split(",")
             if len(parts) != deg:

@@ -104,9 +104,6 @@ class Frame:
     def with_groups(self, groups: int) -> "Frame":
         return Frame(self.synthesis, groups)
 
-    def column(self, c: int) -> CycMatrix:
-        return self.synthesis.submatrix(slice(None), slice(c, c + 1))
-
     def group_column(self, m: int, i: int) -> int:
         """Column index of member i of group m under consecutive grouping."""
         if self.groups is None:
@@ -141,6 +138,19 @@ class EtfCertificate:
     welch_equality: bool
     flat: bool
     centered: bool
+    # on failure only: the first Gram entry that breaks an identity, and the
+    # distinct off-diagonal Gram values in order of first appearance (None
+    # when there are more than two)
+    witness: str | None
+    tdtf_values: tuple[CycScalar, ...] | None
+
+    @property
+    def tdtf(self) -> TdtfReport | None:
+        """The two-distance tight frame report of a failed certificate;
+        None for an ETF, whose pass reads no off-diagonal values."""
+        if self.welch_equality:
+            return None
+        return _tdtf_report(self.tight, self.tdtf_values)
 
     def __str__(self):
         if self.welch_equality:
@@ -154,72 +164,105 @@ class EtfCertificate:
         return f"not an ETF (fails: {', '.join(flags)})"
 
 
-def _common_offdiag(mat: CycMatrix) -> CycScalar | None:
-    """The shared off-diagonal value, or None if entries differ."""
-    n = mat.rows
-    arr = mat.array
-    mask = ~np.eye(n, dtype=bool)
-    off = arr[mask]
-    if off.shape[0] == 0:
-        return None
-    if not np.array_equal(off, np.broadcast_to(off[0], off.shape)):
-        return None
-    return CycScalar(mat.order, tuple(off[0]))
-
-
-def _common_diagonal(mat: CycMatrix) -> CycScalar | None:
-    arr = mat.array
-    diag = arr[np.arange(mat.rows), np.arange(mat.rows)]
-    if not np.array_equal(diag, np.broadcast_to(diag[0], diag.shape)):
-        return None
-    return CycScalar(mat.order, tuple(diag[0]))
+def _first_mismatch(rows: np.ndarray) -> int | None:
+    """Index of the first row of a (k, deg) array that differs from row 0."""
+    differs = (rows != rows[0]).any(axis=1)
+    return int(differs.argmax()) if differs.any() else None
 
 
 def _tight_constant(op: CycMatrix) -> int | None:
     """c such that op = c I exactly with c a rational integer, else None."""
-    off = _common_offdiag(op)
-    if op.rows > 1 and (off is None or not off.is_zero):
+    arr = op.array
+    if arr[~np.eye(op.rows, dtype=bool)].any():
         return None
-    diag = _common_diagonal(op)
-    if diag is None or not diag.is_rational_integer:
+    diag = arr[np.arange(op.rows), np.arange(op.rows)]
+    if _first_mismatch(diag) is not None:
         return None
-    return diag.as_integer()
+    return CycScalar(op.order, diag[0]).as_integer()
 
 
-def verify_etf(frame: Frame) -> EtfCertificate:
-    """Certify equal norms, equiangularity, tightness and Welch equality,
-    all as exact integer identities; also report flatness and centering."""
+def _offdiag_values(g: CycMatrix) -> tuple[CycScalar, ...] | None:
+    """The distinct off-diagonal entries of g in order of first appearance,
+    or None when there are more than two."""
+    off = g.array[~np.eye(g.rows, dtype=bool)]
+    values = []
+    while off.shape[0] and len(values) <= 2:
+        values.append(CycScalar(g.order, off[0]))
+        off = off[(off != off[0]).any(axis=1)]
+    return tuple(values) if len(values) <= 2 else None
+
+
+def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
+             mods: np.ndarray | None, bad_angle: int | None) -> str:
+    """The first Gram entry, in row-major order, that breaks equal norms,
+    then rational norms, then equiangularity; else the missing tightness.
+    `bad_norm` indexes the diagonal `diag`, `bad_angle` the off-diagonal
+    |G_ij|^2 `mods` in row-major order."""
+    ref = CycScalar(order, diag[0])
+    if bad_norm is not None:
+        bad = CycScalar(order, diag[bad_norm]).coeffs
+        return (f"Gram entry ({bad_norm}, {bad_norm}) = {bad} breaks equal "
+                f"norms (entry (0, 0) = {ref.coeffs})")
+    if not ref.is_rational_integer:
+        return f"Gram diagonal {ref.coeffs} is not a rational integer"
+    if bad_angle is not None:
+        # row r of the off-diagonal part skips column r
+        r, c = divmod(bad_angle, diag.shape[0] - 1)
+        c += c >= r
+        bad = CycScalar(order, mods[bad_angle]).coeffs
+        return (f"Gram entry ({r}, {c}) has |.|^2 = {bad}, entry (0, 1) has "
+                f"{CycScalar(order, mods[0]).coeffs}: equiangularity fails")
+    return "frame is equal-norm and equiangular but not tight"
+
+
+def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
+    """The one certifying pass: the certificate and the Gram it read."""
     g = gram(frame)
-    d, n = frame.d, frame.n
+    d, n, order = frame.d, frame.n, frame.order
+    diag = g.array[np.arange(n), np.arange(n)]
 
-    diag = _common_diagonal(g)
-    s = diag.as_integer() if diag is not None else None
+    bad_norm = _first_mismatch(diag)
+    s = (CycScalar(order, diag[0]).as_integer()
+         if bad_norm is None else None)
     equal_norm = s is not None
 
     if n == 1:
-        equiangular, t = True, None
+        mods, bad_angle, equiangular, t = None, None, True, None
     else:
-        t_val = _common_offdiag(g.abs_squared_entries())
-        t = t_val.as_integer() if t_val is not None else None
+        mods = g.abs_squared_entries().array[~np.eye(n, dtype=bool)]
+        bad_angle = _first_mismatch(mods)
+        t = (CycScalar(order, mods[0]).as_integer()
+             if bad_angle is None else None)
         equiangular = t is not None
 
     c = _tight_constant(frame_operator(frame))
     tight = c is not None and s is not None and d * c == n * s
 
     welch = equal_norm and equiangular and tight
-    if welch and n > d and t is not None:
-        # Welch equality forces this integer identity; a failure is a bug
-        assert s * s * (n - d) == t * d * (n - 1), \
-            "certified ETF violates the Welch equality identity"
+    # Welch equality forces this integer identity; a failure is a bug
+    if welch and n > d and s * s * (n - d) != t * d * (n - 1):
+        raise AssertionError(
+            "certified ETF violates the Welch equality identity")
 
     flat = frame.synthesis.abs_squared_entries() == CycMatrix.ones(
         d, n, frame.order)
     centered = (frame.synthesis
                 @ CycMatrix.ones(n, 1, frame.order)).is_zero
 
+    witness = None if welch else _witness(order, diag, bad_norm, mods,
+                                          bad_angle)
+    values = None if welch else _offdiag_values(g)
     a = Fraction(n * s, d) if s is not None else None
-    return EtfCertificate(d, n, s, t, a, equal_norm, equiangular, tight,
-                          welch, flat, centered)
+    cert = EtfCertificate(d, n, s, t, a, equal_norm, equiangular, tight,
+                          welch, flat, centered, witness, values)
+    return cert, g
+
+
+def verify_etf(frame: Frame) -> EtfCertificate:
+    """Certify equal norms, equiangularity, tightness and Welch equality,
+    all as exact integer identities; also report flatness and centering.
+    A failed certificate carries its witness and TDTF values too."""
+    return _certify(frame)[0]
 
 
 def classify_type(d: int, n: int) -> list[EtfType]:
@@ -246,7 +289,9 @@ def classify_type(d: int, n: int) -> list[EtfType]:
             k = knum // kden
             if k >= 1:
                 t = EtfType(k, ell, s)
-                assert t.dimension == d and t.count == n
+                if t.dimension != d or t.count != n:
+                    raise AssertionError(
+                        f"type {t} does not reproduce ({d}, {n})")
                 out.append(t)
     return out
 
@@ -295,25 +340,18 @@ class TdtfReport:
                 f"two_distance={self.two_distance}")
 
 
+def _tdtf_report(tight: bool,
+                 values: tuple[CycScalar, ...] | None) -> TdtfReport:
+    two = values is not None
+    return TdtfReport(tight, two, values if two else (), tight and two)
+
+
 def verify_tdtf(frame: Frame) -> TdtfReport:
-    """Tightness plus at-most-two distinct off-diagonal Gram values."""
-    c = _tight_constant(frame_operator(frame))
-    g = gram(frame)
-    n = g.rows
-    arr = g.array
-    seen: dict[tuple, CycScalar] = {}
-    for r in range(n):
-        for col in range(n):
-            if r == col:
-                continue
-            key = tuple(arr[r, col])
-            if key not in seen:
-                seen[key] = CycScalar(g.order, key)
-                if len(seen) > 2:
-                    break
-        if len(seen) > 2:
-            break
-    two = len(seen) <= 2
-    tight = c is not None
-    return TdtfReport(tight, two, tuple(seen.values())[:2] if two
-                      else tuple(), tight and two)
+    """Equal norms, tightness and at most two distinct off-diagonal Gram
+    values, from the one certifying pass.
+
+    `tight` is the certificate's: Phi Phi* = (N s / D) I for the common
+    squared norm s, so a frame with unequal norms is not a TDTF.
+    """
+    cert, g = _certify(frame)
+    return cert.tdtf or _tdtf_report(cert.tight, _offdiag_values(g))

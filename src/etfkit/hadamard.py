@@ -66,27 +66,22 @@ class HadamardMatrix:
 
 
 def verify_hadamard(mat) -> HadamardReport:
-    """Check unimodularity of every entry and H*H = nI = HH* exactly."""
+    """Check unimodularity of every entry and H*H = nI exactly."""
     if isinstance(mat, HadamardMatrix):
         mat = mat.mat
     n = mat.rows
     if mat.cols != n:
         return HadamardReport(False, n, f"matrix is {mat.rows}x{mat.cols}")
     mods = mat.abs_squared_entries()
-    ones = CycMatrix.ones(n, n, mat.order)
-    if mods != ones:
-        for r in range(n):
-            for c in range(n):
-                if mods.entry(r, c) != 1:
-                    return HadamardReport(
-                        False, n,
-                        f"entry ({r}, {c}) is not unimodular: "
-                        f"|.|^2 = {mods.entry(r, c).coeffs}")
+    bad = (mods.array != CycMatrix.ones(n, n, mat.order).array).any(axis=2)
+    if bad.any():
+        r, c = divmod(int(bad.argmax()), n)
+        return HadamardReport(False, n, f"entry ({r}, {c}) is not unimodular: "
+                                        f"|.|^2 = {mods.entry(r, c).coeffs}")
     target = CycMatrix.identity(n, mat.order).scalar_mul(n)
+    # for square H, H*H = nI makes H/sqrt(n) unitary, so HH* = nI follows
     if mat.adjoint() @ mat != target:
         return HadamardReport(False, n, "H*H differs from nI")
-    if mat @ mat.adjoint() != target:
-        return HadamardReport(False, n, "HH* differs from nI")
     return HadamardReport(True, n)
 
 
@@ -178,7 +173,8 @@ def dephase(h: HadamardMatrix) -> HadamardMatrix:
     if h.dephased:
         return h
     scales = [h.mat.entry(0, c).conjugate() for c in range(h.size)]
-    out = HadamardMatrix(h.mat @ CycMatrix.diagonal(scales))
+    # a certified H times a diagonal of unimodular conjugates stays Hadamard
+    out = HadamardMatrix(h.mat @ CycMatrix.diagonal(scales), _check=False)
     if not out.dephased:
         raise AssertionError("dephasing failed to normalize the first row")
     return out
@@ -208,17 +204,13 @@ class SimplexFrame:
         f = self.mat
         if f.abs_squared_entries() != CycMatrix.ones(n - 1, n, order):
             raise HadamardError("simplex is not flat")
-        if f @ f.adjoint() != CycMatrix.identity(n - 1, order).scalar_mul(n):
-            raise HadamardError("FF* differs from NI")
-        if not (f @ CycMatrix.ones(n, 1, order)).is_zero:
-            raise HadamardError("simplex columns do not sum to zero")
+        # F*F = NI - J implies the rest: |F1|^2 = 1*(NI - J)1 = 0, so F1 = 0;
+        # then (FF* - NI)F = -FJ = 0, and F has full row rank N-1 because
+        # NI - J has rank N-1, so FF* = NI
         expected = (CycMatrix.identity(n, order).scalar_mul(n)
                     - CycMatrix.ones(n, n, order))
         if f.adjoint() @ f != expected:
             raise HadamardError("F*F differs from NI - J")
-
-    def column(self, j: int) -> CycMatrix:
-        return self.mat.submatrix(slice(None), slice(j, j + 1))
 
     def __repr__(self):
         return f"SimplexFrame(n={self.n}, order={self.mat.order})"

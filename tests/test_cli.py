@@ -1,8 +1,12 @@
 """CLI subcommands, text formats, and exit-code contract."""
 
+import tracemalloc
+
 import pytest
 
+from etfkit import frames
 from etfkit.cli import main
+from etfkit.cyclo import CycMatrix
 from etfkit.fileio import (
     DesignVerifyError,
     FileFormatError,
@@ -184,6 +188,92 @@ def test_verify_perturbed_frame(tmp_path, capsys):
     assert code == 1 and "Gram entry" in line
 
 
+def _edit_cell(path, r, c, cell):
+    """A copy of a frame file with entry (r, c) rewritten by `cell`."""
+    lines = path.read_text().splitlines()
+    cells = lines[1 + r].split(" | ")
+    cells[c] = cell(cells[c])
+    lines[1 + r] = " | ".join(cells)
+    out = path.with_suffix(".bad.frame")
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def _negate(cell):
+    return ",".join(str(-int(x)) for x in cell.split(","))
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Count Gram computations and CycMatrix.entry calls."""
+    calls = {"gram": 0, "entry": 0}
+    gram, entry = frames.gram, CycMatrix.entry
+
+    def counted_gram(frame):
+        calls["gram"] += 1
+        return gram(frame)
+
+    def counted_entry(self, r, c):
+        calls["entry"] += 1
+        return entry(self, r, c)
+
+    monkeypatch.setattr(frames, "gram", counted_gram)
+    monkeypatch.setattr(CycMatrix, "entry", counted_entry)
+    return calls
+
+
+def test_verify_failure_lines_pinned(tmp_path, capsys, gram_calls):
+    s3, s8 = tmp_path / "s3.frame", tmp_path / "s8.frame"
+    sts, st = tmp_path / "sts7.design", tmp_path / "st.frame"
+    run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3",
+        "-o", str(s3))
+    run(capsys, "build", "simplex", "8", "--hadamard", "sylvester:3",
+        "-o", str(s8))
+    run(capsys, "design", "sts", "7", "-o", str(sts))
+    run(capsys, "build", "steiner", "--bibd", str(sts), "--hadamard",
+        "sylvester:2", "-o", str(st))                     # ETF(7, 28)
+    not_tight = tmp_path / "nt.frame"
+    not_tight.write_text("FRAME 1 2 2\n1 | 2\n2 | 1\n")
+    cases = [
+        (_edit_cell(s3, 0, 1, lambda _: "5,0"),
+         "fail: Gram entry (1, 1) = (26, 0) breaks equal norms "
+         "(entry (0, 0) = (2, 0))"),
+        (_edit_cell(s8, 0, 2, _negate),
+         "fail: Gram entry (0, 2) has |.|^2 = (9,), entry (0, 1) has (1,): "
+         "equiangularity fails"),
+        (_edit_cell(st, 6, 27, _negate),
+         "fail: Gram entry (24, 27) has |.|^2 = (9,), entry (0, 1) has "
+         "(1,): equiangularity fails"),
+        (not_tight,
+         "fail: frame is equal-norm and equiangular but not tight"),
+    ]
+    for path, want in cases:
+        gram_calls.update(gram=0, entry=0)
+        assert run(capsys, "verify", str(path), "--kind", "frame") \
+            == (1, want, "")
+        # the witness comes from the certifying pass itself
+        assert gram_calls == {"gram": 1, "entry": 0}
+
+    td = tmp_path / "td34.design"
+    run(capsys, "design", "td", "3", "4", "-o", str(td))
+    gram_calls.update(gram=0)
+    code, line, _ = run(capsys, "build", "mols-etf", "--td", str(td),
+                        "--hadamard", "sylvester:2", "--variant",
+                        "centered", "-o", str(tmp_path / "tdtf.frame"))
+    assert (code, line) == (0, "TDTF D=9 N=16 s=9 values=1,-3")
+    assert gram_calls["gram"] == 1
+
+
+def test_verify_tdtf_needs_equal_norms(tmp_path, capsys):
+    # tight (frame operator 5I) and two-distance, but the norms differ
+    path = tmp_path / "unequal.frame"
+    path.write_text("FRAME 1 2 4\n1 | 0 | 2 | 0\n0 | 1 | 0 | 2\n")
+    code, line, _ = run(capsys, "verify", str(path), "--kind", "frame")
+    assert code == 1
+    assert line == ("fail: Gram entry (2, 2) = (4,) breaks equal norms "
+                    "(entry (0, 0) = (1,))")
+
+
 def test_verify_duplicated_block(tmp_path, capsys):
     td = tmp_path / "td33.design"
     run(capsys, "design", "td", "3", "3", "-o", str(td))
@@ -261,3 +351,16 @@ def test_parse_frame_rejects_garbage():
         parse_frame("FRAME x 2 2\n")
     with pytest.raises(FileFormatError):
         parse_frame("FRAME 3 1 2\n1,0\n")
+
+
+def test_parse_frame_checks_row_widths_before_allocating():
+    # 21 bytes whose header promises ten million columns
+    text = "FRAME 1 1 10000000\n0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="row 0 has 1 entries"):
+            parse_frame(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

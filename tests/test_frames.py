@@ -198,6 +198,27 @@ def test_tdtf_random_frame_fails():
     assert not rep.ok
 
 
+def test_tdtf_needs_equal_norms():
+    # frame operator 5I and off-diagonal values 0, 2, but norms 1, 1, 4, 4
+    m = CycMatrix.from_int_matrix([[1, 0, 2, 0], [0, 1, 0, 2]])
+    rep = verify_tdtf(Frame(m))
+    assert not rep.ok and not rep.tight and rep.two_distance
+
+
+def test_failed_certificate_carries_witness_and_tdtf_values():
+    ok = verify_etf(simplex_frame(4))
+    assert ok.witness is None and ok.tdtf_values is None and ok.tdtf is None
+    # columns (1,1,0), (1,0,1), (0,1,1), (1,1,0): norms 2, Gram values 1, 2
+    m = CycMatrix.from_int_matrix([[1, 1, 0, 1], [1, 0, 1, 1],
+                                   [0, 1, 1, 0]])
+    cert = verify_etf(Frame(m))
+    assert cert.equal_norm and not cert.equiangular
+    assert cert.witness == ("Gram entry (0, 3) has |.|^2 = (4,), "
+                            "entry (0, 1) has (1,): equiangularity fails")
+    assert [v.as_integer() for v in cert.tdtf_values] == [1, 2]
+    assert not cert.tdtf.ok
+
+
 def test_frame_operator_shape():
     f = simplex_frame(5)
     assert frame_operator(f).shape == (4, 4)
