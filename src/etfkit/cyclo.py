@@ -6,20 +6,27 @@ length deg(Phi_n) = phi(n).  Canonical forms are unique, so equality of
 complex values reduces to equality of integer vectors; every downstream
 certification in this package bottoms out in such comparisons.
 
-Matrices over the ring are stored as (rows, cols, deg) arrays of Python
-integers.  Products are computed as one integer matrix multiplication per
-pair of coefficient slots followed by reduction modulo Phi_n.  When an
-a-priori bound shows the intermediate coefficients fit in int64, the
-multiplication runs on native int64 arrays; otherwise it runs on object
-arrays of Python ints.  Both paths are exact and bit-identical.
+Matrices over the ring are stored as (rows, cols, deg) coefficient arrays:
+int64 while every coefficient is below 2^62 in magnitude, Python integers
+(object dtype) otherwise.  The headroom below 2^63 makes the sum or
+difference of two int64 arrays exact, so an addition only has to re-check
+where its result is stored.
 
-There is no floating-point code in this module.
+A product is one integer matrix product per pair of coefficient slots
+(Karatsuba over the slots) followed by reduction modulo Phi_n, all of it in
+one dtype chosen by an a-priori bound on every intermediate value.  Below
+2^53 it runs in float64, so in BLAS: integers of that size are exact in
+float64, and so is every sum and product of them whose result stays below
+2^53, in whatever order the BLAS accumulates its sums of products.  The
+float64 result is therefore the exact integer result (the argument of
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  At or above
+2^53 the product runs on object arrays of Python ints.  Both paths are exact
+and bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -33,7 +40,8 @@ __all__ = [
     "CycMatrix",
 ]
 
-_INT64_SAFE = 2**62  # headroom below 2**63 - 1
+_F64_EXACT = 2**53   # every integer below this is exact in float64
+_INT64_SAFE = 2**62  # int64 storage bound: two such values add below 2**63
 
 
 class OrderMismatchError(ValueError):
@@ -42,12 +50,6 @@ class OrderMismatchError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Matrix operands have non-conforming shapes."""
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -88,52 +90,78 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class _Ring:
-    """Precomputed reduction data for Z[zeta_n]."""
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
-    order: int
-    degree: int
-    powers: np.ndarray     # (maxexp+1, degree) object; row t = x^t mod Phi_n
-    fold_l1: int           # growth factor of folding exponents d..2d-2 back
-    conj: np.ndarray       # (degree, degree) object; row i = conj of x^i
-    conj_l1: int
-    power_rows: tuple[tuple[int, ...], ...]  # python view of `powers`
+
+def _l1(table: np.ndarray, axis: int) -> int:
+    """Largest absolute sum along `axis`: the growth factor of the map."""
+    return int(np.abs(table).sum(axis=axis).max())
+
+
+class _Ring:
+    """Reduction data for Z[zeta_n] as int64 tables, each built on first use.
+
+    Row t of every table is x^t mod Phi_n.  Only d <= t < n needs storing
+    (`tail`): lower powers are unit vectors and x^n = 1.  So a ring of a
+    large order costs nothing of size order x phi(order) until a product
+    asks for its phi(order)^2 tables.
+    """
+
+    def __init__(self, n: int):
+        phi = cyclotomic_polynomial(n)
+        self.order = n
+        self.degree = len(phi) - 1
+        self._head = phi[:-1]
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        """(n - d, d): row t - d is x^t mod Phi_n, for d <= t < n."""
+        d = self.degree
+        row = [0] * (d - 1) + [1]           # x^(d-1)
+        rows = []
+        for _ in range(d, self.order):
+            # x^t = x * x^(t-1), then fold x^d = -(phi head) back in
+            c = row[-1]
+            row = [0] + row[:-1]
+            if c:
+                row = [r - c * p for r, p in zip(row, self._head)]
+            rows.append(row)
+        return _frozen(np.array(rows, dtype=np.int64).reshape(-1, d))
+
+    def powers(self, exps) -> np.ndarray:
+        """(len(exps), d): row k is x^exps[k] mod Phi_n."""
+        t = np.asarray(exps, dtype=np.int64) % self.order
+        out = np.zeros((t.size, self.degree), dtype=np.int64)
+        low = t < self.degree
+        out[np.flatnonzero(low), t[low]] = 1
+        out[~low] = self.tail[t[~low] - self.degree]
+        return out
+
+    @cached_property
+    def reduction(self) -> np.ndarray:
+        """(2d - 1, d): folds the slots of a product back to canonical form."""
+        return _frozen(self.powers(np.arange(2 * self.degree - 1)))
+
+    @cached_property
+    def fold_l1(self) -> int:
+        # |out_j| <= max|slot| * sum over t of |reduction[t, j]|
+        return _l1(self.reduction, axis=0)
+
+    @cached_property
+    def conj(self) -> np.ndarray:
+        """(d, d): row i is conj(x^i) = x^(n - i) mod Phi_n."""
+        return _frozen(self.powers(-np.arange(self.degree)))
+
+    @cached_property
+    def conj_l1(self) -> int:
+        return _l1(self.conj, axis=1)
 
 
 @lru_cache(maxsize=None)
 def _ring(n: int) -> _Ring:
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    maxexp = max(n - 1, 2 * d - 2, 0)
-    rows: list[list[int]] = []
-    for t in range(maxexp + 1):
-        if t < d:
-            row = [0] * d
-            row[t] = 1
-        else:
-            # x^t = x * x^(t-1), then fold x^d = -(phi head) back in.
-            prev = rows[t - 1]
-            row = [0] + prev[: d - 1]
-            c = prev[d - 1]
-            if c:
-                row = [r - c * p for r, p in zip(row, phi[:d])]
-        rows.append(row)
-    powers = np.empty((maxexp + 1, d), dtype=object)
-    powers[:] = rows
-    powers.setflags(write=False)
-    conj_rows = [rows[(n - i) % n] for i in range(d)]
-    conj = np.empty((d, d), dtype=object)
-    conj[:] = conj_rows
-    conj.setflags(write=False)
-    # |out_j| <= conv_max * (1 + sum over folded exponents t of |row_t[j]|)
-    fold_l1 = 1 + max(
-        (sum(abs(rows[t][j]) for t in range(d, 2 * d - 1))
-         for j in range(d)),
-        default=0)
-    cl1 = max(sum(abs(c) for c in row) for row in conj_rows)
-    return _Ring(n, d, powers, fold_l1, conj, cl1,
-                 tuple(tuple(r) for r in rows))
+    return _Ring(n)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -147,14 +175,8 @@ def _lift_map(n_from: int, n_to: int) -> tuple[np.ndarray, int]:
         raise OrderMismatchError(
             f"order {n_from} does not divide target order {n_to}")
     step = n_to // n_from
-    src = _ring(n_from)
-    dst = _ring(n_to)
-    mat = np.empty((src.degree, dst.degree), dtype=object)
-    for i in range(src.degree):
-        mat[i] = dst.powers[i * step]
-    mat.setflags(write=False)
-    l1 = max(sum(abs(c) for c in mat[i]) for i in range(src.degree))
-    return mat, l1
+    mat = _ring(n_to).powers(np.arange(_ring(n_from).degree) * step)
+    return _frozen(mat), _l1(mat, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +264,12 @@ class CycScalar:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[i + j] += a * b
-        out = list(conv[:d])
+        out = conv[:d]
         for t in range(d, 2 * d - 1):
             c = conv[t]
             if c:
-                row = ring.power_rows[t]
-                for j in range(d):
-                    out[j] += c * row[j]
+                for j, r in enumerate(ring.reduction[t].tolist()):
+                    out[j] += c * r
         return CycScalar(self.order, out)
 
     __rmul__ = __mul__
@@ -260,9 +281,8 @@ class CycScalar:
         out = [0] * d
         for i, a in enumerate(self.coeffs):
             if a:
-                row = ring.power_rows[(self.order - i) % self.order]
-                for j in range(d):
-                    out[j] += a * row[j]
+                for j, r in enumerate(ring.conj[i].tolist()):
+                    out[j] += a * r
         return CycScalar(self.order, out)
 
     def abs_squared(self) -> "CycScalar":
@@ -278,9 +298,8 @@ class CycScalar:
         out = [0] * d2
         for i, a in enumerate(self.coeffs):
             if a:
-                row = mat[i]
-                for j in range(d2):
-                    out[j] += a * row[j]
+                for j, r in enumerate(mat[i].tolist()):
+                    out[j] += a * r
         return CycScalar(order, out)
 
     # -- predicates ---------------------------------------------------------
@@ -319,42 +338,57 @@ class CycScalar:
 
 def root_of_unity(n: int, k: int) -> CycScalar:
     """zeta_n^k in canonical form (exponent mod n, residue mod Phi_n)."""
-    ring = _ring(n)
-    return CycScalar(n, ring.power_rows[k % n])
+    return CycScalar(n, _ring(n).powers([k])[0])
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
-def _as_object(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype == object:
-        return arr
-    return arr.astype(object)
-
-
 def _max_abs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
-    return int(np.abs(arr).max())
+    if arr.dtype == object:
+        return int(np.abs(arr).max())
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _stored(arr: np.ndarray) -> np.ndarray:
+    """The storage form of a coefficient array: int64 when every
+    coefficient is below 2^62 in magnitude, else Python ints."""
+    small = arr
+    if arr.dtype != np.int64:
+        if arr.dtype.kind not in "biuO":
+            raise TypeError(f"coefficients must be integers, not {arr.dtype}")
+        arr = arr.astype(object, copy=False)     # exact for any integer dtype
+        try:
+            small = arr.astype(np.int64)
+        except OverflowError:
+            return arr
+    if _max_abs(small) < _INT64_SAFE:
+        return small
+    return arr.astype(object, copy=False)
+
+
+def _exact_dtype(bound: int):
+    """float64 when `bound` caps every intermediate value below 2^53, which
+    makes float64 arithmetic exact; otherwise Python ints."""
+    return np.float64 if bound < _F64_EXACT else object
+
+
+def _slots(arr: np.ndarray, dtype) -> list:
+    """The coefficient slots of `arr` as contiguous 2-D arrays of `dtype`."""
+    return list(np.ascontiguousarray(np.moveaxis(arr, -1, 0), dtype=dtype))
 
 
 def _reduce_slices(slices: list, ring: _Ring) -> np.ndarray:
-    """Fold coefficient slots >= degree back using x^t mod Phi_n rows."""
-    d = ring.degree
-    out = [slices[j].copy() if j < len(slices) else None for j in range(d)]
-    shape = slices[0].shape
-    dtype = slices[0].dtype
-    for j in range(d):
-        if out[j] is None:
-            out[j] = np.zeros(shape, dtype=dtype)
-    for t in range(d, len(slices)):
-        c = slices[t]
-        row = ring.powers[t]
-        for j in range(d):
-            if row[j]:
-                out[j] += c * int(row[j])
-    return np.stack(out, axis=-1)
+    """Fold the 2d - 1 slots of a product back to d canonical slots, as one
+    (rows, cols, d) array; `slices` is emptied as it is consumed."""
+    shape = slices[0].shape + (ring.degree,)
+    stacked = np.stack(slices).reshape(len(slices), -1)
+    slices.clear()
+    fold = ring.reduction.astype(stacked.dtype)
+    return (stacked.T @ fold).reshape(shape)
 
 
 def _add_slices(a: list, b: list) -> list:
@@ -410,7 +444,9 @@ def _conv_slices(a: list, b: list, combine) -> list:
 
 
 def _kara_growth(d: int) -> int:
-    # conservative magnitude growth of the Karatsuba recursion vs schoolbook
+    # Each Karatsuba level at most multiplies the largest intermediate by 7
+    # (operand sums double, then mid - p0 - p2 is added onto p0 or p2), so
+    # 3 * 8^levels caps the growth over one slot product with room to spare
     levels = 0
     while (1 << levels) < d:
         levels += 1
@@ -419,36 +455,36 @@ def _kara_growth(d: int) -> int:
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, ring: _Ring, inner: int,
                 combine) -> np.ndarray:
-    """Shared core for matrix and entrywise products with overflow guard."""
+    """The exact product of two coefficient arrays: slot products by
+    `combine` (matmul, entrywise or Kronecker), then reduction mod Phi_n.
+
+    `bound` caps every slot product, Karatsuba intermediate and folded sum.
+    When it is 0 an operand is zero, so every product is an exact 0.0 even
+    if the other operand's coefficients do not fit in float64.
+    """
     d = ring.degree
     bound = (_max_abs(a) * _max_abs(b) * max(inner, 1) * d
              * ring.fold_l1 * _kara_growth(d))
-    if bound < _INT64_SAFE:
-        a, b = a.astype(np.int64), b.astype(np.int64)
-    else:
-        a, b = _as_object(a), _as_object(b)
-    slices = _conv_slices([a[..., i] for i in range(d)],
-                          [b[..., i] for i in range(d)], combine)
-    return _as_object(_reduce_slices(slices, ring))
+    dtype = _exact_dtype(bound)
+    slices = _conv_slices(_slots(a, dtype), _slots(b, dtype), combine)
+    out = _reduce_slices(slices, ring)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _linear_map(arr: np.ndarray, mat: np.ndarray, mat_l1: int) -> np.ndarray:
     """Apply a coefficient-basis change along the trailing axis."""
-    bound = _max_abs(arr) * arr.shape[-1] * mat_l1
-    if bound < _INT64_SAFE:
-        out = np.tensordot(arr.astype(np.int64), mat.astype(np.int64),
-                           axes=([arr.ndim - 1], [0]))
-    else:
-        out = np.tensordot(_as_object(arr), _as_object(mat),
-                           axes=([arr.ndim - 1], [0]))
-    return _as_object(out)
+    dtype = _exact_dtype(_max_abs(arr) * arr.shape[-1] * mat_l1)
+    flat = arr.astype(dtype, order="C").reshape(-1, arr.shape[-1])
+    out = (flat @ mat.astype(dtype)).reshape(arr.shape[:-1] + mat.shape[1:])
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 class CycMatrix:
     """A dense rectangular matrix over Z[zeta_n], all entries one order.
 
-    Immutable.  The backing array has shape (rows, cols, phi(n)) and holds
-    Python integers.
+    Immutable.  The backing array has shape (rows, cols, phi(n)) and is
+    int64 while every coefficient is below 2^62 in magnitude, Python ints
+    otherwise.
     """
 
     __slots__ = ("order", "_arr")
@@ -458,8 +494,8 @@ class CycMatrix:
         if arr.ndim != 3 or arr.shape[2] != ring.degree:
             raise ValueError(
                 f"backing array must be (rows, cols, {ring.degree})")
-        a = _as_object(arr)
-        if _copy:
+        a = _stored(arr)
+        if _copy and a is arr:
             a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "order", order)
@@ -473,21 +509,20 @@ class CycMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int, order: int = 1) -> "CycMatrix":
         d = _ring(order).degree
-        arr = np.zeros((rows, cols, d), dtype=object)
+        arr = np.zeros((rows, cols, d), dtype=np.int64)
         return cls(order, arr, _copy=False)
 
     @classmethod
     def identity(cls, n: int, order: int = 1) -> "CycMatrix":
         d = _ring(order).degree
-        arr = np.zeros((n, n, d), dtype=object)
-        for i in range(n):
-            arr[i, i, 0] = 1
+        arr = np.zeros((n, n, d), dtype=np.int64)
+        arr[np.arange(n), np.arange(n), 0] = 1
         return cls(order, arr, _copy=False)
 
     @classmethod
     def ones(cls, rows: int, cols: int, order: int = 1) -> "CycMatrix":
         d = _ring(order).degree
-        arr = np.zeros((rows, cols, d), dtype=object)
+        arr = np.zeros((rows, cols, d), dtype=np.int64)
         arr[:, :, 0] = 1
         return cls(order, arr, _copy=False)
 
@@ -497,8 +532,8 @@ class CycMatrix:
         if m.ndim != 2:
             raise ValueError("expected a 2-D integer array")
         d = _ring(order).degree
-        arr = np.zeros(m.shape + (d,), dtype=object)
-        arr[:, :, 0] = m.astype(object)
+        arr = np.zeros(m.shape + (d,), dtype=m.dtype)
+        arr[:, :, 0] = m
         return cls(order, arr, _copy=False)
 
     @classmethod
@@ -580,6 +615,9 @@ class CycMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # int64 sums, differences and negations are exact: every int64 operand
+    # is below 2^62 in magnitude, and the result's storage is re-checked
+
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
         a, b = self._aligned(other)
         if a.shape != b.shape:
@@ -608,13 +646,15 @@ class CycMatrix:
     def scalar_mul(self, s) -> "CycMatrix":
         """Multiply every entry by a CycScalar or Python int."""
         if isinstance(s, int):
-            return CycMatrix(self.order, self._arr * s, _copy=False)
+            arr = self._arr
+            if max(_max_abs(arr), 1) * abs(s) >= _INT64_SAFE:
+                arr = arr.astype(object, copy=False)
+            return CycMatrix(self.order, arr * s, _copy=False)
         n = _lcm(self.order, s.order)
         a = self.lift_to_order(n)
-        sv = np.empty((1, 1, _ring(n).degree), dtype=object)
-        sv[0, 0, :] = s.lift_to_order(n).coeffs
-        ring = _ring(n)
-        out = _mul_arrays(a._arr, sv, ring, 1, lambda x, y: x * y)
+        sv = np.array(s.lift_to_order(n).coeffs, dtype=object)
+        out = _mul_arrays(a._arr, sv.reshape(1, 1, -1), _ring(n), 1,
+                          lambda x, y: x * y)
         return CycMatrix(n, out, _copy=False)
 
     def entrywise_mul(self, other: "CycMatrix") -> "CycMatrix":

@@ -87,11 +87,8 @@ def parse_design(text: str) -> GroupDivisibleDesign:
 def serialize_frame(frame: Frame) -> str:
     syn = frame.synthesis
     lines = [f"FRAME {syn.order} {frame.d} {frame.n}"]
-    arr = syn.array
-    for r in range(frame.d):
-        entries = [",".join(str(int(c)) for c in arr[r, col])
-                   for col in range(frame.n)]
-        lines.append(" | ".join(entries))
+    for row in syn.array.tolist():
+        lines.append(" | ".join(",".join(map(str, cell)) for cell in row))
     return "\n".join(lines) + "\n"
 
 
@@ -118,7 +115,7 @@ def parse_frame(text: str) -> Frame:
         if len(cells) != n:
             raise FileFormatError(
                 f"row {r} has {len(cells)} entries, expected {n}")
-    arr = np.zeros((d, n, deg), dtype=object)
+    coeffs: list[int] = []
     for r, cells in enumerate(rows):
         for c, cell in enumerate(cells):
             parts = cell.split(",")
@@ -127,8 +124,9 @@ def parse_frame(text: str) -> Frame:
                     f"entry ({r}, {c}) has {len(parts)} coefficients, "
                     f"expected {deg}")
             try:
-                arr[r, c, :] = [int(p) for p in parts]
+                coeffs.extend(map(int, parts))
             except ValueError as exc:
                 raise FileFormatError(
                     f"entry ({r}, {c}) is not an integer vector") from exc
+    arr = np.array(coeffs, dtype=object).reshape(d, n, deg)
     return Frame(CycMatrix(order, arr, _copy=False))

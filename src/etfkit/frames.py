@@ -9,8 +9,9 @@ rational matrices ever appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -101,16 +102,6 @@ class Frame:
     def order(self) -> int:
         return self.synthesis.order
 
-    def with_groups(self, groups: int) -> "Frame":
-        return Frame(self.synthesis, groups)
-
-    def group_column(self, m: int, i: int) -> int:
-        """Column index of member i of group m under consecutive grouping."""
-        if self.groups is None:
-            raise FrameError("frame has no column grouping")
-        size = self.n // self.groups
-        return m * size + i
-
     def __repr__(self):
         return f"Frame(D={self.d}, N={self.n}, order={self.order})"
 
@@ -136,13 +127,25 @@ class EtfCertificate:
     equiangular: bool
     tight: bool
     welch_equality: bool
-    flat: bool
-    centered: bool
     # on failure only: the first Gram entry that breaks an identity, and the
     # distinct off-diagonal Gram values in order of first appearance (None
     # when there are more than two)
     witness: str | None
     tdtf_values: tuple[CycScalar, ...] | None
+    _synthesis: CycMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def flat(self) -> bool:
+        """Every entry of the synthesis operator has |Phi_ij|^2 = 1."""
+        syn = self._synthesis
+        return syn.abs_squared_entries() == CycMatrix.ones(self.d, self.n,
+                                                           syn.order)
+
+    @cached_property
+    def centered(self) -> bool:
+        """The frame vectors sum to zero: Phi times the all-ones vector."""
+        syn = self._synthesis
+        return (syn @ CycMatrix.ones(self.n, 1, syn.order)).is_zero
 
     @property
     def tdtf(self) -> TdtfReport | None:
@@ -244,24 +247,20 @@ def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
         raise AssertionError(
             "certified ETF violates the Welch equality identity")
 
-    flat = frame.synthesis.abs_squared_entries() == CycMatrix.ones(
-        d, n, frame.order)
-    centered = (frame.synthesis
-                @ CycMatrix.ones(n, 1, frame.order)).is_zero
-
     witness = None if welch else _witness(order, diag, bad_norm, mods,
                                           bad_angle)
     values = None if welch else _offdiag_values(g)
     a = Fraction(n * s, d) if s is not None else None
     cert = EtfCertificate(d, n, s, t, a, equal_norm, equiangular, tight,
-                          welch, flat, centered, witness, values)
+                          welch, witness, values, frame.synthesis)
     return cert, g
 
 
 def verify_etf(frame: Frame) -> EtfCertificate:
     """Certify equal norms, equiangularity, tightness and Welch equality,
-    all as exact integer identities; also report flatness and centering.
-    A failed certificate carries its witness and TDTF values too."""
+    all as exact integer identities.  A failed certificate carries its
+    witness and TDTF values too; flatness and centering are computed when
+    first read."""
     return _certify(frame)[0]
 
 

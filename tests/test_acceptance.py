@@ -295,6 +295,27 @@ def test_criterion_9_naimark_suite():
             time.perf_counter() - start, 10.0)
 
 
+def test_etf_88_320_naimark_stays_int64_and_exact(kernel_paths):
+    frame, cert = _get("etf_88_320", build_88_320)
+    g = gram(frame)
+    assert g.array.dtype == np.int64
+    with kernel_paths() as seen:
+        res = naimark_gram(g, cert.a)
+    assert set(seen) == {np.float64}
+    comp = res.complement
+    assert comp.array.dtype == np.int64 and res.denominator == 1
+    # A I - G on object-dtype operands, outside the kernel
+    ref = -g.array.astype(object)
+    ref[np.arange(g.rows), np.arange(g.rows), 0] += int(cert.a)
+    assert np.array_equal(comp.array, ref)
+    # the transfer identity's product, on a column slice, against the
+    # object path
+    cols = comp.submatrix(slice(None), slice(0, 2))
+    with kernel_paths(force=object):
+        slow = comp @ cols
+    assert comp @ cols == slow
+
+
 def test_criterion_10_hadamard_suite():
     start = time.perf_counter()
     count = 0

@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
-from etfkit import frames
+from etfkit import cyclo, frames
 from etfkit.cli import main
-from etfkit.cyclo import CycMatrix
+from etfkit.cyclo import CycMatrix, CycScalar
 from etfkit.fileio import (
     DesignVerifyError,
     FileFormatError,
@@ -364,3 +364,17 @@ def test_parse_frame_checks_row_widths_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_parse_frame_of_a_large_order_builds_no_ring_tables():
+    # 4 KB: a 1x1 frame over Z[zeta_2003], whose degree is 2002
+    text = "FRAME 2003 1 1\n" + ",".join(["1"] + ["0"] * 2001) + "\n"
+    cyclo._ring.cache_clear()
+    tracemalloc.start()
+    try:
+        frame = parse_frame(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.synthesis.entry(0, 0) == CycScalar.one(2003)
+    assert peak < 64 * 2**20

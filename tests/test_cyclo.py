@@ -1,7 +1,8 @@
 """Exact cyclotomic arithmetic: canonical forms, ring axioms, matrix ops.
 
-The float evaluator below is a test-only oracle; the library itself never
-touches floating point.
+The complex evaluator below is a test-only oracle; the library uses float64
+only for integer products that an a-priori bound keeps exact (see
+test_kernel.py).
 """
 
 import cmath

@@ -61,6 +61,24 @@ def test_verify_etf_simplex():
     assert cert.flat and cert.centered
 
 
+def test_flat_and_centered_are_computed_when_read(monkeypatch):
+    frame = simplex_frame(4)
+    shapes = []
+    real = CycMatrix.abs_squared_entries
+
+    def counted(self):
+        shapes.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(CycMatrix, "abs_squared_entries", counted)
+    cert = verify_etf(frame)
+    assert shapes == [(4, 4)]                   # |G|^2 only
+    assert cert.flat and cert.centered
+    assert shapes == [(4, 4), (3, 4)]           # then |Phi|^2, once
+    assert cert.flat
+    assert len(shapes) == 2
+
+
 def test_verify_etf_two_equal_columns():
     one = CycScalar.one(2)
     m = CycMatrix.from_scalars([[one, one], [one, one]])
@@ -85,10 +103,10 @@ def test_frame_rejects_zero_column():
 
 
 def test_frame_grouping():
-    f = simplex_frame(4).with_groups(2)
-    assert f.group_column(1, 1) == 3
+    syn = simplex_frame(4).synthesis
+    assert Frame(syn, groups=2).groups == 2
     with pytest.raises(FrameError):
-        simplex_frame(4).with_groups(3)
+        Frame(syn, groups=3)
 
 
 # ---------------------------------------------------------------------------
