@@ -12,16 +12,20 @@ int64 while every coefficient is below 2^62 in magnitude, Python integers
 difference of two int64 arrays exact, so an addition only has to re-check
 where its result is stored.
 
-A product is one integer matrix product per pair of coefficient slots
-(Karatsuba over the slots) followed by reduction modulo Phi_n, all of it in
-one dtype chosen by an a-priori bound on every intermediate value.  Below
-2^53 it runs in float64, so in BLAS: integers of that size are exact in
-float64, and so is every sum and product of them whose result stays below
-2^53, in whatever order the BLAS accumulates its sums of products.  The
-float64 result is therefore the exact integer result (the argument of
-FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  At or above
-2^53 the product runs on object arrays of Python ints.  Both paths are exact
-and bit-identical.
+Multiplying by an element b of the ring is a d x d integer matrix, d =
+phi(n), whose row i is zeta^i * b.  So a matrix product is one integer
+matrix product, the left factor as an (r, k d) matrix times the
+multiplication matrices of the right factor's entries as a (k d, d c)
+matrix, taken one power of zeta at a time; an entrywise product sums slot
+i of one factor times zeta^i times the other.  Each runs in one dtype
+chosen by an a-priori bound on every intermediate value.  Below 2^53 it
+runs in float64, so in BLAS: integers of that size are exact in float64,
+and so is every sum and product of them whose result stays below 2^53, in
+whatever order the BLAS accumulates its sums of products.  The float64
+result is therefore the exact integer result (the argument of FFLAS-FFPACK:
+Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  At or above 2^53 the
+product runs on object arrays of Python ints.  Both paths are exact and
+bit-identical.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ class _Ring:
 
     @cached_property
     def fold_l1(self) -> int:
-        # |out_j| <= max|slot| * sum over t of |reduction[t, j]|
+        # zeta^i * b = sum over j of b_j * reduction[i + j] for i < d, so
+        # each of its coefficients is at most max|b| * fold_l1
         return _l1(self.reduction, axis=0)
 
     @cached_property
@@ -376,99 +381,72 @@ def _exact_dtype(bound: int):
     return np.float64 if bound < _F64_EXACT else object
 
 
-def _slots(arr: np.ndarray, dtype) -> list:
-    """The coefficient slots of `arr` as contiguous 2-D arrays of `dtype`."""
-    return list(np.ascontiguousarray(np.moveaxis(arr, -1, 0), dtype=dtype))
+def _by_slot(arr: np.ndarray, dtype) -> np.ndarray:
+    """A (rows, cols, d) array as a contiguous (rows, d, cols) array of
+    `dtype`: the slot axis moves in front of the columns, so that every
+    slot of a row is one contiguous run."""
+    return np.swapaxes(arr, 1, 2).astype(dtype, order="C")
 
 
-def _reduce_slices(slices: list, ring: _Ring) -> np.ndarray:
-    """Fold the 2d - 1 slots of a product back to d canonical slots, as one
-    (rows, cols, d) array; `slices` is emptied as it is consumed."""
-    shape = slices[0].shape + (ring.degree,)
-    stacked = np.stack(slices).reshape(len(slices), -1)
-    slices.clear()
-    fold = ring.reduction.astype(stacked.dtype)
-    return (stacked.T @ fold).reshape(shape)
+def _from_slots(out: np.ndarray, dtype) -> np.ndarray:
+    """Undo `_by_slot`; float64 results go back to int64."""
+    return np.ascontiguousarray(np.swapaxes(out, 1, 2),
+                                np.int64 if dtype is np.float64 else object)
 
 
-def _add_slices(a: list, b: list) -> list:
-    out = list(a) if len(a) >= len(b) else list(b)
-    short = b if len(a) >= len(b) else a
-    out = [s.copy() for s in out]
-    for i, s in enumerate(short):
-        out[i] += s
-    return out
+def _shifts(b: np.ndarray, ring: _Ring):
+    """zeta^i * b for i = 0, ..., d - 1, where b and each result hold the
+    coefficient slots on their middle axis, as `_by_slot` lays them out.
 
-
-def _conv_slices(a: list, b: list, combine) -> list:
-    """Convolution of coefficient-slice lists; Karatsuba above the base size.
-
-    `combine` is the bilinear slice product (matmul, elementwise, Kronecker).
+    These are the rows of the multiplication matrix of each entry of b:
+    zeta^i * b is b times rows i..i+d-1 of `ring.reduction`, computed as x
+    times the previous row with x^d folded back, so no (d, d, d) table is
+    built.  Every coefficient of zeta^i * b is at most max|b| * fold_l1, and
+    a folded term is the difference of two such coefficients, so at most
+    twice that: within the bound of every product below once d >= 2.
     """
-    da, db = len(a), len(b)
-    if min(da, db) <= 1:
-        out: list = [None] * (da + db - 1)
-        for i in range(da):
-            for j in range(db):
-                p = combine(a[i], b[j])
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        return out
-    h = (max(da, db) + 1) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-
-    def accumulate(target, part, offset):
-        for i, s in enumerate(part):
-            j = offset + i
-            target[j] = s if target[j] is None else target[j] + s
-
-    out = [None] * (da + db - 1)
-    if not a1 or not b1:
-        accumulate(out, _conv_slices(a0, b0, combine), 0)
-        if a1:
-            accumulate(out, _conv_slices(a1, b0, combine), h)
-        if b1:
-            accumulate(out, _conv_slices(a0, b1, combine), h)
-        return out
-    p0 = _conv_slices(a0, b0, combine)
-    p2 = _conv_slices(a1, b1, combine)
-    mid = _conv_slices(_add_slices(a0, a1), _add_slices(b0, b1), combine)
-    for i, s in enumerate(p0):
-        mid[i] = mid[i] - s
-    for i, s in enumerate(p2):
-        mid[i] = mid[i] - s
-    accumulate(out, p0, 0)
-    accumulate(out, mid, h)
-    accumulate(out, p2, 2 * h)
-    return out
+    row = b
+    yield row
+    if ring.degree > 1:
+        x_d = ring.tail[0].astype(b.dtype)[:, None]     # x^d mod Phi_n
+        for _ in range(ring.degree - 1):
+            top = row[:, -1:] * x_d
+            top[:, 1:] += row[:, :-1]
+            row = top
+            yield row
 
 
-def _kara_growth(d: int) -> int:
-    # Each Karatsuba level at most multiplies the largest intermediate by 7
-    # (operand sums double, then mid - p0 - p2 is added onto p0 or p2), so
-    # 3 * 8^levels caps the growth over one slot product with room to spare
-    levels = 0
-    while (1 << levels) < d:
-        levels += 1
-    return 3 * 8**levels
+def _matmul(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
+    """The exact product of (r, k, d) and (k, c, d) coefficient arrays.
 
-
-def _mul_arrays(a: np.ndarray, b: np.ndarray, ring: _Ring, inner: int,
-                combine) -> np.ndarray:
-    """The exact product of two coefficient arrays: slot products by
-    `combine` (matmul, entrywise or Kronecker), then reduction mod Phi_n.
-
-    `bound` caps every slot product, Karatsuba intermediate and folded sum.
-    When it is 0 an operand is zero, so every product is an exact 0.0 even
-    if the other operand's coefficients do not fit in float64.
+    a as an (r, k d) matrix times the multiplication matrices of b's entries
+    as a (k d, d c) matrix, in d blocks no larger than b: block i holds row
+    i of every entry's matrix, zeta^i * b, and meets slot i of a.  Every
+    partial sum is a sum of at most k d terms, each at most
+    max|a| * max|b| * fold_l1.  When an operand is zero the bound is 0, and
+    every product is an exact 0.0 even if the other operand's coefficients
+    do not fit in float64.
     """
+    (r, k, d), c = a.shape, b.shape[1]
+    dtype = _exact_dtype(_max_abs(a) * _max_abs(b) * k * d * ring.fold_l1)
+    a = _by_slot(a, dtype)
+    out = 0
+    for i, row in enumerate(_shifts(_by_slot(b, dtype), ring)):
+        out += a[:, i] @ row.reshape(k, d * c)
+    return _from_slots(out.reshape(r, d, c), dtype)
+
+
+def _entrywise(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
+    """Entrywise products: the sum over i of slot i of a times zeta^i * b,
+    with b broadcast against a.  Each of the d terms of a sum is at most
+    max|a| * max|b| * fold_l1."""
     d = ring.degree
-    bound = (_max_abs(a) * _max_abs(b) * max(inner, 1) * d
-             * ring.fold_l1 * _kara_growth(d))
-    dtype = _exact_dtype(bound)
-    slices = _conv_slices(_slots(a, dtype), _slots(b, dtype), combine)
-    out = _reduce_slices(slices, ring)
-    return out.astype(np.int64) if dtype is np.float64 else out
+    dtype = _exact_dtype(_max_abs(a) * _max_abs(b) * d * ring.fold_l1)
+    a = _by_slot(a, dtype)
+    out = 0
+    for i, row in enumerate(_shifts(_by_slot(b, dtype), ring)):
+        out += a[:, i:i + 1] * row
+    return _from_slots(out, dtype)
 
 
 def _linear_map(arr: np.ndarray, mat: np.ndarray, mat_l1: int) -> np.ndarray:
@@ -638,9 +616,7 @@ class CycMatrix:
         if a.cols != b.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {a.shape} by {b.shape}")
-        ring = _ring(a.order)
-        out = _mul_arrays(a._arr, b._arr, ring, a.cols,
-                          lambda x, y: x @ y)
+        out = _matmul(a._arr, b._arr, _ring(a.order))
         return CycMatrix(a.order, out, _copy=False)
 
     def scalar_mul(self, s) -> "CycMatrix":
@@ -653,16 +629,14 @@ class CycMatrix:
         n = _lcm(self.order, s.order)
         a = self.lift_to_order(n)
         sv = np.array(s.lift_to_order(n).coeffs, dtype=object)
-        out = _mul_arrays(a._arr, sv.reshape(1, 1, -1), _ring(n), 1,
-                          lambda x, y: x * y)
+        out = _entrywise(a._arr, sv.reshape(1, 1, -1), _ring(n))
         return CycMatrix(n, out, _copy=False)
 
     def entrywise_mul(self, other: "CycMatrix") -> "CycMatrix":
         a, b = self._aligned(other)
         if a.shape != b.shape:
             raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
-        ring = _ring(a.order)
-        out = _mul_arrays(a._arr, b._arr, ring, 1, lambda x, y: x * y)
+        out = _entrywise(a._arr, b._arr, _ring(a.order))
         return CycMatrix(a.order, out, _copy=False)
 
     def conjugate_entries(self) -> "CycMatrix":
@@ -682,11 +656,15 @@ class CycMatrix:
         return CycMatrix(self.order, self._arr.transpose(1, 0, 2))
 
     def kron(self, other: "CycMatrix") -> "CycMatrix":
+        """Kronecker product: every entry of self times every entry of
+        other, as a column of the one times a row of the other."""
         a, b = self._aligned(other)
-        ring = _ring(a.order)
-        out = _mul_arrays(a._arr, b._arr, ring, 1,
-                          lambda x, y: np.kron(x, y))
-        return CycMatrix(a.order, out, _copy=False)
+        (r1, c1, d), (r2, c2, _) = a._arr.shape, b._arr.shape
+        out = _matmul(a._arr.reshape(r1 * c1, 1, d),
+                      b._arr.reshape(1, r2 * c2, d), _ring(a.order))
+        out = out.reshape(r1, c1, r2, c2, d).transpose(0, 2, 1, 3, 4)
+        return CycMatrix(a.order, out.reshape(r1 * r2, c1 * c2, d),
+                         _copy=False)
 
     def abs_squared_entries(self) -> "CycMatrix":
         """Entrywise a * conj(a); exact squared moduli for unimodular sums."""

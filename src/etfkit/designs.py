@@ -282,13 +282,23 @@ def mols_from_field(field: FiniteField) -> LatinSquareSet:
 
 
 class GroupDivisibleDesign:
-    """A uniform K-GDD of type M^U: ordered blocks over group-major labels."""
+    """A uniform K-GDD of type M^U: ordered blocks over group-major labels.
+
+    Immutable.  Its incidence matrix and its `verify_gdd` report are
+    computed on first use and kept, so a design is certified once however
+    many consumers ask.
+    """
+
+    __slots__ = ("K", "M", "U", "blocks", "_incidence", "_report")
 
     def __init__(self, k: int, m: int, u: int, blocks):
-        self.K = k
-        self.M = m
-        self.U = u
-        self.blocks = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
+        blocks = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
+        for name, value in (("K", k), ("M", m), ("U", u), ("blocks", blocks),
+                            ("_incidence", None), ("_report", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupDivisibleDesign is immutable")
 
     @property
     def B(self) -> int:
@@ -307,11 +317,14 @@ class GroupDivisibleDesign:
         return v // self.M
 
     def incidence(self) -> np.ndarray:
-        """{0,1} incidence matrix, rows indexed by blocks."""
-        x = np.zeros((self.B, self.vertices), dtype=np.int64)
-        for i, b in enumerate(self.blocks):
-            x[i, list(b)] = 1
-        return x
+        """Read-only {0,1} incidence matrix, rows indexed by blocks."""
+        if self._incidence is None:
+            x = np.zeros((self.B, self.vertices), dtype=np.int64)
+            for i, b in enumerate(self.blocks):
+                x[i, list(b)] = 1
+            x.setflags(write=False)
+            object.__setattr__(self, "_incidence", x)
+        return self._incidence
 
     def __repr__(self):
         return (f"GroupDivisibleDesign(K={self.K}, type {self.M}^{self.U}, "
@@ -435,7 +448,16 @@ class GddReport:
 
 
 def verify_gdd(design: GroupDivisibleDesign) -> GddReport:
-    """Certify the defining incidence identities of a uniform GDD exactly."""
+    """Certify the defining incidence identities of a uniform GDD exactly.
+
+    The report is kept on the design, so a later call returns it at once.
+    """
+    if design._report is None:
+        object.__setattr__(design, "_report", _gdd_report(design))
+    return design._report
+
+
+def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     k, m, u = design.K, design.M, design.U
 
     def fail(msg):
@@ -545,13 +567,6 @@ class EmbeddingOperatorSet:
 
     def support(self, u: int, m: int) -> tuple[int, ...]:
         return self.supports[u][m]
-
-    def operator(self, u: int, m: int) -> np.ndarray:
-        b, r = self.design.B, self.design.R
-        e = np.zeros((b, r), dtype=np.int64)
-        for col, row in enumerate(self.supports[u][m]):
-            e[row, col] = 1
-        return e
 
 
 def embedding_operators(design: GroupDivisibleDesign) -> EmbeddingOperatorSet:

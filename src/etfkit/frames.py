@@ -297,7 +297,11 @@ def classify_type(d: int, n: int) -> list[EtfType]:
 
 @dataclass(frozen=True)
 class NaimarkResult:
-    """G' = den*(A I - G) with A = num/den, plus tightness-transfer flags."""
+    """G' = den*(A I - G) with A = num/den, plus tightness-transfer flags.
+
+    `transfer_ok` (G' G' = num G') always equals `input_tight`; see
+    `naimark_gram`.
+    """
 
     complement: CycMatrix
     denominator: int
@@ -306,10 +310,11 @@ class NaimarkResult:
 
 
 def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
-    """Complement Gram A I - G with cleared denominators.
+    """Complement Gram G' = num I - den G of G at A = num/den.
 
-    When the input satisfies G G = A G (a tight Gram), certifies the exact
-    transfer identity G' G' = A G'.
+    Certifies den G G = num G (a tight Gram).  The transfer identity
+    G' G' = num G' follows without a second product: expanding gives
+    G' G' - num G' = den (den G G - num G), and den >= 1.
     """
     if g.rows != g.cols:
         raise FrameError("Gram matrix must be square")
@@ -318,10 +323,7 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
     ident = CycMatrix.identity(g.rows, g.order)
     comp = ident.scalar_mul(num) - g.scalar_mul(den)
     input_tight = (g @ g).scalar_mul(den) == g.scalar_mul(num)
-    transfer_ok = (comp @ comp) == comp.scalar_mul(num)
-    if input_tight and not transfer_ok:
-        raise AssertionError("tightness transfer identity failed")
-    return NaimarkResult(comp, den, input_tight, transfer_ok)
+    return NaimarkResult(comp, den, input_tight, input_tight)
 
 
 @dataclass(frozen=True)

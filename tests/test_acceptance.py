@@ -308,8 +308,11 @@ def test_etf_88_320_naimark_stays_int64_and_exact(kernel_paths):
     ref = -g.array.astype(object)
     ref[np.arange(g.rows), np.arange(g.rows), 0] += int(cert.a)
     assert np.array_equal(comp.array, ref)
-    # the transfer identity's product, on a column slice, against the
-    # object path
+    # the transfer identity G' G' = A G', which naimark_gram derives from
+    # G G = A G instead of computing it
+    assert res.input_tight and res.transfer_ok
+    assert comp @ comp == comp.scalar_mul(int(cert.a))
+    # its product, on a column slice, against the object path
     cols = comp.submatrix(slice(None), slice(0, 2))
     with kernel_paths(force=object):
         slow = comp @ cols

@@ -7,6 +7,7 @@ import pytest
 from etfkit import cyclo, frames
 from etfkit.cli import main
 from etfkit.cyclo import CycMatrix, CycScalar
+from etfkit.designs import GroupDivisibleDesign
 from etfkit.fileio import (
     DesignVerifyError,
     FileFormatError,
@@ -161,6 +162,53 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
     assert code == 0
     assert line == "ETF D=15 N=36 s=5 t=1 A=12 types=(2,+1,5),(3,-1,5)"
     assert run(capsys, "verify", str(out), "--kind", "frame")[0] == 0
+
+
+def test_each_command_certifies_each_design_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # every incidence matrix a command computes, by design; a second one
+    # for the same design would mean a second certification
+    computed: dict[int, list] = {}
+    real = GroupDivisibleDesign.incidence
+
+    def recorded(self):
+        x = real(self)
+        arrays = computed.setdefault(id(self), [self])   # keeps self alive
+        if all(x is not y for y in arrays[1:]):
+            arrays.append(x)
+        return x
+
+    monkeypatch.setattr(GroupDivisibleDesign, "incidence", recorded)
+
+    def path(name):
+        return str(tmp_path / name)
+
+    commands = [
+        (["design", "td", "3", "3", "-o", path("td33.design")], 1),
+        (["design", "td", "3", "9", "-o", path("td39.design")], 1),
+        (["design", "td", "2", "4", "-o", path("td24.design")], 1),
+        (["design", "sts", "7", "-o", path("sts7.design")], 1),
+        (["design", "affine", "2", "-o", path("ag2.design")], 1),
+        (["design", "product", path("td33.design"), path("sts7.design"),
+          "-o", path("prod.design")], 3),
+        (["design", "fill", path("td33.design"), path("td39.design"),
+          "-o", path("fill.design")], 3),
+        (["verify", path("fill.design"), "--kind", "design"], 1),
+        (["build", "steiner", "--bibd", path("ag2.design"), "--hadamard",
+          "sylvester:2", "-o", path("steiner.frame")], 1),
+        (["build", "mols-etf", "--td", path("td24.design"), "--hadamard",
+          "sylvester:2", "-o", path("mols.frame")], 1),
+        (["build", "simplex", "3", "--hadamard", "fourier:3",
+          "-o", path("seed.frame")], 0),
+        (["build", "gdd-etf", "--seed", path("seed.frame"), "--gdd",
+          path("td33.design"), "--he", "fourier:1", "--hf", "sylvester:2",
+          "-o", path("gdd.frame")], 1),
+    ]
+    for argv, designs in commands:
+        computed.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(computed) == designs, argv
+        assert all(len(arrays) == 2 for arrays in computed.values()), argv
 
 
 # ---------------------------------------------------------------------------

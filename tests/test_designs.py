@@ -237,6 +237,16 @@ def test_verify_gdd_detects_wrong_count():
     assert not rep.ok and "count" in rep.failure
 
 
+def test_design_is_immutable_and_keeps_its_report():
+    td = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
+    with pytest.raises(AttributeError):
+        td.blocks = td.blocks[:-1]
+    with pytest.raises(ValueError):
+        td.incidence()[0, 0] = 0
+    assert verify_gdd(td) is verify_gdd(td)
+    assert td.incidence() is td.incidence()
+
+
 # ---------------------------------------------------------------------------
 # combinators
 
@@ -346,12 +356,21 @@ def test_combinator_outputs_satisfy_necessary_conditions():
 # embedding operators
 
 
+def selection_matrix(d: GroupDivisibleDesign, support) -> np.ndarray:
+    """The B x R embedding operator whose r-th column is the standard basis
+    vector at support[r]."""
+    e = np.zeros((d.B, d.R), dtype=np.int64)
+    e[list(support), np.arange(d.R)] = 1
+    return e
+
+
 def embedding_identities_oracle(d: GroupDivisibleDesign) -> None:
     """Exhaustive E*_{u,m} E_{u',m'} case analysis via the explicit matrices."""
     ops = embedding_operators(d)
     r = d.R
     eye = np.eye(r, dtype=np.int64)
-    mats = [[ops.operator(u, m) for m in range(d.M)] for u in range(d.U)]
+    mats = [[selection_matrix(d, ops.support(u, m)) for m in range(d.M)]
+            for u in range(d.U)]
     for u in range(d.U):
         for m in range(d.M):
             for u2 in range(d.U):
@@ -374,7 +393,7 @@ def test_embedding_td33_vertex0():
     x = td.incidence()
     for u in range(td.U):
         for m in range(td.M):
-            col = ops.operator(u, m).sum(axis=1)
+            col = selection_matrix(td, ops.support(u, m)).sum(axis=1)
             assert np.array_equal(col, x[:, u * td.M + m])
 
 

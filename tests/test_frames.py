@@ -192,6 +192,10 @@ def test_naimark_not_tight_input():
     m = CycMatrix.from_int_matrix([[1, 0, 1], [0, 1, 1]])
     res = naimark_gram(gram(Frame(m)), 2)
     assert not res.input_tight
+    # the transfer identity G' G' = num G', computed directly, fails too
+    comp = res.complement
+    assert not res.transfer_ok
+    assert comp @ comp != comp.scalar_mul(2)
 
 
 # ---------------------------------------------------------------------------

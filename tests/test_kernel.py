@@ -74,7 +74,7 @@ def test_matmul_at_the_float64_bound(kernel_paths, data):
     r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
     ring = cyclo._ring(n)
     d = ring.degree
-    ma, mb, over = edge(data, k * d * ring.fold_l1 * cyclo._kara_growth(d))
+    ma, mb, over = edge(data, k * d * ring.fold_l1)
     a = signed(data, n, r, k, ma)
     b = signed(data, n, k, c, mb)
     with kernel_paths() as seen:
@@ -93,7 +93,7 @@ def test_entrywise_and_kron_at_the_float64_bound(kernel_paths, data):
     r, c = (data.draw(st.integers(1, 2)) for _ in range(2))
     ring = cyclo._ring(n)
     d = ring.degree
-    ma, mb, over = edge(data, d * ring.fold_l1 * cyclo._kara_growth(d))
+    ma, mb, over = edge(data, d * ring.fold_l1)
     a = signed(data, n, r, c, ma)
     b = signed(data, n, r, c, mb)
     with kernel_paths() as seen:
@@ -108,6 +108,25 @@ def test_entrywise_and_kron_at_the_float64_bound(kernel_paths, data):
                             for j in range(c * c)] for i in range(r * r)]
     assert_stored(had)
     assert_stored(kr)
+
+
+@EDGE
+@given(data=st.data())
+def test_scalar_mul_at_the_float64_bound(kernel_paths, data):
+    n = data.draw(st.sampled_from(ORDERS))
+    r, c = (data.draw(st.integers(1, 3)) for _ in range(2))
+    ring = cyclo._ring(n)
+    ma, mb, over = edge(data, ring.degree * ring.fold_l1)
+    a = signed(data, n, r, c, ma)
+    s = signed(data, n, 1, 1, mb).entry(0, 0)
+    with kernel_paths() as seen:
+        got = a.scalar_mul(s)
+    assert seen == [object if over else np.float64]
+    with kernel_paths(force=object):
+        assert got == a.scalar_mul(s)
+    assert entries(got) == [[a.entry(i, j) * s for j in range(c)]
+                            for i in range(r)]
+    assert_stored(got)
 
 
 @EDGE
@@ -164,3 +183,16 @@ def test_storage_at_the_int64_bound(data):
     prod = x @ y
     assert entries(prod) == scalar_matmul(x, y)
     assert_stored(prod)
+
+
+def test_zero_operand_is_exact_in_float64(kernel_paths):
+    # bound 0: the other operand's coefficients, far past 2^53, are rounded
+    # in float64, but every product with 0.0 is an exact 0.0
+    big = CycMatrix(15, np.full((2, 2, 8), 2**200 + 1, dtype=object))
+    zero = CycMatrix.zeros(2, 2, 15)
+    with kernel_paths() as seen:
+        results = [zero @ big, big @ zero, zero.entrywise_mul(big),
+                   big.kron(zero), zero.scalar_mul(big.entry(0, 0))]
+    assert seen == [np.float64] * 5
+    for got in results:
+        assert got.is_zero and got.array.dtype == np.int64
