@@ -1,8 +1,8 @@
 """Command-line front end: build pipelines, verify artifacts, classify
 parameters, and read/write the design and frame text formats.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage or parameter
-error.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage, parameter or
+resource error (such as running out of memory).
 """
 
 from __future__ import annotations
@@ -318,6 +318,10 @@ def main(argv=None) -> int:
         return VERIFY_ERROR
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:     # exit 1 stays "an identity failed"
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -100,13 +100,13 @@ def steiner_etf(bibd: GroupDivisibleDesign,
     tail_arr = tails.array
     v_count, b_count = bibd.U, bibd.B
     deg = tail_arr.shape[2]
-    arr = np.zeros((b_count, v_count * (r + 1), deg), dtype=object)
+    arr = np.zeros((b_count, v_count * (r + 1), deg), dtype=tail_arr.dtype)
     for v in range(v_count):
         sup = ops.support(v, 0)
         base = v * (r + 1)
         for slot, block in enumerate(sup):
             arr[block, base:base + r + 1, :] = tail_arr[slot, :, :]
-    frame = Frame(CycMatrix(order, arr), groups=v_count)
+    frame = Frame(CycMatrix(order, arr, _copy=False), groups=v_count)
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == r and cert.t == 1):
         raise ConstructionError(f"Steiner certification failed: {cert}")
@@ -286,7 +286,8 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
                 for j in range(w + 1)] for i in range(se)]
 
     top = u_count * d
-    arr = np.zeros((plan.d_out, plan.n_out, deg), dtype=object)
+    dtype = np.result_type(seed_arr, *{v.dtype for row in payload for v in row})
+    arr = np.zeros((plan.d_out, plan.n_out, deg), dtype=dtype)
     col = 0
     for u in range(u_count):
         for m in range(m_count):
@@ -299,7 +300,8 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
                     for slot, block in enumerate(sup):
                         arr[top + block, col, :] = vec[slot]
                     col += 1
-    frame = Frame(CycMatrix(order, arr), groups=u_count * m_count)
+    frame = Frame(CycMatrix(order, arr, _copy=False),
+                  groups=u_count * m_count)
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == plan.s_out and cert.t == 1):
         raise ConstructionError(

@@ -560,9 +560,7 @@ class EmbeddingOperatorSet:
     the standard basis vector at supports[u][m][r].
     """
 
-    def __init__(self, design: GroupDivisibleDesign,
-                 supports: tuple[tuple[tuple[int, ...], ...], ...]):
-        self.design = design
+    def __init__(self, supports: tuple[tuple[tuple[int, ...], ...], ...]):
         self.supports = supports
 
     def support(self, u: int, m: int) -> tuple[int, ...]:
@@ -587,4 +585,4 @@ def embedding_operators(design: GroupDivisibleDesign) -> EmbeddingOperatorSet:
     supports = tuple(
         tuple(tuple(per_vertex[u * m + j]) for j in range(m))
         for u in range(design.U))
-    return EmbeddingOperatorSet(design, supports)
+    return EmbeddingOperatorSet(supports)

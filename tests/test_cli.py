@@ -1,12 +1,16 @@
 """CLI subcommands, text formats, and exit-code contract."""
 
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from etfkit import cyclo, frames
+from etfkit import cli, cyclo, frames
 from etfkit.cli import main
-from etfkit.cyclo import CycMatrix, CycScalar
+from etfkit.cyclo import CycMatrix, CycScalar, cyclotomic_polynomial
 from etfkit.designs import GroupDivisibleDesign
 from etfkit.fileio import (
     DesignVerifyError,
@@ -16,6 +20,8 @@ from etfkit.fileio import (
     serialize_design,
     serialize_frame,
 )
+from etfkit.frames import Frame
+from etfkit.hadamard import fourier, sylvester
 
 
 def run(capsys, *argv):
@@ -426,3 +432,210 @@ def test_parse_frame_of_a_large_order_builds_no_ring_tables():
         tracemalloc.stop()
     assert frame.synthesis.entry(0, 0) == CycScalar.one(2003)
     assert peak < 64 * 2**20
+
+
+# Every FileFormatError of parse_frame, word for word; each check comes in
+# this order, and within the body the first bad entry in row-major order
+# wins, its coefficient count checked before its integers.
+FRAME_ERRORS = [
+    ("", "empty frame file"),
+    ("FRAMES 2 1 1\n1\n", "bad frame header: 'FRAMES 2 1 1'"),
+    ("FRAME 2 1\n1\n", "bad frame header: 'FRAME 2 1'"),
+    ("FRAME 2 1 1 1\n1\n", "bad frame header: 'FRAME 2 1 1 1'"),
+    ("FRAME x 2 2\n", "non-integer frame header: 'FRAME x 2 2'"),
+    ("FRAME 2 1.0 1\n1\n", "non-integer frame header: 'FRAME 2 1.0 1'"),
+    ("FRAME 0 1 1\n1\n", "frame dimensions must be positive"),
+    ("FRAME 2 -1 1\n1\n", "frame dimensions must be positive"),
+    ("FRAME 2 1 0\n1\n", "frame dimensions must be positive"),
+    ("FRAME 2 2 1\n1\n", "header promises 2 rows, file has 1"),
+    ("FRAME 2 1 1\n1\n \n2\n", "header promises 1 rows, file has 2"),
+    ("FRAME 2 1 2\n1\n", "row 0 has 1 entries, expected 2"),
+    ("FRAME 2 2 2\n1 | 1\n1 | 1 | 1\n", "row 1 has 3 entries, expected 2"),
+    ("FRAME 2 2 2\n1 | 1,2,3\n1 | 1 | 1\n",
+     "row 1 has 3 entries, expected 2"),
+    ("FRAME 3 1 2\n1,0\n", "row 0 has 1 entries, expected 2"),
+    ("FRAME 3 1 2\n1,0 | 1\n", "entry (0, 1) has 1 coefficients, expected 2"),
+    ("FRAME 3 2 1\n1,0\n1,0,0\n",
+     "entry (1, 0) has 3 coefficients, expected 2"),
+    # as many commas as the entries need, in the wrong entries
+    ("FRAME 3 1 2\n1,0,0 | 1\n",
+     "entry (0, 0) has 3 coefficients, expected 2"),
+    ("FRAME 3 2 1\n1\n1,0,0\n",
+     "entry (0, 0) has 1 coefficients, expected 2"),
+    ("FRAME 3 1 2\n1,0 | 1,x\n", "entry (0, 1) is not an integer vector"),
+    ("FRAME 3 1 1\n1,\n", "entry (0, 0) is not an integer vector"),
+    ("FRAME 2 1 1\n1.0\n", "entry (0, 0) is not an integer vector"),
+    # a bare "|" inside an entry is not a separator
+    ("FRAME 2 1 2\n1 | 2|3\n", "entry (0, 1) is not an integer vector"),
+    ("FRAME 2 1 2\n1 | | 3\n", "entry (0, 1) is not an integer vector"),
+    ("FRAME 3 1 2\n1|0 | 1,0\n", "entry (0, 0) has 1 coefficients, "
+                                 "expected 2"),
+    # the first bad entry wins, whichever check it fails
+    ("FRAME 3 2 1\n1,x\n1\n", "entry (0, 0) is not an integer vector"),
+    ("FRAME 3 2 1\n1\n1,x\n", "entry (0, 0) has 1 coefficients, expected 2"),
+    ("FRAME 3 1 2\n1,x | 1,0,0\n", "entry (0, 0) is not an integer vector"),
+    ("FRAME 2 1 2\n99999999999999999999 | x\n",
+     "entry (0, 1) is not an integer vector"),
+]
+
+
+@pytest.mark.parametrize("text, message", FRAME_ERRORS)
+def test_parse_frame_error_messages_pinned(text, message):
+    with pytest.raises(FileFormatError) as info:
+        parse_frame(text)
+    assert str(info.value) == message
+
+
+# The frame parser and writer as they were when every entry was read and
+# written one at a time: the oracles of the two properties below.
+
+def _parse_frame_per_entry(text: str) -> Frame:
+    lines = text.splitlines()
+    if not lines:
+        raise FileFormatError("empty frame file")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "FRAME":
+        raise FileFormatError(f"bad frame header: {lines[0]!r}")
+    try:
+        order, d, n = (int(x) for x in head[1:])
+    except ValueError as exc:
+        raise FileFormatError(f"non-integer frame header: {lines[0]!r}") \
+            from exc
+    if order < 1 or d < 1 or n < 1:
+        raise FileFormatError("frame dimensions must be positive")
+    deg = len(cyclotomic_polynomial(order)) - 1
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != d:
+        raise FileFormatError(f"header promises {d} rows, file has {len(body)}")
+    rows = [ln.split(" | ") for ln in body]
+    for r, cells in enumerate(rows):
+        if len(cells) != n:
+            raise FileFormatError(
+                f"row {r} has {len(cells)} entries, expected {n}")
+    coeffs: list[int] = []
+    for r, cells in enumerate(rows):
+        for c, cell in enumerate(cells):
+            parts = cell.split(",")
+            if len(parts) != deg:
+                raise FileFormatError(
+                    f"entry ({r}, {c}) has {len(parts)} coefficients, "
+                    f"expected {deg}")
+            try:
+                coeffs.extend(map(int, parts))
+            except ValueError as exc:
+                raise FileFormatError(
+                    f"entry ({r}, {c}) is not an integer vector") from exc
+    arr = np.array(coeffs, dtype=object).reshape(d, n, deg)
+    return Frame(CycMatrix(order, arr, _copy=False))
+
+
+def _serialize_frame_per_entry(frame: Frame) -> str:
+    syn = frame.synthesis
+    lines = [f"FRAME {syn.order} {frame.d} {frame.n}"]
+    for row in syn.array.tolist():
+        lines.append(" | ".join(",".join(map(str, cell)) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    """What parsing `text` gives: the exception's class and message, or the
+    synthesis as its order, storage dtype and coefficients."""
+    try:
+        syn = parse(text).synthesis
+    except Exception as exc:          # every exception is compared
+        return type(exc), str(exc)
+    return syn.order, syn.array.dtype, syn.array.tolist()
+
+
+def _matrix(order, rows):
+    return CycMatrix(order, np.array(rows, dtype=object))
+
+
+BIG = 2**63
+VALID_FRAMES = [
+    _serialize_frame_per_entry(Frame(m)) for m in (
+        fourier(3).mat,                                   # deg 2
+        fourier(5).mat,                                   # deg 4
+        sylvester(2).mat,                                 # deg 1
+        _matrix(16, [[[1, -2, 0, 3, 0, 0, 7, -1], [0] * 7 + [12]],
+                     [[5] * 8, [-40, 0, 0, 0, 0, 0, 0, 1]]]),       # deg 8
+        _matrix(2, [[[BIG], [-3]], [[5], [-BIG - 1]], [[BIG - 1], [0]]]),
+    )
+]
+MUTATION = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+
+
+@MUTATION
+@given(st.data())
+def test_parse_frame_agrees_with_the_per_entry_parser(data):
+    text = data.draw(st.sampled_from(VALID_FRAMES), label="frame")
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        at = data.draw(st.sampled_from(range(len(text) + 1)), label="at")
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = data.draw(st.sampled_from("0123456789,|-+ \nx"))
+        tail = text[at + 1:] if edit != "insert" else text[at:]
+        text = text[:at] + ("" if edit == "delete" else char) + tail
+    assert _outcome(parse_frame, text) == \
+        _outcome(_parse_frame_per_entry, text)
+
+
+COEFFICIENT = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([BIG - 1, -(BIG - 1), BIG, -BIG, 2**62, -(2**62)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_serialize_frame_writes_each_entry_as_before(data):
+    order = data.draw(st.sampled_from([2, 3, 5, 15]))      # deg 1, 2, 4, 8
+    deg = cyclo._ring(order).degree
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    coeffs = data.draw(st.lists(COEFFICIENT, min_size=rows * cols * deg,
+                                max_size=rows * cols * deg))
+    arr = np.array(coeffs, dtype=object).reshape(rows, cols, deg)
+    assume(arr.any(axis=(0, 2)).all())
+    frame = Frame(CycMatrix(order, arr))
+    text = serialize_frame(frame)
+    assert text == _serialize_frame_per_entry(frame)
+    again = parse_frame(text).synthesis
+    assert again == frame.synthesis
+    assert again.array.dtype == frame.synthesis.array.dtype
+
+
+def test_parse_frame_checks_widths_before_building_the_ring():
+    # 18 bytes over Z[zeta_30030]: building Phi_30030 took 75 s
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError) as info:
+        parse_frame("FRAME 30030 1 1\n0\n")
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "entry (0, 0) has 1 coefficients, expected 5760"
+    assert cyclotomic_polynomial.cache_info().currsize == 0
+
+
+def test_parse_frame_bounds_the_order_by_the_file_size():
+    # phi(n) >= sqrt(n / 2), so an entry of this file cannot hold phi(n)
+    # coefficients; a prime order this large is not factored
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError) as info:
+        parse_frame(f"FRAME {10**40 + 1} 1 1\n0\n")
+    assert str(info.value) == (f"order {10**40 + 1} needs more coefficients "
+                               f"per entry than the file has characters")
+    # below 2^40 the order is factored, at most 2^19 trial divisions
+    p = 2**40 - 87                                  # the largest such prime
+    with pytest.raises(FileFormatError) as info:
+        parse_frame(f"FRAME {p} 1 1\n0\n")
+    assert str(info.value) == \
+        f"entry (0, 0) has 1 coefficients, expected {p - 1}"
+    assert time.perf_counter() - start < 2
+
+
+def test_memory_error_exits_2_with_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    code, out, err = run(capsys, "classify", "6", "16")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: out of memory"]
