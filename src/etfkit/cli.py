@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .constructions import (
@@ -231,7 +232,10 @@ def cmd_status(args) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in
+    it."""
     p = argparse.ArgumentParser(
         prog="etfkit",
         description="Construct and certify equiangular tight frames from "

@@ -12,26 +12,46 @@ int64 while every coefficient is below 2^62 in magnitude, Python integers
 difference of two int64 arrays exact, so an addition only has to re-check
 where its result is stored.
 
-Multiplying by an element b of the ring is a d x d integer matrix, d =
-phi(n), whose row i is zeta^i * b.  So a matrix product is one integer
-matrix product, the left factor as an (r, k d) matrix times the
-multiplication matrices of the right factor's entries as a (k d, d c)
-matrix, taken one power of zeta at a time; an entrywise product sums slot
-i of one factor times zeta^i times the other.  Each runs in one dtype
-chosen by an a-priori bound on every intermediate value.  Below 2^53 it
-runs in float64, so in BLAS: integers of that size are exact in float64,
-and so is every sum and product of them whose result stays below 2^53, in
-whatever order the BLAS accumulates its sums of products.  The float64
-result is therefore the exact integer result (the argument of FFLAS-FFPACK:
-Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  At or above 2^53 the
-product runs on object arrays of Python ints.  Both paths are exact and
-bit-identical.
+Products run in evaluation space.  Modulo a prime p = 1 (mod n), F_p holds
+the d = phi(n) primitive n-th roots of unity w^j, j prime to n, and Phi_n
+splits into the distinct factors x - w^j; so Z[zeta_n] / p is F_p^d, an
+element going to its values at those d points.  There a matrix product is d
+products over F_p, one per point, in place of the d^2 slot products of the
+coefficient form, and an entrywise product is d pointwise products.
+Conjugation sends w^j to w^-j, so it only permutes the points.  Evaluating
+is one product with the Vandermonde matrix V of the points, interpolating
+one with V^-1 mod p, whose rows are the dual basis
+(Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division.
+
+Every step is a float64 product of residues centred in (-p/2, p/2), reduced
+by x - p rint(x / p).  The prime is small enough that every sum of products
+of a step, k of them at an inner dimension k, stays below 2^52.  Integers of
+that size are exact in float64, and so is every sum of products that stays
+below it, in whatever order the BLAS accumulates (the argument of
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The one bit
+of headroom makes the rounded quotient x / p land on the nearest integer, so
+each reduction leaves an exactly centred residue.
+
+An a-priori bound B caps every coefficient of a result: max|a| max|b| k d
+fold_l1 for the product of an (r, k) and a (k, c) matrix, where fold_l1 is
+the growth of folding x^d, ..., x^(2d-2) back mod Phi_n.  A product runs
+modulo the fewest primes, largest first, whose product P exceeds 2B.
+Garner's mixed-radix form of the Chinese remainder theorem with centred
+digits gives the residue of least magnitude mod P, which is the exact result
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); it runs in
+int64 while P < 2^63 and on Python ints beyond.  The primes and each prime's
+points are found on first use.
+
+At d = 1 (orders 1 and 2) evaluation is the identity, so a product whose
+bound is below 2^53 is one float64 product of the coefficients themselves,
+with no prime.  A change of basis (conjugation, lifting to a larger order)
+is such a product over Z, of the coefficients and an integer matrix.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -45,7 +65,9 @@ __all__ = [
 ]
 
 _F64_EXACT = 2**53   # every integer below this is exact in float64
+_F64_MOD = 2**52     # every sum of products modulo a kernel prime is below
 _INT64_SAFE = 2**62  # int64 storage bound: two such values add below 2**63
+_BLOCK = 2**14       # values per block of an elementwise pass
 
 
 class OrderMismatchError(ValueError):
@@ -56,42 +78,51 @@ class DimensionMismatchError(ValueError):
     """Matrix operands have non-conforming shapes."""
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Divide integer polynomials (little-endian), requiring a zero remainder.
-
-    The divisor must be monic, so the division stays in Z[x].
-    """
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                rem[i + j] -= c * d
-    if any(rem):
-        raise ValueError("division is not exact")
-    return q
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Return Phi_n as a little-endian integer coefficient tuple (monic).
 
-    Computed by exact division of x^n - 1 by the product of Phi_d over the
-    proper divisors d of n.
+    Phi_n(x) = Phi_m(x^(n/m)) for the radical m of n, and for a squarefree
+    m > 1 Phi_m is the product of (1 - x^e)^mu(m/e) over the divisors e of
+    m (Arnold and Monagan, Math. Comp. 80, 2011).  Each factor acts on a
+    power series cut off past degree phi(m): multiplying by 1 - x^e is one
+    shifted difference, dividing by it a running sum with stride e.
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
     if n == 1:
         return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    primes = _prime_factors(n)
+    m = prod(primes)
+    size = prod(q - 1 for q in primes) + 1
+    series = np.zeros(size, dtype=object)
+    series[0] = 1
+    for mask in range(1 << len(primes)):
+        picked = [q for i, q in enumerate(primes) if mask >> i & 1]
+        e = m // prod(picked)                    # mu(m / e) = (-1)^len(picked)
+        if e >= size:
+            continue                             # 1 - x^e is 1 in the series
+        if len(picked) % 2 == 0:
+            series[e:] = series[e:] - series[:-e]
+        else:
+            runs = np.zeros(-(-size // e) * e, dtype=object)
+            runs[:size] = series
+            series = runs.reshape(-1, e).cumsum(axis=0).reshape(-1)[:size]
+    out = [0] * ((size - 1) * (n // m) + 1)
+    out[::n // m] = series.tolist()
+    return tuple(out)
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -99,18 +130,28 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _l1(table: np.ndarray, axis: int) -> int:
-    """Largest absolute sum along `axis`: the growth factor of the map."""
-    return int(np.abs(table).sum(axis=axis).max())
+def _is_prime(p: int) -> bool:
+    if p < 4:
+        return p > 1
+    return p % 2 == 1 and bool(np.all(p % np.arange(3, isqrt(p) + 1, 2)))
+
+
+def _ladder(n: int, width: int):
+    """Primes p = 1 (mod n), largest first, with width ((p - 1)/2)^2 below
+    2^52: a sum of `width` products of centred residues mod p stays below
+    2^52."""
+    top = 2 * isqrt((_F64_MOD - 1) // width) + 1
+    for p in range(top - (top - 1) % n, n, -n):
+        if _is_prime(p):
+            yield p
 
 
 class _Ring:
-    """Reduction data for Z[zeta_n] as int64 tables, each built on first use.
+    """Reduction data for Z[zeta_n], each piece built on first use.
 
-    Row t of every table is x^t mod Phi_n.  Only d <= t < n needs storing
-    (`tail`): lower powers are unit vectors and x^n = 1.  So a ring of a
-    large order costs nothing of size order x phi(order) until a product
-    asks for its phi(order)^2 tables.
+    Row t of `tail` is x^t mod Phi_n for d <= t < n: lower powers are unit
+    vectors and x^n = 1.  The a-priori growth factors are computed from
+    rows of powers in chunks, so no phi(n)^2 table is kept.
     """
 
     def __init__(self, n: int):
@@ -118,6 +159,8 @@ class _Ring:
         self.order = n
         self.degree = len(phi) - 1
         self._head = phi[:-1]
+        self._terms = [(j, h) for j, h in enumerate(self._head) if h]
+        self._ladders = {}
 
     @cached_property
     def tail(self) -> np.ndarray:
@@ -143,25 +186,62 @@ class _Ring:
         out[~low] = self.tail[t[~low] - self.degree]
         return out
 
-    @cached_property
-    def reduction(self) -> np.ndarray:
-        """(2d - 1, d): folds the slots of a product back to canonical form."""
-        return _frozen(self.powers(np.arange(2 * self.degree - 1)))
+    def fold(self, poly: list[int]) -> list[int]:
+        """The canonical form of an integer polynomial, a little-endian
+        list that this consumes, by long division from the top:
+        x^t = -x^(t - d) (Phi_n - x^d)."""
+        d = self.degree
+        for t in range(len(poly) - 1, d - 1, -1):
+            c = poly[t]
+            if c:
+                for j, h in self._terms:
+                    poly[t - d + j] -= c * h
+        return poly[:d]
+
+    def _abs_powers(self, exps):
+        """|x^t mod Phi_n| for t in exps, in chunks of about 2^20 values."""
+        step = max(1, 2**20 // self.degree)
+        for i in range(0, len(exps), step):
+            yield np.abs(self.powers(exps[i:i + step]))
 
     @cached_property
     def fold_l1(self) -> int:
-        # zeta^i * b = sum over j of b_j * reduction[i + j] for i < d, so
+        # zeta^i * b = sum over j of b_j * x^(i + j) mod Phi_n for i < d, so
         # each of its coefficients is at most max|b| * fold_l1
-        return _l1(self.reduction, axis=0)
-
-    @cached_property
-    def conj(self) -> np.ndarray:
-        """(d, d): row i is conj(x^i) = x^(n - i) mod Phi_n."""
-        return _frozen(self.powers(-np.arange(self.degree)))
+        exps = np.arange(2 * self.degree - 1)
+        return int(sum(rows.sum(axis=0)
+                       for rows in self._abs_powers(exps)).max())
 
     @cached_property
     def conj_l1(self) -> int:
-        return _l1(self.conj, axis=1)
+        """Largest column l1 norm of the conjugation map, whose row i is
+        conj(x^i) = x^(n - i) mod Phi_n, i < d: coefficient j of conj(b)
+        is the sum over i of b_i times entry (i, j), so it is at most
+        max|b| * conj_l1."""
+        exps = -np.arange(self.degree)
+        return int(sum(rows.sum(axis=0)
+                       for rows in self._abs_powers(exps)).max())
+
+    def primes(self, width: int, bound: int) -> tuple[int, ...]:
+        """The fewest primes of the ladder for `width`, largest first, whose
+        product exceeds 2 * bound.  Widths share the ladder of the next
+        power of two."""
+        width = 1 << (width - 1).bit_length()
+        if width not in self._ladders:
+            self._ladders[width] = ([], _ladder(self.order, width))
+        found, more = self._ladders[width]
+        out, whole = [], 1
+        while whole <= 2 * bound:
+            if len(out) == len(found):
+                p = next(more, None)
+                if p is None:
+                    raise OverflowError(
+                        f"too few primes = 1 (mod {self.order}) for an exact "
+                        f"product of width {width}")
+                found.append(p)
+            out.append(found[len(out)])
+            whole *= out[-1]
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -169,19 +249,74 @@ def _ring(n: int) -> _Ring:
     return _Ring(n)
 
 
+class _Points:
+    """Evaluation data of Z[zeta_n] mod p, as centred float64 residues.
+
+    v[i, j] = r_j^i at the points r_j = w^e_j, e_j running over the
+    exponents prime to n; vinv is V^-1 mod p, row j the dual basis element
+    of r_j (a transposed view); conj(r_j) = r_j^-1 is point conj[j].
+    """
+
+    __slots__ = ("v", "vinv", "conj")
+
+    def __init__(self, v: np.ndarray, vinv: np.ndarray, conj: np.ndarray):
+        self.v, self.vinv, self.conj = v, vinv, conj
+
+
+@lru_cache(maxsize=None)
+def _points(n: int, p: int) -> _Points:
+    """Built a row or column at a time: nothing but V and V^-1 is of size
+    d^2.  Every int64 product here is below p^2 < 2^54."""
+    d = _ring(n).degree
+    factors = _prime_factors(n)
+    x = 2
+    while True:                      # a primitive n-th root of unity mod p
+        w = pow(x, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in factors):
+            break
+        x += 1
+    table = np.ones(n, dtype=np.int64)          # table[t] = w^t mod p
+    step = 1
+    while step < n:
+        table[step:2 * step] = (table[:min(step, n - step)]
+                                * pow(w, step, p) % p)
+        step *= 2
+    exps = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    roots = table[exps]
+    centred = _reduce(table.astype(np.float64), p)
+    v = np.empty((d, d))
+    for rows in _row_blocks(d, d):
+        v[rows] = centred[np.outer(np.arange(d)[rows], exps) % n]
+    # Phi_n / (x - r) for every root r at once, by synthetic division from
+    # the top: row i of dual holds coefficient i.  Horner on the same pass
+    # gives Phi_n'(r) = (Phi_n / (x - r))(r)
+    phi = [c % p for c in cyclotomic_polynomial(n)]
+    dual = np.empty((d, d), dtype=np.int64)
+    dual[d - 1] = q = deriv = np.ones(d, dtype=np.int64)
+    for i in range(d - 1, 0, -1):
+        q = dual[i - 1] = (phi[i] + roots * q) % p
+        deriv = (deriv * roots + q) % p
+    dual *= np.array([pow(int(r), -1, p) for r in deriv])
+    dual %= p
+    where = np.empty(n, dtype=np.int64)
+    where[exps] = np.arange(d)
+    return _Points(_frozen(v), _frozen(_reduce(dual.astype(np.float64), p)).T,
+                   _frozen(where[(-exps) % n]))
+
+
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
 @lru_cache(maxsize=None)
-def _lift_map(n_from: int, n_to: int) -> tuple[np.ndarray, int]:
+def _lift_map(n_from: int, n_to: int) -> np.ndarray:
     """Basis-change matrix sending Z[zeta_{n_from}] into Z[zeta_{n_to}]."""
     if n_to % n_from != 0:
         raise OrderMismatchError(
             f"order {n_from} does not divide target order {n_to}")
     step = n_to // n_from
-    mat = _ring(n_to).powers(np.arange(_ring(n_from).degree) * step)
-    return _frozen(mat), _l1(mat, axis=1)
+    return _frozen(_ring(n_to).powers(np.arange(_ring(n_from).degree)
+                                      * step))
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +404,17 @@ class CycScalar:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[i + j] += a * b
-        out = conv[:d]
-        for t in range(d, 2 * d - 1):
-            c = conv[t]
-            if c:
-                for j, r in enumerate(ring.reduction[t].tolist()):
-                    out[j] += c * r
-        return CycScalar(self.order, out)
+        return CycScalar(self.order, ring.fold(conv))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycScalar":
         """Complex conjugate: zeta^k maps to zeta^(n-k), then reduce."""
-        ring = _ring(self.order)
-        d = ring.degree
-        out = [0] * d
+        n = self.order
+        poly = [0] * n
         for i, a in enumerate(self.coeffs):
-            if a:
-                for j, r in enumerate(ring.conj[i].tolist()):
-                    out[j] += a * r
-        return CycScalar(self.order, out)
+            poly[-i % n] += a
+        return CycScalar(n, _ring(n).fold(poly))
 
     def abs_squared(self) -> "CycScalar":
         """Exact a * conj(a)."""
@@ -298,7 +424,7 @@ class CycScalar:
         """Re-express the same complex number in Z[zeta_order]."""
         if order == self.order:
             return self
-        mat, _ = _lift_map(self.order, order)
+        mat = _lift_map(self.order, order)
         d2 = _ring(order).degree
         out = [0] * d2
         for i, a in enumerate(self.coeffs):
@@ -375,86 +501,167 @@ def _stored(arr: np.ndarray) -> np.ndarray:
     return arr.astype(object, copy=False)
 
 
-def _exact_dtype(bound: int):
-    """float64 when `bound` caps every intermediate value below 2^53, which
-    makes float64 arithmetic exact; otherwise Python ints."""
-    return np.float64 if bound < _F64_EXACT else object
+def _kernel_primes(ring: _Ring, width: int, bound: int) -> tuple[int, ...]:
+    """The primes a product of inner dimension `width` runs under, for a
+    result bounded by `bound`: none when the result is 0, or when d = 1 and
+    the bound is below 2^53, so that one float64 product is exact."""
+    if bound == 0 or (ring.degree == 1 and bound < _F64_EXACT):
+        return ()
+    return ring.primes(width, bound)
 
 
-def _by_slot(arr: np.ndarray, dtype) -> np.ndarray:
-    """A (rows, cols, d) array as a contiguous (rows, d, cols) array of
-    `dtype`: the slot axis moves in front of the columns, so that every
-    slot of a row is one contiguous run."""
-    return np.swapaxes(arr, 1, 2).astype(dtype, order="C")
+def _residues(arr: np.ndarray, p: int, mag: int) -> np.ndarray:
+    """arr mod p, centred, as float64; `mag` is max|arr|."""
+    if mag <= p // 2:
+        return arr.astype(np.float64, order="C")
+    return _reduce((arr % p).astype(np.float64, order="C"), p)
 
 
-def _from_slots(out: np.ndarray, dtype) -> np.ndarray:
-    """Undo `_by_slot`; float64 results go back to int64."""
-    return np.ascontiguousarray(np.swapaxes(out, 1, 2),
-                                np.int64 if dtype is np.float64 else object)
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x - p rint(x / p) in place: the centred residue of every |x| < 2^52.
+    x is C-contiguous; it is taken in blocks, so the temporary stays
+    small."""
+    flat = x.reshape(-1)
+    for i in range(0, flat.size, _BLOCK):
+        part = flat[i:i + _BLOCK]
+        q = part / p
+        np.rint(q, out=q)
+        q *= p
+        part -= q
+    return x
 
 
-def _shifts(b: np.ndarray, ring: _Ring):
-    """zeta^i * b for i = 0, ..., d - 1, where b and each result hold the
-    coefficient slots on their middle axis, as `_by_slot` lays them out.
+def _values(arr: np.ndarray, p: int, mag: int, pts: _Points) -> np.ndarray:
+    """(d, entries): every entry of a (..., d) array at each point, mod p."""
+    res = _residues(arr, p, mag).reshape(-1, arr.shape[-1])
+    return _reduce(pts.v.T @ res.T, p)
 
-    These are the rows of the multiplication matrix of each entry of b:
-    zeta^i * b is b times rows i..i+d-1 of `ring.reduction`, computed as x
-    times the previous row with x^d folded back, so no (d, d, d) table is
-    built.  Every coefficient of zeta^i * b is at most max|b| * fold_l1, and
-    a folded term is the difference of two such coefficients, so at most
-    twice that: within the bound of every product below once d >= 2.
-    """
-    row = b
-    yield row
-    if ring.degree > 1:
-        x_d = ring.tail[0].astype(b.dtype)[:, None]     # x^d mod Phi_n
-        for _ in range(ring.degree - 1):
-            top = row[:, -1:] * x_d
-            top[:, 1:] += row[:, :-1]
-            row = top
-            yield row
+
+def _interpolated(vals: np.ndarray, p: int, pts: _Points) -> np.ndarray:
+    """(entries, d) centred coefficients mod p from (d, ...) values."""
+    vals = _reduce(vals.reshape(vals.shape[0], -1), p)
+    return _reduce(vals.T @ pts.vinv, p)
+
+
+def _row_blocks(rows: int, per_row: int):
+    """Slices of about _BLOCK result values each: the temporaries of a block
+    stay small, so memory is reused from block to block."""
+    step = max(1, _BLOCK // max(per_row, 1))
+    for i in range(0, rows, step):
+        yield slice(i, min(i + step, rows))
+
+
+def _per_prime(shape: tuple[int, ...], primes: tuple[int, ...]):
+    """The result array, and an array per prime for the residues modulo it.
+    With one prime the residues are the result, so they go straight into
+    it: float64 holding integers converts exactly."""
+    out = np.empty(shape, dtype=np.int64 if prod(primes) < 2**63 else object)
+    if len(primes) == 1:
+        return out, [out]
+    return out, [np.empty(shape) for _ in primes]
+
+
+def _crt(parts: list[np.ndarray], primes: tuple[int, ...],
+         out: np.ndarray) -> None:
+    """Write into `out` the integers of least magnitude with the centred
+    residues `parts` modulo `primes`: Garner's mixed radix x = c_0 + c_1 p_0
+    + c_2 p_0 p_1 + ..., with each digit c_i centred mod p_i.  Every digit
+    product mod a prime stays below 2^54."""
+    if len(primes) == 1:
+        return
+    digits = []
+    for i, (p, res) in enumerate(zip(primes, parts)):
+        c = res.astype(np.int64)
+        if digits:
+            known = digits[-1] % p        # the digits so far, mod p
+            for j in range(i - 2, -1, -1):
+                known = (known * primes[j] + digits[j]) % p
+            c = (c - known) % p * pow(prod(primes[:i]), -1, p) % p
+            c[c > p // 2] -= p
+        digits.append(c)
+    x = digits[-1].astype(out.dtype)
+    for j in range(len(primes) - 2, -1, -1):
+        x = x * primes[j] + digits[j]
+    out[...] = x
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
     """The exact product of (r, k, d) and (k, c, d) coefficient arrays.
 
-    a as an (r, k d) matrix times the multiplication matrices of b's entries
-    as a (k d, d c) matrix, in d blocks no larger than b: block i holds row
-    i of every entry's matrix, zeta^i * b, and meets slot i of a.  Every
-    partial sum is a sum of at most k d terms, each at most
-    max|a| * max|b| * fold_l1.  When an operand is zero the bound is 0, and
-    every product is an exact 0.0 even if the other operand's coefficients
-    do not fit in float64.
+    Every coefficient of the result is a sum of k d products of a
+    coefficient of a and one of zeta^i * b, at most max|b| * fold_l1, so at
+    most B = max|a| max|b| k d fold_l1.  Per prime, b is evaluated at the d
+    points once; then, a block of rows of a at a time, the block is
+    evaluated, one batched product over the point axis, (d, rows, k) times
+    (d, k, c), runs, and its result is interpolated.
     """
     (r, k, d), c = a.shape, b.shape[1]
-    dtype = _exact_dtype(_max_abs(a) * _max_abs(b) * k * d * ring.fold_l1)
-    a = _by_slot(a, dtype)
-    out = 0
-    for i, row in enumerate(_shifts(_by_slot(b, dtype), ring)):
-        out += a[:, i] @ row.reshape(k, d * c)
-    return _from_slots(out.reshape(r, d, c), dtype)
+    ma, mb = _max_abs(a), _max_abs(b)
+    bound = ma * mb * k * d * ring.fold_l1
+    primes = _kernel_primes(ring, max(k, d), bound)
+    if not primes:
+        if bound == 0:
+            return np.zeros((r, c, d), dtype=np.int64)
+        fa = a[:, :, 0].astype(np.float64)
+        out = fa @ (fa if b is a else b[:, :, 0].astype(np.float64))
+        return out.astype(np.int64).reshape(r, c, 1)
+    out, parts = _per_prime((r, c, d), primes)
+    for part, p in zip(parts, primes):
+        pts = _points(ring.order, p)
+        right = _values(b, p, mb, pts).reshape(d, k, c)
+        for rows in _row_blocks(r, c * d):
+            left = _values(a[rows], p, ma, pts).reshape(d, -1, k)
+            part[rows] = _interpolated(np.matmul(left, right), p,
+                                       pts).reshape(-1, c, d)
+    _crt(parts, primes, out)
+    return out
 
 
-def _entrywise(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
-    """Entrywise products: the sum over i of slot i of a times zeta^i * b,
-    with b broadcast against a.  Each of the d terms of a sum is at most
-    max|a| * max|b| * fold_l1."""
+def _entrywise(a: np.ndarray, b: np.ndarray | None,
+               ring: _Ring) -> np.ndarray:
+    """Entrywise products of two (..., d) arrays, broadcast against each
+    other: d pointwise products per prime.  With b None, the products of a
+    and its conjugate, |a|^2: conjugation only permutes the points, so a is
+    evaluated once.  A coefficient of a * b is a sum of d products of a
+    coefficient of a and one of zeta^i * b, so at most
+    B = max|a| max|b| d fold_l1, with max|conj a| <= max|a| conj_l1."""
     d = ring.degree
-    dtype = _exact_dtype(_max_abs(a) * _max_abs(b) * d * ring.fold_l1)
-    a = _by_slot(a, dtype)
-    out = 0
-    for i, row in enumerate(_shifts(_by_slot(b, dtype), ring)):
-        out += a[:, i:i + 1] * row
-    return _from_slots(out, dtype)
+    ma = _max_abs(a)
+    mb = ma * ring.conj_l1 if b is None else _max_abs(b)
+    bound = ma * mb * d * ring.fold_l1
+    shape = a.shape if b is None else np.broadcast_shapes(a.shape, b.shape)
+    primes = _kernel_primes(ring, d, bound)
+    if not primes:
+        if bound == 0:
+            return np.zeros(shape, dtype=np.int64)
+        fa = a.astype(np.float64)         # at d = 1, conj is the identity
+        return (fa * (fa if b is None else b.astype(np.float64))
+                ).astype(np.int64)
+    operands = [(a, ma)] if b is None else [(a, ma), (b, mb)]
+    out, parts = _per_prime(shape, primes)
+    for part, p in zip(parts, primes):
+        pts = _points(ring.order, p)
+        # an operand of one row is broadcast to every block: evaluated once
+        once = [_values(x, p, m, pts) if x.shape[0] == 1 else None
+                for x, m in operands]
+        for rows in _row_blocks(shape[0], prod(shape[1:])):
+            vals = [(_values(x[rows], p, m, pts) if v is None else v)
+                    .reshape((d, -1) + x.shape[1:-1])
+                    for v, (x, m) in zip(once, operands)]
+            if b is None:
+                vals.append(vals[0][pts.conj])
+            part[rows] = _interpolated(vals[0] * vals[1], p,
+                                       pts).reshape((-1,) + shape[1:])
+    _crt(parts, primes, out)
+    return out
 
 
-def _linear_map(arr: np.ndarray, mat: np.ndarray, mat_l1: int) -> np.ndarray:
-    """Apply a coefficient-basis change along the trailing axis."""
-    dtype = _exact_dtype(_max_abs(arr) * arr.shape[-1] * mat_l1)
-    flat = arr.astype(dtype, order="C").reshape(-1, arr.shape[-1])
-    out = (flat @ mat.astype(dtype)).reshape(arr.shape[:-1] + mat.shape[1:])
-    return out.astype(np.int64) if dtype is np.float64 else out
+def _linear_map(arr: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply a coefficient-basis change (d_in, d_out) along the trailing
+    axis: a product of integer matrices, so one over Z (d = 1)."""
+    d_in = arr.shape[-1]
+    out = _matmul(arr.reshape(-1, d_in, 1), mat[:, :, None], _ring(1))
+    return out.reshape(arr.shape[:-1] + mat.shape[1:])
 
 
 class CycMatrix:
@@ -577,8 +784,8 @@ class CycMatrix:
     def lift_to_order(self, order: int) -> "CycMatrix":
         if order == self.order:
             return self
-        mat, l1 = _lift_map(self.order, order)
-        return CycMatrix(order, _linear_map(self._arr, mat, l1), _copy=False)
+        out = _linear_map(self._arr, _lift_map(self.order, order))
+        return CycMatrix(order, out, _copy=False)
 
     @staticmethod
     def common_order(*mats: "CycMatrix") -> int:
@@ -622,6 +829,8 @@ class CycMatrix:
     def scalar_mul(self, s) -> "CycMatrix":
         """Multiply every entry by a CycScalar or Python int."""
         if isinstance(s, int):
+            if s == 1:
+                return self         # immutable: the product is self
             arr = self._arr
             if max(_max_abs(arr), 1) * abs(s) >= _INT64_SAFE:
                 arr = arr.astype(object, copy=False)
@@ -639,36 +848,38 @@ class CycMatrix:
         out = _entrywise(a._arr, b._arr, _ring(a.order))
         return CycMatrix(a.order, out, _copy=False)
 
+    def _conjugated(self, arr: np.ndarray) -> "CycMatrix":
+        # row i of the map is conj(x^i) = x^(n - i) mod Phi_n
+        conj = _ring(self.order).powers(-np.arange(arr.shape[-1]))
+        return CycMatrix(self.order, _linear_map(arr, conj), _copy=False)
+
     def conjugate_entries(self) -> "CycMatrix":
-        ring = _ring(self.order)
-        return CycMatrix(self.order,
-                         _linear_map(self._arr, ring.conj, ring.conj_l1),
-                         _copy=False)
+        return self._conjugated(self._arr)
 
     def adjoint(self) -> "CycMatrix":
         """Conjugate transpose."""
-        ring = _ring(self.order)
-        arr = self._arr.transpose(1, 0, 2)
-        return CycMatrix(self.order, _linear_map(arr, ring.conj, ring.conj_l1),
-                         _copy=False)
+        return self._conjugated(self._arr.transpose(1, 0, 2))
 
     def transpose(self) -> "CycMatrix":
         return CycMatrix(self.order, self._arr.transpose(1, 0, 2))
 
     def kron(self, other: "CycMatrix") -> "CycMatrix":
         """Kronecker product: every entry of self times every entry of
-        other, as a column of the one times a row of the other."""
+        other, as the entrywise product of a column of the one and a row of
+        the other, broadcast against each other."""
         a, b = self._aligned(other)
         (r1, c1, d), (r2, c2, _) = a._arr.shape, b._arr.shape
-        out = _matmul(a._arr.reshape(r1 * c1, 1, d),
-                      b._arr.reshape(1, r2 * c2, d), _ring(a.order))
+        out = _entrywise(a._arr.reshape(r1 * c1, 1, d),
+                         b._arr.reshape(1, r2 * c2, d), _ring(a.order))
         out = out.reshape(r1, c1, r2, c2, d).transpose(0, 2, 1, 3, 4)
         return CycMatrix(a.order, out.reshape(r1 * r2, c1 * c2, d),
                          _copy=False)
 
     def abs_squared_entries(self) -> "CycMatrix":
         """Entrywise a * conj(a); exact squared moduli for unimodular sums."""
-        return self.entrywise_mul(self.conjugate_entries())
+        return CycMatrix(self.order,
+                         _entrywise(self._arr, None, _ring(self.order)),
+                         _copy=False)
 
     @staticmethod
     def vstack(mats) -> "CycMatrix":

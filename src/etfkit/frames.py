@@ -167,16 +167,30 @@ class EtfCertificate:
         return f"not an ETF (fails: {', '.join(flags)})"
 
 
-def _first_mismatch(rows: np.ndarray) -> int | None:
-    """Index of the first row of a (k, deg) array that differs from row 0."""
-    differs = (rows != rows[0]).any(axis=1)
+def _offdiagonal(arr: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of an (n, n, deg) array in row-major order,
+    as an (n - 1, n, deg) view: after entry (0, 0) the entries split into
+    runs of n + 1, each ending on a diagonal entry."""
+    n, deg = arr.shape[0], arr.shape[2]
+    return arr.reshape(n * n, deg)[1:].reshape(n - 1, n + 1, deg)[:, :n]
+
+
+def _at(entries: np.ndarray, index: int) -> np.ndarray:
+    """Entry `index`, in row-major order, of a (..., deg) array."""
+    return entries[np.unravel_index(index, entries.shape[:-1])]
+
+
+def _first_mismatch(entries: np.ndarray) -> int | None:
+    """Row-major index of the first entry of a (..., deg) array that
+    differs from the first one."""
+    differs = (entries != _at(entries, 0)).any(axis=-1)
     return int(differs.argmax()) if differs.any() else None
 
 
 def _tight_constant(op: CycMatrix) -> int | None:
     """c such that op = c I exactly with c a rational integer, else None."""
     arr = op.array
-    if arr[~np.eye(op.rows, dtype=bool)].any():
+    if _offdiagonal(arr).any():
         return None
     diag = arr[np.arange(op.rows), np.arange(op.rows)]
     if _first_mismatch(diag) is not None:
@@ -187,12 +201,16 @@ def _tight_constant(op: CycMatrix) -> int | None:
 def _offdiag_values(g: CycMatrix) -> tuple[CycScalar, ...] | None:
     """The distinct off-diagonal entries of g in order of first appearance,
     or None when there are more than two."""
-    off = g.array[~np.eye(g.rows, dtype=bool)]
-    values = []
-    while off.shape[0] and len(values) <= 2:
-        values.append(CycScalar(g.order, off[0]))
-        off = off[(off != off[0]).any(axis=1)]
-    return tuple(values) if len(values) <= 2 else None
+    off = _offdiagonal(g.array)
+    if not off.size:
+        return ()
+    values = [_at(off, 0)]
+    differs = (off != values[0]).any(axis=-1)
+    if differs.any():
+        values.append(_at(off, int(differs.argmax())))
+        if (differs & (off != values[1]).any(axis=-1)).any():
+            return None
+    return tuple(CycScalar(g.order, v) for v in values)
 
 
 def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
@@ -200,7 +218,7 @@ def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
     """The first Gram entry, in row-major order, that breaks equal norms,
     then rational norms, then equiangularity; else the missing tightness.
     `bad_norm` indexes the diagonal `diag`, `bad_angle` the off-diagonal
-    |G_ij|^2 `mods` in row-major order."""
+    |G_ij|^2 `mods` (an `_offdiagonal` view) in row-major order."""
     ref = CycScalar(order, diag[0])
     if bad_norm is not None:
         bad = CycScalar(order, diag[bad_norm]).coeffs
@@ -212,9 +230,10 @@ def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
         # row r of the off-diagonal part skips column r
         r, c = divmod(bad_angle, diag.shape[0] - 1)
         c += c >= r
-        bad = CycScalar(order, mods[bad_angle]).coeffs
+        bad = CycScalar(order, _at(mods, bad_angle)).coeffs
         return (f"Gram entry ({r}, {c}) has |.|^2 = {bad}, entry (0, 1) has "
-                f"{CycScalar(order, mods[0]).coeffs}: equiangularity fails")
+                f"{CycScalar(order, _at(mods, 0)).coeffs}: equiangularity "
+                f"fails")
     return "frame is equal-norm and equiangular but not tight"
 
 
@@ -232,9 +251,9 @@ def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
     if n == 1:
         mods, bad_angle, equiangular, t = None, None, True, None
     else:
-        mods = g.abs_squared_entries().array[~np.eye(n, dtype=bool)]
+        mods = _offdiagonal(g.abs_squared_entries().array)
         bad_angle = _first_mismatch(mods)
-        t = (CycScalar(order, mods[0]).as_integer()
+        t = (CycScalar(order, _at(mods, 0)).as_integer()
              if bad_angle is None else None)
         equiangular = t is not None
 
@@ -320,8 +339,8 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
         raise FrameError("Gram matrix must be square")
     frac = Fraction(a)
     num, den = frac.numerator, frac.denominator
-    ident = CycMatrix.identity(g.rows, g.order)
-    comp = ident.scalar_mul(num) - g.scalar_mul(den)
+    comp = (CycMatrix.identity(g.rows, g.order).scalar_mul(num)
+            - g.scalar_mul(den))
     input_tight = (g @ g).scalar_mul(den) == g.scalar_mul(num)
     return NaimarkResult(comp, den, input_tight, input_tight)
 

@@ -8,23 +8,24 @@ from etfkit import cyclo
 
 
 @contextmanager
-def _kernel_paths(force=None):
-    real, seen = cyclo._exact_dtype, []
+def _kernel_paths():
+    real, seen = cyclo._kernel_primes, []
 
-    def chosen(bound):
-        seen.append(real(bound) if force is None else force)
-        return seen[-1]
+    def chosen(*args, **kwargs):
+        primes = real(*args, **kwargs)
+        seen.append(len(primes))
+        return primes
 
-    cyclo._exact_dtype = chosen
+    cyclo._kernel_primes = chosen
     try:
         yield seen
     finally:
-        cyclo._exact_dtype = real
+        cyclo._kernel_primes = real
 
 
 @pytest.fixture(scope="session")
 def kernel_paths():
-    """A context manager that lists the dtype (float64 or object) in which
-    each product and basis change inside it ran; `force=object` runs them
-    all on Python ints, the reference path."""
+    """A context manager that lists how many primes each product and basis
+    change inside it ran modulo; 0 is one float64 product (or a zero
+    result)."""
     return _kernel_paths

@@ -1,7 +1,12 @@
 """CLI subcommands, text formats, and exit-code contract."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +173,69 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
     assert code == 0
     assert line == "ETF D=15 N=36 s=5 t=1 A=12 types=(2,+1,5),(3,-1,5)"
     assert run(capsys, "verify", str(out), "--kind", "frame")[0] == 0
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process: after a usage error, a design,
+    # a build and a verify call each print and exit as in a fresh process
+    td, frame = str(tmp_path / "td33.design"), str(tmp_path / "mb3.frame")
+    calls = [("design", "td", "3", "3", "-o", td),
+             ("build", "simplex", "3", "--hadamard", "fourier:3", "-o", frame),
+             ("verify", frame, "--kind", "frame")]
+    with pytest.raises(SystemExit) as info:
+        main(["build", "simplex"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "etfkit.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+        fresh.append((proc.returncode, proc.stdout.strip()))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0]
+    assert cli._make_parser.cache_info().currsize == 1
+
+
+# sha256 of the two multi-slot GDD frames, ETF(88,320) over Z[zeta_10] and
+# ETF(77,210) over Z[zeta_30], as the product kernel before evaluation space
+# wrote them
+GDD_FRAME_SHA256 = {
+    "gdd-88": "5678aeda3c64a4611f9fed200886a2db"
+              "3b4937e0effa75886ee6f950a825cc2f",
+    "gdd-77": "e74f524662d6ae1ac0bcddc628160142"
+              "d3916b4ea0eaf8575aab7958a36f0edf",
+}
+
+
+def test_multislot_gdd_frames_are_byte_identical(tmp_path, capsys):
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in (("design", "affine", "2", "-o", path("affine-2.design")),
+                 ("design", "td", "4", "8", "-o", path("td-4-8.design")),
+                 ("design", "td", "3", "3", "-o", path("td-3-3.design")),
+                 ("design", "sts", "7", "-o", path("sts-7.design")),
+                 ("design", "product", path("td-3-3.design"),
+                  path("sts-7.design"), "-o", path("product.design")),
+                 ("build", "steiner", "--bibd", path("affine-2.design"),
+                  "--hadamard", "sylvester:2", "-o", path("seed-6.frame")),
+                 ("build", "simplex", "3", "--hadamard", "fourier:3",
+                  "-o", path("simplex-fourier3.frame")),
+                 ("build", "gdd-etf", "--seed", path("seed-6.frame"),
+                  "--gdd", path("td-4-8.design"), "--he", "sylvester:1",
+                  "--hf", "fourier:5", "-o", path("gdd-88.frame")),
+                 ("build", "gdd-etf", "--seed", path("simplex-fourier3.frame"),
+                  "--gdd", path("product.design"), "--he", "fourier:1",
+                  "--hf", "fourier:10", "-o", path("gdd-77.frame"))):
+        assert run(capsys, *argv)[0] == 0
+    for name, want in GDD_FRAME_SHA256.items():
+        data = (tmp_path / f"{name}.frame").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want
 
 
 def test_each_command_certifies_each_design_once(tmp_path, capsys,
@@ -632,10 +700,10 @@ def test_parse_frame_bounds_the_order_by_the_file_size():
 
 
 def test_memory_error_exits_2_with_one_error_line(capsys, monkeypatch):
-    def exhausted(args):
+    def exhausted(d, n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    monkeypatch.setattr(cli, "classify_type", exhausted)
     code, out, err = run(capsys, "classify", "6", "16")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: out of memory"]

@@ -7,6 +7,7 @@ test_kernel.py).
 
 import cmath
 import random
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,35 @@ def test_cyclotomic_matches_sympy(n):
     x = sympy.symbols("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
     assert list(cyclotomic_polynomial(n)) == [int(c) for c in expected]
+
+
+def _division_cyclotomic(n: int, cache: dict) -> list[int]:
+    """Phi_n by exact division of x^n - 1 by Phi_d for every proper divisor
+    d: the algorithm before the sparse product, kept as an oracle."""
+    if n not in cache:
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                num = poly_div_oracle(num, _division_cyclotomic(d, cache))
+        cache[n] = num
+    return cache[n]
+
+
+def test_cyclotomic_sparse_product_matches_division_up_to_500():
+    cache = {}
+    for n in range(1, 501):
+        assert list(cyclotomic_polynomial(n)) == _division_cyclotomic(n, cache)
+
+
+def test_cyclotomic_30030_is_fast():
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial(30030)
+    assert time.perf_counter() - start < 1
+    assert len(phi) == 5761 and phi[0] == phi[-1] == 1
+    # Phi_30030(x) = Phi_15015(-x), the odd part of 30030 being 15015
+    assert phi == tuple((-1) ** i * c
+                        for i, c in enumerate(cyclotomic_polynomial(15015)))
 
 
 def test_cyclotomic_rejects_nonpositive():
@@ -296,7 +326,7 @@ def test_matmul_matches_scalar_oracle(order):
 
 
 def test_matmul_object_path_matches_scalar_oracle():
-    # coefficients far beyond int64 force the object fallback
+    # coefficients far beyond int64: the product runs modulo several primes
     rng = random.Random(99)
     big = CycScalar.from_int(3**40, order=12)
     a = random_matrix(rng, 3, 3, 12).scalar_mul(big)
@@ -309,7 +339,7 @@ def test_matmul_object_path_matches_scalar_oracle():
 
 
 def test_big_coefficients_stay_exact():
-    # force the object-array fallback past the int64 bound
+    # a result past the int64 bound is stored as Python ints
     c = CycScalar.from_int(3**50, order=4)
     a = CycMatrix.identity(2, 4).scalar_mul(c)
     sq = a @ a

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
@@ -16,6 +17,7 @@ from etfkit.frames import (
     naimark_gram,
     verify_etf,
     verify_tdtf,
+    _offdiag_values,
 )
 from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
@@ -244,3 +246,28 @@ def test_failed_certificate_carries_witness_and_tdtf_values():
 def test_frame_operator_shape():
     f = simplex_frame(5)
     assert frame_operator(f).shape == (4, 4)
+
+
+def test_offdiag_values_reads_the_distinct_values_in_order():
+    # a 4x4 Gram over Z[zeta_3]: every off-diagonal entry is u, then v takes
+    # (1, 0) and w the last off-diagonal entry, (3, 2); the diagonal holds
+    # other values, which are never read
+    u, v, w = (1, 0), (0, 1), (-1, -1)
+
+    def gram_with(cells):
+        arr = np.full((4, 4, 2), 0, dtype=np.int64)
+        arr[:, :] = u
+        arr[np.arange(4), np.arange(4)] = (7, 7)
+        for (i, j), value in cells.items():
+            arr[i, j] = value
+        return CycMatrix(3, arr)
+
+    assert _offdiag_values(gram_with({})) == (CycScalar(3, u),)
+    assert _offdiag_values(gram_with({(1, 0): v, (2, 3): v})) == (
+        CycScalar(3, u), CycScalar(3, v))
+    assert _offdiag_values(gram_with({(1, 0): v, (3, 2): w})) is None
+    # the first value comes from entry (0, 1), the second from the first
+    # entry that differs from it
+    assert _offdiag_values(gram_with({(0, 1): v, (3, 2): v})) == (
+        CycScalar(3, v), CycScalar(3, u))
+    assert _offdiag_values(CycMatrix.identity(1, 3)) == ()
