@@ -849,6 +849,8 @@ class CycMatrix:
         return CycMatrix(a.order, out, _copy=False)
 
     def _conjugated(self, arr: np.ndarray) -> "CycMatrix":
+        if arr.shape[-1] == 1:          # over Z the map is the identity
+            return CycMatrix(self.order, arr)
         # row i of the map is conj(x^i) = x^(n - i) mod Phi_n
         conj = _ring(self.order).powers(-np.arange(arr.shape[-1]))
         return CycMatrix(self.order, _linear_map(arr, conj), _copy=False)

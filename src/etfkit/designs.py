@@ -11,6 +11,7 @@ insofar as their outputs pass that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -320,8 +321,9 @@ class GroupDivisibleDesign:
         """Read-only {0,1} incidence matrix, rows indexed by blocks."""
         if self._incidence is None:
             x = np.zeros((self.B, self.vertices), dtype=np.int64)
-            for i, b in enumerate(self.blocks):
-                x[i, list(b)] = 1
+            rows = np.repeat(np.arange(self.B), [len(b) for b in self.blocks])
+            x[rows, np.fromiter(chain.from_iterable(self.blocks), np.intp,
+                                len(rows))] = 1
             x.setflags(write=False)
             object.__setattr__(self, "_incidence", x)
         return self._incidence
@@ -487,8 +489,10 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
             return fail(f"block {i} duplicates an earlier block; pair "
                         f"({blk[0]}, {blk[1]}) is covered more than once")
         seen.add(blk)
-    x = design.incidence()
-    gram = x.T @ x
+    # numpy has no BLAS for int64; in float64 the product is exact, since
+    # every entry of X*X is at most B < 2^53
+    x = design.incidence().astype(np.float64)
+    gram = (x.T @ x).astype(np.int64)
     expected = r * np.eye(u * m, dtype=np.int64) + np.kron(
         np.ones((u, u), dtype=np.int64) - np.eye(u, dtype=np.int64),
         np.ones((m, m), dtype=np.int64))

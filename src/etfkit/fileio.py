@@ -16,15 +16,30 @@ A frame body is read whole, not entry by entry.  The header, the row
 count and every row's width are checked before anything is allocated.
 deg = phi(n) comes from the factorisation of n, so Phi_n is built only by
 the CycMatrix that receives the coefficients, after every check.  One pass
-over the body's bytes checks every entry's coefficient count: with every
-other byte deleted, the separators must be exactly those of D rows of N
-entries of deg tokens.  One np.array call then converts every coefficient
-to int64; it accepts exactly the tokens int() accepts.  Only when a
-coefficient does not fit in int64 is the body read again as Python ints.
-Only when a check fails is the body walked entry by entry, to name the
-first bad entry (r, c) in row-major order, its count checked before its
-integers.  A frame is written one row at a time, each row formatted from
-one list of Python ints.
+over each row's bytes checks every entry's coefficient count: with every
+other byte deleted, the separators must be exactly those of N entries of
+deg tokens.
+
+The coefficients are then read as bytes, in blocks of whole rows of about
+2^15 coefficients, so that no Python object is made per coefficient and
+the temporaries are those of one block.  In a block, "|" and the line ends
+become commas and the spaces of " | " are deleted; only the bytes 0-9, "-"
+and "," may remain, and every token must match -?[0-9]{1,18}.  Such a
+token is below 10^18 < 2^62, so it fits a CycMatrix's int64 storage; its
+digits are summed column by column, one masked pass per digit of the
+longest token.  When any token fails these checks (more digits, a "+", a
+space, a non-ASCII digit, or no integer at all), the whole body is read
+again as Python ints with int(), and CycMatrix narrows them to int64 where
+they fit.  Only when int() fails too is the body walked entry by entry, to
+name the first bad entry (r, c) in row-major order, its count checked
+before its integers.
+
+A frame with int64 storage is written in the same blocks of rows: each
+coefficient's digits are counted against the powers of ten, one cumulative
+sum places every token and separator in a uint8 buffer, the digits are
+written column by column, and each block is decoded once.  Python-int
+storage (a coefficient at or above 2^62) is written one row at a time, each
+row formatted from one list of Python ints.
 """
 
 from __future__ import annotations
@@ -46,6 +61,12 @@ __all__ = [
 
 
 _TRIAL_DIVISION_LIMIT = 2**40     # at most 2^19 trial divisions
+_BLOCK = 2**15                    # coefficients per block of whole rows
+_MAX_DIGITS = 18                  # 10^18 < 2^62: such a token is stored int64
+_POW10 = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
+# "|" and the line end become ",", and a byte no token holds becomes "x"
+_SEPARATORS = bytes(c if c in b"0123456789-," else b","[0] if c in b"|\n"
+                    else b"x"[0] for c in range(256))
 # every byte but the separators ",", "|" and the line end
 _TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b",|\n")))
 
@@ -106,13 +127,58 @@ def parse_design(text: str) -> GroupDivisibleDesign:
 def serialize_frame(frame: Frame) -> str:
     syn = frame.synthesis
     deg = syn.array.shape[2]
-    lines = [f"FRAME {syn.order} {frame.d} {frame.n}"]
-    for row in syn.array.reshape(frame.d, -1):
+    rows = syn.array.reshape(frame.d, -1)
+    head = f"FRAME {syn.order} {frame.d} {frame.n}"
+    if rows.dtype == np.int64:
+        step = max(1, _BLOCK // rows.shape[1])
+        return "".join([head + "\n"] + [
+            _row_text(rows[r:r + step], deg)
+            for r in range(0, frame.d, step)])
+    lines = [head]
+    for row in rows:             # Python ints: formatted one row at a time
         tokens = map(str, row.tolist())
         if deg > 1:                      # each run of deg tokens is one entry
             tokens = map(",".join, zip(*[tokens] * deg))
         lines.append(" | ".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+def _row_text(rows: np.ndarray, deg: int) -> str:
+    """The text of whole rows of int64 coefficients, each row's entries of
+    deg coefficients, every line ended by a newline."""
+    # the separator after each coefficient of a row is "," within an entry,
+    # " | " between entries and the line end after the last
+    bar = np.zeros(rows.shape[1], dtype=bool)
+    bar[deg - 1:-1:deg] = True
+    mag = np.abs(rows)
+    neg = rows < 0
+    ndig = np.ones(rows.shape, dtype=np.uint8)
+    for p in _POW10[_POW10 <= mag.max()]:
+        ndig += mag >= p
+    # |coefficient| < 2^62, so a token is at most 20 bytes and its
+    # separator 3; int32 offsets suffice below 2^31 bytes
+    sep = np.where(bar, 3, 1).astype(np.uint8)
+    end = np.cumsum(ndig + neg + sep, dtype=np.int32 if 23 * rows.size < 2**31
+                    else np.int64).reshape(rows.shape)
+    buf = np.full(int(end[-1, -1]), ord(","), dtype=np.uint8)
+    buf[end[:, -1] - 1] = ord("\n")
+    bars = end[:, bar]
+    buf[bars - 1] = ord(" ")
+    buf[bars - 2] = ord("|")
+    buf[bars - 3] = ord(" ")
+    stop = end - sep                       # one past each token's last digit
+    q = mag
+    for j in range(int(ndig.max())):       # one masked pass per digit
+        high = q // 10
+        digit = q - 10 * high + ord("0")
+        if j == 0:
+            buf[stop - 1] = digit
+        else:
+            at = ndig > j
+            buf[stop[at] - 1 - j] = digit[at]
+        q = high
+    buf[stop[neg] - 1 - ndig[neg]] = ord("-")
+    return buf.tobytes().decode("ascii")
 
 
 def _totient(n: int) -> int:
@@ -146,31 +212,71 @@ def _first_bad_entry(body: list[str], deg: int) -> FileFormatError:
     raise AssertionError("every entry holds deg integers")
 
 
-def _counts_ok(text: str, d: int, n: int, deg: int) -> bool:
-    """Whether the body `text` holds d rows of n entries of deg
-    comma-separated tokens: whether its separators, in order, are those of
-    such a body.  A "|" inside an entry is one separator too many."""
-    seps = text.encode("utf-8", "surrogatepass").translate(None, _TOKEN_BYTES)
-    if len(seps) != d * n * deg - 1:
-        return False
-    row = b"|".join([b"," * (deg - 1)] * n)
-    return seps == b"\n".join([row] * d)
+def _counts_ok(body: list[str], n: int, deg: int) -> bool:
+    """Whether every row of the body holds n entries of deg comma-separated
+    tokens: whether its separators, in order, are those of such a row.  A
+    "|" inside an entry is one separator too many."""
+    row = b""
+    for ln in body:
+        seps = ln.encode("utf-8", "surrogatepass").translate(None,
+                                                             _TOKEN_BYTES)
+        if len(seps) != n * deg - 1:
+            return False
+        row = row or b"|".join([b"," * (deg - 1)] * n)
+        if seps != row:
+            return False
+    return True
 
 
 def _coefficients(body: list[str], n: int, deg: int) -> np.ndarray:
     """Every coefficient of the body, row-major: int64, or Python ints when
-    one does not fit.  Each row holds n entries."""
-    text = "\n".join(body)
-    if _counts_ok(text, len(body), n, deg):
-        tokens = text.replace(" | ", ",").replace("\n", ",").split(",")
+    a token is not -?[0-9]{1,18}.  Each row holds n entries."""
+    if _counts_ok(body, n, deg):
+        out = _int64_coefficients(body, n, deg)
+        if out is not None:
+            return out
+        tokens = "\n".join(body).replace(" | ", ",").replace("\n", ",")
         try:
-            return np.array(tokens, dtype=np.int64)
-        except (OverflowError, ValueError):
-            try:
-                return np.array([int(t) for t in tokens], dtype=object)
-            except ValueError:
-                pass
+            return np.array([int(t) for t in tokens.split(",")],
+                            dtype=object)
+        except ValueError:
+            pass
     raise _first_bad_entry(body, deg)
+
+
+def _int64_coefficients(body: list[str], n: int,
+                        deg: int) -> np.ndarray | None:
+    """The body's coefficients as int64, read in blocks of whole rows;
+    None when a token is not -?[0-9]{1,18}."""
+    width = n * deg
+    out = np.empty(len(body) * width, dtype=np.int64)
+    step = max(1, _BLOCK // width)
+    for r in range(0, len(body), step):
+        rows = body[r:r + step]
+        raw = "\n".join(rows).encode("utf-8", "surrogatepass")
+        # each row holds n - 1 "|", each inside its own " | ": with no other
+        # " ", deleting every " " leaves one separator per "|"
+        spaces = np.count_nonzero(np.frombuffer(raw, np.uint8) == ord(" "))
+        raw = raw.translate(_SEPARATORS, b" ") + b","
+        if spaces != 2 * len(rows) * (n - 1) or b"x" in raw:
+            return None
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        end = np.flatnonzero(buf == ord(","))      # one past each token
+        start = np.empty_like(end)
+        start[0] = 0
+        np.add(end[:-1], 1, out=start[1:])
+        neg = buf[start] == ord("-")
+        ndig = end - start - neg
+        if (np.count_nonzero(buf == ord("-")) != np.count_nonzero(neg)
+                or ndig.min() < 1 or ndig.max() > _MAX_DIGITS):
+            return None
+        val = out[r * width:(r + step) * width]
+        np.subtract(buf[end - 1], ord("0"), out=val)
+        for j in range(1, int(ndig.max())):    # one masked pass per digit
+            at = np.flatnonzero(ndig > j)
+            val[at] += (buf[end[at] - 1 - j] - ord("0")) * _POW10[j - 1]
+        np.negative(val, out=val, where=neg)
+    return out
 
 
 def parse_frame(text: str) -> Frame:

@@ -89,6 +89,7 @@ class Frame:
                 f"{groups} groups do not divide {synthesis.cols} columns")
         self.synthesis = synthesis
         self.groups = groups
+        self._adjoint = None      # Phi*, kept while a certification runs
 
     @property
     def d(self) -> int:
@@ -106,14 +107,22 @@ class Frame:
         return f"Frame(D={self.d}, N={self.n}, order={self.order})"
 
 
+def _adjoint(frame: Frame) -> CycMatrix:
+    """Phi*: the one a running certification keeps, else a new one, so a
+    certification of the same frame in another thread changes no result."""
+    if frame._adjoint is None:
+        return frame.synthesis.adjoint()
+    return frame._adjoint
+
+
 def gram(frame: Frame) -> CycMatrix:
     """The exact N x N Gram matrix Phi*Phi."""
-    return frame.synthesis.adjoint() @ frame.synthesis
+    return _adjoint(frame) @ frame.synthesis
 
 
 def frame_operator(frame: Frame) -> CycMatrix:
     """The exact D x D frame operator Phi Phi*."""
-    return frame.synthesis @ frame.synthesis.adjoint()
+    return frame.synthesis @ _adjoint(frame)
 
 
 @dataclass(frozen=True)
@@ -239,7 +248,13 @@ def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
 
 def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
     """The one certifying pass: the certificate and the Gram it read."""
-    g = gram(frame)
+    # one adjoint for both products, dropped before |G|^2 is formed
+    frame._adjoint = frame.synthesis.adjoint()
+    try:
+        g = gram(frame)
+        fo = frame_operator(frame)
+    finally:
+        frame._adjoint = None
     d, n, order = frame.d, frame.n, frame.order
     diag = g.array[np.arange(n), np.arange(n)]
 
@@ -257,7 +272,7 @@ def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
              if bad_angle is None else None)
         equiangular = t is not None
 
-    c = _tight_constant(frame_operator(frame))
+    c = _tight_constant(fo)
     tight = c is not None and s is not None and d * c == n * s
 
     welch = equal_norm and equiangular and tight

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from etfkit import cli, cyclo, frames
+from etfkit import cli, cyclo, fileio, frames
 from etfkit.cli import main
 from etfkit.cyclo import CycMatrix, CycScalar, cyclotomic_polynomial
 from etfkit.designs import GroupDivisibleDesign
@@ -628,6 +628,9 @@ VALID_FRAMES = [
         _matrix(16, [[[1, -2, 0, 3, 0, 0, 7, -1], [0] * 7 + [12]],
                      [[5] * 8, [-40, 0, 0, 0, 0, 0, 0, 1]]]),       # deg 8
         _matrix(2, [[[BIG], [-3]], [[5], [-BIG - 1]], [[BIG - 1], [0]]]),
+        # 18 and 19 digits: the last tokens the byte path reads, the first
+        # it leaves to Python ints
+        _matrix(3, [[[10**18 - 1, -(10**17)], [-(10**18), 10**19 - 1]]]),
     )
 ]
 MUTATION = settings(max_examples=400, deadline=None, derandomize=True,
@@ -650,7 +653,8 @@ def test_parse_frame_agrees_with_the_per_entry_parser(data):
 
 COEFFICIENT = st.one_of(
     st.integers(-3, 3),
-    st.sampled_from([BIG - 1, -(BIG - 1), BIG, -BIG, 2**62, -(2**62)]))
+    st.sampled_from([BIG - 1, -(BIG - 1), BIG, -BIG, 2**62, -(2**62)]),
+    st.integers(-(10**19), 10**19))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -669,6 +673,101 @@ def test_serialize_frame_writes_each_entry_as_before(data):
     again = parse_frame(text).synthesis
     assert again == frame.synthesis
     assert again.array.dtype == frame.synthesis.array.dtype
+
+
+# Tokens at the edges of the byte path: 18 digits at most, a "-" only in
+# front, nothing but ASCII digits; everything else goes to int() or fails.
+EDGE_TOKENS = [
+    *(sign + lead + "0" * (k - 1) for k in (17, 18, 19, 20)
+      for sign in ("", "-") for lead in ("1", "9")),
+    *(str(sign * v) for v in (2**62 - 1, 2**62, 2**63 - 1, 2**63)
+      for sign in (1, -1)),
+    "-0", "007", "-", "--1", "1-2", "+5", " 5", "5 ", "1 2", "", "1_0",
+    "\u0663", "1\u0663", "\u00b9", "\ud800",
+]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_parse_frame_reads_edge_tokens_as_the_per_entry_parser(token):
+    for text in (f"FRAME 3 1 2\n1,0 | {token},1\n",
+                 f"FRAME 2 2 1\n{token}\n1\n"):
+        assert _outcome(parse_frame, text) == \
+            _outcome(_parse_frame_per_entry, text)
+
+
+def _random_matrix(rng, order, d, n):
+    """int64 coefficients of every length from 1 to 19 digits, both signs,
+    no zero column."""
+    shape = (d, n, cyclo._ring(order).degree)
+    mag = rng.integers(1, 2**62, size=shape) >> rng.integers(0, 62, shape)
+    sign = rng.choice([-1, 1], size=shape)
+    return CycMatrix(order, np.maximum(mag, 1) * sign)
+
+
+def _with_token(text, r, c, token):
+    lines = text.splitlines()
+    cells = lines[1 + r].split(" | ")
+    cells[c] = ",".join([token] + cells[c].split(",")[1:])
+    lines[1 + r] = " | ".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d, n, order, rows_per_block", [
+    (150, 500, 3, 32),               # four blocks of 32 rows, one of 22
+    (3, fileio._BLOCK + 7, 2, 1),    # each row longer than a block
+])
+def test_parse_frame_reads_rows_across_blocks(d, n, order, rows_per_block):
+    deg = cyclo._ring(order).degree
+    assert max(1, fileio._BLOCK // (n * deg)) == rows_per_block
+    frame = Frame(_random_matrix(np.random.default_rng(d), order, d, n))
+    text = _serialize_frame_per_entry(frame)
+    assert serialize_frame(frame) == text
+    assert parse_frame(text).synthesis == frame.synthesis
+    # one bad token in the last block: 19 digits, or not an integer
+    for token in ("-" + "9" * 19, "0" * 19, "x"):
+        bad = _with_token(text, d - 1, n - 1, token)
+        assert _outcome(parse_frame, bad) == \
+            _outcome(_parse_frame_per_entry, bad)
+
+
+def test_serialize_frame_writes_every_digit_count_as_before():
+    values = [sign * v for k in range(1, 19)
+              for v in (10**(k - 1), 10**k - 1) for sign in (1, -1)]
+    values += [10**18, -(10**18), 2**62 - 1, -(2**62 - 1)]   # 19 digits
+    values += [0, 0, -1, 1]
+    for order, shape in ((2, (8, 10, 1)), (5, (4, 5, 4))):
+        frame = Frame(CycMatrix(order, np.array(values).reshape(shape)))
+        assert frame.synthesis.array.dtype == np.int64
+        assert serialize_frame(frame) == _serialize_frame_per_entry(frame)
+    for k in range(19):                  # the largest coefficient is 10^k
+        frame = Frame(CycMatrix(2, np.array([[[10**k], [-3]]])))
+        assert serialize_frame(frame) == _serialize_frame_per_entry(frame)
+
+
+def test_frame_text_peaks_within_the_text_output_and_a_block():
+    # an order-2 frame of 300,000 entries of +-1 (4.5 bytes each); the
+    # budget is 64 bytes for each coefficient of one block
+    rng = np.random.default_rng(7)
+    frame = Frame(CycMatrix(2, rng.choice([-1, 1], size=(300, 1000, 1))))
+    text = serialize_frame(frame)
+    budget = 64 * fileio._BLOCK
+    # a parse holds the lines (the text again) and the int64 output; a write
+    # holds its blocks and their join (twice the text, below text + int64
+    # at under 8 bytes a token)
+    bound = len(text) + 8 * frame.synthesis.array.size + budget
+    tracemalloc.start()
+    try:
+        again = parse_frame(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]        # the parsed frame
+        assert serialize_frame(again) == text
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert again.synthesis == frame.synthesis
+    assert parse_peak < bound
+    assert write_peak < bound
 
 
 def test_parse_frame_checks_widths_before_building_the_ring():

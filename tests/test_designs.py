@@ -237,6 +237,24 @@ def test_verify_gdd_detects_wrong_count():
     assert not rep.ok and "count" in rep.failure
 
 
+def test_verify_gdd_pins_the_incidence_witness():
+    # the Fano plane with block (2, 4, 5) replaced by (2, 3, 5): every block
+    # passes its own checks and none repeats, but pair (2, 3) is covered
+    # twice (and pair (2, 4) never)
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+            (2, 3, 6), (2, 3, 5)]
+    design = GroupDivisibleDesign(3, 1, 7, fano)
+    expected = np.zeros((7, 7), dtype=np.int64)
+    for i, blk in enumerate(fano):
+        expected[i, list(blk)] = 1
+    assert np.array_equal(design.incidence(), expected)
+    rep = verify_gdd(design)
+    assert not rep.ok
+    assert rep.failure == ("incidence identity X*X = R I + (J_U - I_U) x "
+                           "J_M fails at vertex pair (2, 3): got 2, "
+                           "expected 1")
+
+
 def test_design_is_immutable_and_keeps_its_report():
     td = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
     with pytest.raises(AttributeError):

@@ -81,6 +81,23 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
     assert len(shapes) == 2
 
 
+@pytest.mark.parametrize("h", [fourier(3), sylvester(2)])   # d = 2 and 1
+def test_certification_forms_one_adjoint_and_keeps_none(monkeypatch, h):
+    frame = Frame(simplex_from_hadamard(h).mat)
+    calls = []
+    real = CycMatrix.adjoint
+
+    def counted(self):
+        calls.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(CycMatrix, "adjoint", counted)
+    assert verify_etf(frame).welch_equality
+    assert calls == [frame.synthesis.shape]   # for both products
+    gram(frame)
+    assert len(calls) == 2             # none was kept past the certification
+
+
 def test_verify_etf_two_equal_columns():
     one = CycScalar.one(2)
     m = CycMatrix.from_scalars([[one, one], [one, one]])
