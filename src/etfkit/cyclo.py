@@ -3,8 +3,7 @@
 A scalar is the canonical residue of an integer polynomial in zeta_n modulo
 the n-th cyclotomic polynomial Phi_n, stored as a coefficient vector of
 length deg(Phi_n) = phi(n).  Canonical forms are unique, so equality of
-complex values reduces to equality of integer vectors; every downstream
-certification in this package bottoms out in such comparisons.
+complex values reduces to equality of integer vectors.
 
 Matrices over the ring are stored as (rows, cols, deg) coefficient arrays:
 int64 while every coefficient is below 2^62 in magnitude, Python integers
@@ -21,7 +20,8 @@ coefficient form, and an entrywise product is d pointwise products.
 Conjugation sends w^j to w^-j, so it only permutes the points.  Evaluating
 is one product with the Vandermonde matrix V of the points, interpolating
 one with V^-1 mod p, whose rows are the dual basis
-(Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division.
+(Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division in blocks
+of rows.
 
 Every step is a float64 product of residues centred in (-p/2, p/2), reduced
 by x - p rint(x / p).  The prime is small enough that every sum of products
@@ -46,6 +46,12 @@ At d = 1 (orders 1 and 2) evaluation is the identity, so a product whose
 bound is below 2^53 is one float64 product of the coefficients themselves,
 with no prime.  A change of basis (conjugation, lifting to a larger order)
 is such a product over Z, of the coefficients and an integer matrix.
+
+Certification compares in evaluation space as well.  A `_Space` fixes the
+primes of one pass, from the ladder of the pass's widest sum, with P above
+twice the largest bound the pass compares; then two elements whose values
+agree at every point mod every prime are equal.  So an identity is checked
+on values, and only what the certificate reports is interpolated.
 """
 
 from __future__ import annotations
@@ -265,8 +271,10 @@ class _Points:
 
 @lru_cache(maxsize=None)
 def _points(n: int, p: int) -> _Points:
-    """Built a row or column at a time: nothing but V and V^-1 is of size
-    d^2.  Every int64 product here is below p^2 < 2^54."""
+    """Built a block of rows at a time: nothing but V and V^-1 is of size
+    d^2.  Every int64 product here is below p^2 < 2^54, and every float64
+    sum is of at most d products of centred residues, below 2^52 because
+    every prime comes from a ladder of width at least d."""
     d = _ring(n).degree
     factors = _prime_factors(n)
     x = 2
@@ -282,25 +290,39 @@ def _points(n: int, p: int) -> _Points:
                                 * pow(w, step, p) % p)
         step *= 2
     exps = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    roots = table[exps]
     centred = _reduce(table.astype(np.float64), p)
     v = np.empty((d, d))
     for rows in _row_blocks(d, d):
         v[rows] = centred[np.outer(np.arange(d)[rows], exps) % n]
-    # Phi_n / (x - r) for every root r at once, by synthetic division from
-    # the top: row i of dual holds coefficient i.  Horner on the same pass
-    # gives Phi_n'(r) = (Phi_n / (x - r))(r)
-    phi = [c % p for c in cyclotomic_polynomial(n)]
-    dual = np.empty((d, d), dtype=np.int64)
-    dual[d - 1] = q = deriv = np.ones(d, dtype=np.int64)
-    for i in range(d - 1, 0, -1):
-        q = dual[i - 1] = (phi[i] + roots * q) % p
-        deriv = (deriv * roots + q) % p
-    dual *= np.array([pow(int(r), -1, p) for r in deriv])
-    dual %= p
+    # Phi_n / (x - r) for every root r at once, row i of dual holding its
+    # coefficient i: q_i(r) = sum over k > i of phi_k r^(k - 1 - i), that is
+    # q_i = sum over m < top - i of phi_(i + 1 + m) r^m + r^(top - i) q_top
+    # for any top > i (q_d = 0).  So a block of b rows below `top` is a
+    # b x b Hankel block times the first b rows of V, plus a row of V times
+    # q_top: b d^2 products in all, where H V whole would take d^3, and
+    # d / b steps, where synthetic division takes d.  Then
+    # Phi_n'(r) = (Phi_n / (x - r))(r) is a column sum of dual times V
+    phi = np.zeros(2 * d + 1)
+    phi[:d + 1] = [c % p for c in cyclotomic_polynomial(n)]
+    phi = _reduce(phi, p)
+    b = max(1, min(d - 1, 16))     # b + 1 <= d products per sum
+    dual = np.empty((d, d))
+    deriv = np.zeros(d)
+    for top in range(d, 0, -b):
+        rows = np.arange(max(0, top - b), top)
+        m = np.arange(b)
+        hankel = np.where(m < top - rows[:, None],
+                          phi[rows[:, None] + 1 + m], 0.0)
+        block = hankel @ v[:b]
+        if top < d:
+            block += v[top - rows] * dual[top]
+        dual[rows] = _reduce(block, p)
+        deriv += np.einsum("ij,ij->j", dual[rows], v[rows])
+    inverse = [pow(int(r), -1, p) for r in _reduce(deriv, p).astype(np.int64)]
+    dual *= _reduce(np.array(inverse, dtype=np.float64), p)
     where = np.empty(n, dtype=np.int64)
     where[exps] = np.arange(d)
-    return _Points(_frozen(v), _frozen(_reduce(dual.astype(np.float64), p)).T,
+    return _Points(_frozen(v), _frozen(_reduce(dual, p)).T,
                    _frozen(where[(-exps) % n]))
 
 
@@ -501,6 +523,14 @@ def _stored(arr: np.ndarray) -> np.ndarray:
     return arr.astype(object, copy=False)
 
 
+def _scaled(arr: np.ndarray, s: int) -> np.ndarray:
+    """arr * s for a Python int s, on Python ints where int64 could pass
+    2^62."""
+    if max(_max_abs(arr), 1) * abs(s) >= _INT64_SAFE:
+        arr = arr.astype(object, copy=False)
+    return arr * s
+
+
 def _kernel_primes(ring: _Ring, width: int, bound: int) -> tuple[int, ...]:
     """The primes a product of inner dimension `width` runs under, for a
     result bounded by `bound`: none when the result is 0, or when d = 1 and
@@ -543,10 +573,11 @@ def _interpolated(vals: np.ndarray, p: int, pts: _Points) -> np.ndarray:
     return _reduce(vals.T @ pts.vinv, p)
 
 
-def _row_blocks(rows: int, per_row: int):
-    """Slices of about _BLOCK result values each: the temporaries of a block
-    stay small, so memory is reused from block to block."""
-    step = max(1, _BLOCK // max(per_row, 1))
+def _row_blocks(rows: int, per_row: int, least: int = 1):
+    """Slices of about _BLOCK result values each, and at least `least` rows:
+    the temporaries of a block stay small, so memory is reused from block to
+    block."""
+    step = max(least, _BLOCK // max(per_row, 1))
     for i in range(0, rows, step):
         yield slice(i, min(i + step, rows))
 
@@ -654,6 +685,63 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
                                        pts).reshape((-1,) + shape[1:])
     _crt(parts, primes, out)
     return out
+
+
+class _Space:
+    """Z[zeta_n] modulo the primes of one exact pass, element by element
+    as values at the d points of each prime: a list of (d, ...) arrays,
+    one per prime.  The primes come from the ladder of `width`, so a sum of
+    `width` products of values stays below 2^52, and their product P
+    exceeds 2 `bound`.  With no prime (d = 1 and `bound` below 2^53) the
+    values are the float64 coefficients themselves."""
+
+    def __init__(self, ring: _Ring, width: int, bound: int):
+        self.degree = ring.degree
+        self.primes = _kernel_primes(ring, width, bound)
+        self.points = [_points(ring.order, p) for p in self.primes]
+        self.modulus = prod(self.primes)
+
+    def covers(self, bound: int) -> bool:
+        """Whether values that agree at every point mod every prime are
+        equal, for coefficients of magnitude at most `bound`."""
+        if not self.primes:
+            return bound < _F64_EXACT
+        return 2 * bound < self.modulus
+
+    def values(self, arr: np.ndarray, mag: int) -> list[np.ndarray]:
+        """The values of a (..., d) array; `mag` is max|arr|."""
+        if not self.primes:
+            return [arr[..., 0].astype(np.float64)[None]]
+        shape = (self.degree,) + arr.shape[:-1]
+        return [_values(arr, p, mag, pts).reshape(shape)
+                for p, pts in zip(self.primes, self.points)]
+
+    def conj(self, vals: np.ndarray, i: int) -> np.ndarray:
+        """The values of the conjugate, from values mod prime i."""
+        return vals if self.degree == 1 else vals[self.points[i].conj]
+
+    def residue(self, c: int, i: int) -> int:
+        """The integer c mod prime i, centred; c itself with no prime."""
+        if not self.primes:
+            return c
+        p = self.primes[i]
+        return (c + p // 2) % p - p // 2
+
+    def reduce(self, vals: np.ndarray, i: int) -> np.ndarray:
+        """Sums of products of values mod prime i, reduced in place."""
+        return _reduce(vals, self.primes[i]) if self.primes else vals
+
+    def exact(self, vals: list[np.ndarray]) -> np.ndarray:
+        """(d, entries): the exact coefficients of reduced values, by one
+        interpolation per prime and the Chinese remainder theorem."""
+        if not self.primes:
+            return vals[0].reshape(1, -1).astype(np.int64)
+        d = self.degree
+        out, parts = _per_prime((d, vals[0].size // d), self.primes)
+        for part, p, pts, v in zip(parts, self.primes, self.points, vals):
+            part[...] = _reduce(pts.vinv.T @ v.reshape(d, -1), p)
+        _crt(parts, self.primes, out)
+        return out
 
 
 def _linear_map(arr: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -831,10 +919,7 @@ class CycMatrix:
         if isinstance(s, int):
             if s == 1:
                 return self         # immutable: the product is self
-            arr = self._arr
-            if max(_max_abs(arr), 1) * abs(s) >= _INT64_SAFE:
-                arr = arr.astype(object, copy=False)
-            return CycMatrix(self.order, arr * s, _copy=False)
+            return CycMatrix(self.order, _scaled(self._arr, s), _copy=False)
         n = _lcm(self.order, s.order)
         a = self.lift_to_order(n)
         sv = np.array(s.lift_to_order(n).coeffs, dtype=object)

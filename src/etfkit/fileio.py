@@ -13,12 +13,16 @@ Both formats round-trip losslessly; design files must additionally pass
 verify_gdd to parse at all.
 
 A frame body is read whole, not entry by entry.  The header, the row
-count and every row's width are checked before anything is allocated.
-deg = phi(n) comes from the factorisation of n, so Phi_n is built only by
-the CycMatrix that receives the coefficients, after every check.  One pass
-over each row's bytes checks every entry's coefficient count: with every
-other byte deleted, the separators must be exactly those of N entries of
-deg tokens.
+count and every row's width are checked before anything of the header's
+size is allocated.  deg = phi(n) comes from the factorisation of n, so
+Phi_n is built only by the CycMatrix that receives the coefficients, after
+every check.  An ASCII file whose only line break is the newline is read
+from its encoded bytes as they are: the line ends are found by memchr, one
+pass deletes every byte but the separators, which must be exactly those of
+D lines of N entries of deg tokens, and one count of " | " shows that each
+"|" is a separator.  Any other file, and any that fails these checks, is
+split by str.splitlines() and checked line by line, so that an error names
+the first line or entry that breaks it whichever way the file was read.
 
 The coefficients are then read as bytes, in blocks of whole rows of about
 2^15 coefficients, so that no Python object is made per coefficient and
@@ -69,6 +73,8 @@ _SEPARATORS = bytes(c if c in b"0123456789-," else b","[0] if c in b"|\n"
                     else b"x"[0] for c in range(256))
 # every byte but the separators ",", "|" and the line end
 _TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b",|\n")))
+# the ASCII line breaks of str.splitlines() besides "\n"
+_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 class FileFormatError(ValueError):
@@ -193,10 +199,10 @@ def _totient(n: int) -> int:
     return phi - phi // n if n > 1 else phi
 
 
-def _first_bad_entry(body: list[str], deg: int) -> FileFormatError:
+def _first_bad_entry(body: str, deg: int) -> FileFormatError:
     """The error of the first entry, in row-major order, that does not hold
     deg integers; the coefficient count is checked before the integers."""
-    for r, ln in enumerate(body):
+    for r, ln in enumerate(body.split("\n")):
         for c, cell in enumerate(ln.split(" | ")):
             parts = cell.split(",")
             if len(parts) != deg:
@@ -212,55 +218,53 @@ def _first_bad_entry(body: list[str], deg: int) -> FileFormatError:
     raise AssertionError("every entry holds deg integers")
 
 
-def _counts_ok(body: list[str], n: int, deg: int) -> bool:
-    """Whether every row of the body holds n entries of deg comma-separated
-    tokens: whether its separators, in order, are those of such a row.  A
-    "|" inside an entry is one separator too many."""
-    row = b""
-    for ln in body:
-        seps = ln.encode("utf-8", "surrogatepass").translate(None,
-                                                             _TOKEN_BYTES)
-        if len(seps) != n * deg - 1:
-            return False
-        row = row or b"|".join([b"," * (deg - 1)] * n)
-        if seps != row:
-            return False
-    return True
+def _separators_ok(raw: bytes, lo: int, hi: int, d: int, n: int,
+                   deg: int) -> bool:
+    """Whether the body raw[lo:hi], d lines after a header line holding no
+    "," or "|", has the separators of lines of n entries of deg
+    comma-separated tokens, in order; a "|" inside an entry is one too
+    many.  One pass over the bytes: every other byte is deleted."""
+    seps = raw.translate(None, _TOKEN_BYTES)
+    tail = raw[hi:]                     # the last line's newline, if any
+    if len(seps) != d * n * deg + len(tail):
+        return False
+    row = b"|".join([b"," * (deg - 1)] * n)
+    return seps == b"\n".join([b""] + [row] * d) + tail
 
 
-def _coefficients(body: list[str], n: int, deg: int) -> np.ndarray:
-    """Every coefficient of the body, row-major: int64, or Python ints when
-    a token is not -?[0-9]{1,18}.  Each row holds n entries."""
-    if _counts_ok(body, n, deg):
-        out = _int64_coefficients(body, n, deg)
-        if out is not None:
-            return out
-        tokens = "\n".join(body).replace(" | ", ",").replace("\n", ",")
-        try:
-            return np.array([int(t) for t in tokens.split(",")],
-                            dtype=object)
-        except ValueError:
-            pass
-    raise _first_bad_entry(body, deg)
+def _coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
+                  deg: int) -> np.ndarray:
+    """Every coefficient of the body raw[lo:ends[-1]], whose line r ends at
+    ends[r] and whose separators are those of n entries per line:
+    int64, or Python ints when a token is not -?[0-9]{1,18}."""
+    out = _int64_coefficients(raw, lo, ends, n, deg)
+    if out is not None:
+        return out
+    body = raw[lo:ends[-1]].decode("utf-8", "surrogatepass")
+    tokens = body.replace(" | ", ",").replace("\n", ",")
+    try:
+        return np.array([int(t) for t in tokens.split(",")], dtype=object)
+    except ValueError:
+        raise _first_bad_entry(body, deg) from None
 
 
-def _int64_coefficients(body: list[str], n: int,
+def _int64_coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
                         deg: int) -> np.ndarray | None:
-    """The body's coefficients as int64, read in blocks of whole rows;
-    None when a token is not -?[0-9]{1,18}."""
+    """The body's coefficients as int64, read in blocks of whole lines;
+    None when a token is not -?[0-9]{1,18}.  Each line holds n - 1 " | "."""
     width = n * deg
-    out = np.empty(len(body) * width, dtype=np.int64)
+    out = np.empty(ends.size * width, dtype=np.int64)
     step = max(1, _BLOCK // width)
-    for r in range(0, len(body), step):
-        rows = body[r:r + step]
-        raw = "\n".join(rows).encode("utf-8", "surrogatepass")
+    for r in range(0, ends.size, step):
+        rows = min(step, ends.size - r)
+        block = raw[lo if r == 0 else ends[r - 1] + 1:ends[r + rows - 1]]
         # each row holds n - 1 "|", each inside its own " | ": with no other
         # " ", deleting every " " leaves one separator per "|"
-        spaces = np.count_nonzero(np.frombuffer(raw, np.uint8) == ord(" "))
-        raw = raw.translate(_SEPARATORS, b" ") + b","
-        if spaces != 2 * len(rows) * (n - 1) or b"x" in raw:
+        spaces = np.count_nonzero(np.frombuffer(block, np.uint8) == ord(" "))
+        block = block.translate(_SEPARATORS, b" ") + b","
+        if spaces != 2 * rows * (n - 1) or b"x" in block:
             return None
-        buf = np.frombuffer(raw, dtype=np.uint8)
+        buf = np.frombuffer(block, dtype=np.uint8)
         end = np.flatnonzero(buf == ord(","))      # one past each token
         start = np.empty_like(end)
         start[0] = 0
@@ -270,7 +274,7 @@ def _int64_coefficients(body: list[str], n: int,
         if (np.count_nonzero(buf == ord("-")) != np.count_nonzero(neg)
                 or ndig.min() < 1 or ndig.max() > _MAX_DIGITS):
             return None
-        val = out[r * width:(r + step) * width]
+        val = out[r * width:(r + rows) * width]
         np.subtract(buf[end - 1], ord("0"), out=val)
         for j in range(1, int(ndig.max())):    # one masked pass per digit
             at = np.flatnonzero(ndig > j)
@@ -279,17 +283,52 @@ def _int64_coefficients(body: list[str], n: int,
     return out
 
 
+def _plain_lines(raw: bytes, lo: int, d: int, n: int,
+                 deg: int) -> np.ndarray | None:
+    """The line ends of a plain body raw[lo:], read as it is: ASCII, with
+    no line break but the newline.  None unless it has d lines, each with
+    the separators of n entries of deg tokens (n deg > 1, so no line is
+    blank) and n - 1 " | ": then str.splitlines() gives the same lines, and
+    each passes the width check."""
+    hi = max(lo, len(raw) - raw.endswith(b"\n"))
+    if n * deg == 1 or d > hi - lo + 1:
+        return None
+    ends = np.empty(d, dtype=np.int64)
+    pos = lo
+    for r in range(d - 1):                 # each newline, by memchr
+        ends[r] = end = raw.find(b"\n", pos, hi)
+        if end < 0:
+            return None
+        pos = end + 1
+    ends[d - 1] = hi
+    if not _separators_ok(raw, lo, hi, d, n, deg):   # a newline too many
+        return None
+    # the d (n - 1) "|" are those of the d (n - 1) " | ", which do not
+    # overlap: each line holds n - 1 " | ", as it holds n - 1 "|"
+    if raw.count(b" | ", lo, hi) != d * (n - 1):
+        return None
+    return ends
+
+
 def parse_frame(text: str) -> Frame:
-    lines = text.splitlines()
-    if not lines:
+    raw = text.encode("utf-8", "surrogatepass")
+    # ASCII with no line break but "\n" splits at each newline, so the body
+    # can be read from the encoded text as it is
+    plain = raw.isascii() and not any(b in raw for b in _LINE_BREAKS)
+    lines = None if plain else text.splitlines()
+    if plain:
+        head_line = raw[:raw.find(b"\n") % (len(raw) + 1)].decode("ascii")
+    else:
+        head_line = lines[0] if lines else ""
+    if not text:
         raise FileFormatError("empty frame file")
-    head = lines[0].split()
+    head = head_line.split()
     if len(head) != 4 or head[0] != "FRAME":
-        raise FileFormatError(f"bad frame header: {lines[0]!r}")
+        raise FileFormatError(f"bad frame header: {head_line!r}")
     try:
         order, d, n = (int(x) for x in head[1:])
     except ValueError as exc:
-        raise FileFormatError(f"non-integer frame header: {lines[0]!r}") \
+        raise FileFormatError(f"non-integer frame header: {head_line!r}") \
             from exc
     if order < 1 or d < 1 or n < 1:
         raise FileFormatError("frame dimensions must be positive")
@@ -301,13 +340,26 @@ def parse_frame(text: str) -> Frame:
             f"order {order} needs more coefficients per entry than the "
             f"file has characters")
     deg = _totient(order)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != d:
-        raise FileFormatError(f"header promises {d} rows, file has {len(body)}")
-    for r, ln in enumerate(body):        # before allocating anything
-        width = ln.count(" | ") + 1
-        if width != n:
+    lo = len(head_line) + 1
+    ends = _plain_lines(raw, lo, d, n, deg) if plain else None
+    if ends is None:
+        # any other file is split into lines; each check, in order, names
+        # the first line or entry that fails it
+        body = [ln for ln in (lines or text.splitlines())[1:] if ln.strip()]
+        if len(body) != d:
             raise FileFormatError(
-                f"row {r} has {width} entries, expected {n}")
-    arr = _coefficients(body, n, deg).reshape(d, n, deg)
+                f"header promises {d} rows, file has {len(body)}")
+        for r, ln in enumerate(body):        # before allocating anything
+            width = ln.count(" | ") + 1
+            if width != n:
+                raise FileFormatError(
+                    f"row {r} has {width} entries, expected {n}")
+        raw = "\n".join([""] + body).encode("utf-8", "surrogatepass")
+        lo = 1
+        if not _separators_ok(raw, lo, len(raw), d, n, deg):
+            raise _first_bad_entry(raw[lo:].decode("utf-8", "surrogatepass"),
+                                   deg)
+        ends = np.cumsum([len(ln.encode("utf-8", "surrogatepass")) + 1
+                          for ln in body], dtype=np.int64)
+    arr = _coefficients(raw, lo, ends, n, deg).reshape(d, n, deg)
     return Frame(CycMatrix(order, arr, _copy=False))

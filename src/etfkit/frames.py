@@ -5,6 +5,14 @@ Certification uses the integer scaling throughout: a certificate carries the
 common squared norm s and squared coherence numerator t (coherence^2 = t/s^2)
 as exact integers, and tightness is checked as D(Phi Phi*) = N s I, so no
 rational matrices ever appear.
+
+The one certifying pass runs in evaluation space (see `cyclo`): Phi is
+evaluated once per prime, and Phi* is the same values, transposed, at the
+conjugate points.  The N column norms come first; then Phi Phi* is compared
+with (N s / D) I at the points; then G is formed a tile of rows at a time,
+each tile interpolated once and its |G|^2 formed at the points when the
+primes cover it.  The pass stops once every field of the certificate is
+fixed, and forms no N x N array.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import CycMatrix, CycScalar
+from .cyclo import (_INT64_SAFE, CycMatrix, CycScalar, _entrywise, _max_abs,
+                    _ring, _row_blocks, _scaled, _Space)
 
 __all__ = [
     "FrameError",
@@ -33,6 +42,9 @@ __all__ = [
     "TdtfReport",
     "verify_tdtf",
 ]
+
+
+_TILE_ROWS = 32   # Gram rows per tile at least: enough for BLAS speed
 
 
 class FrameError(ValueError):
@@ -89,7 +101,6 @@ class Frame:
                 f"{groups} groups do not divide {synthesis.cols} columns")
         self.synthesis = synthesis
         self.groups = groups
-        self._adjoint = None      # Phi*, kept while a certification runs
 
     @property
     def d(self) -> int:
@@ -107,22 +118,14 @@ class Frame:
         return f"Frame(D={self.d}, N={self.n}, order={self.order})"
 
 
-def _adjoint(frame: Frame) -> CycMatrix:
-    """Phi*: the one a running certification keeps, else a new one, so a
-    certification of the same frame in another thread changes no result."""
-    if frame._adjoint is None:
-        return frame.synthesis.adjoint()
-    return frame._adjoint
-
-
 def gram(frame: Frame) -> CycMatrix:
     """The exact N x N Gram matrix Phi*Phi."""
-    return _adjoint(frame) @ frame.synthesis
+    return frame.synthesis.adjoint() @ frame.synthesis
 
 
 def frame_operator(frame: Frame) -> CycMatrix:
     """The exact D x D frame operator Phi Phi*."""
-    return frame.synthesis @ _adjoint(frame)
+    return frame.synthesis @ frame.synthesis.adjoint()
 
 
 @dataclass(frozen=True)
@@ -176,118 +179,127 @@ class EtfCertificate:
         return f"not an ETF (fails: {', '.join(flags)})"
 
 
-def _offdiagonal(arr: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of an (n, n, deg) array in row-major order,
-    as an (n - 1, n, deg) view: after entry (0, 0) the entries split into
-    runs of n + 1, each ending on a diagonal entry."""
-    n, deg = arr.shape[0], arr.shape[2]
-    return arr.reshape(n * n, deg)[1:].reshape(n - 1, n + 1, deg)[:, :n]
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True of a boolean array, flattened."""
+    return int(mask.argmax()) if mask.any() else None
 
 
-def _at(entries: np.ndarray, index: int) -> np.ndarray:
-    """Entry `index`, in row-major order, of a (..., deg) array."""
-    return entries[np.unravel_index(index, entries.shape[:-1])]
-
-
-def _first_mismatch(entries: np.ndarray) -> int | None:
-    """Row-major index of the first entry of a (..., deg) array that
-    differs from the first one."""
-    differs = (entries != _at(entries, 0)).any(axis=-1)
-    return int(differs.argmax()) if differs.any() else None
-
-
-def _tight_constant(op: CycMatrix) -> int | None:
-    """c such that op = c I exactly with c a rational integer, else None."""
-    arr = op.array
-    if _offdiagonal(arr).any():
+def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
+              off: np.ndarray) -> list[np.ndarray] | None:
+    """The distinct off-diagonal Gram values so far, in order of first
+    appearance, after a row tile: `coef` holds the tile's exact
+    coefficients (d, entries) in row-major order, `off` marks its
+    off-diagonal entries.  None once there are more than two."""
+    if values is None:
         return None
-    diag = arr[np.arange(op.rows), np.arange(op.rows)]
-    if _first_mismatch(diag) is not None:
-        return None
-    return CycScalar(op.order, diag[0]).as_integer()
-
-
-def _offdiag_values(g: CycMatrix) -> tuple[CycScalar, ...] | None:
-    """The distinct off-diagonal entries of g in order of first appearance,
-    or None when there are more than two."""
-    off = _offdiagonal(g.array)
-    if not off.size:
-        return ()
-    values = [_at(off, 0)]
-    differs = (off != values[0]).any(axis=-1)
-    if differs.any():
-        values.append(_at(off, int(differs.argmax())))
-        if (differs & (off != values[1]).any(axis=-1)).any():
+    for v in values:
+        off = off & (coef != v[:, None]).any(axis=0)
+    while (new := _first(off)) is not None:
+        if len(values) == 2:
             return None
-    return tuple(CycScalar(g.order, v) for v in values)
+        values.append(coef[:, new])
+        off = off & (coef != values[-1][:, None]).any(axis=0)
+    return values
 
 
-def _witness(order: int, diag: np.ndarray, bad_norm: int | None,
-             mods: np.ndarray | None, bad_angle: int | None) -> str:
+def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
+             ref: np.ndarray | None, angle) -> str:
     """The first Gram entry, in row-major order, that breaks equal norms,
     then rational norms, then equiangularity; else the missing tightness.
-    `bad_norm` indexes the diagonal `diag`, `bad_angle` the off-diagonal
-    |G_ij|^2 `mods` (an `_offdiagonal` view) in row-major order."""
-    ref = CycScalar(order, diag[0])
+    `norms` is the Gram diagonal (d, N), `ref` the coefficients of
+    |G_01|^2 and `angle` the first off-diagonal entry (r, c, |G_rc|^2)
+    whose |.|^2 differs from it, or None."""
+    ref0 = CycScalar(order, norms[:, 0])
     if bad_norm is not None:
-        bad = CycScalar(order, diag[bad_norm]).coeffs
+        bad = CycScalar(order, norms[:, bad_norm]).coeffs
         return (f"Gram entry ({bad_norm}, {bad_norm}) = {bad} breaks equal "
-                f"norms (entry (0, 0) = {ref.coeffs})")
-    if not ref.is_rational_integer:
-        return f"Gram diagonal {ref.coeffs} is not a rational integer"
-    if bad_angle is not None:
-        # row r of the off-diagonal part skips column r
-        r, c = divmod(bad_angle, diag.shape[0] - 1)
-        c += c >= r
-        bad = CycScalar(order, _at(mods, bad_angle)).coeffs
-        return (f"Gram entry ({r}, {c}) has |.|^2 = {bad}, entry (0, 1) has "
-                f"{CycScalar(order, _at(mods, 0)).coeffs}: equiangularity "
-                f"fails")
+                f"norms (entry (0, 0) = {ref0.coeffs})")
+    if not ref0.is_rational_integer:
+        return f"Gram diagonal {ref0.coeffs} is not a rational integer"
+    if angle is not None:
+        r, c, bad = angle
+        return (f"Gram entry ({r}, {c}) has |.|^2 = "
+                f"{CycScalar(order, bad).coeffs}, entry (0, 1) has "
+                f"{CycScalar(order, ref).coeffs}: equiangularity fails")
     return "frame is equal-norm and equiangular but not tight"
 
 
-def _certify(frame: Frame) -> tuple[EtfCertificate, CycMatrix]:
-    """The one certifying pass: the certificate and the Gram it read."""
-    # one adjoint for both products, dropped before |G|^2 is formed
-    frame._adjoint = frame.synthesis.adjoint()
-    try:
-        g = gram(frame)
-        fo = frame_operator(frame)
-    finally:
-        frame._adjoint = None
+def _certify(frame: Frame) -> tuple[EtfCertificate,
+                                    tuple[CycScalar, ...] | None]:
+    """The one certifying pass: the certificate, and the distinct
+    off-diagonal Gram values (None past two)."""
+    arr = frame.synthesis.array
     d, n, order = frame.d, frame.n, frame.order
-    diag = g.array[np.arange(n), np.arange(n)]
+    ring = _ring(order)
+    deg = ring.degree
+    mag = _max_abs(arr)
+    # a coefficient of Phi* Phi (of Phi Phi*) is a sum of D deg (N deg)
+    # products of one of Phi*, at most mag conj_l1, and one of zeta^i Phi,
+    # at most mag fold_l1; N s / D is a coefficient of Phi Phi* too
+    growth = ring.conj_l1 * deg * ring.fold_l1
+    space = _Space(ring, max(d, n, deg), mag * mag * growth * max(d, n))
+    phi = space.values(arr, mag)                          # (deg, D, N)
+    bar = [space.conj(v, i) for i, v in enumerate(phi)]   # of conj(Phi)
 
-    bad_norm = _first_mismatch(diag)
-    s = (CycScalar(order, diag[0]).as_integer()
-         if bad_norm is None else None)
-    equal_norm = s is not None
+    def per_prime(op):
+        return [space.reduce(op(b, v), i)
+                for i, (b, v) in enumerate(zip(bar, phi))]
 
-    if n == 1:
-        mods, bad_angle, equiangular, t = None, None, True, None
-    else:
-        mods = _offdiagonal(g.abs_squared_entries().array)
-        bad_angle = _first_mismatch(mods)
-        t = (CycScalar(order, _at(mods, 0)).as_integer()
-             if bad_angle is None else None)
-        equiangular = t is not None
+    norms = space.exact(per_prime(lambda b, v: np.einsum("jki,jki->ji", b, v)))
+    bad_norm = _first((norms != norms[:, :1]).any(axis=0))
+    s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
+         else None)
+    c = n * s // d if s is not None and n * s % d == 0 else None
+    tight = c is not None and not any(
+        (fo - space.residue(c, i) * np.eye(d)).any() for i, fo in
+        enumerate(per_prime(lambda b, v: v @ b.transpose(0, 2, 1))))
 
-    c = _tight_constant(fo)
-    tight = c is not None and s is not None and d * c == n * s
-
-    welch = equal_norm and equiangular and tight
+    # row tiles of G in row-major order, until every field is fixed; entry
+    # (0, 1), whose |.|^2 is ref, is entry 1 of the first
+    values, ref, at, angle = [], None, None, None
+    for rows in _row_blocks(n, n * deg, _TILE_ROWS) if n > 1 else ():
+        tile = per_prime(lambda b, v: b[:, :, rows].transpose(0, 2, 1) @ v)
+        coef = space.exact(tile)                          # (deg, entries)
+        off = np.arange(rows.start * n, rows.stop * n) % (n + 1) != 0
+        values = _distinct(values, coef, off)
+        # the bound covers ref too: as row 0 held no mismatch, each row r
+        # holds G_r0 = conj(G_0r), and |G_0r|^2 = ref
+        if angle is None and space.covers(_max_abs(coef) ** 2 * growth):
+            mods = [space.reduce(g * space.conj(g, i), i).reshape(deg, -1)
+                    for i, g in enumerate(tile)]          # |G|^2 values
+            if ref is None:
+                ref = space.exact([m[:, 1] for m in mods])[:, 0]
+            at = at or space.values(ref[None], _max_abs(ref))
+            bad = _first(off & np.any([(m != r).any(axis=0)
+                                       for m, r in zip(mods, at)], axis=0))
+            if bad is not None:
+                angle = (rows.start + bad // n, bad % n,
+                         space.exact([m[:, bad] for m in mods])[:, 0])
+        elif angle is None:
+            mods = _entrywise(coef.T, None, ring)         # (entries, deg)
+            ref = mods[1] if ref is None else ref
+            bad = _first(off & (mods != ref).any(axis=1))
+            if bad is not None:
+                angle = (rows.start + bad // n, bad % n, mods[bad])
+        if angle is not None and values is None:
+            break
+    t = (int(ref[0]) if ref is not None and angle is None
+         and not ref[1:].any() else None)
+    equiangular = n == 1 or t is not None
+    welch = s is not None and equiangular and tight
     # Welch equality forces this integer identity; a failure is a bug
     if welch and n > d and s * s * (n - d) != t * d * (n - 1):
         raise AssertionError(
             "certified ETF violates the Welch equality identity")
 
-    witness = None if welch else _witness(order, diag, bad_norm, mods,
-                                          bad_angle)
-    values = None if welch else _offdiag_values(g)
+    values = (None if values is None
+              else tuple(CycScalar(order, v) for v in values))
+    witness = None if welch else _witness(order, norms, bad_norm, ref, angle)
     a = Fraction(n * s, d) if s is not None else None
-    cert = EtfCertificate(d, n, s, t, a, equal_norm, equiangular, tight,
-                          welch, witness, values, frame.synthesis)
-    return cert, g
+    cert = EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
+                          welch, witness, None if welch else values,
+                          frame.synthesis)
+    return cert, values
 
 
 def verify_etf(frame: Frame) -> EtfCertificate:
@@ -354,10 +366,19 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
         raise FrameError("Gram matrix must be square")
     frac = Fraction(a)
     num, den = frac.numerator, frac.denominator
-    comp = (CycMatrix.identity(g.rows, g.order).scalar_mul(num)
-            - g.scalar_mul(den))
-    input_tight = (g @ g).scalar_mul(den) == g.scalar_mul(num)
-    return NaimarkResult(comp, den, input_tight, input_tight)
+    n, arr = g.rows, g.array
+    # -den G is the one N x N array formed here; num goes on its diagonal
+    comp = _scaled(arr, -den)
+    if comp.dtype != object and abs(num) >= _INT64_SAFE:
+        comp = comp.astype(object)
+    comp[np.arange(n), np.arange(n), 0] += num
+    # den G G = num G, compared a block of rows at a time
+    gg = (g @ g).array
+    input_tight = all(
+        np.array_equal(_scaled(gg[rows], den), _scaled(arr[rows], num))
+        for rows in _row_blocks(n, n * arr.shape[2]))
+    return NaimarkResult(CycMatrix(g.order, comp, _copy=False), den,
+                         input_tight, input_tight)
 
 
 @dataclass(frozen=True)
@@ -388,5 +409,5 @@ def verify_tdtf(frame: Frame) -> TdtfReport:
     `tight` is the certificate's: Phi Phi* = (N s / D) I for the common
     squared norm s, so a frame with unequal norms is not a TDTF.
     """
-    cert, g = _certify(frame)
-    return cert.tdtf or _tdtf_report(cert.tight, _offdiag_values(g))
+    cert, values = _certify(frame)
+    return _tdtf_report(cert.tight, values)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import sympy
 
+from etfkit import cyclo
 from etfkit.cyclo import (
     CycMatrix,
     CycScalar,
@@ -119,6 +120,22 @@ def test_cyclotomic_30030_is_fast():
     # Phi_30030(x) = Phi_15015(-x), the odd part of 30030 being 15015
     assert phi == tuple((-1) ** i * c
                         for i, c in enumerate(cyclotomic_polynomial(15015)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 30, 42,
+                               105, 210, 331, 1155, 2003])
+def test_points_invert_the_vandermonde_matrix(n):
+    # V^-1 V = I mod p on the first two primes of the ladder of width d:
+    # row j of V^-1 is the dual basis element of point j, built a block of
+    # Hankel rows at a time
+    ring = cyclo._ring(n)
+    d = ring.degree
+    primes = ring.primes(d, 2**80)[:2]
+    assert len(primes) == 2
+    for p in primes:
+        pts = cyclo._points(n, p)
+        got = cyclo._reduce(pts.vinv.T @ pts.v.T, p)
+        assert np.array_equal(got, np.eye(d))
 
 
 def test_cyclotomic_rejects_nonpositive():

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from etfkit import cyclo, frames
 from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
 from etfkit.frames import (
     EtfType,
@@ -17,7 +19,7 @@ from etfkit.frames import (
     naimark_gram,
     verify_etf,
     verify_tdtf,
-    _offdiag_values,
+    _distinct,
 )
 from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
@@ -74,15 +76,16 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
 
     monkeypatch.setattr(CycMatrix, "abs_squared_entries", counted)
     cert = verify_etf(frame)
-    assert shapes == [(4, 4)]                   # |G|^2 only
+    assert shapes == []                 # |G|^2 is formed at the points
     assert cert.flat and cert.centered
-    assert shapes == [(4, 4), (3, 4)]           # then |Phi|^2, once
+    assert shapes == [(3, 4)]           # then |Phi|^2, once
     assert cert.flat
-    assert len(shapes) == 2
+    assert len(shapes) == 1
 
 
 @pytest.mark.parametrize("h", [fourier(3), sylvester(2)])   # d = 2 and 1
-def test_certification_forms_one_adjoint_and_keeps_none(monkeypatch, h):
+def test_certification_forms_no_adjoint(monkeypatch, h):
+    # Phi*'s values are Phi's, transposed, at the conjugate points
     frame = Frame(simplex_from_hadamard(h).mat)
     calls = []
     real = CycMatrix.adjoint
@@ -93,9 +96,10 @@ def test_certification_forms_one_adjoint_and_keeps_none(monkeypatch, h):
 
     monkeypatch.setattr(CycMatrix, "adjoint", counted)
     assert verify_etf(frame).welch_equality
-    assert calls == [frame.synthesis.shape]   # for both products
+    verify_tdtf(frame)
+    assert calls == []
     gram(frame)
-    assert len(calls) == 2             # none was kept past the certification
+    assert calls == [frame.synthesis.shape]
 
 
 def test_verify_etf_two_equal_columns():
@@ -206,6 +210,18 @@ def test_naimark_fractional_constant():
     assert res.complement.entry(0, 0) == 1
 
 
+def test_naimark_fractional_constant_scales_the_gram():
+    # A = 3/2: G' = 3 I - 2 G, and 2 G G = 3 G fails for this G
+    m = CycMatrix.from_scalars([[CycScalar.one(3), root_of_unity(3, 1)],
+                                [root_of_unity(3, 2), CycScalar.one(3)]])
+    g = gram(Frame(m))
+    res = naimark_gram(g, Fraction(3, 2))
+    assert res.denominator == 2 and not res.input_tight
+    want = CycMatrix.identity(2, 3).scalar_mul(3) - g.scalar_mul(2)
+    assert res.complement == want
+    assert res.complement.array.dtype == want.array.dtype
+
+
 def test_naimark_not_tight_input():
     # columns (1,0), (0,1), (1,1): not a tight frame, G^2 != A G for any A
     m = CycMatrix.from_int_matrix([[1, 0, 1], [0, 1, 1]])
@@ -265,10 +281,26 @@ def test_frame_operator_shape():
     assert frame_operator(f).shape == (4, 4)
 
 
+def offdiag_values(g: CycMatrix, rows: int):
+    """The distinct off-diagonal values of a Gram matrix, read in row tiles
+    of `rows` rows as the certifying pass reads them."""
+    arr, n = g.array, g.rows
+    values = []
+    for r0 in range(0, n, rows):
+        tile = arr[r0:r0 + rows]
+        off = np.ones(tile.shape[:2], dtype=bool)
+        off[np.arange(tile.shape[0]), np.arange(r0, r0 + tile.shape[0])] = 0
+        values = _distinct(values, tile.reshape(-1, arr.shape[2]).T,
+                           off.reshape(-1))
+    return (None if values is None
+            else tuple(CycScalar(g.order, v) for v in values))
+
+
 def test_offdiag_values_reads_the_distinct_values_in_order():
     # a 4x4 Gram over Z[zeta_3]: every off-diagonal entry is u, then v takes
     # (1, 0) and w the last off-diagonal entry, (3, 2); the diagonal holds
-    # other values, which are never read
+    # other values, which are never read.  Tiles of every height give the
+    # same values
     u, v, w = (1, 0), (0, 1), (-1, -1)
 
     def gram_with(cells):
@@ -279,12 +311,422 @@ def test_offdiag_values_reads_the_distinct_values_in_order():
             arr[i, j] = value
         return CycMatrix(3, arr)
 
-    assert _offdiag_values(gram_with({})) == (CycScalar(3, u),)
-    assert _offdiag_values(gram_with({(1, 0): v, (2, 3): v})) == (
-        CycScalar(3, u), CycScalar(3, v))
-    assert _offdiag_values(gram_with({(1, 0): v, (3, 2): w})) is None
-    # the first value comes from entry (0, 1), the second from the first
-    # entry that differs from it
-    assert _offdiag_values(gram_with({(0, 1): v, (3, 2): v})) == (
-        CycScalar(3, v), CycScalar(3, u))
-    assert _offdiag_values(CycMatrix.identity(1, 3)) == ()
+    for rows in range(1, 5):
+        assert offdiag_values(gram_with({}), rows) == (CycScalar(3, u),)
+        assert offdiag_values(gram_with({(1, 0): v, (2, 3): v}), rows) == (
+            CycScalar(3, u), CycScalar(3, v))
+        assert offdiag_values(gram_with({(1, 0): v, (3, 2): w}),
+                              rows) is None
+        # the first value comes from entry (0, 1), the second from the
+        # first entry that differs from it
+        assert offdiag_values(gram_with({(0, 1): v, (3, 2): v}), rows) == (
+            CycScalar(3, v), CycScalar(3, u))
+        # two new values in one row
+        assert offdiag_values(gram_with({(0, 2): v, (0, 3): w}),
+                              rows) is None
+        assert offdiag_values(CycMatrix.identity(1, 3), rows) == ()
+
+
+# ---------------------------------------------------------------------------
+# the certifying pass against the whole Gram matrix
+#
+# The oracle is the certifier that forms the whole N x N Gram matrix, |G|^2
+# and the frame operator, and reads every field off them: the pass must give
+# the same certificate, field by field, whatever its tiles and primes.
+
+
+def whole_gram_certificate(order, d, n, g, mods, fo) -> dict:
+    """Every field of the certificate of a frame with Gram coefficients g,
+    their |.|^2 mods (both (N, N, deg)) and frame operator fo (D, D, deg)."""
+    def scalar(v):
+        return CycScalar(order, [int(x) for x in v])
+
+    diag = [scalar(g[i, i]) for i in range(n)]
+    bad_norm = next((i for i in range(n) if diag[i] != diag[0]), None)
+    s = diag[0].as_integer() if bad_norm is None else None
+    off = ~np.eye(n, dtype=bool)
+    t, bad = None, None
+    if n > 1:
+        differs = np.argwhere((mods != mods[0, 1]).any(axis=2) & off)
+        bad = tuple(int(x) for x in differs[0]) if len(differs) else None
+        t = scalar(mods[0, 1]).as_integer() if bad is None else None
+    equiangular = n == 1 or t is not None
+    c = scalar(fo[0, 0]).as_integer()
+    scalar_fo = np.zeros_like(fo)
+    scalar_fo[np.arange(d), np.arange(d), 0] = c if c is not None else 0
+    tight = (c is not None and s is not None and d * c == n * s
+             and np.array_equal(fo, scalar_fo))
+    welch = s is not None and equiangular and tight
+    # the distinct off-diagonal values, in row-major order of appearance
+    values = []
+    for i, j in np.argwhere(off):
+        if all(not np.array_equal(g[i, j], v) for v in values):
+            values.append(g[i, j])
+            if len(values) == 3:
+                break
+    values = (None if len(values) == 3
+              else tuple(scalar(v).coeffs for v in values))
+    if welch:
+        witness = None
+    elif bad_norm is not None:
+        witness = (f"Gram entry ({bad_norm}, {bad_norm}) = "
+                   f"{diag[bad_norm].coeffs} breaks equal norms (entry "
+                   f"(0, 0) = {diag[0].coeffs})")
+    elif not diag[0].is_rational_integer:
+        witness = f"Gram diagonal {diag[0].coeffs} is not a rational integer"
+    elif bad is not None:
+        witness = (f"Gram entry {bad} has |.|^2 = "
+                   f"{scalar(mods[bad]).coeffs}, entry (0, 1) has "
+                   f"{scalar(mods[0, 1]).coeffs}: equiangularity fails")
+    else:
+        witness = "frame is equal-norm and equiangular but not tight"
+    two = values is not None
+    return {"s": s, "t": t, "a": Fraction(n * s, d) if s is not None else None,
+            "equal_norm": s is not None, "equiangular": equiangular,
+            "tight": tight, "welch_equality": welch, "witness": witness,
+            "tdtf_values": None if welch else values,
+            "tdtf": None if welch else (tight, two, values if two else (),
+                                        tight and two),
+            "verify_tdtf": (tight, two, values if two else (), tight and two)}
+
+
+def pass_certificate(frame) -> dict:
+    cert = verify_etf(frame)
+
+    def coeffs(vals):
+        return None if vals is None else tuple(v.coeffs for v in vals)
+
+    def report(rep):
+        return None if rep is None else (rep.tight, rep.two_distance,
+                                         coeffs(rep.values), rep.ok)
+
+    return {"s": cert.s, "t": cert.t, "a": cert.a,
+            "equal_norm": cert.equal_norm, "equiangular": cert.equiangular,
+            "tight": cert.tight, "welch_equality": cert.welch_equality,
+            "witness": cert.witness, "tdtf_values": coeffs(cert.tdtf_values),
+            "tdtf": report(cert.tdtf), "verify_tdtf": report(verify_tdtf(frame))}
+
+
+def whole_gram_oracle(frame) -> dict:
+    g = gram(frame)
+    return whole_gram_certificate(frame.order, frame.d, frame.n, g.array,
+                                  g.abs_squared_entries().array,
+                                  frame_operator(frame).array)
+
+
+def python_int_oracle(frame) -> dict:
+    """The same fields from a Gram matrix and frame operator summed in the
+    pure-Python CycScalar ring."""
+    syn, order = frame.synthesis, frame.order
+    phi = [[syn.entry(k, i) for i in range(frame.n)] for k in range(frame.d)]
+    zero = CycScalar.zero(order)
+
+    def table(rows):
+        return np.array([[list(x.coeffs) for x in row] for row in rows],
+                        dtype=object)
+
+    g = [[sum((phi[k][i].conjugate() * phi[k][j] for k in range(frame.d)),
+              zero) for j in range(frame.n)] for i in range(frame.n)]
+    fo = [[sum((phi[k][i] * phi[l][i].conjugate() for i in range(frame.n)),
+               zero) for l in range(frame.d)] for k in range(frame.d)]
+    mods = [[x.abs_squared() for x in row] for row in g]
+    return whole_gram_certificate(order, frame.d, frame.n, table(g),
+                                  table(mods), table(fo))
+
+
+@pytest.fixture
+def tiles(monkeypatch):
+    """Set the height of the pass's Gram row tiles; None keeps the
+    kernel's blocks."""
+    real = frames._row_blocks
+
+    def height(h):
+        monkeypatch.setattr(frames, "_row_blocks", real if h is None else (
+            lambda rows, per_row, least: (slice(i, min(i + h, rows))
+                                          for i in range(0, rows, h))))
+    return height
+
+
+def rooted(frame, rng) -> Frame:
+    """The frame with each column times a random root of unity: the same
+    Gram moduli, other coefficients."""
+    n, order = frame.n, frame.order
+    roots = CycMatrix.from_scalars(
+        [[root_of_unity(order, int(rng.integers(order))) for _ in range(n)]])
+    syn = frame.synthesis.entrywise_mul(
+        CycMatrix.vstack([roots] * frame.d))
+    return Frame(syn)
+
+
+def corrupted(frame, cells, how) -> Frame:
+    arr = frame.synthesis.array.astype(object)
+    for r, c in cells:
+        arr[r, c] = how(arr[r, c])
+    return Frame(CycMatrix(frame.order, arr))
+
+
+def pair_frame(order, n, pairs) -> Frame:
+    """Columns e_2j + e_2j+1 in dimension 2N, norms 2, orthogonal; column
+    j of each (j, i) in `pairs` takes e_2i in place of e_2j: G_ij = 1."""
+    arr = np.zeros((2 * n, n, cyclo._ring(order).degree), dtype=np.int64)
+    for j in range(n):
+        arr[2 * j, j, 0] = arr[2 * j + 1, j, 0] = 1
+    for j, i in pairs:
+        arr[2 * j, j, 0] = 0
+        arr[2 * i, j, 0] = 1
+    return Frame(CycMatrix(order, arr))
+
+
+DIFF_ORDERS = [1, 2, 3, 4, 5, 7, 8, 10, 12, 30]
+
+
+def simplex_over(order) -> Frame:
+    """A simplex ETF over Z[zeta_order]: Fourier for order >= 3, else
+    Sylvester's over Z."""
+    if order <= 2:
+        arr = simplex_from_hadamard(sylvester(3)).mat.array
+        return Frame(CycMatrix(order, arr))
+    return simplex_frame(order)
+
+
+@pytest.mark.parametrize("order", DIFF_ORDERS)
+@pytest.mark.parametrize("height", [None, 1, 2, 5])
+def test_pass_matches_the_whole_gram_on_random_frames(order, height, tiles):
+    tiles(height)
+    rng = np.random.default_rng(order * 10 + (height or 0))
+    deg = cyclo._ring(order).degree
+    for mag in (1, 2, 5, 2**20, 2**40):
+        for _ in range(4):
+            d, n = (int(x) for x in rng.integers(1, 6, size=2))
+            arr = rng.integers(-mag, mag + 1, size=(d, n, deg))
+            arr[0, :, 0] = np.where(arr[0, :, 0] == 0, 1, arr[0, :, 0])
+            frame = Frame(CycMatrix(order, arr))
+            assert pass_certificate(frame) == whole_gram_oracle(frame)
+
+
+@pytest.mark.parametrize("order", DIFF_ORDERS)
+@pytest.mark.parametrize("height", [None, 1, 3])
+def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles):
+    tiles(height)
+    rng = np.random.default_rng(order)
+    etf = simplex_over(order)
+    d, n = etf.d, etf.n
+    frames_ = [etf, rooted(etf, rng)]
+    for cells in ([(0, 2)], [(d - 1, n - 1)], [(d // 2, n // 2)],
+                  [(0, 0), (d - 1, n - 1)]):
+        frames_.append(corrupted(etf, cells, lambda x: 2 * x))    # doubled
+        frames_.append(corrupted(etf, cells, lambda x: -x))       # negated
+    for frame in frames_:
+        assert pass_certificate(frame) == whole_gram_oracle(frame)
+    assert pass_certificate(etf)["welch_equality"]
+
+
+@pytest.mark.parametrize("order", [1, 3, 10])
+@pytest.mark.parametrize("height", [None, 1, 2])
+def test_pass_finds_the_witness_in_the_first_and_the_last_tile(order, height,
+                                                              tiles):
+    tiles(height)
+    n = 8
+    first = pair_frame(order, n, [(1, 0)])          # G_01 = 1, others 0
+    last = pair_frame(order, n, [(n - 1, n - 2)])   # only G_67 = 1
+    for frame, witness in (
+            (first, "Gram entry (0, 2) has |.|^2 = "),
+            (last, f"Gram entry ({n - 2}, {n - 1}) has |.|^2 = ")):
+        got = pass_certificate(frame)
+        assert got == whole_gram_oracle(frame)
+        assert got["witness"].startswith(witness)
+        assert got["tdtf_values"] is not None and len(got["tdtf_values"]) == 2
+
+
+def test_pass_matches_the_whole_gram_on_an_equiangular_frame_not_tight():
+    for order in (1, 3, 8):
+        one = CycScalar.one(order)
+        two = CycScalar.from_int(2, order)
+        frame = Frame(CycMatrix.from_scalars([[one, two], [two, one]]))
+        got = pass_certificate(frame)
+        assert got == whole_gram_oracle(frame)
+        assert got["equiangular"] and not got["tight"]
+        assert got["witness"] == ("frame is equal-norm and equiangular but "
+                                  "not tight")
+
+
+def test_pass_matches_the_whole_gram_on_a_tdtf():
+    from etfkit.constructions import mols_tdtf
+    from etfkit.designs import gf_build, mols_from_field, td_from_mols
+    td = td_from_mols(mols_from_field(gf_build(2, 2)), 3)
+    frame, _ = mols_tdtf(td, sylvester(2), "centered")
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame)
+    assert got["verify_tdtf"][3] and not got["welch_equality"]
+
+
+def test_pass_matches_the_whole_gram_across_many_tiles(tmp_path, tiles):
+    # ETF(88, 320) over Z[zeta_10]: 32-row tiles, ten of them; a witness in
+    # row 0, one found only past the first tile, and the frame itself
+    from etfkit.cli import main
+    from etfkit.fileio import parse_frame
+
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in (("design", "affine", "2", "-o", path("affine-2.design")),
+                 ("design", "td", "4", "8", "-o", path("td-4-8.design")),
+                 ("build", "steiner", "--bibd", path("affine-2.design"),
+                  "--hadamard", "sylvester:2", "-o", path("seed-6.frame")),
+                 ("build", "gdd-etf", "--seed", path("seed-6.frame"),
+                  "--gdd", path("td-4-8.design"), "--he", "sylvester:1",
+                  "--hf", "fourier:5", "-o", path("gdd-88.frame"))):
+        assert main(list(argv)) == 0
+    etf = parse_frame((tmp_path / "gdd-88.frame").read_text())
+    tiles(None)
+    assert len(list(frames._row_blocks(etf.n, etf.n * 4, frames._TILE_ROWS))
+               ) == 10
+    d, n = etf.d, etf.n
+    cases = [etf, corrupted(etf, [(0, 2)], lambda x: -x),
+             corrupted(etf, [(d - 1, n - 1)], lambda x: -x),
+             corrupted(etf, [(d - 1, n - 1)], lambda x: 2 * x)]
+    # a row of the synthesis whose first column is past the first tile:
+    # negating its last entry moves |G|^2 only in rows past it
+    used = etf.synthesis.array.any(axis=-1)
+    k = next(k for k in range(d) if np.flatnonzero(used[k])[0] >= 32)
+    late = corrupted(etf, [(k, int(np.flatnonzero(used[k])[-1]))],
+                     lambda x: -x)
+    cases.append(late)
+    for frame in cases:
+        assert pass_certificate(frame) == whole_gram_oracle(frame)
+    row = int(pass_certificate(late)["witness"].split("(")[1].split(",")[0])
+    assert row >= 32
+
+
+# ---------------------------------------------------------------------------
+# the pass's bounds at their edges
+#
+# The pass runs modulo the fewest primes of the ladder of width max(D, N, d)
+# whose product P exceeds twice its bound, m^2 conj_l1 d fold_l1 max(D, N)
+# for m = max|Phi|: the Gram's at D >= N, the frame operator's at N >= D.
+# At d = 1 below 2^53 it runs on the float64 coefficients, with no prime.
+# A row tile's |G|^2 is formed at the points when P (or 2^53) covers
+# max|G|^2 conj_l1 d fold_l1, else by _entrywise from its coefficients.
+# Each is run at the largest bound the primes cover and one step above,
+# against the Python-int oracle.
+
+
+def prime_steps(ring, width: int) -> list[int]:
+    """The first two bounds at which the pass's prime count steps up."""
+    out, whole = [2**53] if ring.degree == 1 else [], 1
+    for p in ring.primes(width, 2**200):
+        whole *= p
+        if (whole + 1) // 2 > (out[-1] if out else 0):
+            out.append((whole + 1) // 2)
+        if len(out) == 2:
+            return out
+
+
+def expected_primes(ring, width: int, bound: int) -> int:
+    if ring.degree == 1 and bound < 2**53:
+        return 0
+    count, whole = 0, 1
+    for p in ring.primes(width, 2**200):
+        if whole > 2 * bound:
+            return count
+        whole *= p
+        count += 1
+
+
+def worst_frame(order: int, d: int, n: int, mag: int, sign) -> Frame:
+    """Every coefficient +-mag, coefficient (r, c, i) of sign sign(r, c, i)."""
+    deg = cyclo._ring(order).degree
+    arr = np.array([[[sign(r, c, i) * mag for i in range(deg)]
+                     for c in range(n)] for r in range(d)], dtype=object)
+    return Frame(CycMatrix(order, arr))
+
+
+SIGNS = [lambda r, c, i: 1, lambda r, c, i: -1 if (r + c + i) % 3 == 1 else 1]
+
+
+def check_pass_bound(kernel_paths, order, d, n):
+    ring = cyclo._ring(order)
+    width = max(d, n, ring.degree)
+    const = ring.conj_l1 * ring.degree * ring.fold_l1 * max(d, n)
+    for step in prime_steps(ring, width):
+        below = isqrt((step - 1) // const)
+        for mag in (below, below + 1):
+            bound = mag * mag * const
+            assert (bound >= step) == (mag > below)
+            for sign in SIGNS:
+                frame = worst_frame(order, d, n, mag, sign)
+                with kernel_paths() as seen:
+                    verify_etf(frame)
+                assert seen[0] == expected_primes(ring, width, bound)
+                assert pass_certificate(frame) == python_int_oracle(frame)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+def test_gram_bound_at_each_prime_step(kernel_paths, order):
+    check_pass_bound(kernel_paths, order, 3, 2)         # D > N
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+def test_frame_operator_bound_at_each_prime_step(kernel_paths, order):
+    check_pass_bound(kernel_paths, order, 2, 3)         # N > D
+
+
+def squares(x: int, parts: int) -> list[int]:
+    """Greedy: integers whose squares sum to x."""
+    out = []
+    while x:
+        out.append(isqrt(x))
+        x -= out[-1] ** 2
+    assert len(out) <= parts
+    return out + [0] * (parts - len(out))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
+                                                            order):
+    # column 0 has squared norm x = max|G|, so the tile's |G|^2 bound is
+    # x^2 conj_l1 d fold_l1; the pass's own bound stays below one prime
+    # (2^53 at d = 1).  At the largest x it covers |G|^2 is formed at the
+    # points; at x + 1 by _entrywise, one more kernel call
+    ring = cyclo._ring(order)
+    d, n = 10, 3
+    width = max(d, n, ring.degree)
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    step = prime_steps(ring, width)[0]
+    top = isqrt((step - 1) // growth)
+    for x, calls in ((top, 1), (top + 1, 2)):
+        arr = np.zeros((d, n, ring.degree), dtype=np.int64)
+        arr[:, 0, 0] = squares(x, d)
+        arr[0, 1, 0] = arr[1, 2, 0] = 1
+        frame = Frame(CycMatrix(order, arr))
+        assert gram(frame).array.max() == x
+        with kernel_paths() as seen:
+            verify_etf(frame)
+        assert len(seen) == calls
+        assert seen[0] == expected_primes(ring, width, _pass_bound(frame))
+        assert pass_certificate(frame) == python_int_oracle(frame)
+
+
+def _pass_bound(frame) -> int:
+    ring = cyclo._ring(frame.order)
+    mag = int(np.abs(frame.synthesis.array).max())
+    return (mag * mag * ring.conj_l1 * ring.degree * ring.fold_l1
+            * max(frame.d, frame.n))
+
+
+@pytest.mark.parametrize("order, n", [(2, 2000), (5, 1000)])
+def test_certification_forms_no_whole_gram_matrix(order, n):
+    # every column (1, 1): equal norms, equiangular, so every tile is read;
+    # the N x N Gram's coefficients alone would take n^2 deg 8 bytes
+    import tracemalloc
+    deg = cyclo._ring(order).degree
+    frame = Frame(CycMatrix.ones(2, n, order))
+    verify_etf(frame)
+    tracemalloc.start()
+    try:
+        cert = verify_etf(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.equiangular and cert.t == 4 and not cert.tight
+    assert peak < n * n * deg * 8 / 4
