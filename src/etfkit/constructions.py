@@ -94,19 +94,16 @@ def steiner_etf(bibd: GroupDivisibleDesign,
             f"need a BIBD (group size 1), got group size {bibd.M}")
     r = bibd.R
     _require_dephased(h, r + 1, "Hadamard matrix")
-    ops = embedding_operators(bibd)
+    sup = embedding_operators(bibd).supports[:, 0, :]      # (V, R)
     tails = simplex_from_hadamard(h).mat    # R x (R+1)
-    order = tails.order
     tail_arr = tails.array
-    v_count, b_count = bibd.U, bibd.B
-    deg = tail_arr.shape[2]
-    arr = np.zeros((b_count, v_count * (r + 1), deg), dtype=tail_arr.dtype)
-    for v in range(v_count):
-        sup = ops.support(v, 0)
-        base = v * (r + 1)
-        for slot, block in enumerate(sup):
-            arr[block, base:base + r + 1, :] = tail_arr[slot, :, :]
-    frame = Frame(CycMatrix(order, arr, _copy=False), groups=v_count)
+    v_count = bibd.U
+    arr = np.zeros((bibd.B, v_count * (r + 1), tail_arr.shape[2]),
+                   dtype=tail_arr.dtype)
+    # row slot of vertex v's columns goes to the slot-th block through v
+    cols = np.arange(v_count * (r + 1)).reshape(v_count, 1, r + 1)
+    arr[sup[:, :, None], cols] = tail_arr
+    frame = Frame(CycMatrix(tails.order, arr, _copy=False), groups=v_count)
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == r and cert.t == 1):
         raise ConstructionError(f"Steiner certification failed: {cert}")
@@ -271,35 +268,26 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     _require_dephased(h_e, plan.hadamard_e_size, "inner Hadamard matrix")
     _require_dephased(h_f, plan.hadamard_f_size, "outer Hadamard matrix")
 
-    ops = embedding_operators(gdd)
+    sup = embedding_operators(gdd).supports                # (U, M, R)
     u_count, m_count, se, w = gdd.U, plan.m, s + ell, plan.w
     order = CycMatrix.common_order(seed.synthesis, h_e.mat, h_f.mat)
     seed_arr = seed.synthesis.lift_to_order(order).array
     e_mat = h_e.mat.lift_to_order(order)
     f_tails = simplex_from_hadamard(h_f).mat.lift_to_order(order)
-    deg = seed_arr.shape[2]
 
-    # R-dimensional payload vectors e_i (x) f_j, one per column pair (i, j)
-    payload = [[e_mat.submatrix(slice(None), slice(i, i + 1))
-                .kron(f_tails.submatrix(slice(None), slice(j, j + 1)))
-                .array[:, 0, :]
-                for j in range(w + 1)] for i in range(se)]
-
-    top = u_count * d
-    dtype = np.result_type(seed_arr, *{v.dtype for row in payload for v in row})
-    arr = np.zeros((plan.d_out, plan.n_out, deg), dtype=dtype)
-    col = 0
-    for u in range(u_count):
-        for m in range(m_count):
-            sup = ops.support(u, m)
-            for i in range(se):
-                seed_col = seed_arr[:, m * se + i, :]
-                for j in range(w + 1):
-                    arr[u * d:(u + 1) * d, col, :] = seed_col
-                    vec = payload[i][j]
-                    for slot, block in enumerate(sup):
-                        arr[top + block, col, :] = vec[slot]
-                    col += 1
+    # column i (W+1) + j of E (x) F is the R-dimensional payload e_i (x) f_j
+    payload = e_mat.kron(f_tails).array
+    top, per = u_count * d, se * (w + 1)
+    arr = np.zeros((plan.d_out, plan.n_out, seed_arr.shape[2]),
+                   dtype=np.result_type(seed_arr, payload))
+    # column ((u M + m) S+L + i) (W+1) + j holds seed column (m, i) in
+    # dimension block u, and the payload (i, j) on the blocks through (u, m)
+    diag = arr[:top].reshape(u_count, d, u_count, m_count * per, -1)
+    diag[np.arange(u_count), :, np.arange(u_count)] = np.repeat(
+        seed_arr[:, :m_count * se], w + 1, axis=1)
+    cols = np.arange(u_count * m_count * per).reshape(u_count, m_count, 1,
+                                                      per)
+    arr[top + sup[..., None], cols] = payload
     frame = Frame(CycMatrix(order, arr, _copy=False),
                   groups=u_count * m_count)
     cert = verify_etf(frame)

@@ -291,9 +291,16 @@ def _points(n: int, p: int) -> _Points:
         step *= 2
     exps = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     centred = _reduce(table.astype(np.float64), p)
+    # row i of V is r^i: rows [s, 2s) are rows [0, s) times r^s, in place
     v = np.empty((d, d))
-    for rows in _row_blocks(d, d):
-        v[rows] = centred[np.outer(np.arange(d)[rows], exps) % n]
+    v[0] = 1
+    s = 1
+    while s < d:
+        top = min(2 * s, d)
+        np.multiply(v[:top - s], _reduce(v[s - 1] * centred[exps], p),
+                    out=v[s:top])
+        _reduce(v[s:top], p)
+        s = top
     # Phi_n / (x - r) for every root r at once, row i of dual holding its
     # coefficient i: q_i(r) = sum over k > i of phi_k r^(k - 1 - i), that is
     # q_i = sum over m < top - i of phi_(i + 1 + m) r^m + r^(top - i) q_top

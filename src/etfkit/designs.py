@@ -1,17 +1,18 @@
 """Combinatorial designs: finite fields, MOLS, transversal designs, BIBDs,
 uniform group divisible designs, and their combinators.
 
-A K-GDD of type M^U is stored as an ordered list of sorted K-subsets of
-{0, ..., UM-1} under group-major vertex labeling (group u occupies
-[u*M, (u+1)*M)).  `verify_gdd` certifies the defining incidence identities
-exactly over the integers; the construction routines here are trusted only
-insofar as their outputs pass that check.
+A K-GDD of type M^U is stored as one read-only (B, K) int64 array of
+blocks, each row a sorted K-subset of {0, ..., UM-1} under group-major
+vertex labeling (group u occupies [u*M, (u+1)*M)).  Fields, squares and
+blocks are built as whole arrays, never a block or an element at a time.
+`verify_gdd` certifies the defining incidence identities exactly over the
+integers; the construction routines here are trusted only insofar as their
+outputs pass that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -71,6 +72,23 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
 # finite fields
 
 
+def _digits(v: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of v, least significant first."""
+    return tuple(v // p**i % p for i in range(k))
+
+
+def _poly_mod(num, den, p: int) -> list[int]:
+    """num mod the monic den over GF(p), little-endian."""
+    rem = [c % p for c in num]
+    dd = len(den) - 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(dd + 1):
+                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
+    return rem[:dd]
+
+
 class FiniteField:
     """GF(p^k) with elements indexed 0..q-1.
 
@@ -96,91 +114,47 @@ class FiniteField:
         self._build_tables()
         self._spot_check()
 
-    # -- element encoding ---------------------------------------------------
-
-    def coeffs(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def _index(self, coeffs) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
-
     # -- construction ---------------------------------------------------------
 
     def _find_irreducible(self) -> tuple[int, ...]:
+        """The first monic degree-k polynomial, by its low coefficients in
+        ascending order, with no monic factor of degree 1..k//2."""
         p, k = self.p, self.k
         if k == 1:
             return (0, 1)   # the polynomial x; arithmetic is plain mod p
+        factors = [_digits(v, p, deg) + (1,) for deg in range(1, k // 2 + 1)
+                   for v in range(p**deg)]
         for low in range(p**k):
-            cand = self.coeffs(low) + (1,)
-            if self._is_irreducible(cand):
+            cand = _digits(low, p, k) + (1,)
+            if all(any(_poly_mod(cand, f, p)) for f in factors):
                 return cand
         raise AssertionError("no irreducible polynomial found")
 
-    def _is_irreducible(self, poly) -> bool:
-        p = self.p
-        k = len(poly) - 1
-        for x in range(p):
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        # trial division by every monic polynomial of degree 2..k//2
-        for deg in range(2, k // 2 + 1):
-            for low in range(p**deg):
-                div = []
-                v = low
-                for _ in range(deg):
-                    div.append(v % p)
-                    v //= p
-                div.append(1)
-                if not any(self._poly_mod(poly, div)):
-                    return False
-        return True
-
-    def _poly_mod(self, num, den) -> list[int]:
-        p = self.p
-        rem = [c % p for c in num]
-        dd = len(den) - 1
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(dd + 1):
-                    rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-        return rem[:dd]
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._index(self._poly_mod(prod, self.irreducible))
-
     def _build_tables(self):
-        q, p = self.q, self.p
+        """Tables over the (q, k) digits, one q x q temporary at a time:
+        digit i of a*b sums a_j times digit i of x^j b, and x^(j+1) b is
+        x^j b shifted up, x^k folded back by the irreducible."""
+        q, p, k = self.q, self.p, self.k
+        place = p ** np.arange(k, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+        head = np.array(self.irreducible[:-1], dtype=np.int64)
+        shifted = [digits]                          # x^j b for every b
+        for _ in range(1, k):
+            prev = shifted[-1]
+            up = np.roll(prev, 1, axis=1)
+            up[:, 0] = 0
+            shifted.append((up - prev[:, -1:] * head) % p)
         add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            ca = self.coeffs(a)
-            for b in range(a, q):
-                cb = self.coeffs(b)
-                s = self._index(tuple((x + y) % p for x, y in zip(ca, cb)))
-                add[a, b] = add[b, a] = s
-                m = self._raw_mul(a, b)
-                mul[a, b] = mul[b, a] = m
-        add.setflags(write=False)
-        mul.setflags(write=False)
-        self._add = add
-        self._mul = mul
+        for i in range(k):
+            add += (digits[:, i, None] + digits[:, i]) % p * place[i]
+            cols = np.stack([s[:, i] for s in shifted])      # (k, q)
+            mul += digits @ cols % p * place[i]
+        neg = (-digits) % p @ place
+        self._add, self._mul, self._neg = add, mul, neg
+        self._sub = add[:, neg]
+        for table in (add, mul, neg, self._sub):
+            table.setflags(write=False)
 
     def _spot_check(self):
         for v in {1, 2 % self.q, self.q - 1} - {0}:
@@ -194,10 +168,10 @@ class FiniteField:
         return int(self._add[a, b])
 
     def neg(self, a: int) -> int:
-        return self._index(tuple((-c) % self.p for c in self.coeffs(a)))
+        return int(self._neg[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self._sub[a, b])
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
@@ -228,54 +202,32 @@ def gf_build(p: int, k: int) -> FiniteField:
 
 
 class LatinSquareSet:
-    """A set of mutually orthogonal Latin squares of a common size."""
+    """Mutually orthogonal Latin squares of a common size, kept as one
+    read-only (count, size, size) int64 array."""
 
     def __init__(self, size: int, squares):
         self.size = size
-        sqs = []
-        for s in squares:
-            a = np.asarray(s, dtype=np.int64)
-            if a.shape != (size, size) or a.min(initial=0) < 0 or \
-                    a.max(initial=0) >= size:
-                raise DesignError("square has wrong shape or symbol range")
-            a.setflags(write=False)
-            sqs.append(a)
-        self.squares = tuple(sqs)
+        try:
+            sqs = np.array(squares, dtype=np.int64)
+        except ValueError as exc:
+            raise DesignError("squares have different shapes") from exc
+        if sqs.shape == (0,):
+            sqs = sqs.reshape(0, size, size)
+        if sqs.shape[1:] != (size, size) or sqs.min(initial=0) < 0 or \
+                sqs.max(initial=0) >= size:
+            raise DesignError("square has wrong shape or symbol range")
+        sqs.setflags(write=False)
+        self.squares = sqs
 
     @property
     def count(self) -> int:
         return len(self.squares)
 
-    def validate(self) -> None:
-        """Raise unless every square is Latin and every pair orthogonal."""
-        m = self.size
-        full = set(range(m))
-        for idx, s in enumerate(self.squares):
-            for i in range(m):
-                if set(s[i, :].tolist()) != full or \
-                        set(s[:, i].tolist()) != full:
-                    raise DesignError(f"square {idx} is not Latin")
-        for i in range(self.count):
-            for j in range(i + 1, self.count):
-                pairs = {(int(a), int(b))
-                         for a, b in zip(self.squares[i].flat,
-                                         self.squares[j].flat)}
-                if len(pairs) != m * m:
-                    raise DesignError(f"squares {i} and {j} not orthogonal")
-
 
 def mols_from_field(field: FiniteField) -> LatinSquareSet:
     """The q-1 mutually orthogonal squares L_a(x, y) = a*x + y over GF(q)."""
-    q = field.q
-    squares = []
-    for a in range(1, q):
-        sq = np.empty((q, q), dtype=np.int64)
-        for x in range(q):
-            ax = field.mul(a, x)
-            for y in range(q):
-                sq[x, y] = field.add(ax, y)
-        squares.append(sq)
-    return LatinSquareSet(q, squares)
+    return LatinSquareSet(
+        field.q, field._add[field._mul[1:, :, None], np.arange(field.q)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +235,8 @@ def mols_from_field(field: FiniteField) -> LatinSquareSet:
 
 
 class GroupDivisibleDesign:
-    """A uniform K-GDD of type M^U: ordered blocks over group-major labels.
+    """A uniform K-GDD of type M^U: a read-only (B, K) int64 array of
+    blocks, each row sorted, over group-major labels.
 
     Immutable.  Its incidence matrix and its `verify_gdd` report are
     computed on first use and kept, so a design is certified once however
@@ -293,8 +246,18 @@ class GroupDivisibleDesign:
     __slots__ = ("K", "M", "U", "blocks", "_incidence", "_report")
 
     def __init__(self, k: int, m: int, u: int, blocks):
-        blocks = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
-        for name, value in (("K", k), ("M", m), ("U", u), ("blocks", blocks),
+        try:
+            rows = np.array(blocks, dtype=np.int64)
+            if rows.shape == (0,):
+                rows = rows.reshape(0, max(k, 0))
+        except (ValueError, OverflowError) as exc:
+            raise DesignError("blocks must be int64 rows of one size") \
+                from exc
+        if rows.ndim != 2:
+            raise DesignError("blocks must be int64 rows of one size")
+        rows.sort(axis=1)
+        rows.setflags(write=False)
+        for name, value in (("K", k), ("M", m), ("U", u), ("blocks", rows),
                             ("_incidence", None), ("_report", None)):
             object.__setattr__(self, name, value)
 
@@ -321,9 +284,7 @@ class GroupDivisibleDesign:
         """Read-only {0,1} incidence matrix, rows indexed by blocks."""
         if self._incidence is None:
             x = np.zeros((self.B, self.vertices), dtype=np.int64)
-            rows = np.repeat(np.arange(self.B), [len(b) for b in self.blocks])
-            x[rows, np.fromiter(chain.from_iterable(self.blocks), np.intp,
-                                len(rows))] = 1
+            x[np.arange(self.B)[:, None], self.blocks] = 1
             x.setflags(write=False)
             object.__setattr__(self, "_incidence", x)
         return self._incidence
@@ -333,20 +294,31 @@ class GroupDivisibleDesign:
                 f"B={self.B})")
 
 
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """Each row sorted, then the rows in lexicographic order."""
+    rows = np.sort(rows, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def td_from_mols(squares: LatinSquareSet, k: int) -> GroupDivisibleDesign:
     """TD(K, M) from K-2 of the given MOLS; blocks ordered lex by (x, y)."""
     m = squares.size
     if k < 2 or k > squares.count + 2:
         raise DesignError(
             f"need {k - 2} squares for block size {k}, have {squares.count}")
-    blocks = []
-    for x in range(m):
-        for y in range(m):
-            b = [x, m + y]
-            for j in range(k - 2):
-                b.append((j + 2) * m + int(squares.squares[j][x, y]))
-            blocks.append(b)
+    blocks = np.empty((m * m, k), dtype=np.int64)
+    blocks[:, 0], blocks[:, 1] = np.divmod(np.arange(m * m), m)
+    blocks[:, 1] += m
+    blocks[:, 2:] = (squares.squares[:k - 2].reshape(k - 2, m * m).T
+                     + m * np.arange(2, k))
     return GroupDivisibleDesign(k, m, k, blocks)
+
+
+def _triples(xs, ys, zs) -> np.ndarray:
+    """(3x + i, 3y + i, 3z + (i + 1) mod 3) for i < 3 and each (x, y, z)."""
+    i = np.arange(3)
+    return np.stack([3 * xs[:, None] + i, 3 * ys[:, None] + i,
+                     3 * zs[:, None] + (i + 1) % 3], axis=-1).reshape(-1, 3)
 
 
 def steiner_triple_system(u: int) -> GroupDivisibleDesign:
@@ -357,75 +329,53 @@ def steiner_triple_system(u: int) -> GroupDivisibleDesign:
     """
     if u < 7 or u % 6 not in (1, 3):
         raise DesignError(f"no Steiner triple system on {u} points")
-    blocks = []
     if u % 6 == 3:
         t = (u - 3) // 6
         qn = 2 * t + 1
-        half = t + 1          # multiplicative inverse of 2 mod qn
-        for x in range(qn):
-            blocks.append((3 * x, 3 * x + 1, 3 * x + 2))
-        for x in range(qn):
-            for y in range(x + 1, qn):
-                z = ((x + y) * half) % qn
-                for i in range(3):
-                    blocks.append((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3))
+        xs, ys = np.triu_indices(qn, 1)
+        zs = (xs + ys) * (t + 1) % qn      # t + 1 is the inverse of 2 mod qn
+        parts = [np.arange(3 * qn).reshape(qn, 3), _triples(xs, ys, zs)]
     else:
         t = (u - 1) // 6
-        n2 = 2 * t
-        inf = u - 1
-
-        def star(x, y):
-            s = (x + y) % n2
-            return s // 2 if s % 2 == 0 else t + (s - 1) // 2
-
-        for x in range(t):
-            blocks.append((3 * x, 3 * x + 1, 3 * x + 2))
-        for x in range(t):
-            blocks.append((inf, 3 * (t + x), 3 * x + 1))
-            blocks.append((inf, 3 * (t + x) + 1, 3 * x + 2))
-            blocks.append((inf, 3 * (t + x) + 2, 3 * x))
-        for x in range(n2):
-            for y in range(x + 1, n2):
-                z = star(x, y)
-                for i in range(3):
-                    blocks.append((3 * x + i, 3 * y + i, 3 * z + (i + 1) % 3))
-    blocks = sorted(tuple(sorted(b)) for b in blocks)
-    return GroupDivisibleDesign(3, 1, u, blocks)
+        x = np.arange(t)
+        xs, ys = np.triu_indices(2 * t, 1)
+        s = (xs + ys) % (2 * t)
+        zs = np.where(s % 2 == 0, s // 2, t + (s - 1) // 2)
+        # (u - 1, 3(t + x) + i, 3x + (i + 1) mod 3) for i < 3
+        star = np.stack([3 * (t + x)[:, None] + np.arange(3),
+                         3 * x[:, None] + [1, 2, 0]], axis=-1)
+        parts = [np.arange(3 * t).reshape(t, 3), np.insert(star.reshape(-1, 2), 0, u - 1, axis=1),
+                 _triples(xs, ys, zs)]
+    return GroupDivisibleDesign(3, 1, u, _lex_sorted(np.concatenate(parts)))
 
 
 def affine_plane(field: FiniteField) -> GroupDivisibleDesign:
     """Lines of AG(2, q): a BIBD(q^2, q, 1) with point (x, y) at index xq+y."""
     q = field.q
-    blocks = []
-    for a in range(q):
-        for b in range(q):
-            blocks.append(tuple(sorted(
-                x * q + field.add(field.mul(a, x), b) for x in range(q))))
-    for c in range(q):
-        blocks.append(tuple(c * q + y for y in range(q)))
-    return GroupDivisibleDesign(q, 1, q * q, sorted(blocks))
+    x = np.arange(q)
+    slopes = x * q + field._add[field._mul[:, None, :], x[:, None]]
+    blocks = np.concatenate([slopes.reshape(q * q, q),
+                             np.arange(q * q).reshape(q, q)])
+    return GroupDivisibleDesign(q, 1, q * q, _lex_sorted(blocks))
 
 
 def projective_plane(field: FiniteField) -> GroupDivisibleDesign:
     """Lines of PG(2, q): a BIBD(q^2+q+1, q+1, 1)."""
     q = field.q
-    # normalized point representatives, in enumeration order
-    points = [(1, a, b) for a in range(q) for b in range(q)]
-    points += [(0, 1, c) for c in range(q)]
-    points += [(0, 0, 1)]
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def dot(l, pt):
-        s = 0
-        for li, pi in zip(l, pt):
-            s = field.add(s, field.mul(li, pi))
-        return s
-
-    blocks = []
-    for line in points:        # lines are the same normalized triples
-        blk = tuple(sorted(index[pt] for pt in points if dot(line, pt) == 0))
-        blocks.append(blk)
-    return GroupDivisibleDesign(q + 1, 1, q * q + q + 1, sorted(blocks))
+    n = q * q + q + 1
+    # normalized point representatives, in enumeration order: (1, a, b),
+    # then (0, 1, c), then (0, 0, 1); lines are the same triples
+    pts = np.zeros((n, 3), dtype=np.int64)
+    pts[:q * q, 0] = 1
+    pts[:q * q, 1], pts[:q * q, 2] = np.divmod(np.arange(q * q), q)
+    pts[q * q:n - 1, 1] = 1
+    pts[q * q:, 2] = np.append(np.arange(q), 1)
+    add, mul = field._add, field._mul
+    dot = add[add[mul[pts[:, None, 0], pts[:, 0]],
+                  mul[pts[:, None, 1], pts[:, 1]]],
+              mul[pts[:, None, 2], pts[:, 2]]]
+    blocks = np.nonzero(dot == 0)[1].reshape(n, q + 1)
+    return GroupDivisibleDesign(q + 1, 1, n, _lex_sorted(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +403,25 @@ def verify_gdd(design: GroupDivisibleDesign) -> GddReport:
     """Certify the defining incidence identities of a uniform GDD exactly.
 
     The report is kept on the design, so a later call returns it at once.
+    A design of more than _PAIR_LIMIT vertex pairs raises DesignError
+    before anything of its size is allocated.
     """
     if design._report is None:
         object.__setattr__(design, "_report", _gdd_report(design))
     return design._report
 
 
+# pair keys certified at once: past 2^25 pairs, the (MU)^2 > 2^26 int64
+# entries of X*X took four arrays of more than 2 GiB between them
+_PAIR_LIMIT = 2**25
+
+
 def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
+    """Block checks as masks, then X*X = R I + (J_U - I_U) x J_M by the
+    replication counts and the sorted pair keys v MU + w (v < w): blocks
+    meeting each group once cover B K(K-1)/2 = M^2 U(U-1)/2 cross-group
+    pairs, all of them once when no key repeats.  A failure forms only
+    the first bad vertex's row of X*X, where its first bad entry is."""
     k, m, u = design.K, design.M, design.U
 
     def fail(msg):
@@ -476,32 +438,60 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     b = m * u * r // k
     if design.B != b:
         return fail(f"block count is {design.B}, expected {b}")
-    seen = set()
-    for i, blk in enumerate(design.blocks):
-        if len(blk) != k or len(set(blk)) != k:
-            return fail(f"block {i} does not have {k} distinct vertices")
-        if blk[0] < 0 or blk[-1] >= m * u:
-            return fail(f"block {i} has a vertex outside 0..{m * u - 1}")
-        groups = [v // m for v in blk]
-        if len(set(groups)) != k:
-            return fail(f"block {i} meets a group more than once")
-        if blk in seen:
-            return fail(f"block {i} duplicates an earlier block; pair "
-                        f"({blk[0]}, {blk[1]}) is covered more than once")
-        seen.add(blk)
-    # numpy has no BLAS for int64; in float64 the product is exact, since
-    # every entry of X*X is at most B < 2^53
-    x = design.incidence().astype(np.float64)
-    gram = (x.T @ x).astype(np.int64)
-    expected = r * np.eye(u * m, dtype=np.int64) + np.kron(
-        np.ones((u, u), dtype=np.int64) - np.eye(u, dtype=np.int64),
-        np.ones((m, m), dtype=np.int64))
-    if not np.array_equal(gram, expected):
-        dv, dw = np.argwhere(gram != expected)[0]
-        return fail(f"incidence identity X*X = R I + (J_U - I_U) x J_M "
-                    f"fails at vertex pair ({dv}, {dw}): got "
-                    f"{gram[dv, dw]}, expected {expected[dv, dw]}")
-    return GddReport(True, k, m, u, r, b)
+    pairs = b * k * (k - 1) // 2
+    if pairs > _PAIR_LIMIT:
+        raise DesignError(f"design has {pairs} vertex pairs to certify, "
+                          f"more than {_PAIR_LIMIT}")
+    blocks, mu = design.blocks, m * u
+    if blocks.shape[1] != k:
+        return fail(f"block 0 does not have {k} distinct vertices")
+    faults = np.array([
+        (np.diff(blocks, axis=1) <= 0).any(axis=1),
+        (blocks[:, 0] < 0) | (blocks[:, -1] >= mu),
+        (np.diff(blocks // m, axis=1) <= 0).any(axis=1)])
+    hit = faults.any(axis=0)
+    first = int(hit.argmax()) if hit.any() else b
+    # a repeat among the blocks before the first fault, all of them valid
+    head = blocks[:first]
+    order = np.lexsort(head.T[::-1])                  # stable: ties ascend
+    again = order[1:][(head[order[1:]] == head[order[:-1]]).all(axis=1)]
+    if again.size:
+        i = int(again.min())
+        return fail(f"block {i} duplicates an earlier block; pair "
+                    f"({blocks[i, 0]}, {blocks[i, 1]}) is covered more "
+                    f"than once")
+    if first < b:
+        return fail(f"block {first} " + (
+            f"does not have {k} distinct vertices",
+            f"has a vertex outside 0..{mu - 1}",
+            "meets a group more than once")[int(faults[:, first].argmax())])
+    rep = np.bincount(blocks.ravel(), minlength=mu)
+    keys = np.empty((b, k * (k - 1) // 2), dtype=np.int64)
+    at = 0
+    for i in range(k - 1):      # pairs (v_i, v_j), j > i, of every block,
+        step = k - 1 - i        # with no temporary of every pair
+        keys[:, at:at + step] = blocks[:, i, None] * mu + blocks[:, i + 1:]
+        at += step
+    keys = keys.reshape(-1)
+    keys.sort()
+    twice = keys[1:] == keys[:-1]
+    bad = rep != r
+    if not (twice.any() or bad.any()):
+        return GddReport(True, k, m, u, r, b)
+    # a row of X*X is bad at a wrong replication count; at R it holds
+    # R(K-1) = M(U-1) pairs, which miss a partner only if one repeats.  A
+    # repeated pair's row v < w comes first
+    bad[keys[1:][twice] // mu] = True
+    v = int(bad.argmax())
+    row = np.bincount(blocks[(blocks == v).any(axis=1)].ravel(),
+                      minlength=mu)
+    want = np.ones(mu, dtype=np.int64)
+    want[v - v % m:v - v % m + m] = 0
+    want[v] = r
+    w = int((row != want).argmax())
+    return fail(f"incidence identity X*X = R I + (J_U - I_U) x J_M "
+                f"fails at vertex pair ({v}, {w}): got {row[w]}, "
+                f"expected {want[w]}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +505,16 @@ def wilson_product(outer: GroupDivisibleDesign,
 
     Each inner block, taken as a row of slots in ascending group order,
     receives the outer design's per-group incidence columns; absent groups
-    contribute nothing.
+    contribute nothing.  Blocks run inner-major, outer-minor.
     """
     if inner.K != outer.U:
         raise DesignError(
             f"inner block size {inner.K} must equal outer group count "
             f"{outer.U}")
-    mo = outer.M
-    blocks = []
-    for yb in inner.blocks:
-        for xb in outer.blocks:
-            blocks.append(tuple(sorted(
-                yb[v // mo] * mo + (v % mo) for v in xb)))
-    return GroupDivisibleDesign(outer.K, mo * inner.M, inner.U, blocks)
+    mo, xb = outer.M, outer.blocks
+    blocks = inner.blocks[:, xb // mo] * mo + xb % mo
+    return GroupDivisibleDesign(outer.K, mo * inner.M, inner.U,
+                                blocks.reshape(-1, xb.shape[1]))
 
 
 def fill_holes(inner: GroupDivisibleDesign,
@@ -543,14 +530,10 @@ def fill_holes(inner: GroupDivisibleDesign,
     if outer.U < inner.K:
         raise DesignError(
             f"outer group count {outer.U} must be at least K={inner.K}")
-    span = inner.M * inner.U
-    blocks = []
-    for v in range(outer.U):
-        off = v * span
-        for b in inner.blocks:
-            blocks.append(tuple(x + off for x in b))
-    blocks.extend(outer.blocks)
-    return GroupDivisibleDesign(inner.K, inner.M, inner.U * outer.U, blocks)
+    shift = outer.M * np.arange(outer.U)[:, None, None]
+    copies = (inner.blocks + shift).reshape(-1, inner.blocks.shape[1])
+    return GroupDivisibleDesign(inner.K, inner.M, inner.U * outer.U,
+                                np.concatenate([copies, outer.blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -558,35 +541,24 @@ def fill_holes(inner: GroupDivisibleDesign,
 
 
 class EmbeddingOperatorSet:
-    """For each vertex (u, m), the ascending list of the R blocks through it.
+    """supports[u, m] holds the R blocks through vertex (u, m), ascending:
+    E_{u,m} is the B x R selection matrix whose r-th column is the standard
+    basis vector at supports[u, m, r]."""
 
-    The operator E_{u,m} is the B x R selection matrix whose r-th column is
-    the standard basis vector at supports[u][m][r].
-    """
-
-    def __init__(self, supports: tuple[tuple[tuple[int, ...], ...], ...]):
+    def __init__(self, supports: np.ndarray):
         self.supports = supports
 
-    def support(self, u: int, m: int) -> tuple[int, ...]:
-        return self.supports[u][m]
+    def support(self, u: int, m: int) -> np.ndarray:
+        return self.supports[u, m]
 
 
 def embedding_operators(design: GroupDivisibleDesign) -> EmbeddingOperatorSet:
-    """Build the embedding operators of a verified GDD."""
+    """The embedding operators of a verified GDD, whose vertices each lie
+    in R blocks: one stable sort of all block vertices lists them."""
     report = verify_gdd(design)
     if not report.ok:
         raise DesignError(f"design invalid: {report.failure}")
-    per_vertex: list[list[int]] = [[] for _ in range(design.vertices)]
-    for i, blk in enumerate(design.blocks):
-        for v in blk:
-            per_vertex[v].append(i)
-    r = design.R
-    for v, lst in enumerate(per_vertex):
-        if len(lst) != r:
-            raise DesignError(
-                f"vertex {v} lies in {len(lst)} blocks, expected {r}")
-    m = design.M
-    supports = tuple(
-        tuple(tuple(per_vertex[u * m + j]) for j in range(m))
-        for u in range(design.U))
+    supports = (np.argsort(design.blocks.ravel(), kind="stable") // design.K
+                ).reshape(design.U, design.M, design.R)
+    supports.setflags(write=False)
     return EmbeddingOperatorSet(supports)

@@ -12,6 +12,13 @@ Frame files:
 Both formats round-trip losslessly; design files must additionally pass
 verify_gdd to parse at all.
 
+A design body is read as one (B, K) int64 array when the file is ASCII,
+its only line break is the newline, and its body is B lines of K tokens
+-?[0-9]{1,18}, one space apart, each line ascending.  Any other file, and
+a body that fails these checks, is read line by line, so that an error
+names its first bad line.  A design is written from its array, as int64
+frame rows are.
+
 A frame body is read whole, not entry by entry.  The header, the row
 count and every row's width are checked before anything of the header's
 size is allocated.  deg = phi(n) comes from the factorisation of n, so
@@ -90,14 +97,23 @@ class DesignVerifyError(ValueError):
 
 
 def serialize_design(design: GroupDivisibleDesign) -> str:
-    lines = [f"GDD {design.K} {design.U} {design.M} {design.B}"]
-    for blk in design.blocks:
-        lines.append(" ".join(str(v) for v in blk))
-    return "\n".join(lines) + "\n"
+    head = f"GDD {design.K} {design.U} {design.M} {design.B}\n"
+    blocks = design.blocks
+    if blocks.size == 0:
+        return head + "\n" * design.B
+    return head + _row_text(blocks, blocks.shape[1], " ")
 
 
 def parse_design(text: str) -> GroupDivisibleDesign:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    raw = text.encode("utf-8", "surrogatepass")
+    cut = raw.find(b"\n") % (len(raw) + 1)
+    first = raw[:cut].decode("utf-8", "surrogatepass")
+    # a plain file's header is its first line, and its body may be read
+    # from its bytes
+    plain = (raw.isascii() and first.strip()
+             and not any(b in raw for b in _LINE_BREAKS))
+    lines = ([first] if plain
+             else [ln for ln in text.splitlines() if ln.strip()])
     if not lines:
         raise FileFormatError("empty design file")
     head = lines[0].split()
@@ -108,26 +124,45 @@ def parse_design(text: str) -> GroupDivisibleDesign:
     except ValueError as exc:
         raise FileFormatError(f"non-integer design header: {lines[0]!r}") \
             from exc
-    if len(lines) - 1 != b:
-        raise FileFormatError(
-            f"header promises {b} blocks, file has {len(lines) - 1}")
-    blocks = []
-    for ln in lines[1:]:
-        try:
-            blk = tuple(int(x) for x in ln.split())
-        except ValueError as exc:
-            raise FileFormatError(f"non-integer block line: {ln!r}") from exc
-        if len(blk) != k:
+    blocks = _plain_blocks(raw[cut + 1:], k, b) if plain else None
+    if blocks is None:      # line by line, naming the first bad line
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) - 1 != b:
             raise FileFormatError(
-                f"block {ln!r} has {len(blk)} vertices, expected {k}")
-        if list(blk) != sorted(blk):
-            raise FileFormatError(f"block {ln!r} is not sorted")
-        blocks.append(blk)
+                f"header promises {b} blocks, file has {len(lines) - 1}")
+        blocks = []
+        for ln in lines[1:]:
+            try:
+                blk = tuple(int(x) for x in ln.split())
+            except ValueError as exc:
+                raise FileFormatError(f"non-integer block line: {ln!r}") \
+                    from exc
+            if len(blk) != k:
+                raise FileFormatError(
+                    f"block {ln!r} has {len(blk)} vertices, expected {k}")
+            if list(blk) != sorted(blk):
+                raise FileFormatError(f"block {ln!r} is not sorted")
+            blocks.append(blk)
     design = GroupDivisibleDesign(k, m, u, blocks)
     report = verify_gdd(design)
     if not report.ok:
         raise DesignVerifyError(report)
     return design
+
+
+def _plain_blocks(body: bytes, k: int, b: int) -> np.ndarray | None:
+    """The blocks of a plain body of b lines of k tokens -?[0-9]{1,18},
+    one space apart, each line ascending; else None."""
+    body += b"" if body.endswith(b"\n") else b"\n"
+    seps = body.translate(None, b"0123456789-")
+    if (k < 1 or b < 1 or len(seps) != b * k
+            or seps != (b" " * (k - 1) + b"\n") * b):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    out = np.empty((b, k), dtype=np.int64)
+    if not _int64_tokens(buf, np.flatnonzero(buf <= ord(" ")), out.ravel()):
+        return None
+    return None if (np.diff(out, axis=1) < 0).any() else out
 
 
 def serialize_frame(frame: Frame) -> str:
@@ -149,9 +184,9 @@ def serialize_frame(frame: Frame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_text(rows: np.ndarray, deg: int) -> str:
+def _row_text(rows: np.ndarray, deg: int, comma: str = ",") -> str:
     """The text of whole rows of int64 coefficients, each row's entries of
-    deg coefficients, every line ended by a newline."""
+    deg coefficients joined by comma, every line ended by a newline."""
     # the separator after each coefficient of a row is "," within an entry,
     # " | " between entries and the line end after the last
     bar = np.zeros(rows.shape[1], dtype=bool)
@@ -166,7 +201,7 @@ def _row_text(rows: np.ndarray, deg: int) -> str:
     sep = np.where(bar, 3, 1).astype(np.uint8)
     end = np.cumsum(ndig + neg + sep, dtype=np.int32 if 23 * rows.size < 2**31
                     else np.int64).reshape(rows.shape)
-    buf = np.full(int(end[-1, -1]), ord(","), dtype=np.uint8)
+    buf = np.full(int(end[-1, -1]), ord(comma), dtype=np.uint8)
     buf[end[:, -1] - 1] = ord("\n")
     bars = end[:, bar]
     buf[bars - 1] = ord(" ")
@@ -265,22 +300,30 @@ def _int64_coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
         if spaces != 2 * rows * (n - 1) or b"x" in block:
             return None
         buf = np.frombuffer(block, dtype=np.uint8)
-        end = np.flatnonzero(buf == ord(","))      # one past each token
-        start = np.empty_like(end)
-        start[0] = 0
-        np.add(end[:-1], 1, out=start[1:])
-        neg = buf[start] == ord("-")
-        ndig = end - start - neg
-        if (np.count_nonzero(buf == ord("-")) != np.count_nonzero(neg)
-                or ndig.min() < 1 or ndig.max() > _MAX_DIGITS):
+        if not _int64_tokens(buf, np.flatnonzero(buf == ord(",")),
+                             out[r * width:(r + rows) * width]):
             return None
-        val = out[r * width:(r + rows) * width]
-        np.subtract(buf[end - 1], ord("0"), out=val)
-        for j in range(1, int(ndig.max())):    # one masked pass per digit
-            at = np.flatnonzero(ndig > j)
-            val[at] += (buf[end[at] - 1 - j] - ord("0")) * _POW10[j - 1]
-        np.negative(val, out=val, where=neg)
     return out
+
+
+def _int64_tokens(buf: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
+    """Read into out the tokens of buf, which end at the separators at
+    `end`, the first starting at 0, and whose other bytes are 0-9 and "-";
+    False when a token is not -?[0-9]{1,18}."""
+    start = np.empty_like(end)
+    start[0] = 0
+    np.add(end[:-1], 1, out=start[1:])
+    neg = buf[start] == ord("-")
+    ndig = end - start - neg
+    if (np.count_nonzero(buf == ord("-")) != np.count_nonzero(neg)
+            or ndig.min() < 1 or ndig.max() > _MAX_DIGITS):
+        return False
+    np.subtract(buf[end - 1], ord("0"), out=out)
+    for j in range(1, int(ndig.max())):        # one masked pass per digit
+        at = np.flatnonzero(ndig > j)
+        out[at] += (buf[end[at] - 1 - j] - ord("0")) * _POW10[j - 1]
+    np.negative(out, out=out, where=neg)
+    return True
 
 
 def _plain_lines(raw: bytes, lo: int, d: int, n: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycMatrix, CycScalar, root_of_unity
+from .cyclo import CycMatrix, _ring
 from .designs import FiniteField
 
 __all__ = [
@@ -57,9 +57,9 @@ class HadamardMatrix:
                 raise HadamardError(report.failure)
         self.mat = mat
         self.size = mat.rows
-        one = CycScalar.one(mat.order)
-        self.dephased = all(
-            mat.entry(0, c) == one for c in range(mat.cols))
+        first = mat.array[0]                 # dephased: row 0 is all ones
+        self.dephased = bool((first[:, 0] == 1).all()
+                             and not first[:, 1:].any())
 
     def __repr__(self):
         return f"HadamardMatrix(size={self.size}, order={self.mat.order})"
@@ -104,34 +104,29 @@ def fourier(n: int) -> HadamardMatrix:
     """The n x n character table (zeta_n^(jk)); entries at order n."""
     if n < 1:
         raise HadamardError("size must be positive")
-    mat = CycMatrix.from_scalars(
-        [[root_of_unity(n, j * k) for k in range(n)] for j in range(n)])
-    return HadamardMatrix(mat)
+    powers = _ring(n).powers(np.outer(np.arange(n), np.arange(n)).ravel())
+    return HadamardMatrix(CycMatrix(n, powers.reshape(n, n, -1), _copy=False))
 
 
 def _quadratic_character(field: FiniteField) -> np.ndarray:
+    """chi(x) = x^((q-1)/2) for every x at once, by squaring through the
+    multiplication table."""
     q = field.q
-    chi = np.zeros(q, dtype=np.int64)
-    minus_one = field.neg(1)
-    for x in range(1, q):
-        val = field.pow(x, (q - 1) // 2)
-        if val == 1:
-            chi[x] = 1
-        elif val == minus_one:
-            chi[x] = -1
-        else:
-            raise AssertionError("character value is not +-1")
+    val, base, e = np.ones(q, dtype=np.int64), np.arange(q), (q - 1) // 2
+    while e:
+        if e & 1:
+            val = field._mul[val, base]
+        base = field._mul[base, base]
+        e >>= 1
+    if not np.isin(val[1:], (1, field.neg(1))).all():
+        raise AssertionError("character value is not +-1")
+    chi = np.where(val == 1, 1, -1)
+    chi[0] = 0
     return chi
 
 
 def _jacobsthal(field: FiniteField) -> np.ndarray:
-    q = field.q
-    chi = _quadratic_character(field)
-    jac = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            jac[i, j] = chi[field.sub(i, j)]
-    return jac
+    return _quadratic_character(field)[field._sub]
 
 
 def paley_i(field: FiniteField) -> HadamardMatrix:

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etfkit import cli, cyclo, fileio, frames
+from etfkit import designs as design_module
 from etfkit.cli import main
 from etfkit.cyclo import CycMatrix, CycScalar, cyclotomic_polynomial
-from etfkit.designs import GroupDivisibleDesign
 from etfkit.fileio import (
     DesignVerifyError,
     FileFormatError,
@@ -240,19 +240,17 @@ def test_multislot_gdd_frames_are_byte_identical(tmp_path, capsys):
 
 def test_each_command_certifies_each_design_once(tmp_path, capsys,
                                                  monkeypatch):
-    # every incidence matrix a command computes, by design; a second one
-    # for the same design would mean a second certification
+    # every certificate a command computes, by design; a second one for
+    # the same design would mean a second certification
     computed: dict[int, list] = {}
-    real = GroupDivisibleDesign.incidence
+    real = design_module._gdd_report
 
-    def recorded(self):
-        x = real(self)
-        arrays = computed.setdefault(id(self), [self])   # keeps self alive
-        if all(x is not y for y in arrays[1:]):
-            arrays.append(x)
-        return x
+    def recorded(design):
+        report = real(design)
+        computed.setdefault(id(design), [design]).append(report)  # keeps
+        return report                                             # it alive
 
-    monkeypatch.setattr(GroupDivisibleDesign, "incidence", recorded)
+    monkeypatch.setattr(design_module, "_gdd_report", recorded)
 
     def path(name):
         return str(tmp_path / name)
@@ -282,7 +280,7 @@ def test_each_command_certifies_each_design_once(tmp_path, capsys,
         computed.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert len(computed) == designs, argv
-        assert all(len(arrays) == 2 for arrays in computed.values()), argv
+        assert all(len(seen) == 2 for seen in computed.values()), argv
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +696,159 @@ def test_parse_frame_reads_edge_tokens_as_the_per_entry_parser(token):
                  f"FRAME 2 2 1\n{token}\n1\n"):
         assert _outcome(parse_frame, text) == \
             _outcome(_parse_frame_per_entry, text)
+
+
+# Every FileFormatError of parse_design, word for word; each check comes in
+# this order, and the first bad line wins, whichever check it fails.
+DESIGN_ERRORS = [
+    ("", "empty design file"),
+    ("\n \n\t\n", "empty design file"),
+    ("nonsense\n", "bad design header: 'nonsense'"),
+    ("GDD 3 3 3\n", "bad design header: 'GDD 3 3 3'"),
+    ("GDD 3 3 3 1 1\n0 3 6\n", "bad design header: 'GDD 3 3 3 1 1'"),
+    ("GDD 3 3 3 x\n", "non-integer design header: 'GDD 3 3 3 x'"),
+    ("GDD 3 3 3 1.0\n0 3 6\n", "non-integer design header: 'GDD 3 3 3 1.0'"),
+    ("GDD 3 3 3 2\n0 3 6\n", "header promises 2 blocks, file has 1"),
+    ("GDD 3 3 3 1\n0 3 6\n1 4 7\n", "header promises 1 blocks, file has 2"),
+    ("GDD 3 3 3 1\n0 3 x\n", "non-integer block line: '0 3 x'"),
+    ("GDD 3 3 3 1\n0 3 --6\n", "non-integer block line: '0 3 --6'"),
+    ("GDD 3 3 3 1\n0 3\n", "block '0 3' has 2 vertices, expected 3"),
+    ("GDD 3 3 3 1\n0  3 6 7\n", "block '0  3 6 7' has 4 vertices, expected 3"),
+    ("GDD 3 3 3 1\n0 6 3\n", "block '0 6 3' is not sorted"),
+    ("GDD 3 3 3 2\n0 6 3\n0 x 3\n", "block '0 6 3' is not sorted"),
+    ("GDD 3 3 3 2\n0 3 6\n0 6 3\n", "block '0 6 3' is not sorted"),
+    ("GDD 3 3 3 2\n0 3 6\n0 3\n", "block '0 3' has 2 vertices, expected 3"),
+    # blank lines, other line breaks and non-ASCII text take the line reader
+    ("\nGDD 3 3 3 1\n\n0 6 3\n", "block '0 6 3' is not sorted"),
+    ("GDD 3 3 3 1\r\n0 6 3\r\n", "block '0 6 3' is not sorted"),
+    ("GDD 3 3 3 1\n0 3 6\x0b1 4 7\n", "header promises 1 blocks, file has 2"),
+    ("GDD 3 3 3 1\n0 \u0665 3\n", "block '0 \u0665 3' is not sorted"),
+    ("GDD 3 3 3 1\n\u00e9 3 6\n", "non-integer block line: '\u00e9 3 6'"),
+]
+
+
+@pytest.mark.parametrize("text, message", DESIGN_ERRORS)
+def test_parse_design_error_messages_pinned(text, message):
+    with pytest.raises(FileFormatError) as info:
+        parse_design(text)
+    assert str(info.value) == message
+
+
+def _parse_design_per_line(text: str):
+    """The design parser as it was when every line was read on its own:
+    the oracle of the property below."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FileFormatError("empty design file")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "GDD":
+        raise FileFormatError(f"bad design header: {lines[0]!r}")
+    try:
+        k, u, m, b = (int(x) for x in head[1:])
+    except ValueError as exc:
+        raise FileFormatError(f"non-integer design header: {lines[0]!r}") \
+            from exc
+    if len(lines) - 1 != b:
+        raise FileFormatError(
+            f"header promises {b} blocks, file has {len(lines) - 1}")
+    blocks = []
+    for ln in lines[1:]:
+        try:
+            blk = tuple(int(x) for x in ln.split())
+        except ValueError as exc:
+            raise FileFormatError(f"non-integer block line: {ln!r}") from exc
+        if len(blk) != k:
+            raise FileFormatError(
+                f"block {ln!r} has {len(blk)} vertices, expected {k}")
+        if list(blk) != sorted(blk):
+            raise FileFormatError(f"block {ln!r} is not sorted")
+        blocks.append(blk)
+    design = design_module.GroupDivisibleDesign(k, m, u, blocks)
+    report = design_module.verify_gdd(design)
+    if not report.ok:
+        raise DesignVerifyError(report)
+    return design
+
+
+def _design_outcome(parse, text):
+    """The exception's class and message, or the design's K, M, U and
+    blocks."""
+    try:
+        d = parse(text)
+    except Exception as exc:          # every exception is compared
+        return type(exc), str(exc)
+    return d.K, d.M, d.U, d.blocks.tolist()
+
+
+VALID_DESIGNS = [
+    "GDD 3 3 3 9\n0 3 6\n0 4 7\n0 5 8\n1 3 8\n1 4 6\n1 5 7\n2 3 7\n"
+    "2 4 8\n2 5 6\n",
+    "GDD 3 7 1 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n",
+    "GDD 2 3 1 3\n0 1\n0 2\n1 2",                       # no final newline
+]
+
+
+@MUTATION
+@given(st.data())
+def test_parse_design_agrees_with_the_per_line_parser(data):
+    text = data.draw(st.sampled_from(VALID_DESIGNS), label="design")
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        at = data.draw(st.sampled_from(range(len(text) + 1)), label="at")
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = data.draw(st.sampled_from("0123456789- \nx+\r\t"))
+        tail = text[at + 1:] if edit != "insert" else text[at:]
+        text = text[:at] + ("" if edit == "delete" else char) + tail
+    assert _design_outcome(parse_design, text) == \
+        _design_outcome(_parse_design_per_line, text)
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_parse_design_reads_edge_tokens_as_the_per_line_parser(token):
+    for text in (f"GDD 2 3 1 3\n0 1\n0 2\n1 {token}\n",
+                 f"GDD 2 3 1 3\n{token} 1\n0 2\n1 2\n"):
+        assert _design_outcome(parse_design, text) == \
+            _design_outcome(_parse_design_per_line, text)
+
+
+def test_parse_design_peaks_below_the_dense_certificate(tmp_path, capsys):
+    # the filled design of type 8^16: its (B, MU) incidence in int64 and
+    # float64 made the parse peak at 3.41 MiB
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in (("design", "td", "4", "8", "-o", path("td-4-8.design")),
+                 ("design", "td", "4", "32", "-o", path("td-4-32.design")),
+                 ("design", "fill", path("td-4-8.design"),
+                  path("td-4-32.design"), "-o", path("fill.design"))):
+        assert run(capsys, *argv)[0] == 0
+    text = Path(path("fill.design")).read_text()
+    tracemalloc.start()
+    try:
+        design = parse_design(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert serialize_design(design) == text
+    assert peak < 1 * 2**20
+
+
+def test_verify_rejects_a_design_of_too_many_pairs(tmp_path, capsys):
+    # 109 KB: one block of 20000 vertices, whose X*X was 3.2 GB of int64
+    path = tmp_path / "hostile.design"
+    path.write_text("GDD 20000 20000 1 1\n"
+                    + " ".join(map(str, range(20000))) + "\n")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", str(path), "--kind", "design")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: design has 199990000 vertex pairs "
+                                "to certify, more than 33554432"]
+    assert peak < 16 * 2**20
 
 
 def _random_matrix(rng, order, d, n):

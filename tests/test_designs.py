@@ -7,9 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from etfkit import designs
 from etfkit.designs import (
     DesignError,
+    GddReport,
     GroupDivisibleDesign,
+    _gdd_report,
     affine_plane,
     embedding_operators,
     fill_holes,
@@ -79,10 +82,22 @@ def test_prime_power_decomposition():
 # MOLS
 
 
+def mols_oracle(ls) -> None:
+    """Every square Latin and every pair orthogonal, by enumeration."""
+    m = ls.size
+    full = set(range(m))
+    for s in ls.squares:
+        for i in range(m):
+            assert set(s[i, :].tolist()) == full
+            assert set(s[:, i].tolist()) == full
+    for a, b in itertools.combinations(ls.squares, 2):
+        assert len({(int(x), int(y)) for x, y in zip(a.flat, b.flat)}) == m * m
+
+
 def test_mols_gf3_orthogonal_by_enumeration():
     ls = mols_from_field(gf_build(3, 1))
     assert ls.count == 2 and ls.size == 3
-    ls.validate()
+    mols_oracle(ls)
     a, b = ls.squares
     pairs = {(int(x), int(y)) for x, y in zip(a.flat, b.flat)}
     assert len(pairs) == 9                        # all ordered symbol pairs
@@ -91,13 +106,13 @@ def test_mols_gf3_orthogonal_by_enumeration():
 def test_mols_gf2_single_square():
     ls = mols_from_field(gf_build(2, 1))
     assert ls.count == 1
-    ls.validate()
+    mols_oracle(ls)
 
 
 def test_mols_gf8_all_21_pairs():
     ls = mols_from_field(gf_build(2, 3))
     assert ls.count == 7
-    ls.validate()
+    mols_oracle(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +212,7 @@ def test_projective_gf2():
 def test_affine_gf2_all_pairs():
     d = affine_plane(gf_build(2, 1))
     assert d.B == 6 and d.K == 2
-    assert set(d.blocks) == {
+    assert set(map(tuple, d.blocks.tolist())) == {
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
     assert verify_gdd(d).ok
 
@@ -295,7 +310,7 @@ def test_wilson_degenerate_single_block():
     single = GroupDivisibleDesign(4, 1, 4, [(0, 1, 2, 3)])
     assert verify_gdd(single).ok
     prod = wilson_product(td, single)
-    assert prod.blocks == td.blocks
+    assert np.array_equal(prod.blocks, td.blocks)
 
 
 def test_wilson_parameter_mismatch():
@@ -407,7 +422,7 @@ def test_embedding_td33_vertex0():
     td = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
     ops = embedding_operators(td)
     # blocks are ordered lex by (x, y); vertex 0 is x = 0 in group 0
-    assert ops.support(0, 0) == (0, 1, 2)
+    assert ops.support(0, 0).tolist() == [0, 1, 2]
     x = td.incidence()
     for u in range(td.U):
         for m in range(td.M):
@@ -432,3 +447,248 @@ def test_embedding_rejects_invalid_design():
     bad = GroupDivisibleDesign(3, 3, 3, [(0, 3, 6)] * 9)
     with pytest.raises(DesignError):
         embedding_operators(bad)
+
+
+# ---------------------------------------------------------------------------
+# differential oracles: the element-by-element and block-by-block code that
+# the array code replaced
+
+
+def gf_oracle(p: int, k: int):
+    """The irreducible and the add, mul and neg tables of GF(p^k), one
+    element pair at a time."""
+    q = p**k
+
+    def coeffs(v):
+        return tuple(v // p**i % p for i in range(k))
+
+    def index(cs):
+        return sum(c * p**i for i, c in enumerate(cs))
+
+    def poly_mod(num, den):
+        rem = [c % p for c in num]
+        dd = len(den) - 1
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c:
+                for j in range(dd + 1):
+                    rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
+        return rem[:dd]
+
+    def irreducible(poly):
+        for x in range(p):                        # no root
+            acc = 0
+            for c in reversed(poly):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                return False
+        for deg in range(2, k // 2 + 1):          # no factor of degree >= 2
+            for low in range(p**deg):
+                div = [low // p**i % p for i in range(deg)] + [1]
+                if not any(poly_mod(poly, div)):
+                    return False
+        return True
+
+    irr = (0, 1) if k == 1 else next(
+        coeffs(low) + (1,) for low in range(q)
+        if irreducible(coeffs(low) + (1,)))
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            add[a, b] = index([(x + y) % p
+                               for x, y in zip(coeffs(a), coeffs(b))])
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(coeffs(a)):
+                for j, y in enumerate(coeffs(b)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            mul[a, b] = index(poly_mod(prod, irr))
+    neg = [index([(-c) % p for c in coeffs(a)]) for a in range(q)]
+    return irr, add, mul, neg
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 65) if prime_power_decomposition(q)])
+def test_gf_tables_match_the_element_oracle(q):
+    p, k = prime_power_decomposition(q)
+    f = gf_build(p, k)
+    irr, add, mul, neg = gf_oracle(p, k)
+    assert f.irreducible == irr
+    assert np.array_equal(f._add, add)
+    assert np.array_equal(f._mul, mul)
+    assert [f.neg(a) for a in range(q)] == neg
+    assert all(f.sub(a, b) == add[a, neg[b]]
+               for a in range(q) for b in range(q))
+
+
+def gdd_report_oracle(design: GroupDivisibleDesign) -> GddReport:
+    """verify_gdd block by block, then X*X formed whole."""
+    k, m, u = design.K, design.M, design.U
+    blocks = [tuple(b) for b in design.blocks.tolist()]
+
+    def fail(msg):
+        return GddReport(False, k, m, u, None, None, msg)
+
+    if k < 2 or m < 1 or u < 2:
+        return fail(f"parameters out of range: K={k}, M={m}, U={u}")
+    if (m * (u - 1)) % (k - 1) != 0:
+        return fail(f"replication number M(U-1)/(K-1) not integral "
+                    f"for (K,M,U)=({k},{m},{u})")
+    r = m * (u - 1) // (k - 1)
+    if (m * u * r) % k != 0:
+        return fail("block count MUR/K not integral")
+    b = m * u * r // k
+    if len(blocks) != b:
+        return fail(f"block count is {len(blocks)}, expected {b}")
+    seen = set()
+    for i, blk in enumerate(blocks):
+        if len(blk) != k or len(set(blk)) != k:
+            return fail(f"block {i} does not have {k} distinct vertices")
+        if blk[0] < 0 or blk[-1] >= m * u:
+            return fail(f"block {i} has a vertex outside 0..{m * u - 1}")
+        if len({v // m for v in blk}) != k:
+            return fail(f"block {i} meets a group more than once")
+        if blk in seen:
+            return fail(f"block {i} duplicates an earlier block; pair "
+                        f"({blk[0]}, {blk[1]}) is covered more than once")
+        seen.add(blk)
+    x = np.zeros((b, m * u), dtype=np.int64)
+    for i, blk in enumerate(blocks):
+        x[i, list(blk)] = 1
+    gram = x.T @ x
+    expected = r * np.eye(u * m, dtype=np.int64) + np.kron(
+        np.ones((u, u), dtype=np.int64) - np.eye(u, dtype=np.int64),
+        np.ones((m, m), dtype=np.int64))
+    if not np.array_equal(gram, expected):
+        dv, dw = np.argwhere(gram != expected)[0]
+        return fail(f"incidence identity X*X = R I + (J_U - I_U) x J_M "
+                    f"fails at vertex pair ({dv}, {dw}): got "
+                    f"{gram[dv, dw]}, expected {expected[dv, dw]}")
+    return GddReport(True, k, m, u, r, b)
+
+
+def _td(q, k):
+    return td_from_mols(mols_from_field(
+        gf_build(*prime_power_decomposition(q))), k)
+
+
+FAULT_BASES = {
+    "td33": lambda: _td(3, 3),
+    "td48": lambda: _td(8, 4),
+    "sts15": lambda: steiner_triple_system(15),
+    "ag3": lambda: affine_plane(gf_build(3, 1)),
+    "fill": lambda: fill_holes(_td(3, 3), _td(9, 3)),
+}
+
+
+def _edited(design, i, edit):
+    """The design with block i rewritten by edit(block, design)."""
+    rows = design.blocks.tolist()
+    rows[i] = edit(list(rows[i]), design, rows)
+    return GroupDivisibleDesign(design.K, design.M, design.U, rows)
+
+
+def _doubled_pair(v):
+    """An edit of a block through v: one other vertex x moves to a vertex
+    outside the block, in a group that no other vertex of the block meets,
+    so the block checks pass and the pair of v with it is covered twice."""
+    def edit(blk, d, rows):
+        x = next(w for w in blk if w != v)
+        rest = [w for w in blk if w != x]
+        groups = {w // d.M for w in rest}
+        y = next(w for w in range(d.vertices)
+                 if w not in blk and w // d.M not in groups)
+        return rest + [y]
+    return edit
+
+
+FAULTS = {
+    "repeat": lambda blk, d, rows: [blk[0]] + blk[:-1],
+    "above": lambda blk, d, rows: blk[:-1] + [d.vertices],
+    "below": lambda blk, d, rows: [-1] + blk[1:],
+    # another vertex of the first vertex's group (M > 1)
+    "group": lambda blk, d, rows: (
+        [blk[0], blk[0] - blk[0] % d.M + (blk[0] + 1) % d.M] + blk[2:]),
+    "duplicate": lambda blk, d, rows: rows[0],
+}
+
+
+def _fault_cases():
+    for name, make in FAULT_BASES.items():
+        d = make()
+        for fault, edit in FAULTS.items():
+            if fault == "group" and d.M == 1:
+                continue
+            for i in sorted({1, d.B // 2, d.B - 1}):   # block 0 for the rest
+                yield f"{name}-{fault}-{i}", d, i, edit
+                if fault != "duplicate" and i == 1:
+                    yield f"{name}-{fault}-0", d, 0, edit
+        # a doubled pair in the first and in the last vertex row
+        for v in (0, d.vertices - 1):
+            i = next(i for i, blk in enumerate(d.blocks.tolist()) if v in blk)
+            yield f"{name}-pair-{v}", d, i, _doubled_pair(v)
+
+
+@pytest.mark.parametrize("name, design, i, edit", [
+    pytest.param(*case, id=case[0]) for case in _fault_cases()])
+def test_gdd_report_matches_the_dense_oracle_on_faults(name, design, i,
+                                                       edit):
+    bad = _edited(design, i, edit)
+    rep = verify_gdd(bad)
+    assert not rep.ok
+    assert rep == gdd_report_oracle(bad)
+    kind = name.split("-")[1]
+    prefix = {"repeat": "does not have", "above": "has a vertex outside",
+              "below": "has a vertex outside", "group": "meets a group",
+              "duplicate": "duplicates"}.get(kind, "incidence identity")
+    assert prefix in rep.failure
+    if name.endswith("-pair-0"):      # vertex 0's row holds the witness
+        assert "vertex pair (0, " in rep.failure
+
+
+def test_gdd_report_matches_the_dense_oracle_on_counts_and_shapes():
+    td = _td(3, 3)
+    rows = td.blocks.tolist()
+    cases = [
+        GroupDivisibleDesign(1, 3, 3, rows),               # K < 2
+        GroupDivisibleDesign(3, 3, 1, rows),               # U < 2
+        GroupDivisibleDesign(3, 1, 4, rows),               # R not integral
+        GroupDivisibleDesign(3, 2, 4, rows),               # B not integral
+        GroupDivisibleDesign(3, 3, 3, rows[:-1]),          # a block short
+        GroupDivisibleDesign(3, 3, 3, [r[:2] for r in rows]),   # K - 1 wide
+        GroupDivisibleDesign(2, 1, 3, [(0, 1), (0, 2), (1, 2)]),
+        td,
+    ]
+    for d in cases:
+        assert _gdd_report(d) == gdd_report_oracle(d)
+
+
+def test_gdd_report_matches_the_dense_oracle_on_random_faults():
+    rng = random.Random(20261018)
+    for make in FAULT_BASES.values():
+        d = make()
+        for _ in range(40):
+            rows = d.blocks.tolist()
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(d.B), rng.randrange(d.K)
+                rows[i][j] = rng.randrange(-1, d.vertices + 1)
+            bad = GroupDivisibleDesign(d.K, d.M, d.U, rows)
+            assert _gdd_report(bad) == gdd_report_oracle(bad)
+
+
+def test_verify_gdd_certifies_up_to_the_pair_limit(monkeypatch):
+    td = _td(8, 4)                  # 64 blocks of 6 pairs
+    monkeypatch.setattr(designs, "_PAIR_LIMIT", 384)
+    assert _gdd_report(td).ok
+    monkeypatch.setattr(designs, "_PAIR_LIMIT", 383)
+    with pytest.raises(DesignError) as info:
+        _gdd_report(td)
+    assert str(info.value) == \
+        "design has 384 vertex pairs to certify, more than 383"
+
+
+def test_design_rows_must_share_one_size():
+    with pytest.raises(DesignError):
+        GroupDivisibleDesign(3, 1, 7, [(0, 1, 2), (0, 3)])
+    with pytest.raises(DesignError):
+        GroupDivisibleDesign(3, 1, 7, [(0, 1, 2**63)])
