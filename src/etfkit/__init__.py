@@ -28,7 +28,6 @@ from .designs import (
 from .hadamard import (
     HadamardError,
     HadamardMatrix,
-    SimplexFrame,
     dephase,
     fourier,
     kron_had,

@@ -22,6 +22,7 @@ from .constructions import (
 )
 from .designs import (
     DesignError,
+    FiniteField,
     LatinSquareSet,
     affine_plane,
     fill_holes,
@@ -60,6 +61,8 @@ class CliError(Exception):
 
 
 def _field_for(q: int):
+    if q > FiniteField._TABLE_LIMIT:        # before factoring q
+        raise CliError(f"field size {q} exceeds table limit")
     pk = prime_power_decomposition(q)
     if pk is None:
         raise CliError(f"{q} is not a prime power")
@@ -98,10 +101,7 @@ def _types_field(d: int, n: int) -> str:
 
 
 def certificate_line(cert) -> str:
-    a = cert.a
-    a_str = str(a.numerator) if a.denominator == 1 else str(a)
-    return (f"ETF D={cert.d} N={cert.n} s={cert.s} t={cert.t} A={a_str} "
-            f"types={_types_field(cert.d, cert.n)}")
+    return f"{cert} types={_types_field(cert.d, cert.n)}"
 
 
 def _write(path: str, text: str) -> None:

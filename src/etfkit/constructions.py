@@ -74,7 +74,7 @@ def _require_dephased(h: HadamardMatrix, size: int, label: str) -> None:
 def regular_simplex(n: int, h: HadamardMatrix) -> tuple[Frame, EtfCertificate]:
     """The flat (N-1) x N simplex cut from a dephased Hadamard of size N."""
     _require_dephased(h, n, "Hadamard matrix")
-    frame = Frame(simplex_from_hadamard(h).mat)
+    frame = Frame(simplex_from_hadamard(h))
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == n - 1 and cert.t == 1):
         raise ConstructionError(f"simplex certification failed: {cert}")
@@ -94,8 +94,8 @@ def steiner_etf(bibd: GroupDivisibleDesign,
             f"need a BIBD (group size 1), got group size {bibd.M}")
     r = bibd.R
     _require_dephased(h, r + 1, "Hadamard matrix")
-    sup = embedding_operators(bibd).supports[:, 0, :]      # (V, R)
-    tails = simplex_from_hadamard(h).mat    # R x (R+1)
+    sup = embedding_operators(bibd)[:, 0, :]    # (V, R)
+    tails = simplex_from_hadamard(h)    # R x (R+1)
     tail_arr = tails.array
     v_count = bibd.U
     arr = np.zeros((bibd.B, v_count * (r + 1), tail_arr.shape[2]),
@@ -134,7 +134,7 @@ def mols_tdtf(td: GroupDivisibleDesign, h: HadamardMatrix,
         raise ConstructionError(f"invalid design: {report.failure}")
     m, k = td.M, td.K
     _require_dephased(h, m, "Hadamard matrix")
-    tails = simplex_from_hadamard(h).mat
+    tails = simplex_from_hadamard(h)
     x = CycMatrix.from_int_matrix(td.incidence())
     phi = CycMatrix.identity(k, tails.order).kron(tails) @ x.transpose()
     if variant == "augmented":
@@ -268,12 +268,12 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     _require_dephased(h_e, plan.hadamard_e_size, "inner Hadamard matrix")
     _require_dephased(h_f, plan.hadamard_f_size, "outer Hadamard matrix")
 
-    sup = embedding_operators(gdd).supports                # (U, M, R)
+    sup = embedding_operators(gdd)              # (U, M, R)
     u_count, m_count, se, w = gdd.U, plan.m, s + ell, plan.w
     order = CycMatrix.common_order(seed.synthesis, h_e.mat, h_f.mat)
     seed_arr = seed.synthesis.lift_to_order(order).array
     e_mat = h_e.mat.lift_to_order(order)
-    f_tails = simplex_from_hadamard(h_f).mat.lift_to_order(order)
+    f_tails = simplex_from_hadamard(h_f).lift_to_order(order)
 
     # column i (W+1) + j of E (x) F is the R-dimensional payload e_i (x) f_j
     payload = e_mat.kron(f_tails).array

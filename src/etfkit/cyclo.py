@@ -85,14 +85,15 @@ class DimensionMismatchError(ValueError):
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, by trial division."""
+    """The distinct prime factors of n, ascending, by trial division: 2,
+    then odd divisors up to sqrt(n), so about sqrt(n)/2 divisions."""
     out, q = [], 2
     while q * q <= n:
         if n % q == 0:
             out.append(q)
             while n % q == 0:
                 n //= q
-        q += 1
+        q += 1 if q == 2 else 2
     return out + [n] if n > 1 else out
 
 

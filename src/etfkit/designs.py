@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclo import _prime_factors
+
 __all__ = [
     "DesignError",
     "FiniteField",
@@ -33,7 +35,6 @@ __all__ = [
     "verify_gdd",
     "wilson_product",
     "fill_holes",
-    "EmbeddingOperatorSet",
     "embedding_operators",
 ]
 
@@ -43,29 +44,21 @@ class DesignError(ValueError):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p^k and p prime, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        return None
+    p, k = primes[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return p, k
 
 
 # ---------------------------------------------------------------------------
@@ -540,25 +533,16 @@ def fill_holes(inner: GroupDivisibleDesign,
 # embedding operators
 
 
-class EmbeddingOperatorSet:
-    """supports[u, m] holds the R blocks through vertex (u, m), ascending:
-    E_{u,m} is the B x R selection matrix whose r-th column is the standard
-    basis vector at supports[u, m, r]."""
-
-    def __init__(self, supports: np.ndarray):
-        self.supports = supports
-
-    def support(self, u: int, m: int) -> np.ndarray:
-        return self.supports[u, m]
-
-
-def embedding_operators(design: GroupDivisibleDesign) -> EmbeddingOperatorSet:
-    """The embedding operators of a verified GDD, whose vertices each lie
-    in R blocks: one stable sort of all block vertices lists them."""
+def embedding_operators(design: GroupDivisibleDesign) -> np.ndarray:
+    """The embedding operators of a verified GDD, as one read-only (U, M, R)
+    array: entry [u, m] lists the R blocks through vertex (u, m), ascending,
+    and E_{u,m} is the B x R selection matrix whose r-th column is the
+    standard basis vector at [u, m, r].  One stable sort of all block
+    vertices lists them."""
     report = verify_gdd(design)
     if not report.ok:
         raise DesignError(f"design invalid: {report.failure}")
     supports = (np.argsort(design.blocks.ravel(), kind="stable") // design.K
                 ).reshape(design.U, design.M, design.R)
     supports.setflags(write=False)
-    return EmbeddingOperatorSet(supports)
+    return supports

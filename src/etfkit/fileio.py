@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import CycMatrix
+from .cyclo import CycMatrix, _prime_factors
 from .designs import GddReport, GroupDivisibleDesign, verify_gdd
 from .frames import Frame
 
@@ -224,14 +224,10 @@ def _row_text(rows: np.ndarray, deg: int, comma: str = ",") -> str:
 
 def _totient(n: int) -> int:
     """Euler's phi(n), the degree of Phi_n, by trial division."""
-    phi, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            phi -= phi // p
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    return phi - phi // n if n > 1 else phi
+    phi = n
+    for p in _prime_factors(n):
+        phi -= phi // p
+    return phi
 
 
 def _first_bad_entry(body: str, deg: int) -> FileFormatError:

@@ -1,10 +1,12 @@
 """Possibly-complex Hadamard matrices and the flat regular simplices they carry.
 
 A Hadamard matrix of size n has unimodular entries and satisfies H*H = nI
-exactly.  Dephasing scales columns so the first row is all ones; dropping
-that row then leaves a flat regular simplex: n equal-norm vectors in n-1
-dimensions summing to zero, the seed ingredient of every frame construction
-in this package.
+exactly; `HadamardMatrix` certifies both where a matrix enters the library.
+Dephasing scales columns so the first row is all ones; dropping that row
+then leaves a flat regular simplex: n equal-norm vectors in n-1 dimensions
+summing to zero, the seed ingredient of every frame construction in this
+package.  The simplex has no certificate of its own: its identities follow
+from H's, as `simplex_from_hadamard` shows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "HadamardError",
     "HadamardMatrix",
     "HadamardReport",
-    "SimplexFrame",
     "sylvester",
     "paley_i",
     "paley_ii",
@@ -160,7 +161,9 @@ def paley_ii(field: FiniteField) -> HadamardMatrix:
 
 def kron_had(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product of two Hadamard matrices."""
-    return HadamardMatrix(a.mat.kron(b.mat))
+    # products of unimodular entries are unimodular, and
+    # (A (x) B)*(A (x) B) = A*A (x) B*B = ab I
+    return HadamardMatrix(a.mat.kron(b.mat), _check=False)
 
 
 def dephase(h: HadamardMatrix) -> HadamardMatrix:
@@ -179,42 +182,17 @@ def dephase(h: HadamardMatrix) -> HadamardMatrix:
 # regular simplices
 
 
-class SimplexFrame:
-    """A flat regular simplex: the tail rows of a dephased Hadamard matrix.
+def simplex_from_hadamard(h: HadamardMatrix) -> CycMatrix:
+    """The (N-1) x N tail rows F of a dephased Hadamard matrix of size N.
 
-    Satisfies FF* = NI, F1 = 0 and F*F = NI - J exactly.
+    F needs no certificate of its own.  H is certified and its row 0 is all
+    ones, so NI = H*H = J + F*F, hence F*F = NI - J; and F's entries are
+    entries of H, so they are unimodular.  HH* = NI as well (H/sqrt(N) is
+    unitary): its lower-right block gives FF* = NI and its first column,
+    below the corner, gives F1 = 0.
     """
-
-    def __init__(self, mat: CycMatrix, _check: bool = True):
-        self.n = mat.cols
-        self.mat = mat
-        if _check:
-            self._certify()
-
-    def _certify(self):
-        n, order = self.n, self.mat.order
-        if self.mat.rows != n - 1:
-            raise HadamardError(
-                f"simplex must be {n - 1}x{n}, got {self.mat.rows}x{n}")
-        f = self.mat
-        if f.abs_squared_entries() != CycMatrix.ones(n - 1, n, order):
-            raise HadamardError("simplex is not flat")
-        # F*F = NI - J implies the rest: |F1|^2 = 1*(NI - J)1 = 0, so F1 = 0;
-        # then (FF* - NI)F = -FJ = 0, and F has full row rank N-1 because
-        # NI - J has rank N-1, so FF* = NI
-        expected = (CycMatrix.identity(n, order).scalar_mul(n)
-                    - CycMatrix.ones(n, n, order))
-        if f.adjoint() @ f != expected:
-            raise HadamardError("F*F differs from NI - J")
-
-    def __repr__(self):
-        return f"SimplexFrame(n={self.n}, order={self.mat.order})"
-
-
-def simplex_from_hadamard(h: HadamardMatrix) -> SimplexFrame:
-    """Drop the all-ones first row of a dephased Hadamard matrix."""
     if not h.dephased:
         raise HadamardError("Hadamard matrix must be dephased first")
     if h.size < 2:
         raise HadamardError("need size >= 2")
-    return SimplexFrame(h.mat.submatrix(slice(1, h.size), slice(None)))
+    return h.mat.submatrix(slice(1, h.size), slice(None))

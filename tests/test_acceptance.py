@@ -206,7 +206,7 @@ def test_criterion_7_mols_flat_frames():
 
 def _embedding_identities(design: GroupDivisibleDesign):
     ops = embedding_operators(design)
-    sups = [[set(ops.support(u, m)) for m in range(design.M)]
+    sups = [[set(ops[u, m]) for m in range(design.M)]
             for u in range(design.U)]
     r = design.R
     for u in range(design.U):

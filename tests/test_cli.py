@@ -832,6 +832,35 @@ def test_parse_design_peaks_below_the_dense_certificate(tmp_path, capsys):
     assert peak < 1 * 2**20
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    (("design", "affine", "1000000007", "-o"), 2,
+     "error: field size 1000000007 exceeds table limit"),
+    (("build", "simplex", "4", "--hadamard", "paley1:1000000007", "-o"), 2,
+     "error: field size 1000000007 exceeds table limit"),
+    (("status", "1000000008", "1", "1000000009"), 0,
+     "asymptotic (Steiner family, block size 1000000008, at sufficiently "
+     "large S)"),
+])
+def test_large_prime_parameters_answer_in_under_a_second(
+        tmp_path, capsys, argv, code, line):
+    # a field is bounded before its size is factored, and 10^9 + 7 is
+    # factored in about sqrt(10^9) / 2 divisions, not 10^9
+    if argv[-1] == "-o":
+        argv += (str(tmp_path / "out"),)
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == code
+    assert (out if code == 0 else err).splitlines() == [line]
+    assert not (tmp_path / "out").exists()
+
+
+def test_totient_matches_the_cyclotomic_degree():
+    for n in range(1, 400):
+        assert fileio._totient(n) == len(cyclotomic_polynomial(n)) - 1, n
+    assert fileio._totient(2**40 - 87) == 2**40 - 88
+
+
 def test_verify_rejects_a_design_of_too_many_pairs(tmp_path, capsys):
     # 109 KB: one block of 20000 vertices, whose X*X was 3.2 GB of int64
     path = tmp_path / "hostile.design"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -76,6 +77,25 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
     assert is_prime(23) and not is_prime(1)
+
+
+def test_prime_power_decomposition_matches_brute_force():
+    primes = [p for p in range(2, 3000) if all(p % f for f in range(2, p))]
+    powers = {p**k: (p, k) for p in primes for k in range(1, 12)}
+    for q in range(-2, 3000):
+        assert prime_power_decomposition(q) == powers.get(q), q
+        assert is_prime(q) == (q in primes), q
+
+
+def test_prime_power_decomposition_of_large_primes_is_fast():
+    # trial division stops at sqrt(q): about 16000 divisions for 10^9 + 7
+    start = time.perf_counter()
+    p = 10**9 + 7
+    assert prime_power_decomposition(p) == (p, 1) and is_prime(p)
+    assert prime_power_decomposition(2 * p) is None
+    assert prime_power_decomposition(3**19) == (3, 19)
+    assert not is_prime(1_000_003 * 1_000_033)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +422,7 @@ def embedding_identities_oracle(d: GroupDivisibleDesign) -> None:
     ops = embedding_operators(d)
     r = d.R
     eye = np.eye(r, dtype=np.int64)
-    mats = [[selection_matrix(d, ops.support(u, m)) for m in range(d.M)]
+    mats = [[selection_matrix(d, ops[u, m]) for m in range(d.M)]
             for u in range(d.U)]
     for u in range(d.U):
         for m in range(d.M):
@@ -422,18 +442,19 @@ def test_embedding_td33_vertex0():
     td = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
     ops = embedding_operators(td)
     # blocks are ordered lex by (x, y); vertex 0 is x = 0 in group 0
-    assert ops.support(0, 0).tolist() == [0, 1, 2]
+    assert ops[0, 0].tolist() == [0, 1, 2]
+    assert ops.shape == (td.U, td.M, td.R) and not ops.flags.writeable
     x = td.incidence()
     for u in range(td.U):
         for m in range(td.M):
-            col = selection_matrix(td, ops.support(u, m)).sum(axis=1)
+            col = selection_matrix(td, ops[u, m]).sum(axis=1)
             assert np.array_equal(col, x[:, u * td.M + m])
 
 
 def test_embedding_counts_fano():
     ops = embedding_operators(steiner_triple_system(7))
     for u in range(7):
-        assert len(ops.support(u, 0)) == 3
+        assert len(ops[u, 0]) == 3
 
 
 def test_embedding_identities_small_designs():

@@ -25,7 +25,7 @@ from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
 
 def simplex_frame(n: int) -> Frame:
-    return Frame(simplex_from_hadamard(fourier(n)).mat)
+    return Frame(simplex_from_hadamard(fourier(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
 @pytest.mark.parametrize("h", [fourier(3), sylvester(2)])   # d = 2 and 1
 def test_certification_forms_no_adjoint(monkeypatch, h):
     # Phi*'s values are Phi's, transposed, at the conjugate points
-    frame = Frame(simplex_from_hadamard(h).mat)
+    frame = Frame(simplex_from_hadamard(h))
     calls = []
     real = CycMatrix.adjoint
 
@@ -484,7 +484,7 @@ def simplex_over(order) -> Frame:
     """A simplex ETF over Z[zeta_order]: Fourier for order >= 3, else
     Sylvester's over Z."""
     if order <= 2:
-        arr = simplex_from_hadamard(sylvester(3)).mat.array
+        arr = simplex_from_hadamard(sylvester(3)).array
         return Frame(CycMatrix(order, arr))
     return simplex_frame(order)
 

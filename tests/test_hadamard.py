@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from etfkit.cli import hadamard_from_spec
 from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
 from etfkit.designs import gf_build
 from etfkit.hadamard import (
@@ -113,31 +114,50 @@ def test_dephase_paley_ii():
     assert d.dephased and verify_hadamard(d).ok
 
 
-def test_simplex_from_fourier3():
-    s = simplex_from_hadamard(fourier(3))
-    assert s.mat.shape == (2, 3)
-    gram = s.mat.adjoint() @ s.mat
-    expected = (CycMatrix.identity(3, 3).scalar_mul(3)
-                - CycMatrix.ones(3, 3, 3))
-    assert gram == expected
+# every Hadamard spec whose simplex a perfbench workload builds, dephased
+WORKLOAD_SPECS = ([f"sylvester:{k}" for k in range(1, 6)]
+                  + [f"paley1:{q}" for q in (3, 7, 11, 19, 23)]
+                  + [f"paley2:{q}" for q in (5, 13)]
+                  + [f"fourier:{n}" for n in range(2, 13)])
+
+
+@pytest.mark.parametrize("spec", WORKLOAD_SPECS)
+def test_simplex_from_hadamard_spec(spec):
+    # the simplex carries no certificate: its identities must follow from H's
+    h = hadamard_from_spec(spec)
+    s = simplex_from_hadamard(h)
+    n, order = h.size, h.mat.order
+    assert s.shape == (n - 1, n)
+    assert s.abs_squared_entries() == CycMatrix.ones(n - 1, n, order)
+    n_eye = CycMatrix.identity(n, order).scalar_mul(n)
+    assert s.adjoint() @ s == n_eye - CycMatrix.ones(n, n, order)
+    assert s @ s.adjoint() == CycMatrix.identity(n - 1, order).scalar_mul(n)
 
 
 def test_simplex_from_sylvester1():
     s = simplex_from_hadamard(sylvester(1))
-    assert s.mat.shape == (1, 2)
-    assert s.mat.entry(0, 0) == 1
-    assert s.mat.entry(0, 1) == CycScalar.from_int(-1, 2)
+    assert s.shape == (1, 2)
+    assert s.entry(0, 0) == 1
+    assert s.entry(0, 1) == CycScalar.from_int(-1, 2)
 
 
 def test_simplex_fourier10():
-    s = simplex_from_hadamard(fourier(10))
-    assert s.mat.shape == (9, 10)   # certification runs in the constructor
+    h = fourier(10)
+    s = simplex_from_hadamard(h)
+    # the tail rows of H, untouched: H's certificate covers them
+    assert s.shape == (9, 10)
+    assert s == h.mat.submatrix(slice(1, 10), slice(None))
 
 
 def test_simplex_requires_dephased():
     h = paley_ii(gf_build(5, 1))
     with pytest.raises(HadamardError):
         simplex_from_hadamard(h)
+
+
+def test_simplex_requires_size_two():
+    with pytest.raises(HadamardError, match="size >= 2"):
+        simplex_from_hadamard(sylvester(0))
 
 
 def test_kron_randomized():
