@@ -17,11 +17,12 @@ splits into the distinct factors x - w^j; so Z[zeta_n] / p is F_p^d, an
 element going to its values at those d points.  There a matrix product is d
 products over F_p, one per point, in place of the d^2 slot products of the
 coefficient form, and an entrywise product is d pointwise products.
-Conjugation sends w^j to w^-j, so it only permutes the points.  Evaluating
-is one product with the Vandermonde matrix V of the points, interpolating
-one with V^-1 mod p, whose rows are the dual basis
-(Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division in blocks
-of rows.
+Conjugation sends w^j to w^-j, which reverses the points taken in
+ascending order of j: the values of a conjugate are the values read
+backwards, a view.  Evaluating is one product with the Vandermonde matrix V
+of the points, interpolating one with V^-1 mod p, whose rows are the dual
+basis (Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division in
+blocks of rows.
 
 Every step is a float64 product of residues centred in (-p/2, p/2), reduced
 by x - p rint(x / p).  The prime is small enough that every sum of products
@@ -48,10 +49,11 @@ with no prime.  A change of basis (conjugation, lifting to a larger order)
 is such a product over Z, of the coefficients and an integer matrix.
 
 Certification compares in evaluation space as well.  A `_Space` fixes the
-primes of one pass, from the ladder of the pass's widest sum, with P above
-twice the largest bound the pass compares; then two elements whose values
-agree at every point mod every prime are equal.  So an identity is checked
-on values, and only what the certificate reports is interpolated.
+primes of one pass, from the ladder of the most nonzero products in one of
+the pass's sums, with P above twice the largest bound the pass compares;
+then two elements whose values agree at every point mod every prime are
+equal.  So an identity is checked on values, and only what the certificate
+reports is interpolated.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ _F64_EXACT = 2**53   # every integer below this is exact in float64
 _F64_MOD = 2**52     # every sum of products modulo a kernel prime is below
 _INT64_SAFE = 2**62  # int64 storage bound: two such values add below 2**63
 _BLOCK = 2**14       # values per block of an elementwise pass
+_CHUNK = 2**17       # values per chunk of rows of a large array: 1 MiB of
+                     # int64, so that passes over a chunk read it from cache
 
 
 class OrderMismatchError(ValueError):
@@ -259,15 +263,16 @@ def _ring(n: int) -> _Ring:
 class _Points:
     """Evaluation data of Z[zeta_n] mod p, as centred float64 residues.
 
-    v[i, j] = r_j^i at the points r_j = w^e_j, e_j running over the
+    v[i, j] = r_j^i at the points r_j = w^e_j, e_j running up the
     exponents prime to n; vinv is V^-1 mod p, row j the dual basis element
-    of r_j (a transposed view); conj(r_j) = r_j^-1 is point conj[j].
+    of r_j (a transposed view).  As e -> n - e maps the exponents prime to
+    n onto themselves in reverse, conj(r_j) = r_j^-1 is point d - 1 - j.
     """
 
-    __slots__ = ("v", "vinv", "conj")
+    __slots__ = ("v", "vinv")
 
-    def __init__(self, v: np.ndarray, vinv: np.ndarray, conj: np.ndarray):
-        self.v, self.vinv, self.conj = v, vinv, conj
+    def __init__(self, v: np.ndarray, vinv: np.ndarray):
+        self.v, self.vinv = v, vinv
 
 
 @lru_cache(maxsize=None)
@@ -328,10 +333,7 @@ def _points(n: int, p: int) -> _Points:
         deriv += np.einsum("ij,ij->j", dual[rows], v[rows])
     inverse = [pow(int(r), -1, p) for r in _reduce(deriv, p).astype(np.int64)]
     dual *= _reduce(np.array(inverse, dtype=np.float64), p)
-    where = np.empty(n, dtype=np.int64)
-    where[exps] = np.arange(d)
-    return _Points(_frozen(v), _frozen(_reduce(dual, p)).T,
-                   _frozen(where[(-exps) % n]))
+    return _Points(_frozen(v), _frozen(_reduce(dual, p)).T)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -539,11 +541,16 @@ def _scaled(arr: np.ndarray, s: int) -> np.ndarray:
     return arr * s
 
 
+def _float_exact(ring: _Ring, bound: int) -> bool:
+    """Whether a result bounded by `bound` needs no prime: it is 0, or d = 1
+    and the bound is below 2^53, so that one float64 product is exact."""
+    return bound == 0 or (ring.degree == 1 and bound < _F64_EXACT)
+
+
 def _kernel_primes(ring: _Ring, width: int, bound: int) -> tuple[int, ...]:
     """The primes a product of inner dimension `width` runs under, for a
-    result bounded by `bound`: none when the result is 0, or when d = 1 and
-    the bound is below 2^53, so that one float64 product is exact."""
-    if bound == 0 or (ring.degree == 1 and bound < _F64_EXACT):
+    result bounded by `bound`: none where the float64 product is exact."""
+    if _float_exact(ring, bound):
         return ()
     return ring.primes(width, bound)
 
@@ -660,9 +667,9 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
                ring: _Ring) -> np.ndarray:
     """Entrywise products of two (..., d) arrays, broadcast against each
     other: d pointwise products per prime.  With b None, the products of a
-    and its conjugate, |a|^2: conjugation only permutes the points, so a is
-    evaluated once.  A coefficient of a * b is a sum of d products of a
-    coefficient of a and one of zeta^i * b, so at most
+    and its conjugate, |a|^2: the conjugate's values are a's read
+    backwards, so a is evaluated once.  A coefficient of a * b is a sum of d
+    products of a coefficient of a and one of zeta^i * b, so at most
     B = max|a| max|b| d fold_l1, with max|conj a| <= max|a| conj_l1."""
     d = ring.degree
     ma = _max_abs(a)
@@ -688,7 +695,7 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
                     .reshape((d, -1) + x.shape[1:-1])
                     for v, (x, m) in zip(once, operands)]
             if b is None:
-                vals.append(vals[0][pts.conj])
+                vals.append(vals[0][::-1])
             part[rows] = _interpolated(vals[0] * vals[1], p,
                                        pts).reshape((-1,) + shape[1:])
     _crt(parts, primes, out)
@@ -698,10 +705,12 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
 class _Space:
     """Z[zeta_n] modulo the primes of one exact pass, element by element
     as values at the d points of each prime: a list of (d, ...) arrays,
-    one per prime.  The primes come from the ladder of `width`, so a sum of
-    `width` products of values stays below 2^52, and their product P
-    exceeds 2 `bound`.  With no prime (d = 1 and `bound` below 2^53) the
-    values are the float64 coefficients themselves."""
+    one per prime.  The primes come from the ladder of `width`, the number
+    of nonzero terms in the widest sum of the pass (at least d, for the
+    evaluation and interpolation sums): a zero element is 0 at every point,
+    so however many zero products a sum also holds, it stays below 2^52.
+    Their product P exceeds 2 `bound`.  With no prime (d = 1 and `bound`
+    below 2^53) the values are the float64 coefficients themselves."""
 
     def __init__(self, ring: _Ring, width: int, bound: int):
         self.degree = ring.degree
@@ -717,16 +726,31 @@ class _Space:
         return 2 * bound < self.modulus
 
     def values(self, arr: np.ndarray, mag: int) -> list[np.ndarray]:
-        """The values of a (..., d) array; `mag` is max|arr|."""
+        """The values of a (..., d) array; `mag` is max|arr|.  Past _CHUNK
+        values, each prime's are written into one (d, ...) array a chunk of
+        rows at a time, so the residues and the values of the whole array
+        are never held at once."""
         if not self.primes:
             return [arr[..., 0].astype(np.float64)[None]]
-        shape = (self.degree,) + arr.shape[:-1]
-        return [_values(arr, p, mag, pts).reshape(shape)
-                for p, pts in zip(self.primes, self.points)]
+        d, shape = self.degree, arr.shape[:-1]
+        step = max(1, _CHUNK // arr[0].size)
+        out = []
+        for p, pts in zip(self.primes, self.points):
+            if step >= shape[0]:
+                out.append(_values(arr, p, mag, pts).reshape((d,) + shape))
+                continue
+            vals = np.empty((d,) + shape)
+            for i in range(0, shape[0], step):
+                vals[:, i:i + step] = _values(arr[i:i + step], p, mag,
+                                              pts).reshape((d, -1) + shape[1:])
+            out.append(vals)
+        return out
 
-    def conj(self, vals: np.ndarray, i: int) -> np.ndarray:
-        """The values of the conjugate, from values mod prime i."""
-        return vals if self.degree == 1 else vals[self.points[i].conj]
+    @staticmethod
+    def conj(vals: np.ndarray) -> np.ndarray:
+        """The values of the conjugate: the points read backwards, a
+        view."""
+        return vals[::-1]
 
     def residue(self, c: int, i: int) -> int:
         """The integer c mod prime i, centred; c itself with no prime."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import _prime_factors
 
 __all__ = [
     "DesignError",
@@ -43,22 +42,71 @@ class DesignError(ValueError):
     """Invalid parameters or a structurally invalid design."""
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below
+# _PRIME_EXACT (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_EXACT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and _prime_factors(p) == [p]
+    """Deterministic Miller-Rabin.  A witness proves p composite at any
+    size; past _PRIME_EXACT, where the bases no longer prove p prime, a p
+    with no witness raises DesignError."""
+    if p < 2:
+        return False
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= _PRIME_EXACT:
+        raise DesignError(f"cannot decide whether {p} is prime: past "
+                          f"{_PRIME_EXACT}, where the test is exact")
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """The largest r with r^k <= q, by Newton's method on integers from
+    above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p^k and p prime, or None."""
+    """Return (p, k) with q = p^k and p prime, or None.
+
+    A prime factor of q below 43 settles it by division.  Else every prime
+    factor is at least 43, so q = p^k has k <= log_43 q; and if q = r^k
+    for the largest such k, q is a prime power exactly when r is prime.
+    """
     if q < 2:
         return None
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        return None
-    p, k = primes[0], 0
-    while q > 1:
-        q //= p
-        k += 1
-    return p, k
+    for p in _PRIME_BASES:
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q, k = q // p, k + 1
+            return (p, k) if q == 1 else None
+    for k in range(q.bit_length() // 5, 1, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return (r, k) if is_prime(r) else None
+    return (q, 1) if is_prime(q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +142,19 @@ class FiniteField:
     _TABLE_LIMIT = 4096
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise DesignError(f"{p} is not prime")
+        # the size comes before primality, which costs more for a large p;
+        # past 2^12 the size is never formed, as a large k would be slow
         if k < 1:
             raise DesignError("extension degree must be >= 1")
+        limit = self._TABLE_LIMIT
+        if p >= 2 and (k >= limit.bit_length() or p**k > limit):
+            size = p**k if k < limit.bit_length() else f"{p}^{k}"
+            raise DesignError(f"field size {size} exceeds table limit")
+        if not is_prime(p):
+            raise DesignError(f"{p} is not prime")
         self.p = p
         self.k = k
         self.q = p**k
-        if self.q > self._TABLE_LIMIT:
-            raise DesignError(f"field size {self.q} exceeds table limit")
         self.irreducible = self._find_irreducible()
         self._build_tables()
         self._spot_check()

@@ -8,11 +8,26 @@ rational matrices ever appear.
 
 The one certifying pass runs in evaluation space (see `cyclo`): Phi is
 evaluated once per prime, and Phi* is the same values, transposed, at the
-conjugate points.  The N column norms come first; then Phi Phi* is compared
-with (N s / D) I at the points; then G is formed a tile of rows at a time,
-each tile interpolated once and its |G|^2 formed at the points when the
-primes cover it.  The pass stops once every field of the certificate is
-fixed, and forms no N x N array.
+conjugate points.  Conjugation reverses the order of the points, so Phi* is
+a view of Phi's values: the pass makes no conjugate copy.
+
+The pass follows the zero pattern of Phi, which `Frame` keeps:
+
+- A coefficient of G = Phi* Phi sums over the rows where both of its
+  columns are nonzero, and one of Phi Phi* over the columns where both of
+  its rows are.  So the a-priori bound counts the most nonzeros of a column
+  or of a row, not max(D, N).  A zero entry is 0 at every point, so the
+  same count is the width of the prime ladder.
+- The N column norms come first.  Then Phi Phi* is summed over tiles of
+  columns, each on the rows its columns touch, and compared with
+  (N s / D) I at the points.
+- Then G is formed a tile of rows at a time.  A tile multiplies only the
+  rows of Phi that its columns touch, gathered; a dense frame's tiles take
+  every row, as a plain slice.  Each tile is interpolated once, and its
+  |G|^2 is formed at the points when the primes cover it.
+
+The pass stops once every field of the certificate is fixed, and forms no
+N x N array.
 """
 
 from __future__ import annotations
@@ -25,8 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import (_INT64_SAFE, CycMatrix, CycScalar, _entrywise, _max_abs,
-                    _ring, _row_blocks, _scaled, _Space)
+from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _entrywise,
+                    _float_exact, _max_abs, _ring, _row_blocks, _scaled,
+                    _Space)
 
 __all__ = [
     "FrameError",
@@ -86,13 +102,29 @@ class EtfType(NamedTuple):
 
 
 class Frame:
-    """A D x N synthesis operator with optional column grouping."""
+    """A D x N synthesis operator with optional column grouping.
+
+    `support` is its zero pattern, a (D, N) boolean array that is True at
+    the nonzero entries: the certifier's bound and tiles follow it.
+    """
 
     def __init__(self, synthesis: CycMatrix, groups: int | None = None):
         arr = synthesis.array
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise FrameError("frame must be nonempty")
-        nonzero_cols = arr.any(axis=(0, 2))
+        # a slot at a time, as a reduction along the short slot axis would
+        # cost a call per entry; in chunks of rows past _CHUNK values, so
+        # that the slots of a chunk are read from cache
+        step = max(1, _CHUNK // arr[0].size)
+        parts = []
+        for i in range(0, arr.shape[0], step):
+            part = arr[i:i + step, :, 0] != 0
+            for j in range(1, arr.shape[2]):
+                part |= arr[i:i + step, :, j] != 0
+            parts.append(part)
+        support = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        support.setflags(write=False)
+        nonzero_cols = support.any(axis=0)
         if not nonzero_cols.all():
             c = int(np.argmin(nonzero_cols))
             raise FrameError(f"column {c} is zero")
@@ -100,6 +132,7 @@ class Frame:
             raise FrameError(
                 f"{groups} groups do not divide {synthesis.cols} columns")
         self.synthesis = synthesis
+        self.support = support
         self.groups = groups
 
     @property
@@ -224,48 +257,119 @@ def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
     return "frame is equal-norm and equiangular but not tight"
 
 
+def _tiles(support: np.ndarray,
+           deg: int) -> list[tuple[slice, slice | np.ndarray]]:
+    """The column tiles of a synthesis operator with zero pattern `support`,
+    (D, N), in order: (cols, hit), hit picking the rows of the operator
+    that the tile's columns touch.  When they touch every row, or there is
+    one tile, hit is a plain slice, so a dense operator is taken whole."""
+    d, n = support.shape
+    tiles = list(_row_blocks(n, n * deg, _TILE_ROWS))
+    if len(tiles) == 1:
+        return [(tiles[0], slice(None))]
+    # as 0/1 bytes, which numpy reduces faster than booleans
+    touched = np.maximum.reduceat(support.view(np.uint8),
+                                  [t.start for t in tiles], axis=1)
+    out = []
+    for cols, rows in zip(tiles, touched.T):
+        hit = np.flatnonzero(rows)
+        out.append((cols, hit if hit.size < d else slice(None)))
+    return out
+
+
+def _runs(tiles: list[tuple[slice, slice | np.ndarray]]
+          ) -> list[tuple[slice, slice | np.ndarray]]:
+    """The tiles with each run of consecutive tiles that touch every row
+    merged into one, so that a dense operator is one product."""
+    out = []
+    for cols, hit in tiles:
+        if (isinstance(hit, slice) and out
+                and isinstance(out[-1][1], slice)):
+            cols = slice(out.pop()[0].start, cols.stop)
+        out.append((cols, hit))
+    return out
+
+
+def _tight(space: _Space, phi: list[np.ndarray],
+           tiles: list[tuple[slice, slice | np.ndarray]], c: int) -> bool:
+    """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N).
+    Phi Phi* sums, over the column tiles, the products of their columns on
+    the rows they touch.  An entry stays a sum of at most `terms` nonzero
+    products, exact in float64 across tiles, and is reduced once."""
+    for i, v in enumerate(phi):
+        deg, d = v.shape[:2]
+        fo = np.zeros((deg, d * d))
+        for cols, hit in _runs(tiles):
+            w = v[:, hit, cols]
+            part = (w @ space.conj(w).transpose(0, 2, 1)).reshape(deg, -1)
+            if isinstance(hit, slice):
+                fo += part
+            else:
+                fo[:, (hit[:, None] * d + hit).reshape(-1)] += part
+        space.reduce(fo, i)
+        fo[:, ::d + 1] -= space.residue(c, i)
+        if fo.any():
+            return False
+    return True
+
+
 def _certify(frame: Frame) -> tuple[EtfCertificate,
                                     tuple[CycScalar, ...] | None]:
     """The one certifying pass: the certificate, and the distinct
     off-diagonal Gram values (None past two)."""
-    arr = frame.synthesis.array
+    arr, support = frame.synthesis.array, frame.support
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg = ring.degree
     mag = _max_abs(arr)
-    # a coefficient of Phi* Phi (of Phi Phi*) is a sum of D deg (N deg)
-    # products of one of Phi*, at most mag conj_l1, and one of zeta^i Phi,
-    # at most mag fold_l1; N s / D is a coefficient of Phi Phi* too
+    # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
+    # where both entries are nonzero, so over at most `terms` entries, the
+    # most nonzeros of a column (of a row).  Each term is deg products of
+    # one coefficient of Phi*, at most mag conj_l1, and one of zeta^i Phi,
+    # at most mag fold_l1.  N s / D is the mean of the diagonal of Phi Phi*.
+    # A zero entry is 0 at every point, so a sum at a point holds at most
+    # `terms` nonzero products too: that is the width of the ladder.  The
+    # counts are taken only where they can pay: a sparse frame whose
+    # max(D, N) bound needs a prime
     growth = ring.conj_l1 * deg * ring.fold_l1
-    space = _Space(ring, max(d, n, deg), mag * mag * growth * max(d, n))
+    terms = max(d, n)
+    if not (support.all() or _float_exact(ring, mag * mag * growth * terms)):
+        counted = support.view(np.uint8)     # summed faster than booleans
+        terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
+                    int(counted.sum(axis=1, dtype=np.int32).max()))
+    space = _Space(ring, max(terms, deg), mag * mag * growth * terms)
     phi = space.values(arr, mag)                          # (deg, D, N)
-    bar = [space.conj(v, i) for i, v in enumerate(phi)]   # of conj(Phi)
 
-    def per_prime(op):
-        return [space.reduce(op(b, v), i)
-                for i, (b, v) in enumerate(zip(bar, phi))]
-
-    norms = space.exact(per_prime(lambda b, v: np.einsum("jki,jki->ji", b, v)))
+    norms = space.exact([
+        space.reduce(np.einsum("jki,jki->ji", space.conj(v), v), i)
+        for i, v in enumerate(phi)])
     bad_norm = _first((norms != norms[:, :1]).any(axis=0))
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
          else None)
     c = n * s // d if s is not None and n * s % d == 0 else None
-    tight = c is not None and not any(
-        (fo - space.residue(c, i) * np.eye(d)).any() for i, fo in
-        enumerate(per_prime(lambda b, v: v @ b.transpose(0, 2, 1))))
+    tiles = _tiles(support, deg)
+    tight = c is not None and _tight(space, phi, tiles, c)
 
     # row tiles of G in row-major order, until every field is fixed; entry
-    # (0, 1), whose |.|^2 is ref, is entry 1 of the first
+    # (0, 1), whose |.|^2 is ref, is entry 1 of the first.  Entry (r, c)
+    # sums conj(Phi_kr) Phi_kc over the rows k where column r is nonzero,
+    # so a tile multiplies only the rows it touches; Phi* is Phi at the
+    # conjugate points, a view
     values, ref, at, angle = [], None, None, None
-    for rows in _row_blocks(n, n * deg, _TILE_ROWS) if n > 1 else ():
-        tile = per_prime(lambda b, v: b[:, :, rows].transpose(0, 2, 1) @ v)
+    for rows, hit in tiles if n > 1 else ():
+        tile = []
+        for i, v in enumerate(phi):
+            w = v[:, hit]
+            left = space.conj(w[:, :, rows]).transpose(0, 2, 1)
+            tile.append(space.reduce(left @ w, i))
         coef = space.exact(tile)                          # (deg, entries)
-        off = np.arange(rows.start * n, rows.stop * n) % (n + 1) != 0
+        off = np.ones(coef.shape[1], dtype=bool)
+        off[rows.start::n + 1] = False
         values = _distinct(values, coef, off)
         # the bound covers ref too: as row 0 held no mismatch, each row r
         # holds G_r0 = conj(G_0r), and |G_0r|^2 = ref
         if angle is None and space.covers(_max_abs(coef) ** 2 * growth):
-            mods = [space.reduce(g * space.conj(g, i), i).reshape(deg, -1)
+            mods = [space.reduce(g * space.conj(g), i).reshape(deg, -1)
                     for i, g in enumerate(tile)]          # |G|^2 values
             if ref is None:
                 ref = space.exact([m[:, 1] for m in mods])[:, 0]

@@ -840,11 +840,20 @@ def test_parse_design_peaks_below_the_dense_certificate(tmp_path, capsys):
     (("status", "1000000008", "1", "1000000009"), 0,
      "asymptotic (Steiner family, block size 1000000008, at sufficiently "
      "large S)"),
+    # K = (10^9 + 7)^2 + 1: K - 1 is a square of a prime, which trial
+    # division to its square root took more than 5 s to find
+    (("status", "1000000014000000050", "1", "1000000014000000051"), 0,
+     "asymptotic (Steiner family, block size 1000000014000000050, at "
+     "sufficiently large S)"),
+    # K = 2^89 - 1 is past where Miller-Rabin with 13 bases is exact
+    (("status", str(2**89 - 1), "1", str(2**89)), 2,
+     f"error: cannot decide whether {2**89 - 1} is prime: past "
+     f"3317044064679887385961981, where the test is exact"),
 ])
 def test_large_prime_parameters_answer_in_under_a_second(
         tmp_path, capsys, argv, code, line):
-    # a field is bounded before its size is factored, and 10^9 + 7 is
-    # factored in about sqrt(10^9) / 2 divisions, not 10^9
+    # a field is bounded before its size is factored, and a prime power is
+    # found by integer roots and Miller-Rabin, not by trial division
     if argv[-1] == "-o":
         argv += (str(tmp_path / "out"),)
     start = time.perf_counter()

@@ -127,7 +127,8 @@ def test_cyclotomic_30030_is_fast():
 def test_points_invert_the_vandermonde_matrix(n):
     # V^-1 V = I mod p on the first two primes of the ladder of width d:
     # row j of V^-1 is the dual basis element of point j, built a block of
-    # Hankel rows at a time
+    # Hankel rows at a time.  The conjugate r_j^-1 of point j is point
+    # d - 1 - j, so conjugation reads the values backwards
     ring = cyclo._ring(n)
     d = ring.degree
     primes = ring.primes(d, 2**80)[:2]
@@ -136,6 +137,9 @@ def test_points_invert_the_vandermonde_matrix(n):
         pts = cyclo._points(n, p)
         got = cyclo._reduce(pts.vinv.T @ pts.v.T, p)
         assert np.array_equal(got, np.eye(d))
+        if d > 1:                   # row 1 of V holds the points
+            r = pts.v[1]
+            assert np.array_equal(cyclo._reduce(r * r[::-1], p), np.ones(d))
 
 
 def test_cyclotomic_rejects_nonpositive():

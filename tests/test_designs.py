@@ -4,11 +4,12 @@ import itertools
 import random
 import time
 from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from etfkit import designs
+from etfkit import cyclo, designs
 from etfkit.designs import (
     DesignError,
     GddReport,
@@ -87,8 +88,76 @@ def test_prime_power_decomposition_matches_brute_force():
         assert is_prime(q) == (q in primes), q
 
 
+def trial_prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k, from the factorisation of q by trial division."""
+    factors = cyclo._prime_factors(q) if q > 1 else []
+    if len(factors) != 1:
+        return None
+    p, k = factors[0], 0
+    while q > 1:
+        q, k = q // p, k + 1
+    return p, k
+
+
+def no_divisor(p: int, start: int, step: int) -> bool:
+    """No start + i step up to sqrt(p) divides p: trial division in numpy
+    blocks of int64 (p < 2^63)."""
+    top = isqrt(p)
+    for lo in range(start, top + 1, step * 2**20):
+        block = np.arange(lo, min(lo + step * 2**20, top + 1), step)
+        if (p % block == 0).any():
+            return False
+    return True
+
+
+def test_prime_power_decomposition_matches_trial_division():
+    # exact integer roots and Miller-Rabin against trial division: every
+    # q < 10^5, then three large q whose p is divided up to sqrt(p)
+    for q in range(10**5):
+        assert prime_power_decomposition(q) == trial_prime_power(q), q
+    p = 10**9 + 7
+    assert prime_power_decomposition(p * p) == (p, 2)
+    assert no_divisor(p, 2, 1)
+    # a prime factor of 2^61 - 1 is 1 mod 2 * 61 (Fermat), so trial
+    # division takes those candidates only
+    m = 2**61 - 1
+    assert prime_power_decomposition(m) == (m, 1)
+    assert no_divisor(m, 2 * 61 + 1, 2 * 61)
+    assert prime_power_decomposition(3**40) == (3, 40)
+    assert trial_prime_power(3**40) == (3, 40)
+
+
+def test_primality_past_the_exact_bound_raises():
+    # the 13 bases prove no prime past 3.3 * 10^24 prime, but a witness
+    # still proves a composite
+    big = 2**89 - 1                       # a Mersenne prime, about 6 * 10^26
+    assert big > designs._PRIME_EXACT
+    with pytest.raises(DesignError, match="cannot decide"):
+        is_prime(big)
+    with pytest.raises(DesignError, match="cannot decide"):
+        prime_power_decomposition(big)
+    assert not is_prime(big * 3) and not is_prime((2**89 - 1) * (2**61 - 1))
+    assert prime_power_decomposition(big + 1) == (2, 89)
+    # the bound itself is composite, yet no base is its witness
+    with pytest.raises(DesignError, match="cannot decide"):
+        is_prime(designs._PRIME_EXACT)
+
+
+def test_field_size_is_refused_before_primality():
+    # is_prime(p) of a p near 2^61 used to trial-divide for longer than 5 s
+    for p, k in ((2**61 - 1, 1), (2**61 - 1, 3), (2, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(DesignError, match="exceeds table limit"):
+            gf_build(p, k)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(DesignError, match="not prime"):
+        gf_build(4, 1)
+    with pytest.raises(DesignError, match="extension degree"):
+        gf_build(2**61 - 1, 0)
+
+
 def test_prime_power_decomposition_of_large_primes_is_fast():
-    # trial division stops at sqrt(q): about 16000 divisions for 10^9 + 7
+    # a Miller-Rabin test, and an integer root for each exponent k
     start = time.perf_counter()
     p = 10**9 + 7
     assert prime_power_decomposition(p) == (p, 1) and is_prime(p)

@@ -125,6 +125,25 @@ def test_frame_rejects_zero_column():
         Frame(m)
 
 
+@pytest.mark.parametrize("chunk", [1, 40, 2**17])
+def test_frame_support_is_the_nonzero_pattern(monkeypatch, chunk):
+    # built a coefficient slot at a time, in chunks of rows past _CHUNK
+    # values: of one row, of a few rows, and whole
+    monkeypatch.setattr(frames, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for order in (1, 5, 12):
+        deg = cyclo._ring(order).degree
+        arr = (rng.integers(-1, 2, size=(9, 7, deg))
+               * (rng.random((9, 7, 1)) < 0.4))
+        arr[0, :, 0] = 1
+        frame = Frame(CycMatrix(order, arr))
+        assert np.array_equal(frame.support, arr.any(axis=2))
+        assert not frame.support.flags.writeable
+        arr[:, 4] = 0
+        with pytest.raises(FrameError, match="column 4 is zero"):
+            Frame(CycMatrix(order, arr))
+
+
 def test_frame_grouping():
     syn = simplex_frame(4).synthesis
     assert Frame(syn, groups=2).groups == 2
@@ -538,6 +557,82 @@ def test_pass_finds_the_witness_in_the_first_and_the_last_tile(order, height,
         assert got["tdtf_values"] is not None and len(got["tdtf_values"]) == 2
 
 
+def random_sparse_frame(order, rng, density, equal_norms) -> Frame:
+    """A D x N frame, each entry nonzero with probability `density` and
+    every column nonzero somewhere.  With equal_norms, every column has the
+    same number of nonzeros, each a root of unity, so the pass reaches the
+    frame operator; else the coefficients are random in [-2, 2]."""
+    ring = cyclo._ring(order)
+    d, n = (int(x) for x in rng.integers(3, 13, size=2))
+    if equal_norms:
+        k = max(1, round(density * d))
+        support = np.zeros((d, n), dtype=bool)
+        for c in range(n):
+            support[rng.choice(d, size=k, replace=False), c] = True
+        arr = ring.powers(rng.integers(order, size=d * n)).reshape(d, n, -1)
+    else:
+        support = rng.random((d, n)) < density
+        support[rng.integers(d, size=n), np.arange(n)] = True
+        arr = rng.integers(-2, 3, size=(d, n, ring.degree))
+        arr[..., 0] = np.where(arr.any(axis=2), arr[..., 0], 1)
+    return Frame(CycMatrix(order, arr * support[..., None]))
+
+
+@pytest.mark.parametrize("order", [2, 5, 10, 30])
+@pytest.mark.parametrize("height", [None, 1, 3])
+def test_pass_matches_the_whole_gram_on_random_sparse_frames(order, height,
+                                                             tiles):
+    tiles(height)
+    rng = np.random.default_rng(100 + order * 10 + (height or 0))
+    for density in (0.05, 0.1, 0.2, 0.3):
+        for equal_norms in (False, True):
+            for _ in range(2):
+                frame = random_sparse_frame(order, rng, density, equal_norms)
+                assert pass_certificate(frame) == whole_gram_oracle(frame)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_pass_evaluates_the_synthesis_in_chunks_of_rows(monkeypatch, rows):
+    # a synthesis of more than _CHUNK values is evaluated a chunk of rows
+    # at a time, the last chunk shorter: chunks of 1, 2 and 3 rows give the
+    # certificates of the whole
+    rng = np.random.default_rng(rows)
+    for order in (3, 5, 10, 30):
+        cases = [simplex_over(order), rooted(simplex_over(order), rng)]
+        cases += [random_sparse_frame(order, rng, 0.3, equal)
+                  for equal in (False, True)]
+        for frame in cases:
+            monkeypatch.setattr(cyclo, "_CHUNK",
+                                rows * frame.synthesis.array[0].size)
+            assert pass_certificate(frame) == whole_gram_oracle(frame)
+
+
+@pytest.mark.parametrize("order", [2, 10])
+def test_pass_finds_witnesses_in_gathered_and_whole_tiles(order, tiles):
+    # ETF(6, 16) from AG(2, 2): vertex v has columns 4v, ..., 4v + 3 on the
+    # 3 lines through it.  In tiles of 12 rows, the first tile's columns
+    # touch all 6 rows, so it takes them whole; the second's touch 3, which
+    # it gathers.  Negating an entry of column j moves |G_ij|^2 only for
+    # the columns i of j's vertex, so the witness lies in j's tile
+    from etfkit.constructions import steiner_etf
+    from etfkit.designs import affine_plane, gf_build
+    tiles(12)
+    etf, _ = steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))
+    etf = rooted(Frame(etf.synthesis.lift_to_order(order)),
+                 np.random.default_rng(order))
+    deg = cyclo._ring(order).degree
+    hits = [hit for _, hit in frames._tiles(etf.support, deg)]
+    assert hits[0] == slice(None)
+    assert list(hits[1]) == list(np.flatnonzero(etf.support[:, 12]))
+    assert pass_certificate(etf) == whole_gram_oracle(etf)
+    for col, rows in ((2, range(12)), (13, range(12, 16))):
+        k = int(np.flatnonzero(etf.support[:, col])[0])
+        frame = corrupted(etf, [(k, col)], lambda x: -x)
+        got = pass_certificate(frame)
+        assert got == whole_gram_oracle(frame)
+        assert int(got["witness"].split("(")[1].split(",")[0]) in rows
+
+
 def test_pass_matches_the_whole_gram_on_an_equiangular_frame_not_tight():
     for order in (1, 3, 8):
         one = CycScalar.one(order)
@@ -601,14 +696,17 @@ def test_pass_matches_the_whole_gram_across_many_tiles(tmp_path, tiles):
 # ---------------------------------------------------------------------------
 # the pass's bounds at their edges
 #
-# The pass runs modulo the fewest primes of the ladder of width max(D, N, d)
-# whose product P exceeds twice its bound, m^2 conj_l1 d fold_l1 max(D, N)
-# for m = max|Phi|: the Gram's at D >= N, the frame operator's at N >= D.
-# At d = 1 below 2^53 it runs on the float64 coefficients, with no prime.
-# A row tile's |G|^2 is formed at the points when P (or 2^53) covers
-# max|G|^2 conj_l1 d fold_l1, else by _entrywise from its coefficients.
-# Each is run at the largest bound the primes cover and one step above,
-# against the Python-int oracle.
+# A coefficient of the Gram matrix is a sum over the rows where both of its
+# columns are nonzero, one of the frame operator over the columns where
+# both of its rows are: at most `terms` = max(nonzeros of a column,
+# nonzeros of a row) products, max(D, N) for a dense frame.  The pass runs
+# modulo the fewest primes of the ladder of width max(terms, d) whose
+# product P exceeds twice its bound, m^2 conj_l1 d fold_l1 terms for
+# m = max|Phi|.  At d = 1 below 2^53 it runs on the float64 coefficients,
+# with no prime.  A row tile's |G|^2 is formed at the points when P (or
+# 2^53) covers max|G|^2 conj_l1 d fold_l1, else by _entrywise from its
+# coefficients.  Each is run at the largest bound the primes cover and one
+# step above, against the Python-int oracle.
 
 
 def prime_steps(ring, width: int) -> list[int]:
@@ -633,28 +731,44 @@ def expected_primes(ring, width: int, bound: int) -> int:
         count += 1
 
 
-def worst_frame(order: int, d: int, n: int, mag: int, sign) -> Frame:
-    """Every coefficient +-mag, coefficient (r, c, i) of sign sign(r, c, i)."""
+def nonzero_terms(support: np.ndarray) -> int:
+    """The most nonzero products in a coefficient of the Gram matrix (a
+    column's nonzeros) or of the frame operator (a row's)."""
+    return int(max(support.sum(axis=0).max(), support.sum(axis=1).max()))
+
+
+def worst_frame(order: int, support: np.ndarray, mag: int, sign) -> Frame:
+    """Every coefficient of an entry in `support` is +-mag, coefficient
+    (r, c, i) of sign sign(r, c, i); every other entry is 0."""
     deg = cyclo._ring(order).degree
-    arr = np.array([[[sign(r, c, i) * mag for i in range(deg)]
-                     for c in range(n)] for r in range(d)], dtype=object)
+    d, n = support.shape
+    arr = np.array([[[sign(r, c, i) * mag * int(support[r, c])
+                      for i in range(deg)] for c in range(n)]
+                    for r in range(d)], dtype=object)
     return Frame(CycMatrix(order, arr))
 
 
 SIGNS = [lambda r, c, i: 1, lambda r, c, i: -1 if (r + c + i) % 3 == 1 else 1]
 
+# block supports: two blocks of 3 x 2 (columns of 3 nonzeros, so the Gram's
+# count decides), and of 2 x 3 (rows of 3, the frame operator's), each 3
+# terms where a dense frame of their shape has 6
+GRAM_BLOCKS = np.kron(np.eye(2, dtype=int), np.ones((3, 2), dtype=int)) > 0
+FO_BLOCKS = GRAM_BLOCKS.T.copy()
 
-def check_pass_bound(kernel_paths, order, d, n):
+
+def check_pass_bound(kernel_paths, order, support):
     ring = cyclo._ring(order)
-    width = max(d, n, ring.degree)
-    const = ring.conj_l1 * ring.degree * ring.fold_l1 * max(d, n)
+    terms = nonzero_terms(support)
+    width = max(terms, ring.degree)
+    const = ring.conj_l1 * ring.degree * ring.fold_l1 * terms
     for step in prime_steps(ring, width):
         below = isqrt((step - 1) // const)
         for mag in (below, below + 1):
             bound = mag * mag * const
             assert (bound >= step) == (mag > below)
             for sign in SIGNS:
-                frame = worst_frame(order, d, n, mag, sign)
+                frame = worst_frame(order, support, mag, sign)
                 with kernel_paths() as seen:
                     verify_etf(frame)
                 assert seen[0] == expected_primes(ring, width, bound)
@@ -663,12 +777,43 @@ def check_pass_bound(kernel_paths, order, d, n):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
 def test_gram_bound_at_each_prime_step(kernel_paths, order):
-    check_pass_bound(kernel_paths, order, 3, 2)         # D > N
+    check_pass_bound(kernel_paths, order, np.ones((3, 2), dtype=bool))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
 def test_frame_operator_bound_at_each_prime_step(kernel_paths, order):
-    check_pass_bound(kernel_paths, order, 2, 3)         # N > D
+    check_pass_bound(kernel_paths, order, np.ones((2, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+@pytest.mark.parametrize("support", [GRAM_BLOCKS, FO_BLOCKS],
+                         ids=["gram", "frame-operator"])
+def test_sparse_bound_at_each_prime_step(kernel_paths, order, support):
+    check_pass_bound(kernel_paths, order, support)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+@pytest.mark.parametrize("support", [GRAM_BLOCKS, FO_BLOCKS],
+                         ids=["gram", "frame-operator"])
+def test_sparse_and_dense_bounds_straddle_a_prime_step(kernel_paths, order,
+                                                       support):
+    # at the largest magnitude the fewest primes cover under the nonzero
+    # count, the bound with max(D, N) terms needs one more prime; the pass
+    # runs under the fewer, and is exact
+    ring = cyclo._ring(order)
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    terms, dense = nonzero_terms(support), max(support.shape)
+    width = max(terms, ring.degree)
+    mag = isqrt((prime_steps(ring, width)[0] - 1) // (growth * terms))
+    sparse_primes = expected_primes(ring, width, mag * mag * growth * terms)
+    assert expected_primes(ring, max(dense, ring.degree),
+                           mag * mag * growth * dense) > sparse_primes
+    for sign in SIGNS:
+        frame = worst_frame(order, support, mag, sign)
+        with kernel_paths() as seen:
+            verify_etf(frame)
+        assert seen[0] == sparse_primes
+        assert pass_certificate(frame) == python_int_oracle(frame)
 
 
 def squares(x: int, parts: int) -> list[int]:
@@ -687,10 +832,11 @@ def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
     # column 0 has squared norm x = max|G|, so the tile's |G|^2 bound is
     # x^2 conj_l1 d fold_l1; the pass's own bound stays below one prime
     # (2^53 at d = 1).  At the largest x it covers |G|^2 is formed at the
-    # points; at x + 1 by _entrywise, one more kernel call
+    # points; at x + 1 by _entrywise, one more kernel call.  Column 3 has
+    # every entry 1, so the pass's width is D = 10 whatever x is
     ring = cyclo._ring(order)
-    d, n = 10, 3
-    width = max(d, n, ring.degree)
+    d, n = 10, 4
+    width = max(d, ring.degree)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
     step = prime_steps(ring, width)[0]
     top = isqrt((step - 1) // growth)
@@ -698,8 +844,10 @@ def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
         arr = np.zeros((d, n, ring.degree), dtype=np.int64)
         arr[:, 0, 0] = squares(x, d)
         arr[0, 1, 0] = arr[1, 2, 0] = 1
+        arr[:, 3, 0] = 1
         frame = Frame(CycMatrix(order, arr))
         assert gram(frame).array.max() == x
+        assert max(nonzero_terms(frame.support), ring.degree) == width
         with kernel_paths() as seen:
             verify_etf(frame)
         assert len(seen) == calls
@@ -711,7 +859,7 @@ def _pass_bound(frame) -> int:
     ring = cyclo._ring(frame.order)
     mag = int(np.abs(frame.synthesis.array).max())
     return (mag * mag * ring.conj_l1 * ring.degree * ring.fold_l1
-            * max(frame.d, frame.n))
+            * nonzero_terms(frame.support))
 
 
 @pytest.mark.parametrize("order, n", [(2, 2000), (5, 1000)])
