@@ -30,7 +30,6 @@ from .hadamard import (
     HadamardMatrix,
     dephase,
     fourier,
-    kron_had,
     paley_i,
     paley_ii,
     simplex_from_hadamard,
@@ -43,7 +42,6 @@ from .frames import (
     Frame,
     FrameError,
     classify_type,
-    frame_operator,
     gram,
     naimark_gram,
     verify_etf,

@@ -22,13 +22,11 @@ from .constructions import (
 )
 from .designs import (
     DesignError,
-    FiniteField,
     LatinSquareSet,
+    _field_for,
     affine_plane,
     fill_holes,
-    gf_build,
     mols_from_field,
-    prime_power_decomposition,
     projective_plane,
     steiner_triple_system,
     td_from_mols,
@@ -58,15 +56,6 @@ VERIFY_ERROR = 1
 
 class CliError(Exception):
     """Parameter error surfaced to the user with exit code 2."""
-
-
-def _field_for(q: int):
-    if q > FiniteField._TABLE_LIMIT:        # before factoring q
-        raise CliError(f"field size {q} exceeds table limit")
-    pk = prime_power_decomposition(q)
-    if pk is None:
-        raise CliError(f"{q} is not a prime power")
-    return gf_build(*pk)
 
 
 def hadamard_from_spec(spec: str):

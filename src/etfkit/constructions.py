@@ -14,7 +14,9 @@ import numpy as np
 
 from .cyclo import CycMatrix
 from .designs import (
+    DesignError,
     GroupDivisibleDesign,
+    _refuse,
     embedding_operators,
     prime_power_decomposition,
     verify_gdd,
@@ -103,7 +105,7 @@ def steiner_etf(bibd: GroupDivisibleDesign,
     # row slot of vertex v's columns goes to the slot-th block through v
     cols = np.arange(v_count * (r + 1)).reshape(v_count, 1, r + 1)
     arr[sup[:, :, None], cols] = tail_arr
-    frame = Frame(CycMatrix(tails.order, arr, _copy=False), groups=v_count)
+    frame = Frame(CycMatrix(tails.order, arr, _copy=False))
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == r and cert.t == 1):
         raise ConstructionError(f"Steiner certification failed: {cert}")
@@ -178,10 +180,6 @@ class GddEtfPlan:
     hadamard_e_size: int   # S + L
     hadamard_f_size: int   # W + 1
 
-    @property
-    def type_out(self) -> EtfType:
-        return EtfType(self.seed.K, self.seed.L, self.s_out)
-
 
 def plan_gdd_etf(seed_type: EtfType, u: int) -> GddEtfPlan:
     """Check the admissibility conditions and derive all output parameters.
@@ -255,9 +253,6 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     if seed_type not in classify_type(seed.d, seed.n):
         raise ConstructionError(
             f"({seed.d}, {seed.n}) is not of type {seed_type}")
-    # grouping is a view on the columns, fixed here as consecutive runs of
-    # S+L; the equiangularity argument is grouping-invariant, so any prior
-    # grouping metadata on the seed is irrelevant
     seed_cert = verify_etf(seed)
     if not seed_cert.welch_equality:
         raise ConstructionError("seed frame is not a certified ETF")
@@ -288,16 +283,12 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     cols = np.arange(u_count * m_count * per).reshape(u_count, m_count, 1,
                                                       per)
     arr[top + sup[..., None], cols] = payload
-    frame = Frame(CycMatrix(order, arr, _copy=False),
-                  groups=u_count * m_count)
+    frame = Frame(CycMatrix(order, arr, _copy=False))
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == plan.s_out and cert.t == 1):
         raise ConstructionError(
             f"output certification failed (expected s={plan.s_out}, t=1): "
             f"{cert}")
-    if plan.type_out not in classify_type(frame.d, frame.n):
-        raise ConstructionError(
-            f"output does not classify as {plan.type_out}")
     return frame, cert
 
 
@@ -345,23 +336,31 @@ def _geometric_s(base: int, s: int) -> bool:
     return False
 
 
+def _steiner(t: EtfType, v: int, q: int, witness: str) -> ExistenceStatus:
+    """Constructible from a BIBD on v points, over GF(q) when q > 0, if the
+    design builders make it; else known, by the same witness."""
+    try:
+        _refuse(1, v, q)
+    except DesignError:
+        return ExistenceStatus(t, KNOWN, witness)
+    return ExistenceStatus(t, CONSTRUCTIBLE, witness)
+
+
 def _positive_status(t: EtfType) -> ExistenceStatus:
     k, s = t.K, t.S
-    # families this library constructs outright
+    # families this library constructs outright, within the design limits
     if k == 1:
         return ExistenceStatus(t, CONSTRUCTIBLE,
                                "regular simplex from a Hadamard of size S+1")
     if k == 3 and s >= 3 and s % 3 in (0, 1):
-        return ExistenceStatus(
-            t, CONSTRUCTIBLE,
-            f"Steiner ETF from a Steiner triple system on {2 * s + 1} points")
+        return _steiner(t, 2 * s + 1, 0, f"Steiner ETF from a Steiner triple "
+                                         f"system on {2 * s + 1} points")
     if s == k + 1 and _is_prime_power(k):
-        return ExistenceStatus(
-            t, CONSTRUCTIBLE, f"Steiner ETF from the affine plane of order {k}")
+        return _steiner(t, k * k, k,
+                        f"Steiner ETF from the affine plane of order {k}")
     if s == k and _is_prime_power(k - 1):
-        return ExistenceStatus(
-            t, CONSTRUCTIBLE,
-            f"Steiner ETF from the projective plane of order {k - 1}")
+        return _steiner(t, k * k - k + 1, k - 1, f"Steiner ETF from the "
+                        f"projective plane of order {k - 1}")
     # known families
     if 2 <= k <= 5 and s >= k:
         return ExistenceStatus(t, KNOWN,

@@ -63,6 +63,8 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+from .designs import is_prime
+
 __all__ = [
     "OrderMismatchError",
     "DimensionMismatchError",
@@ -141,19 +143,13 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _is_prime(p: int) -> bool:
-    if p < 4:
-        return p > 1
-    return p % 2 == 1 and bool(np.all(p % np.arange(3, isqrt(p) + 1, 2)))
-
-
 def _ladder(n: int, width: int):
     """Primes p = 1 (mod n), largest first, with width ((p - 1)/2)^2 below
     2^52: a sum of `width` products of centred residues mod p stays below
     2^52."""
     top = 2 * isqrt((_F64_MOD - 1) // width) + 1
     for p in range(top - (top - 1) % n, n, -n):
-        if _is_prime(p):
+        if is_prime(p):
             yield p
 
 
@@ -489,11 +485,6 @@ class CycScalar:
             return self.coeffs == other.coeffs
         n = _lcm(self.order, other.order)
         return self.lift_to_order(n).coeffs == other.lift_to_order(n).coeffs
-
-    __hash__ = None  # canonical keys are (order, coeffs); see key()
-
-    def key(self) -> tuple:
-        return (self.order, self.coeffs)
 
     def __repr__(self):
         return f"CycScalar(order={self.order}, coeffs={self.coeffs})"

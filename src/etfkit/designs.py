@@ -242,6 +242,15 @@ def gf_build(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
 
 
+def _field_for(q: int) -> FiniteField:
+    """GF(q) for a prime power q."""
+    _refuse(0, 0, q)                # the field alone, before q is factored
+    pk = prime_power_decomposition(q)
+    if pk is None:
+        raise DesignError(f"{q} is not a prime power")
+    return gf_build(*pk)
+
+
 # ---------------------------------------------------------------------------
 # Latin squares and MOLS
 
@@ -283,12 +292,11 @@ class GroupDivisibleDesign:
     """A uniform K-GDD of type M^U: a read-only (B, K) int64 array of
     blocks, each row sorted, over group-major labels.
 
-    Immutable.  Its incidence matrix and its `verify_gdd` report are
-    computed on first use and kept, so a design is certified once however
-    many consumers ask.
+    Immutable.  Its `verify_gdd` report is computed on first use and kept,
+    so a design is certified once however many consumers ask.
     """
 
-    __slots__ = ("K", "M", "U", "blocks", "_incidence", "_report")
+    __slots__ = ("K", "M", "U", "blocks", "_report")
 
     def __init__(self, k: int, m: int, u: int, blocks):
         try:
@@ -303,7 +311,7 @@ class GroupDivisibleDesign:
         rows.sort(axis=1)
         rows.setflags(write=False)
         for name, value in (("K", k), ("M", m), ("U", u), ("blocks", rows),
-                            ("_incidence", None), ("_report", None)):
+                            ("_report", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -322,21 +330,34 @@ class GroupDivisibleDesign:
     def vertices(self) -> int:
         return self.M * self.U
 
-    def group_of(self, v: int) -> int:
-        return v // self.M
-
     def incidence(self) -> np.ndarray:
         """Read-only {0,1} incidence matrix, rows indexed by blocks."""
-        if self._incidence is None:
-            x = np.zeros((self.B, self.vertices), dtype=np.int64)
-            x[np.arange(self.B)[:, None], self.blocks] = 1
-            x.setflags(write=False)
-            object.__setattr__(self, "_incidence", x)
-        return self._incidence
+        x = np.zeros((self.B, self.vertices), dtype=np.int64)
+        x[np.arange(self.B)[:, None], self.blocks] = 1
+        x.setflags(write=False)
+        return x
 
     def __repr__(self):
         return (f"GroupDivisibleDesign(K={self.K}, type {self.M}^{self.U}, "
                 f"B={self.B})")
+
+
+# pair keys certified at once: past 2^25 pairs, the (MU)^2 > 2^26 int64
+# entries of X*X took four arrays of more than 2 GiB between them
+_PAIR_LIMIT = 2**25
+
+
+def _refuse(m: int, u: int, q: int = 0) -> None:
+    """Refuse a design of type M^U, built over GF(q) when q > 0: a field
+    past the table limit, or more than _PAIR_LIMIT vertex pairs
+    M^2 U(U-1)/2 to certify.  The builders call it before they allocate,
+    and `existence_status` reads the same limits through it."""
+    if q > FiniteField._TABLE_LIMIT:
+        raise DesignError(f"field size {q} exceeds table limit")
+    pairs = m * m * u * (u - 1) // 2
+    if pairs > _PAIR_LIMIT:
+        raise DesignError(f"design has {pairs} vertex pairs to certify, "
+                          f"more than {_PAIR_LIMIT}")
 
 
 def _lex_sorted(rows: np.ndarray) -> np.ndarray:
@@ -374,6 +395,7 @@ def steiner_triple_system(u: int) -> GroupDivisibleDesign:
     """
     if u < 7 or u % 6 not in (1, 3):
         raise DesignError(f"no Steiner triple system on {u} points")
+    _refuse(1, u)
     if u % 6 == 3:
         t = (u - 3) // 6
         qn = 2 * t + 1
@@ -397,6 +419,7 @@ def steiner_triple_system(u: int) -> GroupDivisibleDesign:
 def affine_plane(field: FiniteField) -> GroupDivisibleDesign:
     """Lines of AG(2, q): a BIBD(q^2, q, 1) with point (x, y) at index xq+y."""
     q = field.q
+    _refuse(1, q * q)
     x = np.arange(q)
     slopes = x * q + field._add[field._mul[:, None, :], x[:, None]]
     blocks = np.concatenate([slopes.reshape(q * q, q),
@@ -408,6 +431,7 @@ def projective_plane(field: FiniteField) -> GroupDivisibleDesign:
     """Lines of PG(2, q): a BIBD(q^2+q+1, q+1, 1)."""
     q = field.q
     n = q * q + q + 1
+    _refuse(1, n)
     # normalized point representatives, in enumeration order: (1, a, b),
     # then (0, 1, c), then (0, 0, 1); lines are the same triples
     pts = np.zeros((n, 3), dtype=np.int64)
@@ -456,11 +480,6 @@ def verify_gdd(design: GroupDivisibleDesign) -> GddReport:
     return design._report
 
 
-# pair keys certified at once: past 2^25 pairs, the (MU)^2 > 2^26 int64
-# entries of X*X took four arrays of more than 2 GiB between them
-_PAIR_LIMIT = 2**25
-
-
 def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     """Block checks as masks, then X*X = R I + (J_U - I_U) x J_M by the
     replication counts and the sorted pair keys v MU + w (v < w): blocks
@@ -483,10 +502,7 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     b = m * u * r // k
     if design.B != b:
         return fail(f"block count is {design.B}, expected {b}")
-    pairs = b * k * (k - 1) // 2
-    if pairs > _PAIR_LIMIT:
-        raise DesignError(f"design has {pairs} vertex pairs to certify, "
-                          f"more than {_PAIR_LIMIT}")
+    _refuse(m, u)
     blocks, mu = design.blocks, m * u
     if blocks.shape[1] != k:
         return fail(f"block 0 does not have {k} distinct vertices")

@@ -50,7 +50,6 @@ __all__ = [
     "Frame",
     "EtfCertificate",
     "gram",
-    "frame_operator",
     "verify_etf",
     "classify_type",
     "NaimarkResult",
@@ -102,13 +101,13 @@ class EtfType(NamedTuple):
 
 
 class Frame:
-    """A D x N synthesis operator with optional column grouping.
+    """A D x N synthesis operator.
 
     `support` is its zero pattern, a (D, N) boolean array that is True at
     the nonzero entries: the certifier's bound and tiles follow it.
     """
 
-    def __init__(self, synthesis: CycMatrix, groups: int | None = None):
+    def __init__(self, synthesis: CycMatrix):
         arr = synthesis.array
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise FrameError("frame must be nonempty")
@@ -128,12 +127,8 @@ class Frame:
         if not nonzero_cols.all():
             c = int(np.argmin(nonzero_cols))
             raise FrameError(f"column {c} is zero")
-        if groups is not None and synthesis.cols % groups != 0:
-            raise FrameError(
-                f"{groups} groups do not divide {synthesis.cols} columns")
         self.synthesis = synthesis
         self.support = support
-        self.groups = groups
 
     @property
     def d(self) -> int:
@@ -154,11 +149,6 @@ class Frame:
 def gram(frame: Frame) -> CycMatrix:
     """The exact N x N Gram matrix Phi*Phi."""
     return frame.synthesis.adjoint() @ frame.synthesis
-
-
-def frame_operator(frame: Frame) -> CycMatrix:
-    """The exact D x D frame operator Phi Phi*."""
-    return frame.synthesis @ frame.synthesis.adjoint()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "paley_i",
     "paley_ii",
     "fourier",
-    "kron_had",
     "dephase",
     "verify_hadamard",
     "simplex_from_hadamard",
@@ -157,13 +156,6 @@ def paley_ii(field: FiniteField) -> HadamardMatrix:
     b = np.array([[1, -1], [-1, -1]], dtype=np.int64)
     h = np.kron(conf, a) + np.kron(np.eye(q + 1, dtype=np.int64), b)
     return HadamardMatrix(CycMatrix.from_int_matrix(h, order=2))
-
-
-def kron_had(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
-    """Kronecker product of two Hadamard matrices."""
-    # products of unimodular entries are unimodular, and
-    # (A (x) B)*(A (x) B) = A*A (x) B*B = ab I
-    return HadamardMatrix(a.mat.kron(b.mat), _check=False)
 
 
 def dephase(h: HadamardMatrix) -> HadamardMatrix:

@@ -864,6 +864,30 @@ def test_large_prime_parameters_answer_in_under_a_second(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("status, design, error", [
+    (("98", "1", "98"), ("projective", "97"),
+     "design has 45186771 vertex pairs to certify, more than 33554432"),
+    (("97", "1", "98"), ("affine", "97"),
+     "design has 44259936 vertex pairs to certify, more than 33554432"),
+    (("3", "1", "4096"), ("sts", "8193"),
+     "design has 33558528 vertex pairs to certify, more than 33554432"),
+    (("8192", "1", "8193"), ("affine", "8192"),
+     "field size 8192 exceeds table limit"),
+])
+def test_status_does_not_claim_a_design_the_builders_refuse(
+        tmp_path, capsys, status, design, error):
+    # the design is refused before its blocks are built: PG(2, 97) and the
+    # Steiner triple system on 8193 points took 5 s and 2 GiB to build
+    code, out, _ = run(capsys, "status", *status)
+    assert code == 0 and out.startswith("known-per-paper (")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "design", *design, "-o",
+                         str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {error}"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_totient_matches_the_cyclotomic_degree():
     for n in range(1, 400):
         assert fileio._totient(n) == len(cyclotomic_polynomial(n)) - 1, n

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from etfkit import designs as design_module
 from etfkit.constructions import (
     ASYMPTOTIC,
     CONSTRUCTIBLE,
@@ -22,9 +23,11 @@ from etfkit.constructions import (
 )
 from etfkit.cyclo import CycMatrix
 from etfkit.designs import (
+    DesignError,
     affine_plane,
     gf_build,
     mols_from_field,
+    projective_plane,
     steiner_triple_system,
     td_from_mols,
 )
@@ -172,6 +175,26 @@ def test_plan_accepts_canonical_residue_class():
             assert plan.s_out == seed.S + plan.r
 
 
+def test_every_admissible_plan_classifies_as_its_output_type():
+    # gdd_etf does not re-classify its output of type (K, L, S'):
+    # plan_gdd_etf refuses a plan whose D' is not that type's dimension,
+    # and N' is its count, so D'(N' - 1)/(N' - D') = S'^2 makes it one of
+    # the types of (D', N')
+    plans = []
+    for k in range(1, 9):
+        for ell in (1, -1):
+            for s in range(1, 60):
+                for u in range(1, 80):
+                    try:
+                        plans.append(plan_gdd_etf(EtfType(k, ell, s), u))
+                    except AdmissibilityError:
+                        pass
+    assert len(plans) == 9473
+    for plan in plans:
+        out = EtfType(plan.seed.K, plan.seed.L, plan.s_out)
+        assert out in classify_type(plan.d_out, plan.n_out), plan
+
+
 # ---------------------------------------------------------------------------
 # the GDD extension, small instance
 
@@ -270,6 +293,46 @@ def test_existence_positive_families():
     assert existence_status(EtfType(7, 1, 57)).status == KNOWN    # geometry
     assert existence_status(EtfType(6, 1, 3)).status == KNOWN     # SIC S^2-1
     assert existence_status(EtfType(7, 1, 14)).status == ASYMPTOTIC
+
+
+@pytest.mark.parametrize("k, s, built, witness", [
+    # PG(2, 89) has 32,084,055 vertex pairs, PG(2, 97) 45,186,771
+    (90, 90, True, "Steiner ETF from the projective plane of order 89"),
+    (98, 98, False, "Steiner ETF from the projective plane of order 97"),
+    # AG(2, 89) has 31,367,160 vertex pairs, AG(2, 97) 44,259,936
+    (89, 90, True, "Steiner ETF from the affine plane of order 89"),
+    (97, 98, False, "Steiner ETF from the affine plane of order 97"),
+    # 33,542,145 and 33,558,528 vertex pairs, either side of 2^25
+    (3, 4095, True, "Steiner ETF from a Steiner triple system on 8191 points"),
+    (3, 4096, False,
+     "Steiner ETF from a Steiner triple system on 8193 points"),
+    # GF(8192) is past the field table limit of 4096
+    (8192, 8193, False, "Steiner ETF from the affine plane of order 8192"),
+])
+def test_constructible_only_within_the_design_limits(k, s, built, witness):
+    st = existence_status(EtfType(k, 1, s))
+    assert (st.status, st.witness) == (CONSTRUCTIBLE if built else KNOWN,
+                                       witness)
+
+
+@pytest.mark.parametrize("k, s, build, pairs", [
+    (3, 4, lambda: steiner_triple_system(9), 36),
+    (4, 5, lambda: affine_plane(gf_build(2, 2)), 120),
+    (5, 5, lambda: projective_plane(gf_build(2, 2)), 210),
+])
+def test_status_and_builder_share_the_pair_limit(monkeypatch, k, s, build,
+                                                 pairs):
+    # at the limit the builder makes the design and the status says so;
+    # one below, the builder refuses it before it allocates the blocks
+    monkeypatch.setattr(design_module, "_PAIR_LIMIT", pairs)
+    assert build().B > 0
+    assert existence_status(EtfType(k, 1, s)).status == CONSTRUCTIBLE
+    monkeypatch.setattr(design_module, "_PAIR_LIMIT", pairs - 1)
+    with pytest.raises(DesignError) as info:
+        build()
+    assert str(info.value) == (f"design has {pairs} vertex pairs to "
+                               f"certify, more than {pairs - 1}")
+    assert existence_status(EtfType(k, 1, s)).status == KNOWN
 
 
 def test_existence_precondition():

@@ -14,7 +14,6 @@ from etfkit.frames import (
     Frame,
     FrameError,
     classify_type,
-    frame_operator,
     gram,
     naimark_gram,
     verify_etf,
@@ -142,13 +141,6 @@ def test_frame_support_is_the_nonzero_pattern(monkeypatch, chunk):
         arr[:, 4] = 0
         with pytest.raises(FrameError, match="column 4 is zero"):
             Frame(CycMatrix(order, arr))
-
-
-def test_frame_grouping():
-    syn = simplex_frame(4).synthesis
-    assert Frame(syn, groups=2).groups == 2
-    with pytest.raises(FrameError):
-        Frame(syn, groups=3)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +287,6 @@ def test_failed_certificate_carries_witness_and_tdtf_values():
     assert not cert.tdtf.ok
 
 
-def test_frame_operator_shape():
-    f = simplex_frame(5)
-    assert frame_operator(f).shape == (4, 4)
-
-
 def offdiag_values(g: CycMatrix, rows: int):
     """The distinct off-diagonal values of a Gram matrix, read in row tiles
     of `rows` rows as the certifying pass reads them."""
@@ -427,10 +414,10 @@ def pass_certificate(frame) -> dict:
 
 
 def whole_gram_oracle(frame) -> dict:
-    g = gram(frame)
+    g, syn = gram(frame), frame.synthesis
     return whole_gram_certificate(frame.order, frame.d, frame.n, g.array,
                                   g.abs_squared_entries().array,
-                                  frame_operator(frame).array)
+                                  (syn @ syn.adjoint()).array)
 
 
 def python_int_oracle(frame) -> dict:

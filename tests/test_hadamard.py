@@ -11,7 +11,6 @@ from etfkit.hadamard import (
     HadamardError,
     dephase,
     fourier,
-    kron_had,
     paley_i,
     paley_ii,
     simplex_from_hadamard,
@@ -168,4 +167,4 @@ def test_kron_randomized():
         a, b = rng.choice(pool), rng.choice(pool)
         if a.size * b.size > 16:
             continue
-        assert verify_hadamard(kron_had(a, b)).ok
+        assert verify_hadamard(a.mat.kron(b.mat)).ok

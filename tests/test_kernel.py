@@ -9,6 +9,7 @@ step, with worst-case signs; results past 2^62 are stored as Python ints.
 Every result is compared with the pure-Python CycScalar ring.
 """
 
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -188,6 +189,27 @@ def check_abs_squared(kernel_paths, n, dims, sa):
             assert entries(got) == [[a.entry(i, j).abs_squared()
                                      for j in range(c)] for i in range(r)]
             assert_stored(got)
+
+
+def trial_division_primes(n: int, width: int, count: int) -> list[int]:
+    """The `count` largest primes p = 1 (mod n) with width ((p - 1)/2)^2
+    below 2^52, by trial division."""
+    p = isqrt(2**54 // width) + 1
+    p -= (p - 1) % n
+    out = []
+    while len(out) < count:
+        if width * (p - 1) ** 2 < 2**54 and p % 2 and \
+                all(p % f for f in range(3, isqrt(p) + 1, 2)):
+            out.append(p)
+        p -= n
+    return out
+
+
+def test_ladder_primes_match_trial_division():
+    for n in ORDERS:
+        for width in (1 << e for e in range(13)):
+            assert list(islice(cyclo._ladder(n, width), 6)) == \
+                trial_division_primes(n, width, 6), (n, width)
 
 
 def test_conj_l1_is_the_largest_conjugate_coefficient():
