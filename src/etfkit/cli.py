@@ -24,6 +24,7 @@ from .designs import (
     DesignError,
     LatinSquareSet,
     _field_for,
+    _refuse,
     affine_plane,
     fill_holes,
     mols_from_field,
@@ -116,6 +117,7 @@ def _build_design(args):
         k, m = args.a, args.b
         if k == 2:
             return td_from_mols(LatinSquareSet(m, []), 2)
+        _refuse(m, k, m)                # before the field is built
         return td_from_mols(mols_from_field(_field_for(m)), k)
     if args.kind == "sts":
         return steiner_triple_system(args.a)

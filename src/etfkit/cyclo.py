@@ -11,7 +11,9 @@ int64 while every coefficient is below 2^62 in magnitude, Python integers
 difference of two int64 arrays exact, so an addition only has to re-check
 where its result is stored.
 
-Products run in evaluation space.  Modulo a prime p = 1 (mod n), F_p holds
+One engine, `_Space`, runs every product and every identity that `frames`
+checks, exactly and in evaluation space: evaluate, multiply per prime, then
+interpolate only what is reported.  Modulo a prime p = 1 (mod n), F_p holds
 the d = phi(n) primitive n-th roots of unity w^j, j prime to n, and Phi_n
 splits into the distinct factors x - w^j; so Z[zeta_n] / p is F_p^d, an
 element going to its values at those d points.  There a matrix product is d
@@ -33,27 +35,23 @@ FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The one bit
 of headroom makes the rounded quotient x / p land on the nearest integer, so
 each reduction leaves an exactly centred residue.
 
-An a-priori bound B caps every coefficient of a result: max|a| max|b| k d
-fold_l1 for the product of an (r, k) and a (k, c) matrix, where fold_l1 is
-the growth of folding x^d, ..., x^(2d-2) back mod Phi_n.  A product runs
-modulo the fewest primes, largest first, whose product P exceeds 2B.
-Garner's mixed-radix form of the Chinese remainder theorem with centred
-digits gives the residue of least magnitude mod P, which is the exact result
-(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); it runs in
-int64 while P < 2^63 and on Python ints beyond.  The primes and each prime's
-points are found on first use.
+A pass is given an a-priori bound B on every coefficient it computes or
+compares: max|a| max|b| k d fold_l1 for the product of an (r, k) and a
+(k, c) matrix, where fold_l1 is the growth of folding x^d, ..., x^(2d-2)
+back mod Phi_n.  It runs modulo the fewest primes of the ladder of its
+widest sum, largest first, whose product P exceeds 2B; then two elements
+whose values agree at every point mod every prime are equal.  Garner's
+mixed-radix form of the Chinese remainder theorem with centred digits gives
+the residue of least magnitude mod P, which is the exact result (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5); it runs in int64 while
+P < 2^63 and on Python ints beyond.  The primes and each prime's points are
+found on first use.
 
-At d = 1 (orders 1 and 2) evaluation is the identity, so a product whose
-bound is below 2^53 is one float64 product of the coefficients themselves,
-with no prime.  A change of basis (conjugation, lifting to a larger order)
-is such a product over Z, of the coefficients and an integer matrix.
-
-Certification compares in evaluation space as well.  A `_Space` fixes the
-primes of one pass, from the ladder of the most nonzero products in one of
-the pass's sums, with P above twice the largest bound the pass compares;
-then two elements whose values agree at every point mod every prime are
-equal.  So an identity is checked on values, and only what the certificate
-reports is interpolated.
+At d = 1 (orders 1 and 2) evaluation is the identity, so a pass whose bound
+is below 2^53 takes no prime: its values are the float64 coefficients, and
+a product is one float64 product.  A pass bounded by 0 takes none either.
+A change of basis (conjugation, lifting to a larger order) is a product
+over Z, of the coefficients and an integer matrix.
 """
 
 from __future__ import annotations
@@ -539,18 +537,9 @@ def _float_exact(ring: _Ring, bound: int) -> bool:
 
 
 def _kernel_primes(ring: _Ring, width: int, bound: int) -> tuple[int, ...]:
-    """The primes a product of inner dimension `width` runs under, for a
-    result bounded by `bound`: none where the float64 product is exact."""
-    if _float_exact(ring, bound):
-        return ()
-    return ring.primes(width, bound)
-
-
-def _residues(arr: np.ndarray, p: int, mag: int) -> np.ndarray:
-    """arr mod p, centred, as float64; `mag` is max|arr|."""
-    if mag <= p // 2:
-        return arr.astype(np.float64, order="C")
-    return _reduce((arr % p).astype(np.float64, order="C"), p)
+    """The primes a pass of width `width` runs under, for results bounded by
+    `bound`: none where the float64 product is exact."""
+    return () if _float_exact(ring, bound) else ring.primes(width, bound)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -567,18 +556,6 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _values(arr: np.ndarray, p: int, mag: int, pts: _Points) -> np.ndarray:
-    """(d, entries): every entry of a (..., d) array at each point, mod p."""
-    res = _residues(arr, p, mag).reshape(-1, arr.shape[-1])
-    return _reduce(pts.v.T @ res.T, p)
-
-
-def _interpolated(vals: np.ndarray, p: int, pts: _Points) -> np.ndarray:
-    """(entries, d) centred coefficients mod p from (d, ...) values."""
-    vals = _reduce(vals.reshape(vals.shape[0], -1), p)
-    return _reduce(vals.T @ pts.vinv, p)
-
-
 def _row_blocks(rows: int, per_row: int, least: int = 1):
     """Slices of about _BLOCK result values each, and at least `least` rows:
     the temporaries of a block stay small, so memory is reused from block to
@@ -588,38 +565,121 @@ def _row_blocks(rows: int, per_row: int, least: int = 1):
         yield slice(i, min(i + step, rows))
 
 
-def _per_prime(shape: tuple[int, ...], primes: tuple[int, ...]):
-    """The result array, and an array per prime for the residues modulo it.
-    With one prime the residues are the result, so they go straight into
-    it: float64 holding integers converts exactly."""
-    out = np.empty(shape, dtype=np.int64 if prod(primes) < 2**63 else object)
-    if len(primes) == 1:
-        return out, [out]
-    return out, [np.empty(shape) for _ in primes]
+class _Space:
+    """Z[zeta_n] modulo the primes of one exact pass, element by element
+    as values at the d points of each prime: a list of (d, ...) arrays,
+    one per prime.  The primes come from the ladder of `width`, the number
+    of nonzero terms in the widest sum of the pass (at least d, for the
+    evaluation and interpolation sums): a zero element is 0 at every point,
+    so however many zero products a sum also holds, it stays below 2^52.
+    Their product P exceeds 2 `bound`.  With no prime the values are the
+    float64 coefficients themselves (d = 1 and `bound` below 2^53), or 0
+    (`bound` 0: every result is 0, so no operand is read)."""
 
+    def __init__(self, ring: _Ring, width: int, bound: int):
+        self.degree = ring.degree
+        self.zero = bound == 0
+        self.primes = _kernel_primes(ring, width, bound)
+        self.points = [_points(ring.order, p) for p in self.primes]
+        # the CRT runs in int64 while P < 2^63, so that |results| < 2^62
+        self.dtype = np.int64 if prod(self.primes) < 2**63 else object
 
-def _crt(parts: list[np.ndarray], primes: tuple[int, ...],
-         out: np.ndarray) -> None:
-    """Write into `out` the integers of least magnitude with the centred
-    residues `parts` modulo `primes`: Garner's mixed radix x = c_0 + c_1 p_0
-    + c_2 p_0 p_1 + ..., with each digit c_i centred mod p_i.  Every digit
-    product mod a prime stays below 2^54."""
-    if len(primes) == 1:
-        return
-    digits = []
-    for i, (p, res) in enumerate(zip(primes, parts)):
-        c = res.astype(np.int64)
-        if digits:
-            known = digits[-1] % p        # the digits so far, mod p
-            for j in range(i - 2, -1, -1):
-                known = (known * primes[j] + digits[j]) % p
-            c = (c - known) % p * pow(prod(primes[:i]), -1, p) % p
-            c[c > p // 2] -= p
-        digits.append(c)
-    x = digits[-1].astype(out.dtype)
-    for j in range(len(primes) - 2, -1, -1):
-        x = x * primes[j] + digits[j]
-    out[...] = x
+    def covers(self, bound: int) -> bool:
+        """Whether values that agree at every point mod every prime are
+        equal, for coefficients of magnitude at most `bound`."""
+        if not self.primes:
+            return bound < _F64_EXACT
+        return 2 * bound < prod(self.primes)
+
+    def blocks(self, rows: int, per_row: int, least: int = 1):
+        """Row blocks of a pass's results, as `_row_blocks`; one with no
+        prime, as one float64 product is exact, and fastest, whole."""
+        return (_row_blocks(rows, per_row, least) if self.primes
+                else (slice(None),))
+
+    def values(self, arr: np.ndarray, mag: int) -> list[np.ndarray]:
+        """The values of a (..., d) array; `mag` is max|arr|.  Past _CHUNK
+        values, each prime's are written into one (d, ...) array a chunk of
+        rows at a time, so the residues and the values of the whole array
+        are never held at once."""
+        shape = arr.shape[:-1]
+        if not self.primes:
+            return [np.zeros((self.degree,) + shape) if self.zero
+                    else arr[..., 0].astype(np.float64)[None]]
+        d = self.degree
+        step = max(1, _CHUNK // arr[0].size)
+        out = []
+        for p, pts in zip(self.primes, self.points):
+            vals = None if step >= shape[0] else np.empty((d,) + shape)
+            for i in range(0, shape[0], step):
+                part = arr[i:i + step]
+                # centred residues mod p, as float64
+                res = (part.astype(np.float64, order="C") if mag <= p // 2
+                       else _reduce((part % p).astype(np.float64, order="C"),
+                                    p))
+                got = _reduce(pts.v.T @ res.reshape(-1, d).T, p)
+                if vals is None:
+                    vals = got.reshape((d,) + shape)
+                else:
+                    vals[:, i:i + step] = got.reshape((d, -1) + shape[1:])
+            out.append(vals)
+        return out
+
+    @staticmethod
+    def conj(vals: np.ndarray) -> np.ndarray:
+        """The values of the conjugate: the points read backwards, a
+        view."""
+        return vals[::-1]
+
+    def residue(self, c: int, i: int) -> int:
+        """The integer c mod prime i, centred; with no prime c itself, or 0
+        in a pass whose values are all 0."""
+        if not self.primes:
+            return 0 if self.zero else c
+        p = self.primes[i]
+        return (c + p // 2) % p - p // 2
+
+    def reduce(self, vals: np.ndarray, i: int) -> np.ndarray:
+        """Sums of products of values mod prime i, reduced in place."""
+        return _reduce(vals, self.primes[i]) if self.primes else vals
+
+    def exact(self, vals: list[np.ndarray]) -> np.ndarray:
+        """(d, entries): the exact coefficients of reduced values, by one
+        interpolation per prime and Garner's mixed-radix CRT, x = c_0 +
+        c_1 p_0 + c_2 p_0 p_1 + ..., with each digit c_i centred mod p_i.
+        Every digit product mod a prime stays below 2^54."""
+        d, primes = self.degree, self.primes
+        if not primes:      # float64 holding integers converts exactly
+            return vals[0].reshape(d, -1).astype(np.int64)
+        digits = []
+        for i, (p, pts, v) in enumerate(zip(primes, self.points, vals)):
+            c = _reduce(pts.vinv.T @ v.reshape(d, -1), p).astype(np.int64)
+            if digits:
+                known = digits[-1] % p        # the digits so far, mod p
+                for j in range(i - 2, -1, -1):
+                    known = (known * primes[j] + digits[j]) % p
+                c = (c - known) % p * pow(prod(primes[:i]), -1, p) % p
+                c[c > p // 2] -= p
+            digits.append(c)
+        x = digits[-1].astype(self.dtype, copy=False)
+        for j in range(len(primes) - 2, -1, -1):
+            x = x * primes[j] + digits[j]
+        return x
+
+    def results(self, shape: tuple[int, ...], block) -> np.ndarray:
+        """The exact (rows, ..., d) array of `shape` that a pass computes:
+        `block(rows)` gives the reduced values of its rows `rows`, per
+        prime, each block made exact as it comes.  One block is returned in
+        place (no copy at d = 1, where its coefficients are in row order)."""
+        blocks = list(self.blocks(shape[0], prod(shape[1:])))
+        if len(blocks) == 1:
+            return np.ascontiguousarray(
+                self.exact(block(blocks[0])).T).reshape(shape)
+        out = np.empty(shape, dtype=self.dtype)
+        for rows in blocks:
+            part = out[rows]
+            part[...] = self.exact(block(rows)).T.reshape(part.shape)
+        return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
@@ -627,31 +687,21 @@ def _matmul(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
 
     Every coefficient of the result is a sum of k d products of a
     coefficient of a and one of zeta^i * b, at most max|b| * fold_l1, so at
-    most B = max|a| max|b| k d fold_l1.  Per prime, b is evaluated at the d
-    points once; then, a block of rows of a at a time, the block is
-    evaluated, one batched product over the point axis, (d, rows, k) times
-    (d, k, c), runs, and its result is interpolated.
+    most B = max|a| max|b| k d fold_l1.  b is evaluated once; then, a block
+    of rows of a at a time, the block is evaluated, one batched product over
+    the point axis, (d, rows, k) times (d, k, c), runs per prime, and its
+    result is made exact.
     """
     (r, k, d), c = a.shape, b.shape[1]
     ma, mb = _max_abs(a), _max_abs(b)
-    bound = ma * mb * k * d * ring.fold_l1
-    primes = _kernel_primes(ring, max(k, d), bound)
-    if not primes:
-        if bound == 0:
-            return np.zeros((r, c, d), dtype=np.int64)
-        fa = a[:, :, 0].astype(np.float64)
-        out = fa @ (fa if b is a else b[:, :, 0].astype(np.float64))
-        return out.astype(np.int64).reshape(r, c, 1)
-    out, parts = _per_prime((r, c, d), primes)
-    for part, p in zip(parts, primes):
-        pts = _points(ring.order, p)
-        right = _values(b, p, mb, pts).reshape(d, k, c)
-        for rows in _row_blocks(r, c * d):
-            left = _values(a[rows], p, ma, pts).reshape(d, -1, k)
-            part[rows] = _interpolated(np.matmul(left, right), p,
-                                       pts).reshape(-1, c, d)
-    _crt(parts, primes, out)
-    return out
+    space = _Space(ring, max(k, d), ma * mb * k * d * ring.fold_l1)
+    right = space.values(b, mb)
+
+    def block(rows):
+        return [space.reduce(x @ y, i) for i, (x, y)
+                in enumerate(zip(space.values(a[rows], ma), right))]
+
+    return space.results((r, c, d), block)
 
 
 def _entrywise(a: np.ndarray, b: np.ndarray | None,
@@ -665,106 +715,21 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
     d = ring.degree
     ma = _max_abs(a)
     mb = ma * ring.conj_l1 if b is None else _max_abs(b)
-    bound = ma * mb * d * ring.fold_l1
     shape = a.shape if b is None else np.broadcast_shapes(a.shape, b.shape)
-    primes = _kernel_primes(ring, d, bound)
-    if not primes:
-        if bound == 0:
-            return np.zeros(shape, dtype=np.int64)
-        fa = a.astype(np.float64)         # at d = 1, conj is the identity
-        return (fa * (fa if b is None else b.astype(np.float64))
-                ).astype(np.int64)
+    space = _Space(ring, d, ma * mb * d * ring.fold_l1)
     operands = [(a, ma)] if b is None else [(a, ma), (b, mb)]
-    out, parts = _per_prime(shape, primes)
-    for part, p in zip(parts, primes):
-        pts = _points(ring.order, p)
-        # an operand of one row is broadcast to every block: evaluated once
-        once = [_values(x, p, m, pts) if x.shape[0] == 1 else None
-                for x, m in operands]
-        for rows in _row_blocks(shape[0], prod(shape[1:])):
-            vals = [(_values(x[rows], p, m, pts) if v is None else v)
-                    .reshape((d, -1) + x.shape[1:-1])
-                    for v, (x, m) in zip(once, operands)]
-            if b is None:
-                vals.append(vals[0][::-1])
-            part[rows] = _interpolated(vals[0] * vals[1], p,
-                                       pts).reshape((-1,) + shape[1:])
-    _crt(parts, primes, out)
-    return out
+    # an operand of one row is broadcast to every block: evaluated once
+    once = [space.values(x, m) if x.shape[0] == 1 else None
+            for x, m in operands]
 
+    def block(rows):
+        vals = [space.values(x[rows], m) if v is None else v
+                for v, (x, m) in zip(once, operands)]
+        if b is None:
+            vals.append([space.conj(v) for v in vals[0]])
+        return [space.reduce(x * y, i) for i, (x, y) in enumerate(zip(*vals))]
 
-class _Space:
-    """Z[zeta_n] modulo the primes of one exact pass, element by element
-    as values at the d points of each prime: a list of (d, ...) arrays,
-    one per prime.  The primes come from the ladder of `width`, the number
-    of nonzero terms in the widest sum of the pass (at least d, for the
-    evaluation and interpolation sums): a zero element is 0 at every point,
-    so however many zero products a sum also holds, it stays below 2^52.
-    Their product P exceeds 2 `bound`.  With no prime (d = 1 and `bound`
-    below 2^53) the values are the float64 coefficients themselves."""
-
-    def __init__(self, ring: _Ring, width: int, bound: int):
-        self.degree = ring.degree
-        self.primes = _kernel_primes(ring, width, bound)
-        self.points = [_points(ring.order, p) for p in self.primes]
-        self.modulus = prod(self.primes)
-
-    def covers(self, bound: int) -> bool:
-        """Whether values that agree at every point mod every prime are
-        equal, for coefficients of magnitude at most `bound`."""
-        if not self.primes:
-            return bound < _F64_EXACT
-        return 2 * bound < self.modulus
-
-    def values(self, arr: np.ndarray, mag: int) -> list[np.ndarray]:
-        """The values of a (..., d) array; `mag` is max|arr|.  Past _CHUNK
-        values, each prime's are written into one (d, ...) array a chunk of
-        rows at a time, so the residues and the values of the whole array
-        are never held at once."""
-        if not self.primes:
-            return [arr[..., 0].astype(np.float64)[None]]
-        d, shape = self.degree, arr.shape[:-1]
-        step = max(1, _CHUNK // arr[0].size)
-        out = []
-        for p, pts in zip(self.primes, self.points):
-            if step >= shape[0]:
-                out.append(_values(arr, p, mag, pts).reshape((d,) + shape))
-                continue
-            vals = np.empty((d,) + shape)
-            for i in range(0, shape[0], step):
-                vals[:, i:i + step] = _values(arr[i:i + step], p, mag,
-                                              pts).reshape((d, -1) + shape[1:])
-            out.append(vals)
-        return out
-
-    @staticmethod
-    def conj(vals: np.ndarray) -> np.ndarray:
-        """The values of the conjugate: the points read backwards, a
-        view."""
-        return vals[::-1]
-
-    def residue(self, c: int, i: int) -> int:
-        """The integer c mod prime i, centred; c itself with no prime."""
-        if not self.primes:
-            return c
-        p = self.primes[i]
-        return (c + p // 2) % p - p // 2
-
-    def reduce(self, vals: np.ndarray, i: int) -> np.ndarray:
-        """Sums of products of values mod prime i, reduced in place."""
-        return _reduce(vals, self.primes[i]) if self.primes else vals
-
-    def exact(self, vals: list[np.ndarray]) -> np.ndarray:
-        """(d, entries): the exact coefficients of reduced values, by one
-        interpolation per prime and the Chinese remainder theorem."""
-        if not self.primes:
-            return vals[0].reshape(1, -1).astype(np.int64)
-        d = self.degree
-        out, parts = _per_prime((d, vals[0].size // d), self.primes)
-        for part, p, pts, v in zip(parts, self.primes, self.points, vals):
-            part[...] = _reduce(pts.vinv.T @ v.reshape(d, -1), p)
-        _crt(parts, self.primes, out)
-        return out
+    return space.results(shape, block)
 
 
 def _linear_map(arr: np.ndarray, mat: np.ndarray) -> np.ndarray:

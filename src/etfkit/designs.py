@@ -13,6 +13,7 @@ outputs pass that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -271,17 +272,32 @@ class LatinSquareSet:
                 sqs.max(initial=0) >= size:
             raise DesignError("square has wrong shape or symbol range")
         sqs.setflags(write=False)
-        self.squares = sqs
+        self.squares, self.count = sqs, len(sqs)
 
-    @property
-    def count(self) -> int:
-        return len(self.squares)
+    def first(self, count: int) -> np.ndarray:
+        """The first `count` squares, (count, size, size)."""
+        return self.squares[:count]
+
+
+class _FieldSquares(LatinSquareSet):
+    """The squares L_a(x, y) = a*x + y over GF(q), a = 1, ..., q - 1, each
+    formed only when read: a design that reads K - 2 allocates for those."""
+
+    def __init__(self, field: FiniteField):
+        self.size, self.count, self._field = field.q, field.q - 1, field
+
+    def first(self, count: int) -> np.ndarray:
+        f = self._field
+        sqs = f._add[f._mul[1:count + 1, :, None], np.arange(f.q)]
+        sqs.setflags(write=False)
+        return sqs
+
+    squares = cached_property(lambda self: self.first(self.count))
 
 
 def mols_from_field(field: FiniteField) -> LatinSquareSet:
     """The q-1 mutually orthogonal squares L_a(x, y) = a*x + y over GF(q)."""
-    return LatinSquareSet(
-        field.q, field._add[field._mul[1:, :, None], np.arange(field.q)])
+    return _FieldSquares(field)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +391,7 @@ def td_from_mols(squares: LatinSquareSet, k: int) -> GroupDivisibleDesign:
     blocks = np.empty((m * m, k), dtype=np.int64)
     blocks[:, 0], blocks[:, 1] = np.divmod(np.arange(m * m), m)
     blocks[:, 1] += m
-    blocks[:, 2:] = (squares.squares[:k - 2].reshape(k - 2, m * m).T
+    blocks[:, 2:] = (squares.first(k - 2).reshape(k - 2, m * m).T
                      + m * np.arange(2, k))
     return GroupDivisibleDesign(k, m, k, blocks)
 
@@ -439,11 +455,16 @@ def projective_plane(field: FiniteField) -> GroupDivisibleDesign:
     pts[:q * q, 1], pts[:q * q, 2] = np.divmod(np.arange(q * q), q)
     pts[q * q:n - 1, 1] = 1
     pts[q * q:, 2] = np.append(np.arange(q), 1)
+    # a line's points zero its dot products; lines a block at a time
     add, mul = field._add, field._mul
-    dot = add[add[mul[pts[:, None, 0], pts[:, 0]],
-                  mul[pts[:, None, 1], pts[:, 1]]],
-              mul[pts[:, None, 2], pts[:, 2]]]
-    blocks = np.nonzero(dot == 0)[1].reshape(n, q + 1)
+    step, on = max(1, 2**16 // n), []
+    for i in range(0, n, step):
+        line = pts[i:i + step, None]            # (lines, 1, 3)
+        dot = add[add[mul[line[..., 0], pts[:, 0]],
+                      mul[line[..., 1], pts[:, 1]]],
+                  mul[line[..., 2], pts[:, 2]]]
+        on.append(np.nonzero(dot == 0)[1])
+    blocks = np.concatenate(on).reshape(n, q + 1)
     return GroupDivisibleDesign(q + 1, 1, n, _lex_sorted(blocks))
 
 

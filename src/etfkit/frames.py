@@ -452,25 +452,33 @@ class NaimarkResult:
 def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
     """Complement Gram G' = num I - den G of G at A = num/den.
 
-    Certifies den G G = num G (a tight Gram).  The transfer identity
-    G' G' = num G' follows without a second product: expanding gives
-    G' G' - num G' = den (den G G - num G), and den >= 1.
+    Certifies den G G = num G (a tight Gram) at the points of one pass,
+    bounded by den mag^2 N d fold_l1 + |num| mag for mag = max|G| (as a
+    product bounds each side), and interpolates nothing.  The transfer
+    identity G' G' = num G' follows without a second product: expanding
+    gives G' G' - num G' = den (den G G - num G), and den >= 1.
     """
     if g.rows != g.cols:
         raise FrameError("Gram matrix must be square")
     frac = Fraction(a)
     num, den = frac.numerator, frac.denominator
     n, arr = g.rows, g.array
-    # -den G is the one N x N array formed here; num goes on its diagonal
+    ring = _ring(g.order)
+    deg, mag = ring.degree, _max_abs(arr)
+    space = _Space(ring, max(n, deg),
+                   den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
+    # den G G = num G a block of rows at a time, G evaluated once; then,
+    # its values freed, -den G with num on its diagonal
+    input_tight = all(
+        np.array_equal(space.reduce(space.reduce(v[:, rows] @ v, i)
+                                    * space.residue(den, i), i),
+                       space.reduce(v[:, rows] * space.residue(num, i), i))
+        for i, v in enumerate(space.values(arr, mag))
+        for rows in space.blocks(n, n * deg, _TILE_ROWS))
     comp = _scaled(arr, -den)
     if comp.dtype != object and abs(num) >= _INT64_SAFE:
         comp = comp.astype(object)
     comp[np.arange(n), np.arange(n), 0] += num
-    # den G G = num G, compared a block of rows at a time
-    gg = (g @ g).array
-    input_tight = all(
-        np.array_equal(_scaled(gg[rows], den), _scaled(arr[rows], num))
-        for rows in _row_blocks(n, n * arr.shape[2]))
     return NaimarkResult(CycMatrix(g.order, comp, _copy=False), den,
                          input_tight, input_tight)
 

@@ -888,6 +888,19 @@ def test_status_does_not_claim_a_design_the_builders_refuse(
     assert not (tmp_path / "out").exists()
 
 
+def test_design_td_is_refused_before_its_field_is_built(tmp_path, capsys):
+    # TD(4, 4096) has more than 2^25 vertex pairs; building GF(4096) first
+    # took 6 s and 548 MiB before anything refused it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "design", "td", "4", "4096", "-o",
+                         str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err.splitlines()) == (2, "", [
+        "error: design has 100663296 vertex pairs to certify, "
+        "more than 33554432"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_totient_matches_the_cyclotomic_degree():
     for n in range(1, 400):
         assert fileio._totient(n) == len(cyclotomic_polynomial(n)) - 1, n

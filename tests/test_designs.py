@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from math import isqrt
 
@@ -202,6 +203,28 @@ def test_mols_gf8_all_21_pairs():
     ls = mols_from_field(gf_build(2, 3))
     assert ls.count == 7
     mols_oracle(ls)
+    # the squares a design reads are the first of the whole set
+    assert np.array_equal(ls.first(3), ls.squares[:3])
+
+
+def traced_peak(build):
+    """What `build` returns, and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_td_forms_only_the_squares_it_reads():
+    # TD(3, 256) reads one of the 255 squares of GF(256); forming all of
+    # them took 255 MiB of tracemalloc for 1.5 MiB of blocks
+    field = gf_build(2, 8)
+    td, peak = traced_peak(lambda: td_from_mols(mols_from_field(field), 3))
+    assert peak < 16 * 2**20
+    assert td.B == 256 * 256 and verify_gdd(td).ok
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +334,15 @@ def test_projective_gf3():
     assert d.B == 13 and d.K == 4
     assert verify_gdd(d).ok
     pair_coverage_oracle(d)
+
+
+def test_projective_plane_forms_no_n_by_n_tables():
+    # PG(2, 49) has n = 2451 points; its incidence from n x n tables took
+    # 137.6 MiB of tracemalloc for 0.93 MiB of blocks
+    field = gf_build(7, 2)
+    d, peak = traced_peak(lambda: projective_plane(field))
+    assert peak < 16 * 2**20
+    assert (d.B, d.K) == (2451, 50) and verify_gdd(d).ok
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ whose product P exceeds 2B; a basis change is a product over Z (d = 1).  So the
 prime count steps up at B = 2^53 and at each B = (P + 1)/2, the least bound
 that P no longer covers.  Coefficients sit one below and exactly at each
 step, with worst-case signs; results past 2^62 are stored as Python ints.
-Every result is compared with the pure-Python CycScalar ring.
+Every result is compared with the pure-Python CycScalar ring.  Naimark's
+identity den G G = num G is checked the same way, at the steps of its own
+bound, with no product interpolated.
 """
 
+from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from etfkit import cyclo
 from etfkit.cyclo import CycMatrix, CycScalar
+from etfkit.frames import naimark_gram
 
 F64 = 2**53
 STORE = 2**62
@@ -387,3 +391,98 @@ def test_zero_operand_is_exact_in_float64(kernel_paths):
     with kernel_paths() as seen:
         sq = big @ CycMatrix.identity(2, 15)
     assert sq == big and seen[0] >= 2
+
+
+def naimark_tight(g: CycMatrix, a: Fraction) -> bool:
+    """den G G = num G, on the CycScalar ring."""
+    return all(a.denominator * x == a.numerator * g.entry(i, j)
+               for i, row in enumerate(scalar_matmul(g, g))
+               for j, x in enumerate(row))
+
+
+def largest_below(step: int, bound_of) -> int:
+    """The largest m >= 0 with bound_of(m) < step, for an increasing
+    bound_of with bound_of(0) = 0 and bound_of(step) >= step."""
+    lo, hi = 0, step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound_of(mid) < step else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_naimark_identity_at_each_prime_step(kernel_paths, n):
+    # G = mag J_2 in slot 0 has G G = 2 mag G, so A = 2 mag is tight, and
+    # den G G = num G is checked under the bound den mag^2 2 d fold_l1 +
+    # |num| mag.  With one coefficient flipped, max|G| and the bound stay
+    # and the identity fails.  Each G is also tried at A = (6 mag + 1)/3,
+    # whose denominator is 3
+    ring = cyclo._ring(n)
+    d = ring.degree
+    width = max(2, d)
+    for den in (1, 3):
+        def a_of(mag):
+            return Fraction(6 * mag + 1, 3) if den == 3 else Fraction(2 * mag)
+
+        def bound_of(mag):
+            return (den * mag * mag * 2 * d * ring.fold_l1
+                    + a_of(mag).numerator * mag)
+
+        for step in steps(ring, width):
+            below = largest_below(step, bound_of)
+            for mag in (below, below + 1) if below else (1,):
+                a, bound = a_of(mag), bound_of(mag)
+                assert (bound >= step) == (mag > below)
+                arr = np.zeros((2, 2, d), dtype=object)
+                arr[:, :, 0] = mag
+                flipped = arr.copy()
+                flipped[0, 1, d - 1] = -mag
+                for g, tight in ((CycMatrix(n, arr), den == 1),
+                                 (CycMatrix(n, flipped), False)):
+                    with kernel_paths() as seen:
+                        res = naimark_gram(g, a)
+                    assert seen == [expected_primes(ring, width, bound)]
+                    assert res.input_tight == tight == naimark_tight(g, a)
+                    if tight:   # G G = 2 mag G, so A / 3 is not tight
+                        assert not naimark_gram(g, a / 3).input_tight
+                    assert res.transfer_ok == res.input_tight
+                    assert res.denominator == den
+                    assert entries(res.complement) == [
+                        [a.numerator * int(i == j) - den * g.entry(i, j)
+                         for j in range(2)] for i in range(2)]
+                    assert_stored(res.complement)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_empty_operands(kernel_paths, n):
+    # an empty operand bounds its pass by 0: the result is its zeros, of
+    # the product's shape, with no prime
+    d = cyclo._ring(n).degree
+
+    def ones(rows, cols):
+        return CycMatrix.ones(rows, cols, n)
+
+    empty = [ones(2, 0), ones(0, 3)]
+    cases = [
+        (lambda: ones(2, 0) @ ones(0, 3), (2, 3)),
+        (lambda: ones(2, 3) @ ones(3, 0), (2, 0)),
+        (lambda: ones(0, 3) @ ones(3, 2), (0, 2)),
+    ] + [(lambda e=e: e.kron(ones(2, 2)), (2 * e.rows, 2 * e.cols))
+         for e in empty] + [
+        (lambda e=e: ones(2, 2).kron(e), (2 * e.rows, 2 * e.cols))
+        for e in empty] + [
+        (lambda e=e: e.abs_squared_entries(), e.shape) for e in empty] + [
+        (lambda e=e: e.entrywise_mul(e), e.shape) for e in empty]
+    for op, shape in cases:
+        with kernel_paths() as seen:
+            got = op()
+        assert seen == [0]
+        assert got.array.shape == shape + (d,) and got.is_zero
+        assert got.array.dtype == np.int64
+    res = naimark_gram(CycMatrix.zeros(0, 0, n), 5)
+    assert res.input_tight and res.complement.shape == (0, 0)
+    # G = 0 is tight at any A, one past float64's range too
+    big = 2**1100
+    res = naimark_gram(CycMatrix.zeros(2, 2, n), big)
+    assert res.input_tight and res.complement == CycMatrix.identity(
+        2, n).scalar_mul(big)
