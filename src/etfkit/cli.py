@@ -17,6 +17,7 @@ from .constructions import (
     existence_status,
     gdd_etf,
     mols_tdtf,
+    plan_gdd_etf,
     regular_simplex,
     steiner_etf,
 )
@@ -37,6 +38,7 @@ from .designs import (
 from .fileio import (
     DesignVerifyError,
     FileFormatError,
+    _parse_matrix,
     parse_design,
     parse_frame,
     serialize_design,
@@ -59,9 +61,8 @@ class CliError(Exception):
     """Parameter error surfaced to the user with exit code 2."""
 
 
-def hadamard_from_spec(spec: str):
-    """Build a dephased Hadamard matrix from sylvester:k | paley1:q |
-    paley2:q | fourier:n."""
+def _parse_spec(spec: str) -> tuple[str, int]:
+    """The family and the integer parameter of a Hadamard spec."""
     name, _, arg = spec.partition(":")
     if not arg:
         raise CliError(f"Hadamard spec needs a parameter: {spec!r}")
@@ -69,6 +70,15 @@ def hadamard_from_spec(spec: str):
         value = int(arg)
     except ValueError:
         raise CliError(f"non-integer Hadamard parameter: {spec!r}") from None
+    if name not in ("sylvester", "paley1", "paley2", "fourier"):
+        raise CliError(f"unknown Hadamard family {name!r}")
+    return name, value
+
+
+def hadamard_from_spec(spec: str):
+    """Build a dephased Hadamard matrix from sylvester:k | paley1:q |
+    paley2:q | fourier:n."""
+    name, value = _parse_spec(spec)
     try:
         if name == "sylvester":
             return dephase(sylvester(value))
@@ -76,11 +86,28 @@ def hadamard_from_spec(spec: str):
             return dephase(paley_i(_field_for(value)))
         if name == "paley2":
             return dephase(paley_ii(_field_for(value)))
-        if name == "fourier":
-            return dephase(fourier(value))
+        return dephase(fourier(value))
     except (HadamardError, DesignError) as exc:
         raise CliError(str(exc)) from exc
-    raise CliError(f"unknown Hadamard family {name!r}")
+
+
+def _require_size(spec: str, size: int, label: str = "Hadamard matrix"):
+    """Refuse a spec whose matrix is not of the size a build needs, before
+    the matrix is built: sylvester:k has size 2^k, paley1:q q+1, paley2:q
+    2(q+1) and fourier:n n.  A negative k is left to sylvester to refuse."""
+    name, value = _parse_spec(spec)
+    if name == "sylvester":
+        if value < 0:
+            return
+        # no array has 2^63 rows, so a larger 2^k is not formed
+        got = 2 ** value if value < 63 else f"2^{value}"
+    elif name == "fourier":
+        got = value
+    else:
+        _refuse(0, 0, value)            # GF(q) past the table limit first
+        got = (value + 1) * (1 if name == "paley1" else 2)
+    if got != size:
+        raise CliError(f"{label} must have size {size}, got {got}")
 
 
 def _types_field(d: int, n: int) -> str:
@@ -148,12 +175,15 @@ def cmd_design(args) -> int:
 
 def cmd_build(args) -> int:
     if args.kind == "simplex":
+        _require_size(args.hadamard, args.n)
         frame, cert = regular_simplex(args.n, hadamard_from_spec(args.hadamard))
     elif args.kind == "steiner":
         bibd = parse_design(Path(args.bibd).read_text())
+        _require_size(args.hadamard, bibd.R + 1)
         frame, cert = steiner_etf(bibd, hadamard_from_spec(args.hadamard))
     elif args.kind == "mols-etf":
         td = parse_design(Path(args.td).read_text())
+        _require_size(args.hadamard, td.M)
         frame, cert = mols_tdtf(td, hadamard_from_spec(args.hadamard),
                                 args.variant)
     else:
@@ -180,6 +210,9 @@ def _build_gdd_etf(args):
         raise CliError(
             f"seed ({seed.d}, {seed.n}) has no type matching a K={gdd.K} "
             f"design of type {gdd.M}^{gdd.U}")
+    plan = plan_gdd_etf(matches[0], gdd.U)
+    _require_size(args.he, plan.hadamard_e_size, "inner Hadamard matrix")
+    _require_size(args.hf, plan.hadamard_f_size, "outer Hadamard matrix")
     return gdd_etf(seed, matches[0], gdd, hadamard_from_spec(args.he),
                    hadamard_from_spec(args.hf))
 
@@ -194,12 +227,11 @@ def cmd_verify(args) -> int:
             return VERIFY_ERROR
         print(str(verify_gdd(design)))
         return 0
-    frame = parse_frame(text)
-    if args.kind == "hadamard":
-        report = verify_hadamard(frame.synthesis)
+    if args.kind == "hadamard":         # a zero entry fails here, not in Frame
+        report = verify_hadamard(_parse_matrix(text))
         print(str(report))
         return 0 if report.ok else VERIFY_ERROR
-    cert = verify_etf(frame)
+    cert = verify_etf(parse_frame(text))
     if cert.welch_equality:
         print(certificate_line(cert))
         return 0

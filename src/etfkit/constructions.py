@@ -2,8 +2,9 @@
 the group-divisible-design extension that grows a type-(K,L,S) ETF into a
 type-(K,L,S') ETF, plus existence predicates for the known (K,L,S) families.
 
-Every factory certifies its own output exactly and refuses to return an
-uncertified frame.
+A Steiner ETF is the GDD extension of the one-vector seed, so the two share
+one assembly; a MOLS frame is one gather of simplex tails.  Every factory
+certifies its own output exactly and refuses to return an uncertified frame.
 """
 
 from __future__ import annotations
@@ -85,27 +86,18 @@ def regular_simplex(n: int, h: HadamardMatrix) -> tuple[Frame, EtfCertificate]:
 
 def steiner_etf(bibd: GroupDivisibleDesign,
                 h: HadamardMatrix) -> tuple[Frame, EtfCertificate]:
-    """ETF from a BIBD(V,K,1) and a dephased Hadamard of size R+1.
-
-    Vertex v contributes the R+1 columns that place Hadamard column tails on
-    the blocks through v; columns are ordered v-major.  The result lives in
-    dimension B with N = V(R+1) vectors, norm-square R and coherence-square 1.
+    """ETF from a BIBD(V,K,1) and a dephased Hadamard of size R+1: the GDD
+    extension of the type-(K,1,0) seed, one vector in dimension 0, by the
+    BIBD read as a K-GDD of type 1^V.  Vertex v contributes the R+1 columns
+    that place Hadamard column tails on the blocks through v, v-major, so
+    D = B, N = V(R+1), the norm-square is R and the coherence-square 1.
     """
     if bibd.M != 1:
         raise ConstructionError(
             f"need a BIBD (group size 1), got group size {bibd.M}")
     r = bibd.R
     _require_dephased(h, r + 1, "Hadamard matrix")
-    sup = embedding_operators(bibd)[:, 0, :]    # (V, R)
-    tails = simplex_from_hadamard(h)    # R x (R+1)
-    tail_arr = tails.array
-    v_count = bibd.U
-    arr = np.zeros((bibd.B, v_count * (r + 1), tail_arr.shape[2]),
-                   dtype=tail_arr.dtype)
-    # row slot of vertex v's columns goes to the slot-th block through v
-    cols = np.arange(v_count * (r + 1)).reshape(v_count, 1, r + 1)
-    arr[sup[:, :, None], cols] = tail_arr
-    frame = Frame(CycMatrix(tails.order, arr, _copy=False))
+    frame = _extension(CycMatrix.zeros(0, 1), bibd, CycMatrix.ones(1, 1), h)
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == r and cert.t == 1):
         raise ConstructionError(f"Steiner certification failed: {cert}")
@@ -137,25 +129,27 @@ def mols_tdtf(td: GroupDivisibleDesign, h: HadamardMatrix,
     m, k = td.M, td.K
     _require_dephased(h, m, "Hadamard matrix")
     tails = simplex_from_hadamard(h)
-    x = CycMatrix.from_int_matrix(td.incidence())
-    phi = CycMatrix.identity(k, tails.order).kron(tails) @ x.transpose()
-    if variant == "augmented":
-        phi = CycMatrix.vstack(
-            [CycMatrix.ones(1, m * m, phi.order), phi])
-    frame = Frame(phi)
+    # row (k, i) of column b is F[i, blocks[b, k] - kM], as block b meets
+    # group k in one vertex; each entry is one of F's or of the ones row,
+    # so the frame is flat
+    rows = tails.array[:, (td.blocks - m * np.arange(k)).T]   # (M-1, K, B)
+    top = int(variant == "augmented")          # the all-ones row
+    arr = np.zeros((top + k * (m - 1), td.B, rows.shape[3]), dtype=rows.dtype)
+    arr[:top, :, 0] = 1
+    arr[top:] = rows.swapaxes(0, 1).reshape(arr[top:].shape)
+    frame = Frame(CycMatrix(tails.order, arr, _copy=False))
     cert = verify_etf(frame)
     is_etf_case = (m == 2 * k) if variant == "centered" else (m == 2 * (k - 1))
     if is_etf_case:
-        if not (cert.welch_equality and cert.flat):
+        if not cert.welch_equality:
             raise ConstructionError(
                 f"expected a flat ETF at M={m}, K={k}: {cert}")
     else:
         if cert.welch_equality:
             raise ConstructionError(
                 f"unexpected ETF outside the equiangular regime: {cert}")
-        tdtf = cert.tdtf
-        if not (tdtf.ok and cert.flat):
-            raise ConstructionError(f"TDTF certification failed: {tdtf}")
+        if not cert.tdtf.ok:
+            raise ConstructionError(f"TDTF certification failed: {cert.tdtf}")
     return frame, cert
 
 
@@ -222,6 +216,30 @@ def plan_gdd_etf(seed_type: EtfType, u: int) -> GddEtfPlan:
                       b, s + ell, w + 1)
 
 
+def _extension(seed: CycMatrix, gdd: GroupDivisibleDesign, e: CycMatrix,
+               h_f: HadamardMatrix) -> Frame:
+    """The seed synthesis extended by a GDD of type M^U, with e of size E
+    and F the tails of h_f: column ((u M + m) E + i)(W+1) + j holds seed
+    column (m, i) in dimension block u and column (i, j) of e (x) F on the
+    blocks through vertex (u, m).  Each size is read from the arguments,
+    so a seed may have no rows."""
+    sup = embedding_operators(gdd)              # (U, M, R)
+    (u, m, _), (d, _) = sup.shape, seed.shape
+    order = CycMatrix.common_order(seed, e, h_f.mat)
+    seed_arr = seed.lift_to_order(order).array
+    payload = e.lift_to_order(order).kron(
+        simplex_from_hadamard(h_f).lift_to_order(order)).array
+    per, deg = payload.shape[1:]                # E (W+1) columns per vertex
+    arr = np.zeros((u * d + gdd.B, u * m * per, deg),
+                   dtype=np.result_type(seed_arr, payload))
+    diag = arr[:u * d].reshape(u, d, u, m * per, deg)
+    diag[np.arange(u), :, np.arange(u)] = np.repeat(seed_arr, h_f.size,
+                                                    axis=1)
+    cols = np.arange(u * m * per).reshape(u, m, 1, per)
+    arr[u * d + sup[..., None], cols] = payload
+    return Frame(CycMatrix(order, arr, _copy=False))
+
+
 def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
             h_e: HadamardMatrix,
             h_f: HadamardMatrix) -> tuple[Frame, EtfCertificate]:
@@ -229,16 +247,15 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     type-(K,L,S') ETF, S' = S + R.
 
     Column (u, m, i, j) places seed column (m, i) in the u-th dimension
-    block and embeds the Kronecker product of Hadamard column e_i with
-    simplex tail f_j on the blocks through GDD vertex (u, m).  Certification
-    of the output is part of the construction.
+    block and e_i (x) f_j on the blocks through GDD vertex (u, m), as
+    `_extension` assembles it.  Certification is part of the construction.
 
     Re-extending the output gains nothing: extending by U and then by U'
     reaches the same type as one extension by a design of type M^(U U'),
     which `designs.fill_holes` supplies directly.  Grow the design, not
     the frame.
     """
-    k, ell, s = seed_type
+    k, _, s = seed_type
     plan = plan_gdd_etf(seed_type, gdd.U)
     if gdd.K != k:
         raise ConstructionError(
@@ -263,27 +280,7 @@ def gdd_etf(seed: Frame, seed_type: EtfType, gdd: GroupDivisibleDesign,
     _require_dephased(h_e, plan.hadamard_e_size, "inner Hadamard matrix")
     _require_dephased(h_f, plan.hadamard_f_size, "outer Hadamard matrix")
 
-    sup = embedding_operators(gdd)              # (U, M, R)
-    u_count, m_count, se, w = gdd.U, plan.m, s + ell, plan.w
-    order = CycMatrix.common_order(seed.synthesis, h_e.mat, h_f.mat)
-    seed_arr = seed.synthesis.lift_to_order(order).array
-    e_mat = h_e.mat.lift_to_order(order)
-    f_tails = simplex_from_hadamard(h_f).lift_to_order(order)
-
-    # column i (W+1) + j of E (x) F is the R-dimensional payload e_i (x) f_j
-    payload = e_mat.kron(f_tails).array
-    top, per = u_count * d, se * (w + 1)
-    arr = np.zeros((plan.d_out, plan.n_out, seed_arr.shape[2]),
-                   dtype=np.result_type(seed_arr, payload))
-    # column ((u M + m) S+L + i) (W+1) + j holds seed column (m, i) in
-    # dimension block u, and the payload (i, j) on the blocks through (u, m)
-    diag = arr[:top].reshape(u_count, d, u_count, m_count * per, -1)
-    diag[np.arange(u_count), :, np.arange(u_count)] = np.repeat(
-        seed_arr[:, :m_count * se], w + 1, axis=1)
-    cols = np.arange(u_count * m_count * per).reshape(u_count, m_count, 1,
-                                                      per)
-    arr[top + sup[..., None], cols] = payload
-    frame = Frame(CycMatrix(order, arr, _copy=False))
+    frame = _extension(seed.synthesis, gdd, h_e.mat, h_f)
     cert = verify_etf(frame)
     if not (cert.welch_equality and cert.s == plan.s_out and cert.t == 1):
         raise ConstructionError(

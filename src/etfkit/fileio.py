@@ -350,6 +350,12 @@ def _plain_lines(raw: bytes, lo: int, d: int, n: int,
 
 
 def parse_frame(text: str) -> Frame:
+    return Frame(_parse_matrix(text))
+
+
+def _parse_matrix(text: str) -> CycMatrix:
+    """The matrix of a frame file, read before `Frame` checks its columns,
+    so that a Hadamard file with a zero entry reaches its certifier."""
     raw = text.encode("utf-8", "surrogatepass")
     # ASCII with no line break but "\n" splits at each newline, so the body
     # can be read from the encoded text as it is
@@ -401,4 +407,4 @@ def parse_frame(text: str) -> Frame:
         ends = np.cumsum([len(ln.encode("utf-8", "surrogatepass")) + 1
                           for ln in body], dtype=np.int64)
     arr = _coefficients(raw, lo, ends, n, deg).reshape(d, n, deg)
-    return Frame(CycMatrix(order, arr, _copy=False))
+    return CycMatrix(order, arr, _copy=False)

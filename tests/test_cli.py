@@ -420,6 +420,14 @@ def test_verify_hadamard_kind(tmp_path, capsys):
     ident.write_text(serialize_frame(Frame(CycMatrix.identity(2))))
     code, line, _ = run(capsys, "verify", str(ident), "--kind", "hadamard")
     assert code == 1
+    # a Frame refuses a zero column, so the Hadamard certifier reads the
+    # matrix before any Frame is made, and names the entry
+    path = tmp_path / "zero.frame"
+    path.write_text("FRAME 2 2 2\n1 | 0\n1 | 0\n")
+    assert run(capsys, "verify", str(path), "--kind", "hadamard") == (
+        1, "Hadamard fail: entry (0, 1) is not unimodular: |.|^2 = (0,)", "")
+    assert run(capsys, "verify", str(path), "--kind", "frame") == (
+        2, "", "error: column 1 is zero")
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +907,69 @@ def test_design_td_is_refused_before_its_field_is_built(tmp_path, capsys):
         "error: design has 100663296 vertex pairs to certify, "
         "more than 33554432"])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("simplex", "4", "--hadamard", "paley2:4093"),
+     "Hadamard matrix must have size 4, got 8188"),
+    (("simplex", "4", "--hadamard", "fourier:400"),
+     "Hadamard matrix must have size 4, got 400"),
+    (("simplex", "4", "--hadamard", "paley1:4091"),
+     "Hadamard matrix must have size 4, got 4092"),
+    (("simplex", "4", "--hadamard", "sylvester:12"),
+     "Hadamard matrix must have size 4, got 4096"),
+    (("simplex", "4", "--hadamard", f"sylvester:{10**12}"),
+     f"Hadamard matrix must have size 4, got 2^{10**12}"),
+    (("steiner", "--bibd", "affine-2.design", "--hadamard", "fourier:5"),
+     "Hadamard matrix must have size 4, got 5"),
+    (("mols-etf", "--td", "td-3-4.design", "--hadamard", "fourier:3"),
+     "Hadamard matrix must have size 4, got 3"),
+    (("gdd-etf", "--seed", "seed.frame", "--gdd", "td-3-3.design",
+      "--he", "sylvester:1", "--hf", "sylvester:2"),
+     "inner Hadamard matrix must have size 1, got 2"),
+    (("gdd-etf", "--seed", "seed.frame", "--gdd", "td-3-3.design",
+      "--he", "fourier:1", "--hf", "fourier:5"),
+     "outer Hadamard matrix must have size 4, got 5"),
+])
+def test_hadamard_size_is_refused_before_the_matrix_is_built(
+        tmp_path, capsys, monkeypatch, argv, error):
+    # each simplex spec built and certified its whole matrix before the
+    # size was compared: sylvester:12 took 3.3 s at 1084 MiB peak RSS
+    for argv_in in (("design", "affine", "2"), ("design", "td", "3", "4"),
+                    ("design", "td", "3", "3")):
+        name = "-".join(argv_in[1:]) + ".design"
+        run(capsys, *argv_in, "-o", str(tmp_path / name))
+    run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3", "-o",
+        str(tmp_path / "seed.frame"))
+
+    def called(*args):
+        raise AssertionError("a Hadamard generator ran")
+
+    for name in ("_field_for", "sylvester", "paley_i", "paley_ii", "fourier",
+                 "dephase"):
+        monkeypatch.setattr(cli, name, called)
+    argv = tuple(str(tmp_path / a) if a.endswith((".design", ".frame"))
+                 else a for a in argv)
+    out = tmp_path / "out.frame"
+    assert run(capsys, "build", *argv, "-o", str(out)) == (
+        2, "", f"error: {error}")
+    assert not out.exists()
+
+
+def test_hadamard_spec_faults_keep_their_messages(tmp_path, capsys):
+    # a spec of the right size, or none, that is at fault by itself is
+    # refused as before the size check
+    for n, spec, error in (
+            (4, "sylvester:-1", "exponent must be nonnegative"),
+            (4, "fourier", "Hadamard spec needs a parameter: 'fourier'"),
+            (4, "fourier:x", "non-integer Hadamard parameter: 'fourier:x'"),
+            (4, "hadamard:4", "unknown Hadamard family 'hadamard'"),
+            (6, "paley1:5", "Paley type I needs q = 3 (mod 4), got 5"),
+            (4, "paley2:1", "1 is not a prime power"),
+            (0, "fourier:0", "size must be positive")):
+        assert run(capsys, "build", "simplex", str(n), "--hadamard", spec,
+                   "-o", str(tmp_path / "out.frame")) == (
+            2, "", f"error: {error}")
 
 
 def test_totient_matches_the_cyclotomic_degree():

@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from etfkit import constructions as construction_module
 from etfkit import designs as design_module
+from etfkit.cli import CliError, hadamard_from_spec
 from etfkit.constructions import (
     ASYMPTOTIC,
     CONSTRUCTIBLE,
@@ -24,7 +26,9 @@ from etfkit.constructions import (
 from etfkit.cyclo import CycMatrix
 from etfkit.designs import (
     DesignError,
+    _field_for,
     affine_plane,
+    embedding_operators,
     gf_build,
     mols_from_field,
     projective_plane,
@@ -32,7 +36,7 @@ from etfkit.designs import (
     td_from_mols,
 )
 from etfkit.frames import EtfType, Frame, classify_type, gram, verify_etf, verify_tdtf
-from etfkit.hadamard import fourier, sylvester
+from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
 
 def td(k, m):
@@ -132,6 +136,94 @@ def test_mols_rejects_non_td():
         mols_tdtf(steiner_triple_system(7), sylvester(2), "centered")
     with pytest.raises(ConstructionError):
         mols_tdtf(td(2, 4), sylvester(2), "sideways")
+
+
+# ---------------------------------------------------------------------------
+# differential: the factories against the assemblies they replaced
+
+
+def _specs_of_size(n):
+    """Every Hadamard spec of size n that `hadamard_from_spec` builds."""
+    specs = []
+    for spec in (f"fourier:{n}", f"paley1:{n - 1}", f"paley2:{n // 2 - 1}",
+                 f"sylvester:{n.bit_length() - 1}"):
+        try:
+            if hadamard_from_spec(spec).size == n:
+                specs.append(spec)
+        except CliError:
+            pass
+    return specs
+
+
+def _steiner_scatter(bibd, h):
+    """The Steiner synthesis as a per-vertex scatter of Hadamard tails."""
+    sup = embedding_operators(bibd)[:, 0, :]    # (V, R)
+    tails = simplex_from_hadamard(h).array
+    cols = bibd.U * (bibd.R + 1)
+    arr = np.zeros((bibd.B, cols, tails.shape[2]), dtype=tails.dtype)
+    arr[sup[:, :, None], np.arange(cols).reshape(bibd.U, 1, -1)] = tails
+    return CycMatrix(h.mat.order, arr, _copy=False)
+
+
+def _mols_product(tdes, h, variant):
+    """The MOLS synthesis as the product (I_K x F) X*, after a row of ones
+    when augmented."""
+    tails = simplex_from_hadamard(h)
+    x = CycMatrix.from_int_matrix(tdes.incidence())
+    phi = CycMatrix.identity(tdes.K, tails.order).kron(tails) @ x.transpose()
+    if variant == "augmented":
+        phi = CycMatrix.vstack([CycMatrix.ones(1, tdes.B, phi.order), phi])
+    return phi
+
+
+def _assert_same_synthesis(got, want):
+    assert got.order == want.order
+    assert got.array.dtype == want.array.dtype
+    assert got.array.shape == want.array.shape
+    assert np.array_equal(got.array, want.array)
+
+
+@pytest.mark.parametrize("build, arg", [
+    *(("sts", v) for v in (7, 9, 13, 15)),
+    *(("affine", q) for q in (2, 3, 4, 5)),
+    *(("projective", q) for q in (2, 3, 4)),
+])
+def test_steiner_matches_the_per_vertex_scatter(build, arg):
+    bibd = (steiner_triple_system(arg) if build == "sts" else
+            {"affine": affine_plane,
+             "projective": projective_plane}[build](_field_for(arg)))
+    specs = _specs_of_size(bibd.R + 1)
+    assert specs
+    for spec in specs:
+        h = hadamard_from_spec(spec)
+        frame, cert = steiner_etf(bibd, h)
+        want = _steiner_scatter(bibd, h)
+        _assert_same_synthesis(frame.synthesis, want)
+        assert cert == verify_etf(Frame(want))
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (3, 4, 5, 7, 8, 9)
+                                  for k in range(2, min(5, m + 1) + 1)])
+def test_mols_matches_the_kronecker_product(monkeypatch, m, k):
+    tdes = td_from_mols(mols_from_field(_field_for(m)), k)
+    seen = []                   # each frame the factory certifies
+    monkeypatch.setattr(construction_module, "verify_etf",
+                        lambda f: seen.append(f) or verify_etf(f))
+    specs = [f"fourier:{m}"] + ([f"sylvester:{m.bit_length() - 1}"]
+                                if m & (m - 1) == 0 else [])
+    for spec in specs:
+        h = hadamard_from_spec(spec)
+        for variant in ("centered", "augmented"):
+            want = _mols_product(tdes, h, variant)
+            want_cert = verify_etf(Frame(want))
+            try:
+                cert = mols_tdtf(tdes, h, variant)[1]
+            except ConstructionError as exc:
+                # K = M + 1: the frame is a basis, an ETF outside the regime
+                assert k == m + 1 and str(want_cert) in str(exc)
+            else:
+                assert cert == want_cert
+            _assert_same_synthesis(seen.pop().synthesis, want)
 
 
 # ---------------------------------------------------------------------------
