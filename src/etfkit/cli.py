@@ -1,8 +1,8 @@
 """Command-line front end: build pipelines, verify artifacts, classify
 parameters, and read/write the design and frame text formats.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage, parameter or
-resource error (such as running out of memory).
+Exit codes: 0 success/pass, 1 verification failure, 2 usage, parameter,
+file or resource error (such as running out of memory).
 """
 
 from __future__ import annotations
@@ -121,6 +121,10 @@ def certificate_line(cert) -> str:
     return f"{cert} types={_types_field(cert.d, cert.n)}"
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -153,11 +157,11 @@ def _build_design(args):
     if args.kind == "projective":
         return projective_plane(_field_for(args.a))
     if args.kind == "product":
-        return wilson_product(parse_design(Path(args.first).read_text()),
-                              parse_design(Path(args.second).read_text()))
+        return wilson_product(parse_design(_read(args.first)),
+                              parse_design(_read(args.second)))
     if args.kind == "fill":
-        return fill_holes(parse_design(Path(args.first).read_text()),
-                          parse_design(Path(args.second).read_text()))
+        return fill_holes(parse_design(_read(args.first)),
+                          parse_design(_read(args.second)))
     raise CliError(f"unknown design kind {args.kind!r}")
 
 
@@ -178,11 +182,11 @@ def cmd_build(args) -> int:
         _require_size(args.hadamard, args.n)
         frame, cert = regular_simplex(args.n, hadamard_from_spec(args.hadamard))
     elif args.kind == "steiner":
-        bibd = parse_design(Path(args.bibd).read_text())
+        bibd = parse_design(_read(args.bibd))
         _require_size(args.hadamard, bibd.R + 1)
         frame, cert = steiner_etf(bibd, hadamard_from_spec(args.hadamard))
     elif args.kind == "mols-etf":
-        td = parse_design(Path(args.td).read_text())
+        td = parse_design(_read(args.td))
         _require_size(args.hadamard, td.M)
         frame, cert = mols_tdtf(td, hadamard_from_spec(args.hadamard),
                                 args.variant)
@@ -199,8 +203,8 @@ def cmd_build(args) -> int:
 
 
 def _build_gdd_etf(args):
-    seed = parse_frame(Path(args.seed).read_text())
-    gdd = parse_design(Path(args.gdd).read_text())
+    seed = parse_frame(_read(args.seed))
+    gdd = parse_design(_read(args.gdd))
     matches = []
     if seed.d > 1:
         for t in classify_type(seed.d, seed.n):
@@ -218,7 +222,7 @@ def _build_gdd_etf(args):
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.path).read_text()
+    text = _read(args.path)
     if args.kind == "design":
         try:
             design = parse_design(text)
@@ -337,15 +341,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, DesignError, ConstructionError, FrameError,
-            HadamardError, FileFormatError) as exc:
+            HadamardError, FileFormatError, OSError,
+            UnicodeDecodeError) as exc:   # a file that cannot be read/written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DesignVerifyError as exc:
         print(f"fail: {exc.report.failure}", file=sys.stderr)
         return VERIFY_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except MemoryError as exc:     # exit 1 stays "an identity failed"
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)

@@ -23,8 +23,7 @@ Conjugation sends w^j to w^-j, which reverses the points taken in
 ascending order of j: the values of a conjugate are the values read
 backwards, a view.  Evaluating is one product with the Vandermonde matrix V
 of the points, interpolating one with V^-1 mod p, whose rows are the dual
-basis (Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division in
-blocks of rows.
+basis (Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division.
 
 Every step is a float64 product of residues centred in (-p/2, p/2), reduced
 by x - p rint(x / p).  The prime is small enough that every sum of products
@@ -57,7 +56,7 @@ over Z, of the coefficients and an integer matrix.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -271,10 +270,10 @@ class _Points:
 
 @lru_cache(maxsize=None)
 def _points(n: int, p: int) -> _Points:
-    """Built a block of rows at a time: nothing but V and V^-1 is of size
-    d^2.  Every int64 product here is below p^2 < 2^54, and every float64
-    sum is of at most d products of centred residues, below 2^52 because
-    every prime comes from a ladder of width at least d."""
+    """Built in place: nothing but V and V^-1 is of size d^2.  Every int64
+    product here is below p^2 < 2^54, and every float64 sum is of at most d
+    products of centred residues, below 2^52 because every prime comes from
+    a ladder of width at least d."""
     d = _ring(n).degree
     factors = _prime_factors(n)
     x = 2
@@ -290,48 +289,31 @@ def _points(n: int, p: int) -> _Points:
                                 * pow(w, step, p) % p)
         step *= 2
     exps = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    centred = _reduce(table.astype(np.float64), p)
+    roots = _reduce(table.astype(np.float64), p)[exps]
     # row i of V is r^i: rows [s, 2s) are rows [0, s) times r^s, in place
     v = np.empty((d, d))
     v[0] = 1
     s = 1
     while s < d:
         top = min(2 * s, d)
-        np.multiply(v[:top - s], _reduce(v[s - 1] * centred[exps], p),
+        np.multiply(v[:top - s], _reduce(v[s - 1] * roots, p),
                     out=v[s:top])
         _reduce(v[s:top], p)
         s = top
-    # Phi_n / (x - r) for every root r at once, row i of dual holding its
-    # coefficient i: q_i(r) = sum over k > i of phi_k r^(k - 1 - i), that is
-    # q_i = sum over m < top - i of phi_(i + 1 + m) r^m + r^(top - i) q_top
-    # for any top > i (q_d = 0).  So a block of b rows below `top` is a
-    # b x b Hankel block times the first b rows of V, plus a row of V times
-    # q_top: b d^2 products in all, where H V whole would take d^3, and
-    # d / b steps, where synthetic division takes d.  Then
+    # Phi_n / (x - r) for every root r at once by synthetic division, row i
+    # of dual its coefficient q_i = phi_(i+1) + r q_(i+1), q_(d-1) = 1; then
     # Phi_n'(r) = (Phi_n / (x - r))(r) is a column sum of dual times V
-    phi = np.zeros(2 * d + 1)
-    phi[:d + 1] = [c % p for c in cyclotomic_polynomial(n)]
-    phi = _reduce(phi, p)
-    b = max(1, min(d - 1, 16))     # b + 1 <= d products per sum
+    phi = [c % p for c in cyclotomic_polynomial(n)]
     dual = np.empty((d, d))
-    deriv = np.zeros(d)
-    for top in range(d, 0, -b):
-        rows = np.arange(max(0, top - b), top)
-        m = np.arange(b)
-        hankel = np.where(m < top - rows[:, None],
-                          phi[rows[:, None] + 1 + m], 0.0)
-        block = hankel @ v[:b]
-        if top < d:
-            block += v[top - rows] * dual[top]
-        dual[rows] = _reduce(block, p)
-        deriv += np.einsum("ij,ij->j", dual[rows], v[rows])
+    dual[d - 1] = 1
+    for i in range(d - 2, -1, -1):
+        np.multiply(dual[i + 1], roots, out=dual[i])
+        dual[i] += phi[i + 1]
+        _reduce(dual[i], p)
+    deriv = np.einsum("ij,ij->j", dual, v)
     inverse = [pow(int(r), -1, p) for r in _reduce(deriv, p).astype(np.int64)]
     dual *= _reduce(np.array(inverse, dtype=np.float64), p)
     return _Points(_frozen(v), _frozen(_reduce(dual, p)).T)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -481,7 +463,7 @@ class CycScalar:
             return NotImplemented
         if other.order == self.order:
             return self.coeffs == other.coeffs
-        n = _lcm(self.order, other.order)
+        n = lcm(self.order, other.order)
         return self.lift_to_order(n).coeffs == other.lift_to_order(n).coeffs
 
     def __repr__(self):
@@ -803,7 +785,7 @@ class CycMatrix:
         scalars = list(scalars)
         order = 1
         for s in scalars:
-            order = _lcm(order, s.order)
+            order = lcm(order, s.order)
         n = len(scalars)
         d = _ring(order).degree
         arr = np.zeros((n, n, d), dtype=object)
@@ -820,7 +802,7 @@ class CycMatrix:
         order = 1
         for r in rows:
             for s in r:
-                order = _lcm(order, s.order)
+                order = lcm(order, s.order)
         d = _ring(order).degree
         arr = np.zeros((len(rows), len(rows[0]), d), dtype=object)
         for i, r in enumerate(rows):
@@ -867,11 +849,11 @@ class CycMatrix:
     def common_order(*mats: "CycMatrix") -> int:
         n = 1
         for m in mats:
-            n = _lcm(n, m.order)
+            n = lcm(n, m.order)
         return n
 
     def _aligned(self, other: "CycMatrix"):
-        n = _lcm(self.order, other.order)
+        n = lcm(self.order, other.order)
         return self.lift_to_order(n), other.lift_to_order(n)
 
     # -- arithmetic ----------------------------------------------------------
@@ -908,7 +890,7 @@ class CycMatrix:
             if s == 1:
                 return self         # immutable: the product is self
             return CycMatrix(self.order, _scaled(self._arr, s), _copy=False)
-        n = _lcm(self.order, s.order)
+        n = lcm(self.order, s.order)
         a = self.lift_to_order(n)
         sv = np.array(s.lift_to_order(n).coeffs, dtype=object)
         out = _entrywise(a._arr, sv.reshape(1, 1, -1), _ring(n))

@@ -261,6 +261,8 @@ class LatinSquareSet:
     read-only (count, size, size) int64 array."""
 
     def __init__(self, size: int, squares):
+        if size < 1:
+            raise DesignError(f"square size must be at least 1, got {size}")
         self.size = size
         try:
             sqs = np.array(squares, dtype=np.int64)

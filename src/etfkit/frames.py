@@ -252,7 +252,7 @@ def _tiles(support: np.ndarray,
     """The column tiles of a synthesis operator with zero pattern `support`,
     (D, N), in order: (cols, hit), hit picking the rows of the operator
     that the tile's columns touch.  When they touch every row, or there is
-    one tile, hit is a plain slice, so a dense operator is taken whole."""
+    one tile, hit is a plain slice, so no rows are gathered."""
     d, n = support.shape
     tiles = list(_row_blocks(n, n * deg, _TILE_ROWS))
     if len(tiles) == 1:
@@ -267,19 +267,6 @@ def _tiles(support: np.ndarray,
     return out
 
 
-def _runs(tiles: list[tuple[slice, slice | np.ndarray]]
-          ) -> list[tuple[slice, slice | np.ndarray]]:
-    """The tiles with each run of consecutive tiles that touch every row
-    merged into one, so that a dense operator is one product."""
-    out = []
-    for cols, hit in tiles:
-        if (isinstance(hit, slice) and out
-                and isinstance(out[-1][1], slice)):
-            cols = slice(out.pop()[0].start, cols.stop)
-        out.append((cols, hit))
-    return out
-
-
 def _tight(space: _Space, phi: list[np.ndarray],
            tiles: list[tuple[slice, slice | np.ndarray]], c: int) -> bool:
     """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N).
@@ -289,7 +276,7 @@ def _tight(space: _Space, phi: list[np.ndarray],
     for i, v in enumerate(phi):
         deg, d = v.shape[:2]
         fo = np.zeros((deg, d * d))
-        for cols, hit in _runs(tiles):
+        for cols, hit in tiles:
             w = v[:, hit, cols]
             part = (w @ space.conj(w).transpose(0, 2, 1)).reshape(deg, -1)
             if isinstance(hit, slice):
@@ -338,7 +325,9 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
          else None)
     c = n * s // d if s is not None and n * s % d == 0 else None
     tiles = _tiles(support, deg)
-    tight = c is not None and _tight(space, phi, tiles, c)
+    # Phi Phi* of a dense operator is one product
+    fo_tiles = [(slice(None), slice(None))] if support.all() else tiles
+    tight = c is not None and _tight(space, phi, fo_tiles, c)
 
     # row tiles of G in row-major order, until every field is fixed; entry
     # (0, 1), whose |.|^2 is ref, is entry 1 of the first.  Entry (r, c)

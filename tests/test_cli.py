@@ -1,5 +1,6 @@
 """CLI subcommands, text formats, and exit-code contract."""
 
+import errno
 import hashlib
 import os
 import subprocess
@@ -109,9 +110,37 @@ def test_design_affine_projective(tmp_path, capsys):
 
 
 def test_design_td_non_prime_power(tmp_path, capsys):
-    code, _, err = run(capsys, "design", "td", "3", "6", "-o",
-                       str(tmp_path / "x.design"))
+    out = str(tmp_path / "x.design")
+    code, _, err = run(capsys, "design", "td", "3", "6", "-o", out)
     assert code == 2 and "prime power" in err
+    assert run(capsys, "design", "td", "3", "-4", "-o", out) == (
+        2, "", "error: -4 is not a prime power")
+    # K = 2 reads no field: the square size is refused before any array
+    for m in ("-3", "0"):
+        assert run(capsys, "design", "td", "2", m, "-o", out) == (
+            2, "", f"error: square size must be at least 1, got {m}")
+
+
+def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
+    # a directory, bytes that are not UTF-8 or a missing file to read, and
+    # a directory to write, each refused as a resource error
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    binary = tmp_path / "binary.frame"
+    binary.write_bytes(b"\xff\n")
+    missing = tmp_path / "missing.frame"
+    is_dir = (f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+              f"{str(folder)!r}")
+    assert run(capsys, "verify", str(folder), "--kind", "frame") == (
+        2, "", is_dir)
+    assert run(capsys, "verify", str(binary), "--kind", "frame") == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte")
+    assert run(capsys, "verify", str(missing), "--kind", "design") == (
+        2, "", f"error: [Errno 2] No such file or directory: "
+               f"{str(missing)!r}")
+    assert run(capsys, "design", "sts", "7", "-o", str(folder)) == (
+        2, "", is_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +202,14 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
     assert code == 0
     assert line == "ETF D=15 N=36 s=5 t=1 A=12 types=(2,+1,5),(3,-1,5)"
     assert run(capsys, "verify", str(out), "--kind", "frame")[0] == 0
+    # the simplex ETF(3, 4) has no type of block size 3 and group size 3
+    run(capsys, "build", "simplex", "4", "--hadamard", "sylvester:2",
+        "-o", str(seed))
+    assert run(capsys, "build", "gdd-etf", "--seed", str(seed), "--gdd",
+               str(td), "--he", "sylvester:1", "--hf", "sylvester:2", "-o",
+               str(out)) == (
+        2, "", "error: seed (3, 4) has no type matching a K=3 design of "
+               "type 3^3")
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):
@@ -428,6 +465,12 @@ def test_verify_hadamard_kind(tmp_path, capsys):
         1, "Hadamard fail: entry (0, 1) is not unimodular: |.|^2 = (0,)", "")
     assert run(capsys, "verify", str(path), "--kind", "frame") == (
         2, "", "error: column 1 is zero")
+    path.write_text("FRAME 2 2 2\n1 | 1\n1 | 1\n")
+    assert run(capsys, "verify", str(path), "--kind", "hadamard") == (
+        1, "Hadamard fail: H*H differs from nI", "")
+    path.write_text("FRAME 2 2 3\n1 | 1 | -1\n1 | -1 | 1\n")
+    assert run(capsys, "verify", str(path), "--kind", "hadamard") == (
+        1, "Hadamard fail: matrix is 2x3", "")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +486,8 @@ def test_status_lines(capsys):
     assert code == 0 and line == "unknown"
     code, _, err = run(capsys, "status", "4", "-1", "5")
     assert code == 2 and "error" in err
+    assert run(capsys, "status", "3", "0", "5") == (
+        2, "", "error: L must be +1 or -1")
 
 
 # ---------------------------------------------------------------------------

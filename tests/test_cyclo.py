@@ -126,8 +126,8 @@ def test_cyclotomic_30030_is_fast():
                                105, 210, 331, 1155, 2003])
 def test_points_invert_the_vandermonde_matrix(n):
     # V^-1 V = I mod p on the first two primes of the ladder of width d:
-    # row j of V^-1 is the dual basis element of point j, built a block of
-    # Hankel rows at a time.  The conjugate r_j^-1 of point j is point
+    # row j of V^-1 is the dual basis element of point j, found by
+    # synthetic division.  The conjugate r_j^-1 of point j is point
     # d - 1 - j, so conjugation reads the values backwards
     ring = cyclo._ring(n)
     d = ring.degree

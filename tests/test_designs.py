@@ -15,6 +15,7 @@ from etfkit.designs import (
     DesignError,
     GddReport,
     GroupDivisibleDesign,
+    LatinSquareSet,
     _gdd_report,
     affine_plane,
     embedding_operators,
@@ -244,6 +245,14 @@ def test_td2m_complete_bipartite():
     assert td.B == 16
     assert verify_gdd(td).ok
     pair_coverage_oracle(td)
+
+
+def test_latin_squares_refuse_a_size_below_1():
+    # refused before the squares are shaped to (0, size, size)
+    for size in (0, -3):
+        with pytest.raises(DesignError, match="square size must be at least "
+                                              f"1, got {size}"):
+            LatinSquareSet(size, [])
 
 
 def test_td48_parameters():

@@ -108,6 +108,10 @@ def test_verify_etf_two_equal_columns():
     assert cert.equal_norm and cert.s == 2
     assert cert.equiangular and cert.t == 4       # t = s^2
     assert not cert.tight and not cert.welch_equality
+    assert str(cert) == "not an ETF (fails: tight)"
+    unequal = Frame(CycMatrix.from_int_matrix([[1, 1], [1, 0]]))
+    assert str(verify_etf(unequal)) == ("not an ETF (fails: equal_norm, "
+                                        "tight)")
 
 
 def test_verify_etf_welch_identity_on_simplices():
@@ -512,8 +516,15 @@ def test_pass_matches_the_whole_gram_on_random_frames(order, height, tiles):
 
 @pytest.mark.parametrize("order", DIFF_ORDERS)
 @pytest.mark.parametrize("height", [None, 1, 3])
-def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles):
+def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles,
+                                                       monkeypatch):
+    from etfkit.constructions import mols_tdtf
+    from etfkit.designs import gf_build, mols_from_field, td_from_mols
     tiles(height)
+    handed = []
+    real = frames._tight
+    monkeypatch.setattr(frames, "_tight", lambda space, phi, fo_tiles, c: (
+        handed.append(fo_tiles) or real(space, phi, fo_tiles, c)))
     rng = np.random.default_rng(order)
     etf = simplex_over(order)
     d, n = etf.d, etf.n
@@ -522,9 +533,16 @@ def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles):
                   [(0, 0), (d - 1, n - 1)]):
         frames_.append(corrupted(etf, cells, lambda x: 2 * x))    # doubled
         frames_.append(corrupted(etf, cells, lambda x: -x))       # negated
+    # a flat MOLS frame, 9 x 16 and dense, its entries +-1: its Phi Phi* is
+    # one product while its Gram rows span several tiles
+    td = td_from_mols(mols_from_field(gf_build(2, 2)), 3)
+    flat = mols_tdtf(td, sylvester(2), "centered")[0].synthesis.array
+    frames_.append(rooted(Frame(CycMatrix(1, flat).lift_to_order(order)), rng))
     for frame in frames_:
+        assert frame.support.all()
         assert pass_certificate(frame) == whole_gram_oracle(frame)
     assert pass_certificate(etf)["welch_equality"]
+    assert handed and all(t == [(slice(None), slice(None))] for t in handed)
 
 
 @pytest.mark.parametrize("order", [1, 3, 10])

@@ -9,6 +9,7 @@ from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
 from etfkit.designs import gf_build
 from etfkit.hadamard import (
     HadamardError,
+    HadamardMatrix,
     dephase,
     fourier,
     paley_i,
@@ -88,6 +89,11 @@ def test_paley_residue_preconditions():
 def test_verify_rejects_identity():
     rep = verify_hadamard(CycMatrix.identity(2))
     assert not rep.ok
+
+
+def test_hadamard_matrix_refuses_a_failed_certificate():
+    with pytest.raises(HadamardError, match=r"H\*H differs from nI"):
+        HadamardMatrix(CycMatrix.ones(2, 2, 2))
 
 
 def test_verify_rejects_nonunimodular():
