@@ -21,7 +21,10 @@ products over F_p, one per point, in place of the d^2 slot products of the
 coefficient form, and an entrywise product is d pointwise products.
 Conjugation sends w^j to w^-j, which reverses the points taken in
 ascending order of j: the values of a conjugate are the values read
-backwards, a view.  Evaluating is one product with the Vandermonde matrix V
+backwards, a view.  So a Hermitian product such as Phi Phi* has, at point
+d - 1 - j, the transpose of its values at point j, and `frames` computes
+such identities at the first ceil(d/2) points only (at d = 1, the one
+point).  Evaluating is one product with the Vandermonde matrix V
 of the points, interpolating one with V^-1 mod p, whose rows are the dual
 basis (Phi_n / (x - w^j)) / Phi_n'(w^j), found by synthetic division.
 

@@ -27,7 +27,19 @@ The pass follows the zero pattern of Phi, which `Frame` keeps:
   |G|^2 is formed at the points when the primes cover it.
 
 The pass stops once every field of the certificate is fixed, and forms no
-N x N array.
+N x N array.  `gram` runs the same row tiles to the end, each interpolated
+into its N x N output.
+
+Hermitian symmetry halves the points.  A product M of an operator and its
+adjoint is Hermitian, so its values at point d - 1 - j are the transpose
+of its values at point j; a real element such as a norm or a |G|^2 has
+the same value at both.  So Phi Phi* = (N s / D) I, the column norms and
+each tile's |G|^2 are computed at the first ceil(d/2) points only, and a
+real element's values are mirrored where it is interpolated.  At d = 1
+that is the one point.  `naimark_gram` is handed any G, so it checks, per
+prime, that G's values at the conjugate points are the transposes of its
+values at the points; only then is den G G = num G checked at half of
+them.
 """
 
 from __future__ import annotations
@@ -147,8 +159,20 @@ class Frame:
 
 
 def gram(frame: Frame) -> CycMatrix:
-    """The exact N x N Gram matrix Phi*Phi."""
-    return frame.synthesis.adjoint() @ frame.synthesis
+    """The exact N x N Gram matrix Phi*Phi, by the certifier's row tiles:
+    Phi is evaluated once, and each tile is interpolated into the output."""
+    space, mag, _ = _frame_space(frame.synthesis, frame.support)
+    n, deg = frame.n, space.degree
+    # the output first: allocated after Phi's values, it left them, once
+    # freed, as a hole beneath it in the heap (1.5 MiB more peak RSS in
+    # perfbench's gdd-multislot)
+    out = np.empty((n, n, deg), dtype=space.dtype)
+    phi = space.values(frame.synthesis.array, mag)
+    for rows, hit in _tiles(frame.support, deg):
+        part = out[rows]
+        part[...] = space.exact(_gram_tile(space, phi, rows, hit)).T.reshape(
+            part.shape)
+    return CycMatrix(frame.order, out, _copy=False)
 
 
 @dataclass(frozen=True)
@@ -247,6 +271,19 @@ def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
     return "frame is equal-norm and equiangular but not tight"
 
 
+def _half(deg: int) -> int:
+    """ceil(d/2): the points j below it and their conjugates d - 1 - j are
+    every point."""
+    return (deg + 1) // 2
+
+
+def _mirrored(half: np.ndarray, deg: int) -> np.ndarray:
+    """The values at all d points of real elements, from those at the
+    first ceil(d/2): a real element is its own conjugate, so its value at
+    point d - 1 - j is its value at j."""
+    return np.concatenate([half, half[:deg - len(half)][::-1]])
+
+
 def _tiles(support: np.ndarray,
            deg: int) -> list[tuple[slice, slice | np.ndarray]]:
     """The column tiles of a synthesis operator with zero pattern `support`,
@@ -267,18 +304,66 @@ def _tiles(support: np.ndarray,
     return out
 
 
+_WHOLE = [(slice(None), slice(None))]   # one tile of every row and column
+
+
+def _frame_space(mat: CycMatrix,
+                 support: np.ndarray | None) -> tuple[_Space, int, int]:
+    """The space of a pass over the products of Phi and Phi*, max|Phi| and
+    the growth of such a product.  `support` is Phi's zero pattern, None
+    when Phi is dense."""
+    arr, (d, n) = mat.array, mat.shape
+    ring = _ring(mat.order)
+    mag = _max_abs(arr)
+    # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
+    # where both entries are nonzero, so over at most `terms` entries, the
+    # most nonzeros of a column (of a row).  Each term is deg products of
+    # one coefficient of Phi*, at most mag conj_l1, and one of zeta^i Phi,
+    # at most mag fold_l1.  N s / D is the mean of the diagonal of Phi Phi*.
+    # A zero entry is 0 at every point, so a sum at a point holds at most
+    # `terms` nonzero products too: that is the width of the ladder.  The
+    # counts are taken only where they can pay: a sparse frame whose
+    # max(D, N) bound needs a prime
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    terms = max(d, n)
+    if not (support is None or support.all()
+            or _float_exact(ring, mag * mag * growth * terms)):
+        counted = support.view(np.uint8)     # summed faster than booleans
+        terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
+                    int(counted.sum(axis=1, dtype=np.int32).max()))
+    space = _Space(ring, max(terms, ring.degree), mag * mag * growth * terms)
+    return space, mag, growth
+
+
+def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
+               hit: slice | np.ndarray) -> list[np.ndarray]:
+    """The reduced values of the Gram rows `rows`, (d, rows, N) per prime.
+    Entry (r, c) sums conj(Phi_kr) Phi_kc over the rows k where column r is
+    nonzero, so the tile multiplies only the rows `hit` that it touches;
+    Phi* is Phi at the conjugate points, a view."""
+    tile = []
+    for i, v in enumerate(phi):
+        w = v[:, hit]
+        left = space.conj(w[:, :, rows]).transpose(0, 2, 1)
+        tile.append(space.reduce(left @ w, i))
+    return tile
+
+
 def _tight(space: _Space, phi: list[np.ndarray],
            tiles: list[tuple[slice, slice | np.ndarray]], c: int) -> bool:
     """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N).
     Phi Phi* sums, over the column tiles, the products of their columns on
     the rows they touch.  An entry stays a sum of at most `terms` nonzero
-    products, exact in float64 across tiles, and is reduced once."""
+    products, exact in float64 across tiles, and is reduced once.  Both
+    sides are Hermitian, so at point d - 1 - j each is its transpose at
+    point j: the identity is checked at the first ceil(d/2) points."""
     for i, v in enumerate(phi):
-        deg, d = v.shape[:2]
-        fo = np.zeros((deg, d * d))
+        half, d = _half(v.shape[0]), v.shape[1]
+        fo = np.zeros((half, d * d))
         for cols, hit in tiles:
             w = v[:, hit, cols]
-            part = (w @ space.conj(w).transpose(0, 2, 1)).reshape(deg, -1)
+            part = (w[:half] @ space.conj(w)[:half].transpose(0, 2, 1)
+                    ).reshape(half, -1)
             if isinstance(hit, slice):
                 fo += part
             else:
@@ -294,31 +379,19 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
                                     tuple[CycScalar, ...] | None]:
     """The one certifying pass: the certificate, and the distinct
     off-diagonal Gram values (None past two)."""
-    arr, support = frame.synthesis.array, frame.support
+    support = frame.support
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg = ring.degree
-    mag = _max_abs(arr)
-    # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
-    # where both entries are nonzero, so over at most `terms` entries, the
-    # most nonzeros of a column (of a row).  Each term is deg products of
-    # one coefficient of Phi*, at most mag conj_l1, and one of zeta^i Phi,
-    # at most mag fold_l1.  N s / D is the mean of the diagonal of Phi Phi*.
-    # A zero entry is 0 at every point, so a sum at a point holds at most
-    # `terms` nonzero products too: that is the width of the ladder.  The
-    # counts are taken only where they can pay: a sparse frame whose
-    # max(D, N) bound needs a prime
-    growth = ring.conj_l1 * deg * ring.fold_l1
-    terms = max(d, n)
-    if not (support.all() or _float_exact(ring, mag * mag * growth * terms)):
-        counted = support.view(np.uint8)     # summed faster than booleans
-        terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
-                    int(counted.sum(axis=1, dtype=np.int32).max()))
-    space = _Space(ring, max(terms, deg), mag * mag * growth * terms)
-    phi = space.values(arr, mag)                          # (deg, D, N)
+    half = _half(deg)
+    space, mag, growth = _frame_space(frame.synthesis, support)
+    phi = space.values(frame.synthesis.array, mag)        # (deg, D, N)
 
+    # a column norm is real: its values at the first ceil(d/2) points give
+    # the rest
     norms = space.exact([
-        space.reduce(np.einsum("jki,jki->ji", space.conj(v), v), i)
+        _mirrored(space.reduce(np.einsum("jki,jki->ji", space.conj(v)[:half],
+                                         v[:half]), i), deg)
         for i, v in enumerate(phi)])
     bad_norm = _first((norms != norms[:, :1]).any(axis=0))
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
@@ -326,38 +399,37 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     c = n * s // d if s is not None and n * s % d == 0 else None
     tiles = _tiles(support, deg)
     # Phi Phi* of a dense operator is one product
-    fo_tiles = [(slice(None), slice(None))] if support.all() else tiles
-    tight = c is not None and _tight(space, phi, fo_tiles, c)
+    tight = c is not None and _tight(space, phi,
+                                     _WHOLE if support.all() else tiles, c)
 
     # row tiles of G in row-major order, until every field is fixed; entry
-    # (0, 1), whose |.|^2 is ref, is entry 1 of the first.  Entry (r, c)
-    # sums conj(Phi_kr) Phi_kc over the rows k where column r is nonzero,
-    # so a tile multiplies only the rows it touches; Phi* is Phi at the
-    # conjugate points, a view
+    # (0, 1), whose |.|^2 is ref, is entry 1 of the first
     values, ref, at, angle = [], None, None, None
     for rows, hit in tiles if n > 1 else ():
-        tile = []
-        for i, v in enumerate(phi):
-            w = v[:, hit]
-            left = space.conj(w[:, :, rows]).transpose(0, 2, 1)
-            tile.append(space.reduce(left @ w, i))
+        tile = _gram_tile(space, phi, rows, hit)
         coef = space.exact(tile)                          # (deg, entries)
         off = np.ones(coef.shape[1], dtype=bool)
         off[rows.start::n + 1] = False
         values = _distinct(values, coef, off)
         # the bound covers ref too: as row 0 held no mismatch, each row r
-        # holds G_r0 = conj(G_0r), and |G_0r|^2 = ref
+        # holds G_r0 = conj(G_0r), and |G_0r|^2 = ref.  |G|^2 and ref are
+        # real, so they are compared at the first ceil(d/2) points, and
+        # mirrored where they are interpolated
         if angle is None and space.covers(_max_abs(coef) ** 2 * growth):
-            mods = [space.reduce(g * space.conj(g), i).reshape(deg, -1)
+            mods = [space.reduce(g[:half] * space.conj(g)[:half],
+                                 i).reshape(half, -1)
                     for i, g in enumerate(tile)]          # |G|^2 values
             if ref is None:
-                ref = space.exact([m[:, 1] for m in mods])[:, 0]
-            at = at or space.values(ref[None], _max_abs(ref))
+                ref = space.exact([_mirrored(m[:, 1], deg)
+                                   for m in mods])[:, 0]
+            at = at or [r[:half]
+                        for r in space.values(ref[None], _max_abs(ref))]
             bad = _first(off & np.any([(m != r).any(axis=0)
                                        for m, r in zip(mods, at)], axis=0))
             if bad is not None:
                 angle = (rows.start + bad // n, bad % n,
-                         space.exact([m[:, bad] for m in mods])[:, 0])
+                         space.exact([_mirrored(m[:, bad], deg)
+                                      for m in mods])[:, 0])
         elif angle is None:
             mods = _entrywise(coef.T, None, ring)         # (entries, deg)
             ref = mods[1] if ref is None else ref
@@ -443,9 +515,13 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
 
     Certifies den G G = num G (a tight Gram) at the points of one pass,
     bounded by den mag^2 N d fold_l1 + |num| mag for mag = max|G| (as a
-    product bounds each side), and interpolates nothing.  The transfer
-    identity G' G' = num G' follows without a second product: expanding
-    gives G' G' - num G' = den (den G G - num G), and den >= 1.
+    product bounds each side), and interpolates nothing.  Where G's values
+    at the conjugate points are the transposes of its values at the points,
+    as a Hermitian G's are, each side at point d - 1 - j is the transpose of
+    its value at point j, so the identity is checked at the first ceil(d/2)
+    points; elsewhere at every point.  The transfer identity G' G' = num G'
+    follows without a second product: expanding gives G' G' - num G' =
+    den (den G G - num G), and den >= 1.
     """
     if g.rows != g.cols:
         raise FrameError("Gram matrix must be square")
@@ -454,17 +530,29 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
     n, arr = g.rows, g.array
     ring = _ring(g.order)
     deg, mag = ring.degree, _max_abs(arr)
+    half = _half(deg)
     space = _Space(ring, max(n, deg),
                    den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
-    # den G G = num G a block of rows at a time, G evaluated once; then,
-    # its values freed, -den G with num on its diagonal
-    input_tight = all(
-        np.array_equal(space.reduce(space.reduce(v[:, rows] @ v, i)
-                                    * space.residue(den, i), i),
-                       space.reduce(v[:, rows] * space.residue(num, i), i))
-        for i, v in enumerate(space.values(arr, mag))
-        for rows in space.blocks(n, n * deg, _TILE_ROWS))
-    comp = _scaled(arr, -den)
+
+    def holds(i: int, v: np.ndarray) -> bool:
+        # den G G = num G a block of rows at a time, at the points it needs
+        if half < deg and np.array_equal(
+                space.conj(v)[:half].transpose(0, 2, 1), v[:half]):
+            v = v[:half]
+        for rows in space.blocks(n, n * len(v), _TILE_ROWS):
+            left = space.reduce(v[:, rows] @ v, i)
+            if den != 1:
+                left = space.reduce(left * space.residue(den, i), i)
+            if not np.array_equal(left, space.reduce(
+                    v[:, rows] * space.residue(num, i), i)):
+                return False
+        return True
+
+    # G evaluated once; then, its values freed, -den G with num on its
+    # diagonal
+    input_tight = all(holds(i, v)
+                      for i, v in enumerate(space.values(arr, mag)))
+    comp = -arr if den == 1 else _scaled(arr, -den)
     if comp.dtype != object and abs(num) >= _INT64_SAFE:
         comp = comp.astype(object)
     comp[np.arange(n), np.arange(n), 0] += num

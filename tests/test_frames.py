@@ -84,7 +84,8 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
 
 @pytest.mark.parametrize("h", [fourier(3), sylvester(2)])   # d = 2 and 1
 def test_certification_forms_no_adjoint(monkeypatch, h):
-    # Phi*'s values are Phi's, transposed, at the conjugate points
+    # Phi*'s values are Phi's, transposed, at the conjugate points: neither
+    # the certifier nor gram forms Phi*
     frame = Frame(simplex_from_hadamard(h))
     calls = []
     real = CycMatrix.adjoint
@@ -96,9 +97,8 @@ def test_certification_forms_no_adjoint(monkeypatch, h):
     monkeypatch.setattr(CycMatrix, "adjoint", counted)
     assert verify_etf(frame).welch_equality
     verify_tdtf(frame)
-    assert calls == []
     gram(frame)
-    assert calls == [frame.synthesis.shape]
+    assert calls == []
 
 
 def test_verify_etf_two_equal_columns():
@@ -418,25 +418,38 @@ def pass_certificate(frame) -> dict:
 
 
 def whole_gram_oracle(frame) -> dict:
-    g, syn = gram(frame), frame.synthesis
+    """The fields from the whole Gram matrix and frame operator, each one
+    product of the synthesis and its adjoint."""
+    syn = frame.synthesis
+    g = syn.adjoint() @ syn
     return whole_gram_certificate(frame.order, frame.d, frame.n, g.array,
                                   g.abs_squared_entries().array,
                                   (syn @ syn.adjoint()).array)
 
 
+def scalar_phi(frame) -> list[list[CycScalar]]:
+    syn = frame.synthesis
+    return [[syn.entry(k, i) for i in range(frame.n)] for k in range(frame.d)]
+
+
+def scalar_gram(frame, phi) -> list[list[CycScalar]]:
+    """Phi* Phi summed in the pure-Python CycScalar ring."""
+    zero = CycScalar.zero(frame.order)
+    return [[sum((phi[k][i].conjugate() * phi[k][j] for k in range(frame.d)),
+                 zero) for j in range(frame.n)] for i in range(frame.n)]
+
+
 def python_int_oracle(frame) -> dict:
     """The same fields from a Gram matrix and frame operator summed in the
     pure-Python CycScalar ring."""
-    syn, order = frame.synthesis, frame.order
-    phi = [[syn.entry(k, i) for i in range(frame.n)] for k in range(frame.d)]
+    order, phi = frame.order, scalar_phi(frame)
     zero = CycScalar.zero(order)
 
     def table(rows):
         return np.array([[list(x.coeffs) for x in row] for row in rows],
                         dtype=object)
 
-    g = [[sum((phi[k][i].conjugate() * phi[k][j] for k in range(frame.d)),
-              zero) for j in range(frame.n)] for i in range(frame.n)]
+    g = scalar_gram(frame, phi)
     fo = [[sum((phi[k][i] * phi[l][i].conjugate() for i in range(frame.n)),
                zero) for l in range(frame.d)] for k in range(frame.d)]
     mods = [[x.abs_squared() for x in row] for row in g]
@@ -596,6 +609,72 @@ def test_pass_matches_the_whole_gram_on_random_sparse_frames(order, height,
                 assert pass_certificate(frame) == whole_gram_oracle(frame)
 
 
+def assert_gram_exact(frame, scalar=True) -> CycMatrix:
+    """gram(frame) is Phi* Phi as one product of the adjoint, bit for bit
+    and of the same dtype, and (with `scalar`) as summed in the CycScalar
+    ring."""
+    got, syn = gram(frame), frame.synthesis
+    want = (syn.adjoint() @ syn).array
+    assert got.array.dtype == want.dtype and got.array.shape == want.shape
+    assert np.array_equal(got.array, want)
+    if want.dtype != object:
+        assert got.array.tobytes() == want.tobytes()
+    if scalar:
+        assert [[got.entry(i, j) for j in range(frame.n)]
+                for i in range(frame.n)] == scalar_gram(frame,
+                                                        scalar_phi(frame))
+    return got
+
+
+@pytest.mark.parametrize("order", DIFF_ORDERS)
+@pytest.mark.parametrize("height", [None, 1, 2])
+def test_gram_is_the_adjoint_product_on_dense_frames(order, height, tiles,
+                                                     kernel_paths):
+    # d = 1 and d > 1; coefficients up to 2^30, whose bound needs two or
+    # more primes, and one past 2^62, stored as Python ints
+    tiles(height)
+    rng = np.random.default_rng(order * 7 + (height or 0))
+    deg = cyclo._ring(order).degree
+    for mag in (1, 5, 2**30, 2**63):
+        d, n = (int(x) for x in rng.integers(1, 6, size=2))
+        arr = rng.integers(-min(mag, 2**62), min(mag, 2**62) + 1,
+                           size=(d, n, deg)).astype(object)
+        arr[..., 0] = np.where(arr[..., 0] == 0, 1, arr[..., 0])
+        arr[0, :, 0] = mag
+        frame = Frame(CycMatrix(order, arr))
+        assert frame.support.all()
+        with kernel_paths() as seen:
+            got = gram(frame).array
+        assert seen[0] >= (2 if mag >= 2**30 else 0)
+        if mag == 2**63:
+            assert got.dtype == object
+        assert_gram_exact(frame)
+
+
+@pytest.mark.parametrize("order", [2, 5, 10, 30])
+@pytest.mark.parametrize("height", [1, 3])
+def test_gram_is_the_adjoint_product_on_sparse_frames(order, height, tiles):
+    # several row tiles, most of them gathering the rows they touch
+    tiles(height)
+    rng = np.random.default_rng(200 + order * 10 + height)
+    deg = cyclo._ring(order).degree
+    gathered = 0
+    for density in (0.1, 0.2, 0.3):
+        for equal_norms in (False, True):
+            frame = random_sparse_frame(order, rng, density, equal_norms)
+            gathered += sum(not isinstance(hit, slice)
+                            for _, hit in frames._tiles(frame.support, deg))
+            assert_gram_exact(frame)
+    assert gathered
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_gram_of_one_column(order):
+    arr = np.zeros((3, 1, cyclo._ring(order).degree), dtype=np.int64)
+    arr[:, 0, 0] = (1, 0, 2)
+    assert_gram_exact(Frame(CycMatrix(order, arr)))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_pass_evaluates_the_synthesis_in_chunks_of_rows(monkeypatch, rows):
     # a synthesis of more than _CHUNK values is evaluated a chunk of rows
@@ -696,6 +775,11 @@ def test_pass_matches_the_whole_gram_across_many_tiles(tmp_path, tiles):
         assert pass_certificate(frame) == whole_gram_oracle(frame)
     row = int(pass_certificate(late)["witness"].split("(")[1].split(",")[0])
     assert row >= 32
+    # gram's tiles gather the rows they touch, and give the adjoint product
+    assert sum(not isinstance(hit, slice)
+               for _, hit in frames._tiles(etf.support, 4)) >= 5
+    for frame in (etf, late):
+        assert_gram_exact(frame, scalar=False)
 
 
 # ---------------------------------------------------------------------------

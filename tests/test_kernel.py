@@ -453,6 +453,45 @@ def test_naimark_identity_at_each_prime_step(kernel_paths, n):
                     assert_stored(res.complement)
 
 
+@pytest.mark.parametrize("n", ORDERS)
+def test_naimark_identity_on_a_gram_that_is_not_hermitian(monkeypatch, n):
+    # G = [[1, zeta_n], [0, 0]] is idempotent, so tight at A = 1, but not
+    # Hermitian: its values at the conjugate points are not the transposes
+    # of its values at the points, so den G G = num G is checked at every
+    # point.  With G_00 negated G G != G, and at A = 2 G G = G != 2 G.
+    # H = v v* for v = (1, conj(zeta_n)) is Hermitian, and H H = 2 H: it is
+    # checked at the first ceil(d/2) points
+    d = cyclo._ring(n).degree
+    points = []
+    real = cyclo._Space.reduce
+    monkeypatch.setattr(cyclo._Space, "reduce", lambda self, vals, i: (
+        points.append(vals.shape[0]) or real(self, vals, i)))
+    zeta = cyclo.root_of_unity(n, 1)
+    arr = np.zeros((2, 2, d), dtype=np.int64)
+    arr[0, 0, 0] = 1
+    arr[0, 1] = zeta.coeffs
+    flipped = arr.copy()
+    flipped[0, 0, 0] = -1
+    h = CycMatrix.from_scalars([[CycScalar.one(n), zeta],
+                                [zeta.conjugate(), CycScalar.one(n)]])
+    for g, a, tight, hermitian in (
+            (CycMatrix(n, arr), Fraction(1), True, False),
+            (CycMatrix(n, flipped), Fraction(1), False, False),
+            (CycMatrix(n, arr), Fraction(2), False, False),
+            (h, Fraction(2), True, True), (h, Fraction(3), False, True)):
+        assert (g.adjoint() == g) == hermitian
+        points.clear()
+        res = naimark_gram(g, a)
+        assert points and set(points) == {(d + 1) // 2 if hermitian else d}
+        assert res.input_tight == tight == naimark_tight(g, a)
+        assert res.transfer_ok == res.input_tight
+        assert res.denominator == 1
+        assert entries(res.complement) == [
+            [a.numerator * int(i == j) - g.entry(i, j) for j in range(2)]
+            for i in range(2)]
+        assert_stored(res.complement)
+
+
 @pytest.mark.parametrize("n", [1, 5])
 def test_empty_operands(kernel_paths, n):
     # an empty operand bounds its pass by 0: the result is its zeros, of
