@@ -508,7 +508,10 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     replication counts and the sorted pair keys v MU + w (v < w): blocks
     meeting each group once cover B K(K-1)/2 = M^2 U(U-1)/2 cross-group
     pairs, all of them once when no key repeats.  A failure forms only
-    the first bad vertex's row of X*X, where its first bad entry is."""
+    the first bad vertex's row of X*X, where its first bad entry is.
+    Only a failure searches for a duplicate block: among the blocks before
+    the first failed block check, or all of them when a pair key
+    repeats."""
     k, m, u = design.K, design.M, design.U
 
     def fail(msg):
@@ -535,33 +538,36 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
         (np.diff(blocks // m, axis=1) <= 0).any(axis=1)])
     hit = faults.any(axis=0)
     first = int(hit.argmax()) if hit.any() else b
-    # a repeat among the blocks before the first fault, all of them valid
-    head = blocks[:first]
-    order = np.lexsort(head.T[::-1])                  # stable: ties ascend
-    again = order[1:][(head[order[1:]] == head[order[:-1]]).all(axis=1)]
-    if again.size:
-        i = int(again.min())
-        return fail(f"block {i} duplicates an earlier block; pair "
-                    f"({blocks[i, 0]}, {blocks[i, 1]}) is covered more "
-                    f"than once")
+    if first == b:
+        rep = np.bincount(blocks.ravel(), minlength=mu)
+        keys = np.empty((b, k * (k - 1) // 2), dtype=np.int64)
+        at = 0
+        for i in range(k - 1):  # pairs (v_i, v_j), j > i, of every block,
+            step = k - 1 - i    # with no temporary of every pair
+            keys[:, at:at + step] = blocks[:, i, None] * mu + blocks[:, i + 1:]
+            at += step
+        keys = keys.reshape(-1)
+        keys.sort()
+        twice = keys[1:] == keys[:-1]
+        bad = rep != r
+        if not (twice.any() or bad.any()):
+            return GddReport(True, k, m, u, r, b)
+    # a repeat among the blocks before the first fault, all of them valid;
+    # a repeated block repeats its pairs, so none when no pair key repeats
+    if first < b or twice.any():
+        head = blocks[:first]
+        order = np.lexsort(head.T[::-1])              # stable: ties ascend
+        again = order[1:][(head[order[1:]] == head[order[:-1]]).all(axis=1)]
+        if again.size:
+            i = int(again.min())
+            return fail(f"block {i} duplicates an earlier block; pair "
+                        f"({blocks[i, 0]}, {blocks[i, 1]}) is covered more "
+                        f"than once")
     if first < b:
         return fail(f"block {first} " + (
             f"does not have {k} distinct vertices",
             f"has a vertex outside 0..{mu - 1}",
             "meets a group more than once")[int(faults[:, first].argmax())])
-    rep = np.bincount(blocks.ravel(), minlength=mu)
-    keys = np.empty((b, k * (k - 1) // 2), dtype=np.int64)
-    at = 0
-    for i in range(k - 1):      # pairs (v_i, v_j), j > i, of every block,
-        step = k - 1 - i        # with no temporary of every pair
-        keys[:, at:at + step] = blocks[:, i, None] * mu + blocks[:, i + 1:]
-        at += step
-    keys = keys.reshape(-1)
-    keys.sort()
-    twice = keys[1:] == keys[:-1]
-    bad = rep != r
-    if not (twice.any() or bad.any()):
-        return GddReport(True, k, m, u, r, b)
     # a row of X*X is bad at a wrong replication count; at R it holds
     # R(K-1) = M(U-1) pairs, which miss a partner only if one repeats.  A
     # repeated pair's row v < w comes first

@@ -9,26 +9,29 @@ rational matrices ever appear.
 The one certifying pass runs in evaluation space (see `cyclo`): Phi is
 evaluated once per prime, and Phi* is the same values, transposed, at the
 conjugate points.  Conjugation reverses the order of the points, so Phi* is
-a view of Phi's values: the pass makes no conjugate copy.
+a view of Phi's values: the pass makes no conjugate copy.  It runs in three
+steps:
 
-The pass follows the zero pattern of Phi, which `Frame` keeps:
+1. The N column norms, which fix s.
+2. G = Phi* Phi a tile of rows at a time, which fixes t.  A tile multiplies
+   only the rows of Phi that its columns touch, gathered; a dense frame's
+   tiles take every row, as a plain slice.  Each tile is interpolated
+   once, and its |G|^2 is formed at the points when the primes cover it.
+3. Tightness.  For an equal-norm, equiangular frame it is Welch equality:
+   sum |G_ij|^2 = N s^2 + N(N - 1) t, so
+   ||Phi Phi* - (N s / D) I||_F^2 = (N / D)(t D (N - 1) - s^2 (N - D)),
+   and Phi is tight exactly when s^2 (N - D) = t D (N - 1) (t = 0 at
+   N = 1), an identity of integers.  Any other frame is tight when
+   Phi Phi* = (N s / D) I at the points, one product per prime.
 
-- A coefficient of G = Phi* Phi sums over the rows where both of its
-  columns are nonzero, and one of Phi Phi* over the columns where both of
-  its rows are.  So the a-priori bound counts the most nonzeros of a column
-  or of a row, not max(D, N).  A zero entry is 0 at every point, so the
-  same count is the width of the prime ladder.
-- The N column norms come first.  Then Phi Phi* is summed over tiles of
-  columns, each on the rows its columns touch, and compared with
-  (N s / D) I at the points.
-- Then G is formed a tile of rows at a time.  A tile multiplies only the
-  rows of Phi that its columns touch, gathered; a dense frame's tiles take
-  every row, as a plain slice.  Each tile is interpolated once, and its
-  |G|^2 is formed at the points when the primes cover it.
-
-The pass stops once every field of the certificate is fixed, and forms no
-N x N array.  `gram` runs the same row tiles to the end, each interpolated
-into its N x N output.
+The pass follows the zero pattern of Phi, which `Frame` keeps.  A
+coefficient of G sums over the rows where both of its columns are
+nonzero, and one of Phi Phi* over the columns where both of its rows are.
+So the a-priori bound counts the most nonzeros of a column or of a row,
+not max(D, N).  A zero entry is 0 at every point, so the same count is the
+width of the prime ladder.  The pass stops once every field of the
+certificate is fixed, and forms no N x N array.  `gram` runs the same row
+tiles to the end, each interpolated into its N x N output.
 
 Hermitian symmetry halves the points.  A product M of an operator and its
 adjoint is Hermitian, so its values at point d - 1 - j are the transpose
@@ -304,9 +307,6 @@ def _tiles(support: np.ndarray,
     return out
 
 
-_WHOLE = [(slice(None), slice(None))]   # one tile of every row and column
-
-
 def _frame_space(mat: CycMatrix,
                  support: np.ndarray | None) -> tuple[_Space, int, int]:
     """The space of a pass over the products of Phi and Phi*, max|Phi| and
@@ -349,26 +349,16 @@ def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
     return tile
 
 
-def _tight(space: _Space, phi: list[np.ndarray],
-           tiles: list[tuple[slice, slice | np.ndarray]], c: int) -> bool:
-    """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N).
-    Phi Phi* sums, over the column tiles, the products of their columns on
-    the rows they touch.  An entry stays a sum of at most `terms` nonzero
-    products, exact in float64 across tiles, and is reduced once.  Both
+def _tight(space: _Space, phi: list[np.ndarray], c: int) -> bool:
+    """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N): one
+    batched product per prime.  A sum at a point holds at most `terms`
+    nonzero products, so it is exact in float64, and is reduced once.  Both
     sides are Hermitian, so at point d - 1 - j each is its transpose at
     point j: the identity is checked at the first ceil(d/2) points."""
     for i, v in enumerate(phi):
         half, d = _half(v.shape[0]), v.shape[1]
-        fo = np.zeros((half, d * d))
-        for cols, hit in tiles:
-            w = v[:, hit, cols]
-            part = (w[:half] @ space.conj(w)[:half].transpose(0, 2, 1)
-                    ).reshape(half, -1)
-            if isinstance(hit, slice):
-                fo += part
-            else:
-                fo[:, (hit[:, None] * d + hit).reshape(-1)] += part
-        space.reduce(fo, i)
+        fo = space.reduce(v[:half] @ space.conj(v)[:half].transpose(0, 2, 1),
+                          i).reshape(half, -1)
         fo[:, ::d + 1] -= space.residue(c, i)
         if fo.any():
             return False
@@ -377,8 +367,11 @@ def _tight(space: _Space, phi: list[np.ndarray],
 
 def _certify(frame: Frame) -> tuple[EtfCertificate,
                                     tuple[CycScalar, ...] | None]:
-    """The one certifying pass: the certificate, and the distinct
-    off-diagonal Gram values (None past two)."""
+    """The one certifying pass, norms, then Gram tiles, then tightness: the
+    certificate, and the distinct off-diagonal Gram values (None past
+    two).  Tightness of an equal-norm, equiangular frame is its Welch
+    identity (see the module docstring); only another frame whose N s / D
+    is an integer forms Phi Phi*."""
     support = frame.support
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
@@ -396,16 +389,11 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     bad_norm = _first((norms != norms[:, :1]).any(axis=0))
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
          else None)
-    c = n * s // d if s is not None and n * s % d == 0 else None
-    tiles = _tiles(support, deg)
-    # Phi Phi* of a dense operator is one product
-    tight = c is not None and _tight(space, phi,
-                                     _WHOLE if support.all() else tiles, c)
 
     # row tiles of G in row-major order, until every field is fixed; entry
     # (0, 1), whose |.|^2 is ref, is entry 1 of the first
     values, ref, at, angle = [], None, None, None
-    for rows, hit in tiles if n > 1 else ():
+    for rows, hit in _tiles(support, deg) if n > 1 else ():
         tile = _gram_tile(space, phi, rows, hit)
         coef = space.exact(tile)                          # (deg, entries)
         off = np.ones(coef.shape[1], dtype=bool)
@@ -441,11 +429,12 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     t = (int(ref[0]) if ref is not None and angle is None
          and not ref[1:].any() else None)
     equiangular = n == 1 or t is not None
+    if s is not None and equiangular:
+        tight = s * s * (n - d) == (t or 0) * d * (n - 1)
+    else:
+        tight = (s is not None and n * s % d == 0
+                 and _tight(space, phi, n * s // d))
     welch = s is not None and equiangular and tight
-    # Welch equality forces this integer identity; a failure is a bug
-    if welch and n > d and s * s * (n - d) != t * d * (n - 1):
-        raise AssertionError(
-            "certified ETF violates the Welch equality identity")
 
     values = (None if values is None
               else tuple(CycScalar(order, v) for v in values))

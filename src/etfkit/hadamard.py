@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclo import CycMatrix, _ring
 from .designs import FiniteField
-from .frames import _WHOLE, _frame_space, _tight
+from .frames import _frame_space, _tight
 
 __all__ = [
     "HadamardError",
@@ -82,7 +82,7 @@ def verify_hadamard(mat) -> HadamardReport:
     # for square H, H*H = nI makes H/sqrt(n) unitary, so HH* = nI is the
     # same identity: the certifier's frame-operator check, at half the points
     space, mag, _ = _frame_space(mat, None)
-    if not _tight(space, space.values(mat.array, mag), _WHOLE, n):
+    if not _tight(space, space.values(mat.array, mag), n):
         return HadamardReport(False, n, "H*H differs from nI")
     return HadamardReport(True, n)
 

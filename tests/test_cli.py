@@ -442,6 +442,22 @@ def test_verify_duplicated_block(tmp_path, capsys):
     assert code == 1 and "covered more than once" in line
 
 
+@pytest.mark.parametrize("later_fault", [False, True])
+def test_verify_pins_the_duplicated_block(tmp_path, capsys, later_fault):
+    # block 5 of TD(3,3) replaced by block 2; with block 7 meeting a group
+    # twice, the duplicate before it is still the first failure
+    td = tmp_path / "td33.design"
+    run(capsys, "design", "td", "3", "3", "-o", str(td))
+    lines = td.read_text().splitlines()
+    lines[1 + 5] = lines[1 + 2]
+    if later_fault:
+        lines[1 + 7] = "0 1 6"
+    td.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "verify", str(td), "--kind", "design") == (
+        1, "fail: block 5 duplicates an earlier block; pair (0, 5) is "
+           "covered more than once", "")
+
+
 def test_verify_hadamard_kind(tmp_path, capsys):
     # store a Hadamard matrix in the frame format and certify it
     from etfkit.fileio import serialize_frame

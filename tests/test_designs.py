@@ -776,6 +776,21 @@ def test_gdd_report_matches_the_dense_oracle_on_faults(name, design, i,
         assert "vertex pair (0, " in rep.failure
 
 
+def test_valid_designs_are_certified_without_a_block_sort(monkeypatch):
+    # a repeated block repeats its pairs, so a design whose pair keys are
+    # all distinct is never searched for a duplicate block
+    built = [make() for make in FAULT_BASES.values()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.lexsort called on a valid design")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    for d in built:
+        assert _gdd_report(d).ok
+    with pytest.raises(AssertionError, match="np.lexsort"):
+        _gdd_report(_edited(built[0], 1, FAULTS["duplicate"]))
+
+
 def test_gdd_report_matches_the_dense_oracle_on_counts_and_shapes():
     td = _td(3, 3)
     rows = td.blocks.tolist()

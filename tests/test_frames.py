@@ -531,13 +531,15 @@ def test_pass_matches_the_whole_gram_on_random_frames(order, height, tiles):
 @pytest.mark.parametrize("height", [None, 1, 3])
 def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles,
                                                        monkeypatch):
+    # an ETF's tightness is its Welch identity, so the pass forms Phi Phi*
+    # only for the equal-norm copies that are not equiangular
     from etfkit.constructions import mols_tdtf
     from etfkit.designs import gf_build, mols_from_field, td_from_mols
     tiles(height)
-    handed = []
+    calls = []
     real = frames._tight
-    monkeypatch.setattr(frames, "_tight", lambda space, phi, fo_tiles, c: (
-        handed.append(fo_tiles) or real(space, phi, fo_tiles, c)))
+    monkeypatch.setattr(frames, "_tight", lambda space, phi, c: (
+        calls.append(c) or real(space, phi, c)))
     rng = np.random.default_rng(order)
     etf = simplex_over(order)
     d, n = etf.d, etf.n
@@ -546,16 +548,21 @@ def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles,
                   [(0, 0), (d - 1, n - 1)]):
         frames_.append(corrupted(etf, cells, lambda x: 2 * x))    # doubled
         frames_.append(corrupted(etf, cells, lambda x: -x))       # negated
-    # a flat MOLS frame, 9 x 16 and dense, its entries +-1: its Phi Phi* is
-    # one product while its Gram rows span several tiles
+    # a flat MOLS frame, 9 x 16 and dense, its entries +-1: a TDTF, equal
+    # norms and two angles, while its Gram rows span several tiles
     td = td_from_mols(mols_from_field(gf_build(2, 2)), 3)
     flat = mols_tdtf(td, sylvester(2), "centered")[0].synthesis.array
     frames_.append(rooted(Frame(CycMatrix(1, flat).lift_to_order(order)), rng))
     for frame in frames_:
         assert frame.support.all()
-        assert pass_certificate(frame) == whole_gram_oracle(frame)
+        calls.clear()
+        got = pass_certificate(frame)
+        assert got == whole_gram_oracle(frame)
+        # pass_certificate certifies twice, by verify_etf and verify_tdtf
+        want = (got["equal_norm"] and not got["equiangular"]
+                and got["a"].denominator == 1)
+        assert calls == ([got["a"]] * 2 if want else [])
     assert pass_certificate(etf)["welch_equality"]
-    assert handed and all(t == [(slice(None), slice(None))] for t in handed)
 
 
 @pytest.mark.parametrize("order", [1, 3, 10])
@@ -715,6 +722,45 @@ def test_pass_finds_witnesses_in_gathered_and_whole_tiles(order, tiles):
         got = pass_certificate(frame)
         assert got == whole_gram_oracle(frame)
         assert int(got["witness"].split("(")[1].split(",")[0]) in rows
+
+
+def test_tightness_on_every_prefix_of_an_etf():
+    # a column prefix of an ETF is equal-norm and equiangular, so its
+    # tightness is the Welch identity s^2 (N' - D) = t D (N' - 1): the
+    # prefixes take N' < D, N' = D, D < N' < N and N' = N, and only the
+    # whole frame is tight.  ETF(15,36) is checked against the whole
+    # Gram only, as its Python-int oracle is slow
+    from etfkit.constructions import gdd_etf, regular_simplex, steiner_etf
+    from etfkit.designs import (affine_plane, gf_build, mols_from_field,
+                                td_from_mols)
+    steiner, _ = steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))
+    seed, _ = regular_simplex(3, fourier(3))
+    td33 = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
+    etf_15_36, _ = gdd_etf(seed, EtfType(3, -1, 2), td33, fourier(1),
+                           sylvester(2))
+    for etf, small in ((steiner, True), (seed, True), (etf_15_36, False)):
+        assert (etf.d, etf.n) in ((6, 16), (2, 3), (15, 36))
+        for k in range(1, etf.n + 1):
+            frame = Frame(CycMatrix(etf.order, etf.synthesis.array[:, :k]))
+            got = pass_certificate(frame)
+            assert got == whole_gram_oracle(frame)
+            if small:
+                assert got == python_int_oracle(frame)
+            assert got["equal_norm"] and got["equiangular"]
+            assert got["tight"] == (frame.n == etf.n)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tightness_of_one_column(order, d):
+    # N = 1: tight exactly at D = 1, and t stays None
+    arr = np.zeros((d, 1, cyclo._ring(order).degree), dtype=np.int64)
+    arr[:, 0, 0] = (2, 0, 1)[:d]
+    frame = Frame(CycMatrix(order, arr))
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame) == python_int_oracle(frame)
+    assert got["tight"] == got["welch_equality"] == (d == 1)
+    assert got["t"] is None
 
 
 def test_pass_matches_the_whole_gram_on_an_equiangular_frame_not_tight():
