@@ -13,10 +13,12 @@ a view of Phi's values: the pass makes no conjugate copy.  It runs in three
 steps:
 
 1. The N column norms, which fix s.
-2. G = Phi* Phi a tile of rows at a time, which fixes t.  A tile multiplies
-   only the rows of Phi that its columns touch, gathered; a dense frame's
-   tiles take every row, as a plain slice.  Each tile is interpolated
-   once, and its |G|^2 is formed at the points when the primes cover it.
+2. The upper block triangle of G = Phi* Phi, a tile of rows at a time,
+   which fixes t.  Tile I is G[I, I.start:]: a tile multiplies only the
+   rows of Phi that its columns touch, gathered (a dense frame's tiles
+   take every row, as a plain slice), and only the columns of Phi from
+   its first row on.  Each tile is interpolated once, and its |G|^2 is
+   formed at the points when the primes cover it.
 3. Tightness.  For an equal-norm, equiangular frame it is Welch equality:
    sum |G_ij|^2 = N s^2 + N(N - 1) t, so
    ||Phi Phi* - (N s / D) I||_F^2 = (N / D)(t D (N - 1) - s^2 (N - D)),
@@ -31,18 +33,24 @@ So the a-priori bound counts the most nonzeros of a column or of a row,
 not max(D, N).  A zero entry is 0 at every point, so the same count is the
 width of the prime ladder.  The pass stops once every field of the
 certificate is fixed, and forms no N x N array.  `gram` runs the same row
-tiles to the end, each interpolated into its N x N output.
+tiles, each over all N columns, to the end, each interpolated into its
+N x N output.
 
-Hermitian symmetry halves the points.  A product M of an operator and its
-adjoint is Hermitian, so its values at point d - 1 - j are the transpose
-of its values at point j; a real element such as a norm or a |G|^2 has
-the same value at both.  So Phi Phi* = (N s / D) I, the column norms and
-each tile's |G|^2 are computed at the first ceil(d/2) points only, and a
-real element's values are mirrored where it is interpolated.  At d = 1
-that is the one point.  `naimark_gram` is handed any G, so it checks, per
-prime, that G's values at the conjugate points are the transposes of its
-values at the points; only then is den G G = num G checked at half of
-them.
+Hermitian symmetry halves the work twice.  G is Hermitian, G_rc =
+conj(G_cr), so the pass never forms its lower block triangle: |G_rc|^2
+was compared where G_cr was, which comes first in row-major order, so the
+first entry that breaks an identity lies in a tile; and a value first seen
+below the diagonal is the conjugate of one a tile holds (see `_distinct`).
+This halves the products at every d.  A product M of an operator and its
+adjoint is Hermitian, so its values at point d - 1 - j are also the
+transpose of its values at point j; a real element such as a norm or a
+|G|^2 has the same value at both.  So Phi Phi* = (N s / D) I, the column
+norms and each tile's |G|^2 are computed at the first ceil(d/2) points
+only, and a real element's values are mirrored where it is interpolated.
+At d = 1 that is the one point.  `naimark_gram` is handed any G, so it
+checks, per prime, that G's values at the conjugate points are the
+transposes of its values at the points; only then is den G G = num G
+checked at half of them.
 """
 
 from __future__ import annotations
@@ -162,8 +170,9 @@ class Frame:
 
 
 def gram(frame: Frame) -> CycMatrix:
-    """The exact N x N Gram matrix Phi*Phi, by the certifier's row tiles:
-    Phi is evaluated once, and each tile is interpolated into the output."""
+    """The exact N x N Gram matrix Phi*Phi, by the certifier's row tiles
+    over every column (start 0), lower block triangle included: Phi is
+    evaluated once, and each tile is interpolated into the output."""
     space, mag, _ = _frame_space(frame.synthesis, frame.support)
     n, deg = frame.n, space.degree
     # the output first: allocated after Phi's values, it left them, once
@@ -173,8 +182,8 @@ def gram(frame: Frame) -> CycMatrix:
     phi = space.values(frame.synthesis.array, mag)
     for rows, hit in _tiles(frame.support, deg):
         part = out[rows]
-        part[...] = space.exact(_gram_tile(space, phi, rows, hit)).T.reshape(
-            part.shape)
+        part[...] = space.exact(_gram_tile(space, phi, rows, hit,
+                                           0)).T.reshape(part.shape)
     return CycMatrix(frame.order, out, _copy=False)
 
 
@@ -235,20 +244,35 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
-              off: np.ndarray) -> list[np.ndarray] | None:
-    """The distinct off-diagonal Gram values so far, in order of first
-    appearance, after a row tile: `coef` holds the tile's exact
-    coefficients (d, entries) in row-major order, `off` marks its
-    off-diagonal entries.  None once there are more than two."""
+              off: np.ndarray, conj) -> list[np.ndarray] | None:
+    """The distinct off-diagonal values of a Hermitian Gram so far, in order
+    of first appearance, after a row tile of its upper block triangle:
+    `coef` holds the tile's exact coefficients (d, entries) in row-major
+    order, `off` marks its off-diagonal entries.  None once there are more
+    than two.
+
+    A value left out, below the diagonal, is the conjugate of one a tile
+    holds.  So `conj`, which maps a value's coefficients to its
+    conjugate's, adds the conjugate of each value found; it is None for
+    the last tile, which holds the mirror of each of its entries itself.
+    The order needs no positions: with at most two values, the first is
+    G_01, the first off-diagonal entry, found first."""
     if values is None:
         return None
     for v in values:
         off = off & (coef != v[:, None]).any(axis=0)
     while (new := _first(off)) is not None:
-        if len(values) == 2:
-            return None
-        values.append(coef[:, new])
-        off = off & (coef != values[-1][:, None]).any(axis=0)
+        found = [coef[:, new].copy()]       # not a view that holds the tile
+        if conj is not None:
+            c = conj(found[0])
+            # a real value is its own conjugate
+            if not any((c == v).all() for v in values + found):
+                found.append(c)
+        for v in found:
+            if len(values) == 2:
+                return None
+            values.append(v)
+            off = off & (coef != v[:, None]).any(axis=0)
     return values
 
 
@@ -336,16 +360,17 @@ def _frame_space(mat: CycMatrix,
 
 
 def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
-               hit: slice | np.ndarray) -> list[np.ndarray]:
-    """The reduced values of the Gram rows `rows`, (d, rows, N) per prime.
-    Entry (r, c) sums conj(Phi_kr) Phi_kc over the rows k where column r is
-    nonzero, so the tile multiplies only the rows `hit` that it touches;
-    Phi* is Phi at the conjugate points, a view."""
+               hit: slice | np.ndarray, start: int) -> list[np.ndarray]:
+    """The reduced values of G[rows, start:], (d, rows, N - start) per
+    prime.  Entry (r, c) sums conj(Phi_kr) Phi_kc over the rows k where
+    column r is nonzero, so the tile multiplies only the rows `hit` that it
+    touches, and only the columns of Phi from `start` on; Phi* is Phi at
+    the conjugate points, a view."""
     tile = []
     for i, v in enumerate(phi):
-        w = v[:, hit]
-        left = space.conj(w[:, :, rows]).transpose(0, 2, 1)
-        tile.append(space.reduce(left @ w, i))
+        w = v[:, hit, start:]
+        left = space.conj(w[:, :, rows.start - start:rows.stop - start])
+        tile.append(space.reduce(left.transpose(0, 2, 1) @ w, i))
     return tile
 
 
@@ -390,20 +415,33 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
          else None)
 
-    # row tiles of G in row-major order, until every field is fixed; entry
-    # (0, 1), whose |.|^2 is ref, is entry 1 of the first
+    def conj(v):        # exact, as only a few values are conjugated
+        return np.array(CycScalar(order, v).conjugate().coeffs,
+                        dtype=v.dtype)
+
+    # row tiles of G's upper block triangle, G[rows, rows.start:], in
+    # row-major order until every field is fixed; entry (0, 1), whose |.|^2
+    # is ref, is entry 1 of the first.  An entry left out, (r, c) with
+    # c < rows.start, is conj(G_cr), and |G_cr|^2 was compared in an
+    # earlier tile: so the first entry of G that breaks an identity is the
+    # first in the tiles
     values, ref, at, angle = [], None, None, None
     for rows, hit in _tiles(support, deg) if n > 1 else ():
-        tile = _gram_tile(space, phi, rows, hit)
+        tile = _gram_tile(space, phi, rows, hit, rows.start)
         coef = space.exact(tile)                          # (deg, entries)
+        w = n - rows.start                                # the tile's width
         off = np.ones(coef.shape[1], dtype=bool)
-        off[rows.start::n + 1] = False
-        values = _distinct(values, coef, off)
-        # the bound covers ref too: as row 0 held no mismatch, each row r
-        # holds G_r0 = conj(G_0r), and |G_0r|^2 = ref.  |G|^2 and ref are
-        # real, so they are compared at the first ceil(d/2) points, and
-        # mirrored where they are interpolated
-        if angle is None and space.covers(_max_abs(coef) ** 2 * growth):
+        off[::w + 1] = False
+        values = _distinct(values, coef, off,
+                           conj if rows.stop < n else None)
+        # |G|^2 is compared with ref at the points only when the primes
+        # cover both: the tile's bound covers its |G|^2, and ref, from the
+        # first tile, is checked apart, as a later tile holds no G_r0 =
+        # conj(G_0r) to bound it.  |G|^2 and ref are real, so they are
+        # compared at the first ceil(d/2) points, and mirrored where they
+        # are interpolated
+        if (angle is None and space.covers(_max_abs(coef) ** 2 * growth)
+                and (ref is None or space.covers(_max_abs(ref)))):
             mods = [space.reduce(g[:half] * space.conj(g)[:half],
                                  i).reshape(half, -1)
                     for i, g in enumerate(tile)]          # |G|^2 values
@@ -415,7 +453,7 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
             bad = _first(off & np.any([(m != r).any(axis=0)
                                        for m, r in zip(mods, at)], axis=0))
             if bad is not None:
-                angle = (rows.start + bad // n, bad % n,
+                angle = (rows.start + bad // w, rows.start + bad % w,
                          space.exact([_mirrored(m[:, bad], deg)
                                       for m in mods])[:, 0])
         elif angle is None:
@@ -423,7 +461,8 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
             ref = mods[1] if ref is None else ref
             bad = _first(off & (mods != ref).any(axis=1))
             if bad is not None:
-                angle = (rows.start + bad // n, bad % n, mods[bad])
+                angle = (rows.start + bad // w, rows.start + bad % w,
+                         mods[bad])
         if angle is not None and values is None:
             break
     t = (int(ref[0]) if ref is not None and angle is None

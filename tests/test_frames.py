@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -292,49 +292,110 @@ def test_failed_certificate_carries_witness_and_tdtf_values():
 
 
 def offdiag_values(g: CycMatrix, rows: int):
-    """The distinct off-diagonal values of a Gram matrix, read in row tiles
-    of `rows` rows as the certifying pass reads them."""
+    """The distinct off-diagonal values of a Hermitian Gram matrix, read in
+    row tiles of `rows` rows over its upper block triangle, G[I, I.start:],
+    as the certifying pass reads them."""
     arr, n = g.array, g.rows
+
+    def conjugate(v):
+        return np.array(CycScalar(g.order, v).conjugate().coeffs)
+
     values = []
     for r0 in range(0, n, rows):
-        tile = arr[r0:r0 + rows]
-        off = np.ones(tile.shape[:2], dtype=bool)
-        off[np.arange(tile.shape[0]), np.arange(r0, r0 + tile.shape[0])] = 0
-        values = _distinct(values, tile.reshape(-1, arr.shape[2]).T,
-                           off.reshape(-1))
+        tile = slice(r0, min(r0 + rows, n))
+        part = arr[tile, r0:]
+        off = np.ones(part.shape[:2], dtype=bool)
+        off[np.arange(part.shape[0]), np.arange(part.shape[0])] = False
+        values = _distinct(
+            values, part.reshape(-1, arr.shape[2]).T, off.reshape(-1),
+            None if tile.stop == n else conjugate)
     return (None if values is None
             else tuple(CycScalar(g.order, v) for v in values))
 
 
+def first_appearances(g: CycMatrix):
+    """The same, read off every off-diagonal entry in row-major order."""
+    values = []
+    for i in range(g.rows):
+        for j in range(g.cols):
+            if i != j and g.entry(i, j) not in values:
+                values.append(g.entry(i, j))
+    return None if len(values) > 2 else tuple(values)
+
+
+def hermitian_gram(n: int, order: int, upper, cells=()):
+    """An n x n Hermitian Gram: 7 on the diagonal, `upper` above it unless
+    `cells` names another value for an entry (i, j), i < j, and below it
+    their conjugates."""
+    g = [[CycScalar.from_int(7, order) if i == j else
+          CycScalar(order, dict(cells).get((min(i, j), max(i, j)), upper))
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            g[i][j] = g[j][i].conjugate()
+    return CycMatrix.from_scalars(g)
+
+
 def test_offdiag_values_reads_the_distinct_values_in_order():
-    # a 4x4 Gram over Z[zeta_3]: every off-diagonal entry is u, then v takes
-    # (1, 0) and w the last off-diagonal entry, (3, 2); the diagonal holds
-    # other values, which are never read.  Tiles of every height give the
-    # same values
-    u, v, w = (1, 0), (0, 1), (-1, -1)
+    # 4x4 Hermitian Grams over Z[zeta_3]: u and x are real, v = zeta and
+    # w = zeta^2 = conj(v).  Every off-diagonal entry is u, or v above the
+    # diagonal, unless a cell says otherwise.  Tiles of every height give
+    # the values of the whole matrix, in row-major order of first
+    # appearance, though a tile reads an entry below the diagonal only
+    # inside its own block of rows
+    u, x, y, v, w = (1, 0), (-1, 0), (2, 0), (0, 1), (-1, -1)
 
-    def gram_with(cells):
-        arr = np.full((4, 4, 2), 0, dtype=np.int64)
-        arr[:, :] = u
-        arr[np.arange(4), np.arange(4)] = (7, 7)
-        for (i, j), value in cells.items():
-            arr[i, j] = value
-        return CycMatrix(3, arr)
+    def scalars(*cs):
+        return tuple(CycScalar(3, c) for c in cs)
 
-    for rows in range(1, 5):
-        assert offdiag_values(gram_with({}), rows) == (CycScalar(3, u),)
-        assert offdiag_values(gram_with({(1, 0): v, (2, 3): v}), rows) == (
-            CycScalar(3, u), CycScalar(3, v))
-        assert offdiag_values(gram_with({(1, 0): v, (3, 2): w}),
-                              rows) is None
+    cases = [
+        (u, {}, scalars(u)),
+        (u, {(1, 2): x, (2, 3): x}, scalars(u, x)),
+        (u, {(1, 2): x, (2, 3): y}, None),
         # the first value comes from entry (0, 1), the second from the
         # first entry that differs from it
-        assert offdiag_values(gram_with({(0, 1): v, (3, 2): v}), rows) == (
-            CycScalar(3, v), CycScalar(3, u))
+        (u, {(0, 1): x, (2, 3): x}, scalars(x, u)),
         # two new values in one row
-        assert offdiag_values(gram_with({(0, 2): v, (0, 3): w}),
-                              rows) is None
+        (u, {(0, 2): x, (0, 3): y}, None),
+        # v only at (2, 3): its conjugate w is a third value, and appears
+        # only at (3, 2), below the diagonal
+        (u, {(2, 3): v}, None),
+        # v in every entry above the diagonal: w first appears below it,
+        # at (1, 0), which only a tile of two rows or more reads
+        (v, {}, scalars(v, w)),
+        (w, {}, scalars(w, v)),
+        (v, {(1, 2): w, (1, 3): w, (2, 3): w}, scalars(v, w)),
+        # w in row 0 as well: both values appear there
+        (v, {(0, 3): w, (2, 3): w}, scalars(v, w)),
+    ]
+    for rows in range(1, 5):
+        for upper, cells, want in cases:
+            g = hermitian_gram(4, 3, upper, cells)
+            assert first_appearances(g) == want
+            assert offdiag_values(g, rows) == want
         assert offdiag_values(CycMatrix.identity(1, 3), rows) == ()
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_offdiag_values_match_the_whole_matrix_on_random_hermitian_grams(
+        order):
+    # the values of a random Hermitian Gram above its diagonal are drawn
+    # from one to three of a small pool, real and not, so that the whole
+    # matrix has one to six distinct values off the diagonal
+    rng = np.random.default_rng(order)
+    ring = cyclo._ring(order)
+    pool = [ring.powers([k])[0] for k in range(order)]
+    pool += [-p for p in pool]
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        picks = rng.choice(len(pool), size=int(rng.integers(1, 4)),
+                           replace=False)
+        cells = {(i, j): tuple(pool[picks[rng.integers(len(picks))]])
+                 for i in range(n) for j in range(i + 1, n)}
+        g = hermitian_gram(n, order, cells[0, 1], cells)
+        want = first_appearances(g)
+        for rows in range(1, n + 1):
+            assert offdiag_values(g, rows) == want
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +641,86 @@ def test_pass_finds_the_witness_in_the_first_and_the_last_tile(order, height,
         assert got == whole_gram_oracle(frame)
         assert got["witness"].startswith(witness)
         assert got["tdtf_values"] is not None and len(got["tdtf_values"]) == 2
+
+
+def columns_frame(order, columns) -> Frame:
+    """The frame whose columns list the coefficients of their entries."""
+    return Frame(CycMatrix.from_scalars(
+        [[CycScalar(order, col[r]) for col in columns]
+         for r in range(len(columns[0]))]))
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, None])
+def test_pass_orders_a_conjugate_first_seen_below_the_diagonal(height,
+                                                               tiles):
+    # over Z[zeta_3], columns of sixth roots of unity whose Gram holds
+    # v = 1 + 2 zeta = (1, 2) in every entry of row 0 but the first, and
+    # conj(v) = -v = (-1, -2) first at (1, 0), below the diagonal; the
+    # 4-column frame is equiangular, so every tile is read
+    tiles(height)
+    one, z, z2, o = (1, 0), (0, 1), (-1, -1), (0, 0)
+    neg = [(-a, -b) for a, b in (one, z, z2)]          # -1, -zeta, -zeta^2
+    for columns in ([[one, one, one], [one, z, z], [neg[0], neg[2], neg[2]]],
+                    [[o, one, one, one], [one, o, z, neg[2]],
+                     [z, neg[2], o, z], [z2, z, neg[2], o]]):
+        frame = columns_frame(3, columns)
+        got = pass_certificate(frame)
+        assert got == whole_gram_oracle(frame)
+        assert got["tdtf_values"] == ((1, 2), (-1, -2))
+
+
+@pytest.mark.parametrize("order", [1, 3, 10])
+@pytest.mark.parametrize("height", [1, 2, 3, None])
+def test_pass_finds_a_witness_whose_pair_spans_two_tiles(order, height,
+                                                        tiles):
+    # only G_16 = conj(G_61) is nonzero off the diagonal, so (1, 6) is the
+    # first entry whose |.|^2 differs from that of (0, 1).  In tiles of 1,
+    # 2 or 3 rows, rows 1 and 6 lie in different tiles, and no tile
+    # computes (6, 1)
+    tiles(height)
+    frame = rooted(pair_frame(order, 8, [(6, 1)]),
+                   np.random.default_rng(order))
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame)
+    assert got["witness"].startswith("Gram entry (1, 6) has |.|^2 = (1,")
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, None])
+def test_pass_multiplies_only_the_upper_block_triangle(height, tiles,
+                                                       monkeypatch):
+    # an ETF reads every tile: tile I is G[I, I.start:], whose products
+    # are N - I.start columns wide; gram's tiles are N wide
+    from etfkit.constructions import steiner_etf
+    from etfkit.designs import affine_plane, gf_build
+    tiles(height)
+    etf, _ = steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))
+    etf = rooted(Frame(etf.synthesis.lift_to_order(10)),
+                 np.random.default_rng(3))
+    n = etf.n
+    seen = []
+    real = frames._gram_tile
+
+    def recorded(space, phi, rows, hit, start):
+        tile = real(space, phi, rows, hit, start)
+        seen.append((rows, start, [v.shape for v in tile]))
+        return tile
+
+    monkeypatch.setattr(frames, "_gram_tile", recorded)
+    assert verify_etf(etf).welch_equality
+    rows = [r for r, _, _ in seen]
+    assert [r.start for r in rows] == sorted({r.start for r in rows})
+    assert rows[0].start == 0 and rows[-1].stop == n
+    assert all(start == r.start and all(
+        shape[1:] == (r.stop - r.start, n - start) for shape in shapes)
+        for r, start, shapes in seen)
+    widths = sum(shapes[0][2] for _, _, shapes in seen)
+    assert widths == sum(n - r.start for r in rows)
+    if height == 1:
+        assert widths == n * (n + 1) // 2
+    seen.clear()
+    assert_gram_exact(etf, scalar=False)
+    assert seen and all(start == 0 and shapes[0][2] == n
+                        for _, start, shapes in seen)
 
 
 def random_sparse_frame(order, rng, density, equal_norms) -> Frame:
@@ -988,6 +1129,44 @@ def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
         assert len(seen) == calls
         assert seen[0] == expected_primes(ring, width, _pass_bound(frame))
         assert pass_certificate(frame) == python_int_oracle(frame)
+
+
+@pytest.mark.parametrize("order", [3, 5, 12])
+def test_later_tile_compares_at_the_points_only_where_ref_is_covered(
+        kernel_paths, order, tiles):
+    # column 0 is A e_0, column c > 0 is B e_0 + e_c: row 0 of G is
+    # (A^2, A B, A B, A B), so ref = A^2 B^2, and row 1 of the upper
+    # triangle is (B^2 + 1, B^2, B^2).  B is the largest that lets the
+    # pass's primes cover that row's |G|^2; they do not cover ref, which no
+    # entry of the row bounds, so the row's |G|^2 is formed by _entrywise,
+    # as the first row's is: one kernel call each after the pass's
+    tiles(1)
+    ring = cyclo._ring(order)
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    big = 2**20
+
+    def frame_with(b):
+        arr = np.zeros((4, 4, ring.degree), dtype=np.int64)
+        arr[0, 0, 0] = big
+        for c in range(1, 4):
+            arr[0, c, 0], arr[c, c, 0] = b, 1
+        return Frame(CycMatrix(order, arr))
+
+    first = frame_with(1)
+    space = frames._frame_space(first.synthesis, first.support)[0]
+    b = isqrt(isqrt(prod(space.primes) // (2 * growth))) - 1
+    while not space.covers((b * b + 1) ** 2 * growth):
+        b -= 1
+    frame = frame_with(b)
+    assert frames._frame_space(frame.synthesis, frame.support)[0].primes == (
+        space.primes)
+    assert not space.covers((big * b) ** 2)
+    with kernel_paths() as seen:
+        verify_etf(frame)
+    assert len(seen) == 3
+    got = pass_certificate(frame)
+    assert got == python_int_oracle(frame)
+    assert not got["equiangular"]
 
 
 def _pass_bound(frame) -> int:
