@@ -146,8 +146,8 @@ def cmd_classify(args) -> int:
 def _build_design(args):
     if args.kind == "td":
         k, m = args.a, args.b
-        if k == 2:
-            return td_from_mols(LatinSquareSet(m, []), 2)
+        if k <= 2:          # reads no square: refused or built, no field
+            return td_from_mols(LatinSquareSet(m, []), k)
         _refuse(m, k, m)                # before the field is built
         return td_from_mols(mols_from_field(_field_for(m)), k)
     if args.kind == "sts":

@@ -387,7 +387,9 @@ def _lex_sorted(rows: np.ndarray) -> np.ndarray:
 def td_from_mols(squares: LatinSquareSet, k: int) -> GroupDivisibleDesign:
     """TD(K, M) from K-2 of the given MOLS; blocks ordered lex by (x, y)."""
     m = squares.size
-    if k < 2 or k > squares.count + 2:
+    if k < 2:
+        raise DesignError(f"block size must be at least 2, got {k}")
+    if k > squares.count + 2:
         raise DesignError(
             f"need {k - 2} squares for block size {k}, have {squares.count}")
     blocks = np.empty((m * m, k), dtype=np.int64)

@@ -18,7 +18,7 @@ steps:
    rows of Phi that its columns touch, gathered (a dense frame's tiles
    take every row, as a plain slice), and only the columns of Phi from
    its first row on.  Each tile is interpolated once, and its |G|^2 is
-   formed at the points when the primes cover it.
+   compared with |G_01|^2 at the points; past the primes, in its own space.
 3. Tightness.  For an equal-norm, equiangular frame it is Welch equality:
    sum |G_ij|^2 = N s^2 + N(N - 1) t, so
    ||Phi Phi* - (N s / D) I||_F^2 = (N / D)(t D (N - 1) - s^2 (N - D)),
@@ -63,9 +63,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _entrywise,
-                    _float_exact, _max_abs, _ring, _row_blocks, _scaled,
-                    _Space)
+from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _float_exact,
+                    _max_abs, _ring, _row_blocks, _scaled, _Space)
 
 __all__ = [
     "FrameError",
@@ -208,9 +207,7 @@ class EtfCertificate:
     @cached_property
     def flat(self) -> bool:
         """Every entry of the synthesis operator has |Phi_ij|^2 = 1."""
-        syn = self._synthesis
-        return syn.abs_squared_entries() == CycMatrix.ones(self.d, self.n,
-                                                           syn.order)
+        return _unimodular(self._synthesis)[2] is None
 
     @cached_property
     def centered(self) -> bool:
@@ -228,10 +225,8 @@ class EtfCertificate:
 
     def __str__(self):
         if self.welch_equality:
-            a = self.a
-            a_str = str(a) if a.denominator != 1 else str(a.numerator)
             return (f"ETF D={self.d} N={self.n} s={self.s} t={self.t} "
-                    f"A={a_str}")
+                    f"A={self.a}")
         flags = [name for name, val in (
             ("equal_norm", self.equal_norm), ("equiangular", self.equiangular),
             ("tight", self.tight)) if not val]
@@ -253,27 +248,25 @@ def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
 
     A value left out, below the diagonal, is the conjugate of one a tile
     holds.  So `conj`, which maps a value's coefficients to its
-    conjugate's, adds the conjugate of each value found; it is None for
-    the last tile, which holds the mirror of each of its entries itself.
+    conjugate's, adds the conjugate of each value found, on every tile:
+    the values kept are closed under conjugation, as the whole Gram's are.
     The order needs no positions: with at most two values, the first is
     G_01, the first off-diagonal entry, found first."""
     if values is None:
         return None
     for v in values:
         off = off & (coef != v[:, None]).any(axis=0)
-    while (new := _first(off)) is not None:
+    while len(values) < 2 and (new := _first(off)) is not None:
         found = [coef[:, new].copy()]       # not a view that holds the tile
-        if conj is not None:
-            c = conj(found[0])
-            # a real value is its own conjugate
-            if not any((c == v).all() for v in values + found):
-                found.append(c)
+        c = conj(found[0])
+        if not any((c == v).all() for v in found + values):
+            found.append(c)                 # a real value is its own
         for v in found:
             if len(values) == 2:
                 return None
             values.append(v)
             off = off & (coef != v[:, None]).any(axis=0)
-    return values
+    return None if off.any() else values
 
 
 def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
@@ -374,6 +367,21 @@ def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
     return tile
 
 
+def _unimodular(mat: CycMatrix) -> tuple:
+    """A dense pass over `mat`: its space and values, the row-major index
+    of the first entry whose |.|^2, real, is not 1 at the first ceil(d/2)
+    points, and that |.|^2; else None, None."""
+    space, mag, _ = _frame_space(mat, None)
+    phi, deg = space.values(mat.array, mag), space.degree
+    half = _half(deg)
+    mods = [space.reduce(v[:half] * space.conj(v)[:half], i).reshape(half, -1)
+            for i, v in enumerate(phi)]
+    bad = _first(np.any([(m != 1).any(axis=0) for m in mods], axis=0))
+    mod = None if bad is None else CycScalar(mat.order, space.exact(
+        [_mirrored(m[:, bad], deg) for m in mods])[:, 0])
+    return space, phi, bad, mod
+
+
 def _tight(space: _Space, phi: list[np.ndarray], c: int) -> bool:
     """Whether Phi Phi* = c I, from Phi's values per prime, (d, D, N): one
     batched product per prime.  A sum at a point holds at most `terms`
@@ -400,8 +408,7 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     support = frame.support
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
-    deg = ring.degree
-    half = _half(deg)
+    deg, half = ring.degree, _half(ring.degree)
     space, mag, growth = _frame_space(frame.synthesis, support)
     phi = space.values(frame.synthesis.array, mag)        # (deg, D, N)
 
@@ -416,8 +423,8 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
          else None)
 
     def conj(v):        # exact, as only a few values are conjugated
-        return np.array(CycScalar(order, v).conjugate().coeffs,
-                        dtype=v.dtype)
+        return v if deg == 1 else np.array(
+            CycScalar(order, v.tolist()).conjugate().coeffs, dtype=v.dtype)
 
     # row tiles of G's upper block triangle, G[rows, rows.start:], in
     # row-major order until every field is fixed; entry (0, 1), whose |.|^2
@@ -425,48 +432,38 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
     # c < rows.start, is conj(G_cr), and |G_cr|^2 was compared in an
     # earlier tile: so the first entry of G that breaks an identity is the
     # first in the tiles
-    values, ref, at, angle = [], None, None, None
+    values, ref, at, angle = [], np.zeros(0, np.int64), None, None
     for rows, hit in _tiles(support, deg) if n > 1 else ():
         tile = _gram_tile(space, phi, rows, hit, rows.start)
         coef = space.exact(tile)                          # (deg, entries)
         w = n - rows.start                                # the tile's width
         off = np.ones(coef.shape[1], dtype=bool)
         off[::w + 1] = False
-        values = _distinct(values, coef, off,
-                           conj if rows.stop < n else None)
-        # |G|^2 is compared with ref at the points only when the primes
-        # cover both: the tile's bound covers its |G|^2, and ref, from the
-        # first tile, is checked apart, as a later tile holds no G_r0 =
-        # conj(G_0r) to bound it.  |G|^2 and ref are real, so they are
-        # compared at the first ceil(d/2) points, and mirrored where they
-        # are interpolated
-        if (angle is None and space.covers(_max_abs(coef) ** 2 * growth)
-                and (ref is None or space.covers(_max_abs(ref)))):
-            mods = [space.reduce(g[:half] * space.conj(g)[:half],
-                                 i).reshape(half, -1)
-                    for i, g in enumerate(tile)]          # |G|^2 values
-            if ref is None:
-                ref = space.exact([_mirrored(m[:, 1], deg)
-                                   for m in mods])[:, 0]
-            at = at or [r[:half]
-                        for r in space.values(ref[None], _max_abs(ref))]
-            bad = _first(off & np.any([(m != r).any(axis=0)
-                                       for m, r in zip(mods, at)], axis=0))
+        values = _distinct(values, coef, off, conj)
+        if angle is None:
+            # |G|^2 and ref, both real, are compared at the first ceil(d/2)
+            # points of the pass's space if it covers both, else of one in
+            # which the tile is evaluated; ref is bounded apart, as no
+            # G_r0 = conj(G_0r) in a later tile bounds it
+            bound = max(_max_abs(coef) ** 2 * growth, _max_abs(ref))
+            own = space if space.covers(bound) else _Space(ring, deg, bound)
+            vals = tile if own is space else own.values(coef.T, _max_abs(coef))
+            mods = [own.reduce(g[:half] * own.conj(g)[:half], i).reshape(
+                half, -1) for i, g in enumerate(vals)]    # |G|^2 values
+            if not ref.size:
+                ref = own.exact([_mirrored(m[:, 1], deg) for m in mods])[:, 0]
+            if at is None or at[0] is not own:   # ref's values in this space
+                at = own, own.values(ref[None], _max_abs(ref))
+            bad = _first(off & np.any([(m != r[:half]).any(axis=0)
+                                       for m, r in zip(mods, at[1])], axis=0))
             if bad is not None:
                 angle = (rows.start + bad // w, rows.start + bad % w,
-                         space.exact([_mirrored(m[:, bad], deg)
-                                      for m in mods])[:, 0])
-        elif angle is None:
-            mods = _entrywise(coef.T, None, ring)         # (entries, deg)
-            ref = mods[1] if ref is None else ref
-            bad = _first(off & (mods != ref).any(axis=1))
-            if bad is not None:
-                angle = (rows.start + bad // w, rows.start + bad % w,
-                         mods[bad])
+                         own.exact([_mirrored(m[:, bad], deg)
+                                    for m in mods])[:, 0])
         if angle is not None and values is None:
             break
-    t = (int(ref[0]) if ref is not None and angle is None
-         and not ref[1:].any() else None)
+    t = (int(ref[0]) if ref.size and angle is None and not ref[1:].any()
+         else None)
     equiangular = n == 1 or t is not None
     if s is not None and equiangular:
         tight = s * s * (n - d) == (t or 0) * d * (n - 1)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycMatrix, _ring
+from .cyclo import CycMatrix, _entrywise, _ring
 from .designs import FiniteField
-from .frames import _frame_space, _tight
+from .frames import _tight, _unimodular
 
 __all__ = [
     "HadamardError",
@@ -67,22 +67,20 @@ class HadamardMatrix:
 
 
 def verify_hadamard(mat) -> HadamardReport:
-    """Check unimodularity of every entry and H*H = nI exactly."""
+    """Check unimodularity of every entry and H*H = nI exactly, at the
+    values of one evaluation of H (`frames._unimodular`)."""
     if isinstance(mat, HadamardMatrix):
         mat = mat.mat
     n = mat.rows
     if mat.cols != n:
         return HadamardReport(False, n, f"matrix is {mat.rows}x{mat.cols}")
-    mods = mat.abs_squared_entries()
-    bad = (mods.array != CycMatrix.ones(n, n, mat.order).array).any(axis=2)
-    if bad.any():
-        r, c = divmod(int(bad.argmax()), n)
-        return HadamardReport(False, n, f"entry ({r}, {c}) is not unimodular: "
-                                        f"|.|^2 = {mods.entry(r, c).coeffs}")
+    space, values, bad, mod = _unimodular(mat)
+    if bad is not None:
+        return HadamardReport(False, n, f"entry {divmod(bad, n)} is not "
+                                        f"unimodular: |.|^2 = {mod.coeffs}")
     # for square H, H*H = nI makes H/sqrt(n) unitary, so HH* = nI is the
     # same identity: the certifier's frame-operator check, at half the points
-    space, mag, _ = _frame_space(mat, None)
-    if not _tight(space, space.values(mat.array, mag), n):
+    if not _tight(space, values, n):
         return HadamardReport(False, n, "H*H differs from nI")
     return HadamardReport(True, n)
 
@@ -161,12 +159,15 @@ def paley_ii(field: FiniteField) -> HadamardMatrix:
 
 
 def dephase(h: HadamardMatrix) -> HadamardMatrix:
-    """Scale each column by the conjugate of its first entry."""
+    """Scale each column by the conjugate of its first entry: one entrywise
+    product of H with its conjugated first row, broadcast over the rows."""
     if h.dephased:
         return h
-    scales = [h.mat.entry(0, c).conjugate() for c in range(h.size)]
-    # a certified H times a diagonal of unimodular conjugates stays Hadamard
-    out = HadamardMatrix(h.mat @ CycMatrix.diagonal(scales), _check=False)
+    mat = h.mat
+    first = mat.submatrix(slice(0, 1), slice(None)).conjugate_entries()
+    # a certified H times unimodular column scales stays Hadamard
+    out = HadamardMatrix(CycMatrix(mat.order, _entrywise(
+        mat.array, first.array, _ring(mat.order)), _copy=False), _check=False)
     if not out.dephased:
         raise AssertionError("dephasing failed to normalize the first row")
     return out

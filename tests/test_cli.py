@@ -121,6 +121,16 @@ def test_design_td_non_prime_power(tmp_path, capsys):
             2, "", f"error: square size must be at least 1, got {m}")
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-2"])
+@pytest.mark.parametrize("m", ["3", "6"])
+def test_design_td_block_size_below_two(tmp_path, capsys, k, m):
+    # K < 2 is refused before GF(M) is built, so M = 6 is not reached
+    out = tmp_path / "x.design"
+    assert run(capsys, "design", "td", k, m, "-o", str(out)) == (
+        2, "", f"error: block size must be at least 2, got {k}")
+    assert not out.exists()
+
+
 def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
     # a directory, bytes that are not UTF-8 or a missing file to read, and
     # a directory to write, each refused as a resource error

@@ -267,6 +267,14 @@ def test_td_too_few_squares():
         td_from_mols(ls, 5)
 
 
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_td_block_size_below_two(k):
+    for ls in (mols_from_field(gf_build(3, 1)), LatinSquareSet(3, [])):
+        with pytest.raises(DesignError,
+                           match=f"^block size must be at least 2, got {k}$"):
+            td_from_mols(ls, k)
+
+
 def test_td_identities():
     # X(I_K x 1_M) = 1 1* and (XX*)^2 = M XX* + K(K-1) J
     for q, k in ((3, 3), (2, 2), (4, 3)):

@@ -67,15 +67,15 @@ def test_verify_etf_simplex():
 def test_flat_and_centered_are_computed_when_read(monkeypatch):
     frame = simplex_frame(4)
     shapes = []
-    real = CycMatrix.abs_squared_entries
+    real = frames._unimodular
 
-    def counted(self):
-        shapes.append(self.shape)
-        return real(self)
+    def counted(mat):
+        shapes.append(mat.shape)
+        return real(mat)
 
-    monkeypatch.setattr(CycMatrix, "abs_squared_entries", counted)
+    monkeypatch.setattr(frames, "_unimodular", counted)
     cert = verify_etf(frame)
-    assert shapes == []                 # |G|^2 is formed at the points
+    assert shapes == []                 # the pass reads no |Phi|^2
     assert cert.flat and cert.centered
     assert shapes == [(3, 4)]           # then |Phi|^2, once
     assert cert.flat
@@ -308,7 +308,7 @@ def offdiag_values(g: CycMatrix, rows: int):
         off[np.arange(part.shape[0]), np.arange(part.shape[0])] = False
         values = _distinct(
             values, part.reshape(-1, arr.shape[2]).T, off.reshape(-1),
-            None if tile.stop == n else conjugate)
+            conjugate)
     return (None if values is None
             else tuple(CycScalar(g.order, v) for v in values))
 
@@ -979,10 +979,10 @@ def test_pass_matches_the_whole_gram_across_many_tiles(tmp_path, tiles):
 # modulo the fewest primes of the ladder of width max(terms, d) whose
 # product P exceeds twice its bound, m^2 conj_l1 d fold_l1 terms for
 # m = max|Phi|.  At d = 1 below 2^53 it runs on the float64 coefficients,
-# with no prime.  A row tile's |G|^2 is formed at the points when P (or
-# 2^53) covers max|G|^2 conj_l1 d fold_l1, else by _entrywise from its
-# coefficients.  Each is run at the largest bound the primes cover and one
-# step above, against the Python-int oracle.
+# with no prime.  A row tile's |G|^2 is formed at the pass's points when P
+# (or 2^53) covers max|G|^2 conj_l1 d fold_l1, else at those of a space of
+# its own.  Each is run at the largest bound the primes cover and one step
+# above, against the Python-int oracle.
 
 
 def prime_steps(ring, width: int) -> list[int]:
@@ -1108,8 +1108,9 @@ def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
     # column 0 has squared norm x = max|G|, so the tile's |G|^2 bound is
     # x^2 conj_l1 d fold_l1; the pass's own bound stays below one prime
     # (2^53 at d = 1).  At the largest x it covers |G|^2 is formed at the
-    # points; at x + 1 by _entrywise, one more kernel call.  Column 3 has
-    # every entry 1, so the pass's width is D = 10 whatever x is
+    # points; at x + 1 at those of a space of its own, one more kernel
+    # call.  Column 3 has every entry 1, so the pass's width is D = 10
+    # whatever x is
     ring = cyclo._ring(order)
     d, n = 10, 4
     width = max(d, ring.degree)
@@ -1138,8 +1139,8 @@ def test_later_tile_compares_at_the_points_only_where_ref_is_covered(
     # (A^2, A B, A B, A B), so ref = A^2 B^2, and row 1 of the upper
     # triangle is (B^2 + 1, B^2, B^2).  B is the largest that lets the
     # pass's primes cover that row's |G|^2; they do not cover ref, which no
-    # entry of the row bounds, so the row's |G|^2 is formed by _entrywise,
-    # as the first row's is: one kernel call each after the pass's
+    # entry of the row bounds, so the row's |G|^2 is compared in a space of
+    # its own, as the first row's is: one kernel call each after the pass's
     tiles(1)
     ring = cyclo._ring(order)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
@@ -1167,6 +1168,96 @@ def test_later_tile_compares_at_the_points_only_where_ref_is_covered(
     got = pass_certificate(frame)
     assert got == python_int_oracle(frame)
     assert not got["equiangular"]
+
+
+@pytest.fixture
+def spaces(monkeypatch):
+    """The spaces the certifier makes, in order, each with its bound and
+    a count of the arrays it evaluates; the first is the pass's."""
+    made = []
+
+    class Counted(frames._Space):
+        def __init__(self, ring, width, bound):
+            super().__init__(ring, width, bound)
+            self.bound, self.evaluated = bound, 0
+            made.append(self)
+
+        def values(self, arr, mag):
+            self.evaluated += 1
+            return super().values(arr, mag)
+
+    monkeypatch.setattr(frames, "_Space", Counted)
+    return made
+
+
+def spread_frame(order: int, cols: list[dict]) -> Frame:
+    """Column c has the integer cols[c][r] in row r, 0 elsewhere."""
+    arr = np.zeros((1 + max(r for col in cols for r in col), len(cols),
+                    cyclo._ring(order).degree), dtype=object)
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            arr[r, c, 0] = v
+    return Frame(CycMatrix(order, arr))
+
+
+@pytest.mark.parametrize("order", [1, 3, 12])
+@pytest.mark.parametrize("height", [1, 2, 3, None])
+def test_tiles_compare_in_the_pass_space_and_in_their_own(order, height,
+                                                          tiles, spaces):
+    # big = 2^20 puts |G|^2 of a tile that holds a big column past the
+    # pass's primes (past 2^53 at d = 1), while a tile of small columns
+    # stays covered.  The big columns touch no row of the first three
+    # columns, so for tiles of 1 to 3 rows:
+    # - small first: columns e_0..e_3 (ref = 0), then B e_4, B e_4 + e_5,
+    #   e_6: the big tile is evaluated in a space of its own, where
+    #   |G_45|^2 = B^4 breaks equiangularity;
+    # - big first: B e_0, then e_1..e_4 and e_3 + e_5: the first tile has
+    #   a space of its own, and |G_35|^2 = 1 breaks equiangularity in the
+    #   pass's.
+    # Every field must be the whole Gram's, on rotated copies too
+    tiles(height)
+    big = 2**20
+    small_first = [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: big},
+                   {4: big, 5: 1}, {6: 1}]
+    big_first = [{0: big}, {1: 1}, {2: 1}, {3: 1}, {4: 1}, {3: 1, 5: 1}]
+    rng = np.random.default_rng(order)
+    for cols in (small_first, big_first):
+        frame = spread_frame(order, cols)
+        spaces.clear()
+        verify_etf(frame)
+        if height is not None:
+            # each space evaluates ref once a tile compares in it: the
+            # pass's after Phi, a tile's own after the tile
+            assert len(spaces) > 1
+            assert all(space.evaluated == 2 for space in spaces)
+        for copy in (frame, rooted(frame, rng)):
+            assert pass_certificate(copy) == whole_gram_oracle(copy)
+
+
+@pytest.mark.parametrize("order", [1, 3, 12])
+@pytest.mark.parametrize("height", [1, 2, 3, None])
+def test_a_later_tile_space_is_bounded_by_ref(order, height, tiles, spaces):
+    # column 0 is a (e_0 + ... + e_3), column c = 1..4 is b e_(c-1) +
+    # e_(3+c): G_0c = a b, so ref = a^2 b^2, past the pass's primes, and
+    # row 1 of G is (b^2 + 1, 0, 0, 0), whose |G|^2 bound (b^2 + 1)^2
+    # growth is below ref.  The tile of row 1 is compared in a space of
+    # its own that ref bounds, where |G_12|^2 = 0 breaks equiangularity
+    tiles(height)
+    ring = cyclo._ring(order)
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    b = 2**24
+    a = 2 * b * (isqrt(growth) + 1)
+    frame = spread_frame(order, [{r: a for r in range(4)}] + [
+        {c - 1: b, 3 + c: 1} for c in range(1, 5)])
+    spaces.clear()
+    verify_etf(frame)
+    assert not spaces[0].covers((a * b) ** 2)
+    assert (b * b + 1) ** 2 * growth < (a * b) ** 2
+    if height == 1:
+        assert spaces[2].bound == (a * b) ** 2
+    rng = np.random.default_rng(order)
+    for copy in (frame, rooted(frame, rng)):
+        assert pass_certificate(copy) == whole_gram_oracle(copy)
 
 
 def _pass_bound(frame) -> int:

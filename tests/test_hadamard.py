@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from etfkit import cyclo
 from etfkit.cli import hadamard_from_spec
 from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
 from etfkit.designs import gf_build
@@ -174,3 +176,148 @@ def test_kron_randomized():
         if a.size * b.size > 16:
             continue
         assert verify_hadamard(a.mat.kron(b.mat)).ok
+
+
+# ---------------------------------------------------------------------------
+# reports and dephasing, against strings and products recorded before
+# verify_hadamard compared |H_ij|^2 at the points and dephase became one
+# entrywise product
+
+
+def edited(mat: CycMatrix, cells: dict) -> CycMatrix:
+    """A copy of `mat` with entry (r, c) replaced by how(entry), its
+    coefficient row, for each (r, c): how of `cells`."""
+    arr = mat.array.astype(object)
+    for (r, c), how in cells.items():
+        arr[r, c] = how(arr[r, c])
+    return CycMatrix(mat.order, arr)
+
+
+def doubled(v):
+    return 2 * v
+
+
+def negated(v):
+    return -v
+
+
+def times_zeta5(v):
+    return np.array((CycScalar(5, v) * root_of_unity(5, 1)).coeffs,
+                    dtype=object)
+
+
+def spec_matrix(spec):
+    return lambda: hadamard_from_spec(spec).mat
+
+
+# (matrix, edits, report), each report as it read before: d = 1
+# (sylvester, paley2) and d > 1 (fourier)
+NOT_HADAMARD = "Hadamard fail: H*H differs from nI"
+REPORTS = [
+    (spec_matrix("sylvester:3"), {}, "Hadamard pass: size 8"),
+    (spec_matrix("sylvester:3"), {(5, 2): doubled},
+     "Hadamard fail: entry (5, 2) is not unimodular: |.|^2 = (4,)"),
+    (spec_matrix("sylvester:3"), {(5, 2): negated}, NOT_HADAMARD),
+    (spec_matrix("paley2:5"), {}, "Hadamard pass: size 12"),
+    (spec_matrix("paley2:5"), {(11, 0): doubled},
+     "Hadamard fail: entry (11, 0) is not unimodular: |.|^2 = (4,)"),
+    (spec_matrix("paley2:5"), {(0, 7): negated}, NOT_HADAMARD),
+    (spec_matrix("fourier:5"), {}, "Hadamard pass: size 5"),
+    (spec_matrix("fourier:5"), {(2, 3): doubled},
+     "Hadamard fail: entry (2, 3) is not unimodular: |.|^2 = (4, 0, 0, 0)"),
+    (spec_matrix("fourier:5"), {(4, 1): negated}, NOT_HADAMARD),
+    (spec_matrix("fourier:12"), {}, "Hadamard pass: size 12"),
+    (spec_matrix("fourier:12"), {(7, 11): doubled},
+     "Hadamard fail: entry (7, 11) is not unimodular: |.|^2 = (4, 0, 0, 0)"),
+    (spec_matrix("fourier:12"), {(3, 3): negated}, NOT_HADAMARD),
+    (spec_matrix("fourier:30"), {}, "Hadamard pass: size 30"),
+    (spec_matrix("fourier:30"), {(29, 17): doubled},
+     "Hadamard fail: entry (29, 17) is not unimodular: "
+     "|.|^2 = (4, 0, 0, 0, 0, 0, 0, 0)"),
+    (spec_matrix("fourier:30"), {(12, 5): negated}, NOT_HADAMARD),
+    # the first entry in row-major order is reported
+    (spec_matrix("fourier:5"), {(2, 0): lambda v: 3 * v,
+                                (1, 3): lambda v: -2 * v},
+     "Hadamard fail: entry (1, 3) is not unimodular: |.|^2 = (4, 0, 0, 0)"),
+    # |1 + zeta|^2 is not rational; zeta H_44 is unimodular
+    (spec_matrix("fourier:5"),
+     {(3, 4): lambda v: np.array([1, 1, 0, 0], dtype=object)},
+     "Hadamard fail: entry (3, 4) is not unimodular: "
+     "|.|^2 = (1, 0, -1, -1)"),
+    (spec_matrix("fourier:5"), {(4, 4): times_zeta5}, NOT_HADAMARD),
+    # a coefficient at 2^62: object storage
+    (spec_matrix("fourier:3"), {(1, 1): lambda v: v * 2**62},
+     "Hadamard fail: entry (1, 1) is not unimodular: "
+     "|.|^2 = (21267647932558653966460912964485513216, 0)"),
+    (spec_matrix("sylvester:0"), {}, "Hadamard pass: size 1"),
+    (spec_matrix("sylvester:0"), {(0, 0): doubled},
+     "Hadamard fail: entry (0, 0) is not unimodular: |.|^2 = (4,)"),
+    (lambda: CycMatrix.ones(1, 1, 5), {}, "Hadamard pass: size 1"),
+    (lambda: CycMatrix.zeros(0, 0), {}, "Hadamard pass: size 0"),
+    (lambda: CycMatrix.zeros(0, 0, 3), {}, "Hadamard pass: size 0"),
+    (lambda: CycMatrix.zeros(2, 2, 3), {},
+     "Hadamard fail: entry (0, 0) is not unimodular: |.|^2 = (0, 0)"),
+    (lambda: CycMatrix.ones(2, 3, 5), {}, "Hadamard fail: matrix is 2x3"),
+]
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """Make the CycMatrix methods that verify_hadamard and dephase do not
+    call raise; return a list of the shapes cyclo._Space.values evaluates
+    from then on."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"CycMatrix.{name} called")
+        return call
+
+    def install():
+        for name in ("abs_squared_entries", "ones", "entry", "diagonal",
+                     "__matmul__"):
+            monkeypatch.setattr(CycMatrix, name, refuse(name))
+        evaluated = []
+        real = cyclo._Space.values
+
+        def values(self, arr, mag):
+            evaluated.append(arr.shape)
+            return real(self, arr, mag)
+
+        monkeypatch.setattr(cyclo._Space, "values", values)
+        return evaluated
+    return install
+
+
+@pytest.mark.parametrize("index", range(len(REPORTS)))
+def test_reports_match_the_recorded_strings(forbid, index):
+    make, cells, want = REPORTS[index]
+    mat = edited(make(), cells)
+    evaluated = forbid()
+    assert str(verify_hadamard(mat)) == want
+    # H is evaluated once, for |H_ij|^2 and H H* both
+    assert evaluated == ([mat.array.shape] if mat.rows == mat.cols else [])
+
+
+def dephase_oracle(h: HadamardMatrix) -> np.ndarray:
+    """H times the diagonal of the conjugates of its first row."""
+    scales = [h.mat.entry(0, c).conjugate() for c in range(h.size)]
+    return (h.mat @ CycMatrix.diagonal(scales)).array
+
+
+@pytest.mark.parametrize("make", [
+    lambda: paley_ii(gf_build(5, 1)), lambda: paley_ii(gf_build(13, 1)),
+    lambda: fourier(5), lambda: fourier(7), lambda: fourier(12),
+    lambda: fourier(30)])
+def test_dephase_matches_the_diagonal_product(forbid, make):
+    rng = random.Random(5)
+    h = make()
+    n, order = h.size, h.mat.order
+    roots = CycMatrix.from_scalars(
+        [[root_of_unity(order, rng.randrange(order)) for _ in range(n)]])
+    h = HadamardMatrix(h.mat.entrywise_mul(CycMatrix.vstack([roots] * n)))
+    assert not h.dephased
+    want = dephase_oracle(h)
+    forbid()
+    got = dephase(h)
+    assert got.dephased
+    assert got.mat.array.dtype == want.dtype
+    assert np.array_equal(got.mat.array, want)
