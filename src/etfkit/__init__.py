@@ -7,7 +7,6 @@ from .cyclo import (
     DimensionMismatchError,
     OrderMismatchError,
     cyclotomic_polynomial,
-    root_of_unity,
 )
 from .designs import (
     DesignError,
@@ -45,7 +44,6 @@ from .frames import (
     gram,
     naimark_gram,
     verify_etf,
-    verify_tdtf,
 )
 from .constructions import (
     AdmissibilityError,

@@ -69,7 +69,6 @@ __all__ = [
     "OrderMismatchError",
     "DimensionMismatchError",
     "cyclotomic_polynomial",
-    "root_of_unity",
     "CycScalar",
     "CycMatrix",
 ]
@@ -337,8 +336,10 @@ def _lift_map(n_from: int, n_to: int) -> np.ndarray:
 class CycScalar:
     """An exact cyclotomic integer: canonical residue mod Phi_n.
 
-    Immutable; `coeffs` has length phi(n), and two scalars of equal order
-    represent the same complex number iff their coefficient vectors match.
+    A plain value, as a matrix entry or a certificate's Gram value is read
+    out; the arithmetic runs on `CycMatrix` arrays.  Immutable; `coeffs`
+    has length phi(n), and two scalars of equal order represent the same
+    complex number iff their coefficient vectors match.
     """
 
     __slots__ = ("order", "coeffs")
@@ -361,64 +362,6 @@ class CycScalar:
         ring = _ring(order)
         return cls(order, (int(value),) + (0,) * (ring.degree - 1))
 
-    @classmethod
-    def zero(cls, order: int = 1) -> "CycScalar":
-        return cls.from_int(0, order)
-
-    @classmethod
-    def one(cls, order: int = 1) -> "CycScalar":
-        return cls.from_int(1, order)
-
-    # -- ring operations (operands must share an order; lift first) --------
-
-    def _coerce(self, other) -> "CycScalar":
-        if isinstance(other, CycScalar):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"orders differ: {self.order} vs {other.order}")
-            return other
-        if isinstance(other, int):
-            return CycScalar.from_int(other, self.order)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CycScalar(self.order,
-                         tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CycScalar(self.order,
-                         tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CycScalar(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        ring = _ring(self.order)
-        d = ring.degree
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return CycScalar(self.order, ring.fold(conv))
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "CycScalar":
         """Complex conjugate: zeta^k maps to zeta^(n-k), then reduce."""
         n = self.order
@@ -426,10 +369,6 @@ class CycScalar:
         for i, a in enumerate(self.coeffs):
             poly[-i % n] += a
         return CycScalar(n, _ring(n).fold(poly))
-
-    def abs_squared(self) -> "CycScalar":
-        """Exact a * conj(a)."""
-        return self * self.conjugate()
 
     def lift_to_order(self, order: int) -> "CycScalar":
         """Re-express the same complex number in Z[zeta_order]."""
@@ -445,10 +384,6 @@ class CycScalar:
         return CycScalar(order, out)
 
     # -- predicates ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     @property
     def is_rational_integer(self) -> bool:
@@ -471,11 +406,6 @@ class CycScalar:
 
     def __repr__(self):
         return f"CycScalar(order={self.order}, coeffs={self.coeffs})"
-
-
-def root_of_unity(n: int, k: int) -> CycScalar:
-    """zeta_n^k in canonical form (exponent mod n, residue mod Phi_n)."""
-    return CycScalar(n, _ring(n).powers([k])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +501,10 @@ class _Space:
 
     def covers(self, bound: int) -> bool:
         """Whether values that agree at every point mod every prime are
-        equal, for coefficients of magnitude at most `bound`."""
+        equal, for coefficients of magnitude at most `bound`.  A space
+        bounded by 0 holds only zeros, so it covers bound 0 alone."""
+        if self.zero:
+            return not bound
         if not self.primes:
             return bound < _F64_EXACT
         return 2 * bound < prod(self.primes)

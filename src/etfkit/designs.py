@@ -344,17 +344,6 @@ class GroupDivisibleDesign:
         """Replication number M(U-1)/(K-1)."""
         return self.M * (self.U - 1) // (self.K - 1)
 
-    @property
-    def vertices(self) -> int:
-        return self.M * self.U
-
-    def incidence(self) -> np.ndarray:
-        """Read-only {0,1} incidence matrix, rows indexed by blocks."""
-        x = np.zeros((self.B, self.vertices), dtype=np.int64)
-        x[np.arange(self.B)[:, None], self.blocks] = 1
-        x.setflags(write=False)
-        return x
-
     def __repr__(self):
         return (f"GroupDivisibleDesign(K={self.K}, type {self.M}^{self.U}, "
                 f"B={self.B})")

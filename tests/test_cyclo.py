@@ -1,8 +1,9 @@
-"""Exact cyclotomic arithmetic: canonical forms, ring axioms, matrix ops.
+"""Exact cyclotomic arithmetic: canonical forms, scalars, matrix ops.
 
-The complex evaluator below is a test-only oracle; the library uses float64
-only for integer products that an a-priori bound keeps exact (see
-test_kernel.py).
+The matrices are checked against the reference ring of oracle.py, whose
+own ring axioms and canonical forms are checked here against complex
+values; the library uses float64 only for integer products that an
+a-priori bound keeps exact (see test_kernel.py).
 """
 
 import cmath
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import sympy
 
+import oracle
 from etfkit import cyclo
 from etfkit.cyclo import (
     CycMatrix,
@@ -20,7 +22,6 @@ from etfkit.cyclo import (
     DimensionMismatchError,
     OrderMismatchError,
     cyclotomic_polynomial,
-    root_of_unity,
 )
 
 
@@ -50,23 +51,23 @@ def poly_mul_oracle(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def complex_value(s: CycScalar) -> complex:
-    """Numerically evaluate the canonical form at exp(2*pi*i/n)."""
-    z = cmath.exp(2j * cmath.pi / s.order)
-    return sum(c * z**k for k, c in enumerate(s.coeffs))
-
-
-def random_scalar(rng: random.Random, order: int, terms: int = 8) -> CycScalar:
-    s = CycScalar.zero(order)
+def random_scalar(rng: random.Random, order: int,
+                  terms: int = 8) -> tuple[int, ...]:
+    """A sum of up to `terms` random roots of unity, in the oracle ring."""
+    s = oracle.const(order, 0)
     for _ in range(rng.randint(0, terms)):
-        s = s + root_of_unity(order, rng.randrange(order))
+        s = oracle.add(s, oracle.root(order, rng.randrange(order)))
     return s
 
 
+def matrix_of(order: int, rows) -> CycMatrix:
+    """The CycMatrix of nested coefficient tuples."""
+    return CycMatrix(order, np.array(rows, dtype=np.int64))
+
+
 def random_matrix(rng, rows, cols, order):
-    return CycMatrix.from_scalars(
-        [[random_scalar(rng, order, 3) for _ in range(cols)]
-         for _ in range(rows)])
+    return matrix_of(order, [[random_scalar(rng, order, 3)
+                              for _ in range(cols)] for _ in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +149,25 @@ def test_cyclotomic_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# roots of unity and canonical forms
+# the reference ring: roots of unity, canonical forms and ring operations
+
+
+@pytest.mark.parametrize("n", list(range(1, 61)) + [105, 210, 2003])
+def test_oracle_cyclotomic_matches_the_library(n):
+    # two algorithms: the Moebius product, divided once, and the sparse
+    # product over the radical
+    assert oracle.cyclotomic(n) == cyclotomic_polynomial(n)
 
 
 def test_root_of_unity_examples():
-    assert root_of_unity(4, 0) == CycScalar.from_int(1, order=4)
-    assert root_of_unity(3, 2).coeffs == (-1, -1)   # zeta3^2 = -1 - zeta3
-    assert root_of_unity(2, 1).coeffs == (-1,)
+    assert oracle.root(4, 0) == oracle.const(4, 1)
+    assert oracle.root(3, 2) == (-1, -1)    # zeta3^2 = -1 - zeta3
+    assert oracle.root(2, 1) == (-1,)
 
 
 def test_root_exponent_wraps():
-    assert root_of_unity(5, 7) == root_of_unity(5, 2)
+    assert oracle.root(5, 7) == oracle.root(5, 2)
+    assert oracle.root(5, -3) == oracle.root(5, 2)
 
 
 def test_canonical_form_sound_numerically():
@@ -166,31 +175,20 @@ def test_canonical_form_sound_numerically():
     for _ in range(300):
         n = rng.randint(1, 24)
         exps = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
-        s = CycScalar.zero(n)
+        s = oracle.const(n, 0)
         for k in exps:
-            s = s + root_of_unity(n, k)
+            s = oracle.add(s, oracle.root(n, k))
         direct = sum(cmath.exp(2j * cmath.pi * k / n) for k in exps)
-        assert abs(complex_value(s) - direct) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# ring operations
+        assert abs(oracle.value(n, s) - direct) < 1e-9
 
 
 def test_ring_op_examples():
-    z3 = root_of_unity(3, 1)
-    assert z3 * root_of_unity(3, 2) == 1
-    assert CycScalar.one(3) + z3 + root_of_unity(3, 2) == 0
-    z4 = root_of_unity(4, 1)
-    one = CycScalar.one(4)
-    assert (one + z4) * (one - z4) == 2
-
-
-def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatchError):
-        root_of_unity(3, 1) + root_of_unity(4, 1)
-    with pytest.raises(OrderMismatchError):
-        root_of_unity(3, 1) * root_of_unity(4, 1)
+    z3, z3sq = oracle.root(3, 1), oracle.root(3, 2)
+    assert oracle.mul(3, z3, z3sq) == oracle.const(3, 1)
+    assert oracle.add(oracle.add(oracle.const(3, 1), z3), z3sq) == (0, 0)
+    z4, one = oracle.root(4, 1), oracle.const(4, 1)
+    assert oracle.mul(4, oracle.add(one, z4), oracle.add(
+        one, oracle.scale(-1, z4))) == oracle.const(4, 2)
 
 
 def test_ring_axioms_randomized():
@@ -198,51 +196,67 @@ def test_ring_axioms_randomized():
     for _ in range(60):
         n = rng.randint(1, 20)
         a, b, c = (random_scalar(rng, n, 5) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        add, mul = oracle.add, lambda x, y: oracle.mul(n, x, y)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b) == mul(b, a)
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert abs(oracle.value(n, mul(a, b))
+                   - oracle.value(n, a) * oracle.value(n, b)) < 1e-6
+
+
+def test_order_mismatch_raises():
+    # a lift goes only to a multiple of the order
+    with pytest.raises(OrderMismatchError):
+        CycScalar(3, oracle.root(3, 1)).lift_to_order(4)
+    with pytest.raises(OrderMismatchError):
+        CycMatrix.identity(2, 3).lift_to_order(4)
 
 
 def test_conjugate_examples():
     assert CycScalar.from_int(-1, 3).conjugate() == -1
-    assert root_of_unity(3, 1).conjugate().coeffs == (-1, -1)
-    assert CycScalar.zero(5).conjugate() == 0
+    assert CycScalar(3, oracle.root(3, 1)).conjugate().coeffs == (-1, -1)
+    assert CycScalar.from_int(0, 5).conjugate() == 0
 
 
 def test_conjugate_is_multiplicative():
+    # the library's conjugate against the oracle's, on products
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 18)
         a, b = random_scalar(rng, n), random_scalar(rng, n)
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-        ab2 = (a * b).abs_squared()
-        assert ab2 == a.abs_squared() * b.abs_squared()
+        ab = oracle.mul(n, a, b)
+        assert CycScalar(n, ab).conjugate().coeffs == oracle.mul(
+            n, oracle.conj(n, a), oracle.conj(n, b)) == oracle.conj(n, ab)
+        assert oracle.abs2(n, ab) == oracle.mul(
+            n, oracle.abs2(n, a), oracle.abs2(n, b))
+        assert abs(oracle.value(n, oracle.conj(n, a))
+                   - oracle.value(n, a).conjugate()) < 1e-9
 
 
 def test_abs_squared_examples():
-    assert root_of_unity(5, 3).abs_squared() == 1
-    v = CycScalar.one(3) + root_of_unity(3, 1)   # equals -zeta3^2
-    a2 = v.abs_squared()
+    assert oracle.abs2(5, oracle.root(5, 3)) == oracle.const(5, 1)
+    v = oracle.add(oracle.const(3, 1), oracle.root(3, 1))  # -zeta3^2
+    a2 = CycScalar(3, oracle.abs2(3, v))
     assert a2.is_rational_integer and a2.as_integer() == 1
-    assert abs(abs(complex_value(v)) ** 2 - 1) < 1e-12
-    assert CycScalar.zero(7).abs_squared() == 0
-    mixed = CycScalar.one(5) + root_of_unity(5, 1)
-    assert not mixed.abs_squared().is_rational_integer
-    assert mixed.abs_squared().as_integer() is None
+    assert abs(abs(oracle.value(3, v)) ** 2 - 1) < 1e-12
+    assert oracle.abs2(7, oracle.const(7, 0)) == oracle.const(7, 0)
+    mixed = oracle.add(oracle.const(5, 1), oracle.root(5, 1))
+    m2 = CycScalar(5, oracle.abs2(5, mixed))
+    assert not m2.is_rational_integer and m2.as_integer() is None
 
 
 def test_lift_examples():
     m1 = CycScalar.from_int(-1, 2)
     lifted = m1.lift_to_order(6)
-    assert lifted == root_of_unity(6, 3)
-    assert lifted.coeffs == (-1, 0)
-    a = random_scalar(random.Random(3), 5)
+    assert lifted.coeffs == oracle.root(6, 3) == (-1, 0)
+    a = CycScalar(5, random_scalar(random.Random(3), 5))
     assert a.lift_to_order(5) is a
-    assert CycScalar.one(1).lift_to_order(12) == CycScalar.one(12)
+    assert CycScalar.from_int(1, 1).lift_to_order(12) == \
+        CycScalar.from_int(1, 12)
     with pytest.raises(OrderMismatchError):
-        root_of_unity(4, 1).lift_to_order(6)
+        CycScalar(4, oracle.root(4, 1)).lift_to_order(6)
 
 
 def test_lift_preserves_value():
@@ -250,13 +264,14 @@ def test_lift_preserves_value():
     for _ in range(40):
         n = rng.choice([1, 2, 3, 4, 6, 8, 12])
         a = random_scalar(rng, n)
-        b = a.lift_to_order(24)
-        assert abs(complex_value(a) - complex_value(b)) < 1e-9
-        assert a == b   # cross-order equality lifts to the lcm
+        b = CycScalar(n, a).lift_to_order(24)
+        assert b.coeffs == oracle.lift(a, n, 24)
+        assert abs(oracle.value(n, a) - oracle.value(24, b.coeffs)) < 1e-9
+        assert CycScalar(n, a) == b   # cross-order equality lifts to the lcm
 
 
 def test_scalar_immutable():
-    a = root_of_unity(3, 1)
+    a = CycScalar(3, oracle.root(3, 1))
     with pytest.raises(AttributeError):
         a.coeffs = (0, 0)
 
@@ -266,8 +281,8 @@ def test_scalar_immutable():
 
 
 def fourier_cyc(n: int) -> CycMatrix:
-    return CycMatrix.from_scalars(
-        [[root_of_unity(n, j * k) for k in range(n)] for j in range(n)])
+    return matrix_of(n, [[oracle.root(n, j * k) for k in range(n)]
+                         for j in range(n)])
 
 
 def test_adjoint_involution():
@@ -312,26 +327,18 @@ def test_dimension_mismatch():
 
 
 def test_mixed_order_ops_lift_to_lcm():
-    a = CycMatrix.from_scalars([[root_of_unity(2, 1)]])
-    b = CycMatrix.from_scalars([[root_of_unity(3, 1)]])
+    a = CycMatrix.from_scalars([[CycScalar(2, oracle.root(2, 1))]])
+    b = CycMatrix.from_scalars([[CycScalar(3, oracle.root(3, 1))]])
     prod = a @ b
     assert prod.order == 6
-    assert prod.entry(0, 0) == root_of_unity(6, 5)  # -zeta3 = zeta6^5
+    assert prod.entry(0, 0).coeffs == oracle.root(6, 5)  # -zeta3 = zeta6^5
 
 
-def scalar_path_matmul(a: CycMatrix, b: CycMatrix) -> list[list[CycScalar]]:
-    """Independent oracle: the pure-Python scalar ring, entry by entry."""
-    n = a.order
-    out = []
-    for r in range(a.rows):
-        row = []
-        for c in range(b.cols):
-            acc = CycScalar.zero(n)
-            for k in range(a.cols):
-                acc = acc + a.entry(r, k) * b.entry(k, c)
-            row.append(acc)
-        out.append(row)
-    return out
+def scalar_path_matmul(a: CycMatrix,
+                       b: CycMatrix) -> list[list[tuple[int, ...]]]:
+    """Independent oracle: the reference ring, entry by entry."""
+    return oracle.matmul(a.order, oracle.entries(a.array),
+                         oracle.entries(b.array))
 
 
 @pytest.mark.parametrize("order", [5, 7, 12, 15, 23, 24])
@@ -340,10 +347,7 @@ def test_matmul_matches_scalar_oracle(order):
     a = random_matrix(rng, 3, 4, order)
     b = random_matrix(rng, 4, 2, order)
     prod = a @ b
-    expected = scalar_path_matmul(a, b)
-    for r in range(3):
-        for c in range(2):
-            assert prod.entry(r, c) == expected[r][c]
+    assert oracle.entries(prod.array) == scalar_path_matmul(a, b)
 
 
 def test_matmul_object_path_matches_scalar_oracle():
@@ -353,10 +357,7 @@ def test_matmul_object_path_matches_scalar_oracle():
     a = random_matrix(rng, 3, 3, 12).scalar_mul(big)
     b = random_matrix(rng, 3, 3, 12).scalar_mul(big)
     prod = a @ b
-    expected = scalar_path_matmul(a, b)
-    for r in range(3):
-        for c in range(3):
-            assert prod.entry(r, c) == expected[r][c]
+    assert oracle.entries(prod.array) == scalar_path_matmul(a, b)
 
 
 def test_big_coefficients_stay_exact():
@@ -386,9 +387,8 @@ def test_abs_squared_entries_matches_scalar_path():
     rng = random.Random(29)
     m = random_matrix(rng, 3, 3, 8)
     sq = m.abs_squared_entries()
-    for r in range(3):
-        for c in range(3):
-            assert sq.entry(r, c) == m.entry(r, c).abs_squared()
+    assert oracle.entries(sq.array) == [
+        [oracle.abs2(8, x) for x in row] for row in oracle.entries(m.array)]
 
 
 def test_from_int_matrix_and_scalar_mul():

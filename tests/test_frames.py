@@ -7,8 +7,9 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
+import oracle
 from etfkit import cyclo, frames
-from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
+from etfkit.cyclo import CycMatrix, CycScalar
 from etfkit.frames import (
     EtfType,
     Frame,
@@ -17,7 +18,6 @@ from etfkit.frames import (
     gram,
     naimark_gram,
     verify_etf,
-    verify_tdtf,
     _distinct,
 )
 from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
@@ -25,6 +25,16 @@ from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 
 def simplex_frame(n: int) -> Frame:
     return Frame(simplex_from_hadamard(fourier(n)))
+
+
+def zeta(n: int, k: int) -> CycScalar:
+    """zeta_n^k, from the reference ring."""
+    return CycScalar(n, oracle.root(n, k))
+
+
+def abs2(x: CycScalar) -> CycScalar:
+    """|x|^2, from the reference ring."""
+    return CycScalar(x.order, oracle.abs2(x.order, x.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +45,11 @@ def test_gram_simplex3():
     g = gram(simplex_frame(3))
     assert g.entry(0, 0) == 2 and g.entry(1, 1) == 2
     for r, c in ((0, 1), (0, 2), (1, 2)):
-        assert g.entry(r, c).abs_squared() == 1
+        assert abs2(g.entry(r, c)) == 1
 
 
 def test_gram_single_column():
-    col = CycMatrix.from_scalars([[CycScalar.one(3)],
-                                  [root_of_unity(3, 1)]])
+    col = CycMatrix.from_scalars([[zeta(3, 0)], [zeta(3, 1)]])
     g = gram(Frame(col))
     assert g.shape == (1, 1) and g.entry(0, 0) == 2
 
@@ -96,13 +105,12 @@ def test_certification_forms_no_adjoint(monkeypatch, h):
 
     monkeypatch.setattr(CycMatrix, "adjoint", counted)
     assert verify_etf(frame).welch_equality
-    verify_tdtf(frame)
     gram(frame)
     assert calls == []
 
 
 def test_verify_etf_two_equal_columns():
-    one = CycScalar.one(2)
+    one = CycScalar.from_int(1, 2)
     m = CycMatrix.from_scalars([[one, one], [one, one]])
     cert = verify_etf(Frame(m))
     assert cert.equal_norm and cert.s == 2
@@ -188,7 +196,6 @@ def test_type_formatting_and_derived():
     assert str(t) == "(3,-1,5)"
     assert (t.dimension, t.count) == (15, 36)
     assert t.seed_group_size == 9
-    assert t.complement_norm == 7
     assert str(EtfType(2, 1, 3)) == "(2,+1,3)"
 
 
@@ -207,7 +214,7 @@ def test_naimark_simplex23():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert comp.entry(i, j).abs_squared() == 1
+                assert abs2(comp.entry(i, j)) == 1
 
 
 def test_naimark_orthogonal_case():
@@ -219,7 +226,7 @@ def test_naimark_orthogonal_case():
 
 def test_naimark_fractional_constant():
     # a 1x2 frame [1, zeta4]: Gram has A = N s / D = 2
-    m = CycMatrix.from_scalars([[CycScalar.one(4), root_of_unity(4, 1)]])
+    m = CycMatrix.from_scalars([[zeta(4, 0), zeta(4, 1)]])
     res = naimark_gram(gram(Frame(m)), Fraction(2))
     assert res.input_tight and res.transfer_ok
     assert res.complement.entry(0, 0) == 1
@@ -227,8 +234,8 @@ def test_naimark_fractional_constant():
 
 def test_naimark_fractional_constant_scales_the_gram():
     # A = 3/2: G' = 3 I - 2 G, and 2 G G = 3 G fails for this G
-    m = CycMatrix.from_scalars([[CycScalar.one(3), root_of_unity(3, 1)],
-                                [root_of_unity(3, 2), CycScalar.one(3)]])
+    m = CycMatrix.from_scalars([[zeta(3, 0), zeta(3, 1)],
+                                [zeta(3, 2), zeta(3, 0)]])
     g = gram(Frame(m))
     res = naimark_gram(g, Fraction(3, 2))
     assert res.denominator == 2 and not res.input_tight
@@ -249,31 +256,25 @@ def test_naimark_not_tight_input():
 
 
 # ---------------------------------------------------------------------------
-# verify_tdtf
-
-
-def test_tdtf_on_etf():
-    rep = verify_tdtf(simplex_frame(4))
-    assert rep.ok and rep.tight and rep.two_distance
-    assert len(rep.values) <= 2
-    mods = {v.abs_squared().as_integer() for v in rep.values}
-    assert mods == {1}
+# the two-distance report of a failed certificate
 
 
 def test_tdtf_random_frame_fails():
     rng = random.Random(43)
     m = CycMatrix.from_scalars(
-        [[root_of_unity(7, rng.randrange(7)) + root_of_unity(7, rng.randrange(7))
-          + CycScalar.from_int(rng.randint(0, 2), 7)
+        [[CycScalar(7, oracle.add(
+            oracle.add(oracle.root(7, rng.randrange(7)),
+                       oracle.root(7, rng.randrange(7))),
+            oracle.const(7, rng.randint(0, 2))))
           for _ in range(6)] for _ in range(3)])
-    rep = verify_tdtf(Frame(m))
-    assert not rep.ok
+    rep = verify_etf(Frame(m)).tdtf
+    assert rep is not None and not rep.ok
 
 
 def test_tdtf_needs_equal_norms():
     # frame operator 5I and off-diagonal values 0, 2, but norms 1, 1, 4, 4
     m = CycMatrix.from_int_matrix([[1, 0, 2, 0], [0, 1, 0, 2]])
-    rep = verify_tdtf(Frame(m))
+    rep = verify_etf(Frame(m)).tdtf
     assert not rep.ok and not rep.tight and rep.two_distance
 
 
@@ -298,7 +299,7 @@ def offdiag_values(g: CycMatrix, rows: int):
     arr, n = g.array, g.rows
 
     def conjugate(v):
-        return np.array(CycScalar(g.order, v).conjugate().coeffs)
+        return np.array(oracle.conj(g.order, v))
 
     values = []
     for r0 in range(0, n, rows):
@@ -449,16 +450,20 @@ def whole_gram_certificate(order, d, n, g, mods, fo) -> dict:
         witness = (f"Gram entry {bad} has |.|^2 = "
                    f"{scalar(mods[bad]).coeffs}, entry (0, 1) has "
                    f"{scalar(mods[0, 1]).coeffs}: equiangularity fails")
+    elif n > 1 and not scalar(mods[0, 1]).is_rational_integer:
+        witness = (f"Gram entry (0, 1) has |.|^2 = "
+                   f"{scalar(mods[0, 1]).coeffs}, not a rational integer")
     else:
-        witness = "frame is equal-norm and equiangular but not tight"
+        witness = ("frame is equal-norm and equiangular but not tight: "
+                   f"s^2 (N - D) = {s * s * (n - d)}, "
+                   f"t D (N - 1) = {(t or 0) * d * (n - 1)}")
     two = values is not None
     return {"s": s, "t": t, "a": Fraction(n * s, d) if s is not None else None,
             "equal_norm": s is not None, "equiangular": equiangular,
             "tight": tight, "welch_equality": welch, "witness": witness,
             "tdtf_values": None if welch else values,
             "tdtf": None if welch else (tight, two, values if two else (),
-                                        tight and two),
-            "verify_tdtf": (tight, two, values if two else (), tight and two)}
+                                        tight and two)}
 
 
 def pass_certificate(frame) -> dict:
@@ -475,7 +480,7 @@ def pass_certificate(frame) -> dict:
             "equal_norm": cert.equal_norm, "equiangular": cert.equiangular,
             "tight": cert.tight, "welch_equality": cert.welch_equality,
             "witness": cert.witness, "tdtf_values": coeffs(cert.tdtf_values),
-            "tdtf": report(cert.tdtf), "verify_tdtf": report(verify_tdtf(frame))}
+            "tdtf": report(cert.tdtf)}
 
 
 def whole_gram_oracle(frame) -> dict:
@@ -488,32 +493,31 @@ def whole_gram_oracle(frame) -> dict:
                                   (syn @ syn.adjoint()).array)
 
 
-def scalar_phi(frame) -> list[list[CycScalar]]:
-    syn = frame.synthesis
-    return [[syn.entry(k, i) for i in range(frame.n)] for k in range(frame.d)]
+def scalar_phi(frame) -> list[list[tuple[int, ...]]]:
+    return oracle.entries(frame.synthesis.array)
 
 
-def scalar_gram(frame, phi) -> list[list[CycScalar]]:
-    """Phi* Phi summed in the pure-Python CycScalar ring."""
-    zero = CycScalar.zero(frame.order)
-    return [[sum((phi[k][i].conjugate() * phi[k][j] for k in range(frame.d)),
-                 zero) for j in range(frame.n)] for i in range(frame.n)]
+def scalar_gram(frame, phi) -> list[list[tuple[int, ...]]]:
+    """Phi* Phi summed in the reference ring."""
+    n = frame.order
+    cols = list(zip(*phi))
+    return [[oracle.dot(n, [oracle.conj(n, x) for x in ci], cj)
+             for cj in cols] for ci in cols]
 
 
 def python_int_oracle(frame) -> dict:
     """The same fields from a Gram matrix and frame operator summed in the
-    pure-Python CycScalar ring."""
+    reference ring."""
     order, phi = frame.order, scalar_phi(frame)
-    zero = CycScalar.zero(order)
 
     def table(rows):
-        return np.array([[list(x.coeffs) for x in row] for row in rows],
+        return np.array([[list(x) for x in row] for row in rows],
                         dtype=object)
 
     g = scalar_gram(frame, phi)
-    fo = [[sum((phi[k][i] * phi[l][i].conjugate() for i in range(frame.n)),
-               zero) for l in range(frame.d)] for k in range(frame.d)]
-    mods = [[x.abs_squared() for x in row] for row in g]
+    fo = [[oracle.dot(order, rk, [oracle.conj(order, x) for x in rl])
+           for rl in phi] for rk in phi]
+    mods = [[oracle.abs2(order, x) for x in row] for row in g]
     return whole_gram_certificate(order, frame.d, frame.n, table(g),
                                   table(mods), table(fo))
 
@@ -536,7 +540,7 @@ def rooted(frame, rng) -> Frame:
     Gram moduli, other coefficients."""
     n, order = frame.n, frame.order
     roots = CycMatrix.from_scalars(
-        [[root_of_unity(order, int(rng.integers(order))) for _ in range(n)]])
+        [[zeta(order, int(rng.integers(order))) for _ in range(n)]])
     syn = frame.synthesis.entrywise_mul(
         CycMatrix.vstack([roots] * frame.d))
     return Frame(syn)
@@ -619,10 +623,9 @@ def test_pass_matches_the_whole_gram_on_corrupted_etfs(order, height, tiles,
         calls.clear()
         got = pass_certificate(frame)
         assert got == whole_gram_oracle(frame)
-        # pass_certificate certifies twice, by verify_etf and verify_tdtf
         want = (got["equal_norm"] and not got["equiangular"]
                 and got["a"].denominator == 1)
-        assert calls == ([got["a"]] * 2 if want else [])
+        assert calls == ([got["a"]] if want else [])
     assert pass_certificate(etf)["welch_equality"]
 
 
@@ -759,7 +762,7 @@ def test_pass_matches_the_whole_gram_on_random_sparse_frames(order, height,
 
 def assert_gram_exact(frame, scalar=True) -> CycMatrix:
     """gram(frame) is Phi* Phi as one product of the adjoint, bit for bit
-    and of the same dtype, and (with `scalar`) as summed in the CycScalar
+    and of the same dtype, and (with `scalar`) as summed in the reference
     ring."""
     got, syn = gram(frame), frame.synthesis
     want = (syn.adjoint() @ syn).array
@@ -768,8 +771,7 @@ def assert_gram_exact(frame, scalar=True) -> CycMatrix:
     if want.dtype != object:
         assert got.array.tobytes() == want.tobytes()
     if scalar:
-        assert [[got.entry(i, j) for j in range(frame.n)]
-                for i in range(frame.n)] == scalar_gram(frame,
+        assert oracle.entries(got.array) == scalar_gram(frame,
                                                         scalar_phi(frame))
     return got
 
@@ -906,14 +908,31 @@ def test_tightness_of_one_column(order, d):
 
 def test_pass_matches_the_whole_gram_on_an_equiangular_frame_not_tight():
     for order in (1, 3, 8):
-        one = CycScalar.one(order)
+        one = CycScalar.from_int(1, order)
         two = CycScalar.from_int(2, order)
         frame = Frame(CycMatrix.from_scalars([[one, two], [two, one]]))
         got = pass_certificate(frame)
         assert got == whole_gram_oracle(frame)
         assert got["equiangular"] and not got["tight"]
+        # s = 5, t = 16, D = N = 2
         assert got["witness"] == ("frame is equal-norm and equiangular but "
-                                  "not tight")
+                                  "not tight: s^2 (N - D) = 0, "
+                                  "t D (N - 1) = 32")
+
+
+def test_pass_names_an_irrational_coherence():
+    # columns (1, 1) and (1, zeta_5): equal norms 2, and |G_01|^2 =
+    # |1 + zeta|^2 = 2 + zeta + zeta^4 is not a rational integer, so the
+    # frame is neither equiangular nor tight
+    one, z = oracle.const(5, 1), oracle.root(5, 1)
+    frame = columns_frame(5, [[one, one], [one, z]])
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame) == python_int_oracle(frame)
+    assert got["equal_norm"] and not got["equiangular"] and not got["tight"]
+    mod = oracle.abs2(5, oracle.add(one, z))
+    assert mod == (1, 0, -1, -1)         # 2 + zeta + zeta^4, reduced
+    assert got["witness"] == (f"Gram entry (0, 1) has |.|^2 = {mod}, not a "
+                              f"rational integer")
 
 
 def test_pass_matches_the_whole_gram_on_a_tdtf():
@@ -923,7 +942,7 @@ def test_pass_matches_the_whole_gram_on_a_tdtf():
     frame, _ = mols_tdtf(td, sylvester(2), "centered")
     got = pass_certificate(frame)
     assert got == whole_gram_oracle(frame)
-    assert got["verify_tdtf"][3] and not got["welch_equality"]
+    assert got["tdtf"][3] and not got["welch_equality"]
 
 
 def test_pass_matches_the_whole_gram_across_many_tiles(tmp_path, tiles):

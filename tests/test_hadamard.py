@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from etfkit import cyclo
 from etfkit.cli import hadamard_from_spec
-from etfkit.cyclo import CycMatrix, CycScalar, root_of_unity
+from etfkit.cyclo import CycMatrix, CycScalar
 from etfkit.designs import gf_build
 from etfkit.hadamard import (
     HadamardError,
@@ -34,7 +35,7 @@ def test_sylvester_small():
 def test_fourier3_exact():
     h = fourier(3)
     assert h.size == 3 and h.dephased
-    assert h.mat.entry(1, 2) == root_of_unity(3, 2)
+    assert h.mat.entry(1, 2).coeffs == oracle.root(3, 2)
     assert verify_hadamard(h).ok
 
 
@@ -73,7 +74,8 @@ def test_dephase_complex_phases():
     from etfkit.hadamard import HadamardMatrix
 
     h = fourier(5)
-    scales = CycMatrix.diagonal([root_of_unity(5, 2 * c) for c in range(5)])
+    scales = CycMatrix.diagonal([CycScalar(5, oracle.root(5, 2 * c))
+                                 for c in range(5)])
     scrambled = HadamardMatrix(h.mat @ scales)
     assert not scrambled.dephased
     fixed = dephase(scrambled)
@@ -202,8 +204,7 @@ def negated(v):
 
 
 def times_zeta5(v):
-    return np.array((CycScalar(5, v) * root_of_unity(5, 1)).coeffs,
-                    dtype=object)
+    return np.array(oracle.mul(5, v, oracle.root(5, 1)), dtype=object)
 
 
 def spec_matrix(spec):
@@ -312,7 +313,8 @@ def test_dephase_matches_the_diagonal_product(forbid, make):
     h = make()
     n, order = h.size, h.mat.order
     roots = CycMatrix.from_scalars(
-        [[root_of_unity(order, rng.randrange(order)) for _ in range(n)]])
+        [[CycScalar(order, oracle.root(order, rng.randrange(order)))
+          for _ in range(n)]])
     h = HadamardMatrix(h.mat.entrywise_mul(CycMatrix.vstack([roots] * n)))
     assert not h.dephased
     want = dephase_oracle(h)

@@ -6,7 +6,7 @@ whose product P exceeds 2B; a basis change is a product over Z (d = 1).  So the
 prime count steps up at B = 2^53 and at each B = (P + 1)/2, the least bound
 that P no longer covers.  Coefficients sit one below and exactly at each
 step, with worst-case signs; results past 2^62 are stored as Python ints.
-Every result is compared with the pure-Python CycScalar ring.  Naimark's
+Every result is compared with the reference ring of oracle.py.  Naimark's
 identity den G G = num G is checked the same way, at the steps of its own
 bound, with no product interpolated.
 """
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from etfkit import cyclo
 from etfkit.cyclo import CycMatrix, CycScalar
 from etfkit.frames import naimark_gram
@@ -107,14 +108,12 @@ def edges(ring, width: int, const: int, pick):
             yield ma, m, bound
 
 
-def entries(m: CycMatrix) -> list[list[CycScalar]]:
-    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+def entries(m: CycMatrix) -> list[list[tuple[int, ...]]]:
+    return oracle.entries(m.array)
 
 
-def scalar_matmul(a: CycMatrix, b: CycMatrix) -> list[list[CycScalar]]:
-    zero = CycScalar.zero(a.order)
-    return [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), zero)
-             for j in range(b.cols)] for i in range(a.rows)]
+def scalar_matmul(a: CycMatrix, b: CycMatrix) -> list[list[tuple[int, ...]]]:
+    return oracle.matmul(a.order, entries(a), entries(b))
 
 
 def assert_stored(m: CycMatrix) -> None:
@@ -152,9 +151,11 @@ def check_entrywise_and_kron(kernel_paths, n, dims, sa, sb, pick):
             had = a.entrywise_mul(b)
             kr = a.kron(b)
         assert seen == [expected_primes(ring, d, bound)] * 2
-        assert entries(had) == [[a.entry(i, j) * b.entry(i, j)
+        ea, eb = entries(a), entries(b)
+        assert entries(had) == [[oracle.mul(n, ea[i][j], eb[i][j])
                                  for j in range(c)] for i in range(r)]
-        assert entries(kr) == [[a.entry(i // r, j // c) * b.entry(i % r, j % c)
+        assert entries(kr) == [[oracle.mul(n, ea[i // r][j // c],
+                                           eb[i % r][j % c])
                                 for j in range(c * c)] for i in range(r * r)]
         assert_stored(had)
         assert_stored(kr)
@@ -169,8 +170,8 @@ def check_scalar_mul(kernel_paths, n, dims, sa, sb, pick):
         with kernel_paths() as seen:
             got = a.scalar_mul(s)
         assert seen == [expected_primes(ring, d, bound)]
-        assert entries(got) == [[a.entry(i, j) * s for j in range(c)]
-                                for i in range(r)]
+        assert entries(got) == [[oracle.mul(n, x, s.coeffs) for x in row]
+                                for row in entries(a)]
         assert_stored(got)
 
 
@@ -190,8 +191,8 @@ def check_abs_squared(kernel_paths, n, dims, sa):
             with kernel_paths() as seen:
                 got = a.abs_squared_entries()
             assert seen == [expected_primes(ring, d, bound)]
-            assert entries(got) == [[a.entry(i, j).abs_squared()
-                                     for j in range(c)] for i in range(r)]
+            assert entries(got) == [[oracle.abs2(n, x) for x in row]
+                                    for row in entries(a)]
             assert_stored(got)
 
 
@@ -242,12 +243,12 @@ def check_adjoint_and_lift(kernel_paths, n, dims, sa, target):
     d = cyclo._ring(n).degree
     cases = [
         (CycMatrix.adjoint, cyclo._ring(n).powers(-np.arange(d)),
-         lambda a, i, j: a.entry(j, i).conjugate(), d > 1),
+         lambda a, i, j: oracle.conj(n, a[j][i]), d > 1),
         (lambda a: a.lift_to_order(target), cyclo._lift_map(n, target),
-         lambda a, i, j: a.entry(i, j).lift_to_order(target), True),
+         lambda a, i, j: oracle.lift(a[i][j], n, target), True),
     ]
     z = cyclo._ring(1)
-    for op, mat, oracle, product in cases:
+    for op, mat, expect, product in cases:
         const = d * int(np.abs(mat).max())
         for step in steps(z, d):
             below = (step - 1) // const
@@ -257,7 +258,8 @@ def check_adjoint_and_lift(kernel_paths, n, dims, sa, target):
                     got = op(a)
                 assert seen == ([expected_primes(z, d, mag * const)]
                                 if product else [])
-                assert entries(got) == [[oracle(a, i, j)
+                ea = entries(a)
+                assert entries(got) == [[expect(ea, i, j)
                                          for j in range(got.cols)]
                                         for i in range(got.rows)]
                 assert_stored(got)
@@ -356,14 +358,15 @@ def test_storage_at_the_int64_bound(data):
     s = data.draw(st.integers(-3, 3))
     assert_stored(a)
     assert_stored(b)
+    ea, eb = entries(a), entries(b)
     cases = [
-        (a + b, lambda i, j: a.entry(i, j) + b.entry(i, j)),
-        (a - b, lambda i, j: a.entry(i, j) - b.entry(i, j)),
-        (-a, lambda i, j: -a.entry(i, j)),
-        (a.scalar_mul(s), lambda i, j: a.entry(i, j) * s),
+        (a + b, lambda x, y: oracle.add(x, y)),
+        (a - b, lambda x, y: oracle.add(x, oracle.scale(-1, y))),
+        (-a, lambda x, y: oracle.scale(-1, x)),
+        (a.scalar_mul(s), lambda x, y: oracle.scale(s, x)),
     ]
-    for got, oracle in cases:
-        assert entries(got) == [[oracle(i, j) for j in range(c)]
+    for got, expect in cases:
+        assert entries(got) == [[expect(ea[i][j], eb[i][j]) for j in range(c)]
                                 for i in range(r)]
         assert_stored(got)
     # a product whose sums straddle the storage bound
@@ -393,11 +396,26 @@ def test_zero_operand_is_exact_in_float64(kernel_paths):
     assert sq == big and seen[0] >= 2
 
 
+def test_a_zero_space_covers_only_zeros():
+    # bound 0: every value of the space is 0, so values that agree there
+    # are equal only for coefficients bounded by 0
+    space = cyclo._Space(cyclo._ring(3), 2, 0)
+    assert space.covers(1) is False
+    assert space.covers(0) is True
+
+
 def naimark_tight(g: CycMatrix, a: Fraction) -> bool:
-    """den G G = num G, on the CycScalar ring."""
-    return all(a.denominator * x == a.numerator * g.entry(i, j)
-               for i, row in enumerate(scalar_matmul(g, g))
-               for j, x in enumerate(row))
+    """den G G = num G, on the reference ring."""
+    return all(oracle.scale(a.denominator, x) == oracle.scale(a.numerator, y)
+               for gg, gr in zip(scalar_matmul(g, g), entries(g))
+               for x, y in zip(gg, gr))
+
+
+def complement(g: CycMatrix, a: Fraction) -> list[list[tuple[int, ...]]]:
+    """num I - den G, on the reference ring."""
+    return [[oracle.add(oracle.const(g.order, a.numerator * int(i == j)),
+                        oracle.scale(-a.denominator, x))
+             for j, x in enumerate(row)] for i, row in enumerate(entries(g))]
 
 
 def largest_below(step: int, bound_of) -> int:
@@ -447,9 +465,7 @@ def test_naimark_identity_at_each_prime_step(kernel_paths, n):
                         assert not naimark_gram(g, a / 3).input_tight
                     assert res.transfer_ok == res.input_tight
                     assert res.denominator == den
-                    assert entries(res.complement) == [
-                        [a.numerator * int(i == j) - den * g.entry(i, j)
-                         for j in range(2)] for i in range(2)]
+                    assert entries(res.complement) == complement(g, a)
                     assert_stored(res.complement)
 
 
@@ -466,14 +482,14 @@ def test_naimark_identity_on_a_gram_that_is_not_hermitian(monkeypatch, n):
     real = cyclo._Space.reduce
     monkeypatch.setattr(cyclo._Space, "reduce", lambda self, vals, i: (
         points.append(vals.shape[0]) or real(self, vals, i)))
-    zeta = cyclo.root_of_unity(n, 1)
+    zeta = CycScalar(n, oracle.root(n, 1))
     arr = np.zeros((2, 2, d), dtype=np.int64)
     arr[0, 0, 0] = 1
     arr[0, 1] = zeta.coeffs
     flipped = arr.copy()
     flipped[0, 0, 0] = -1
-    h = CycMatrix.from_scalars([[CycScalar.one(n), zeta],
-                                [zeta.conjugate(), CycScalar.one(n)]])
+    one = CycScalar.from_int(1, n)
+    h = CycMatrix.from_scalars([[one, zeta], [zeta.conjugate(), one]])
     for g, a, tight, hermitian in (
             (CycMatrix(n, arr), Fraction(1), True, False),
             (CycMatrix(n, flipped), Fraction(1), False, False),
@@ -486,9 +502,7 @@ def test_naimark_identity_on_a_gram_that_is_not_hermitian(monkeypatch, n):
         assert res.input_tight == tight == naimark_tight(g, a)
         assert res.transfer_ok == res.input_tight
         assert res.denominator == 1
-        assert entries(res.complement) == [
-            [a.numerator * int(i == j) - g.entry(i, j) for j in range(2)]
-            for i in range(2)]
+        assert entries(res.complement) == complement(g, a)
         assert_stored(res.complement)
 
 
