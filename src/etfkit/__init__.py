@@ -50,7 +50,6 @@ from .constructions import (
     ConstructionError,
     ExistenceStatus,
     GddEtfPlan,
-    check_chen_classification,
     existence_status,
     gdd_etf,
     mols_tdtf,

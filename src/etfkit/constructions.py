@@ -42,7 +42,6 @@ __all__ = [
     "gdd_etf",
     "ExistenceStatus",
     "existence_status",
-    "check_chen_classification",
     "CONSTRUCTIBLE",
     "KNOWN",
     "ASYMPTOTIC",
@@ -458,15 +457,3 @@ def existence_status(t: EtfType) -> ExistenceStatus:
         raise ConstructionError("negative types require K >= 2")
     return _negative_status(t)
 
-
-def check_chen_classification(q: int, j: int) -> list[EtfType]:
-    """Classify the (D, N) of the two-parameter difference-set family at
-    base Q and exponent J; only finitely many members are positive/negative."""
-    if q < 2 or j < 1:
-        raise ConstructionError("need Q >= 2 and J >= 1")
-    q2j = q ** (2 * j)
-    d, d_rem = divmod(q ** (2 * j - 1) * (2 * q2j + q - 1), q + 1)
-    n, n_rem = divmod(4 * q2j * (q2j - 1), q * q - 1)
-    if d_rem or n_rem:
-        raise AssertionError(f"D or N of Q={q}, J={j} is not an integer")
-    return classify_type(d, n)

@@ -664,6 +664,13 @@ class CycMatrix:
     Immutable.  The backing array has shape (rows, cols, phi(n)) and is
     int64 while every coefficient is below 2^62 in magnitude, Python ints
     otherwise.
+
+    No program path calls these 16 members; they are kept only because
+    perfbench/tracing.py wraps them by name: `__add__`, `__sub__`,
+    `__neg__`, `__matmul__`, `scalar_mul`, `entrywise_mul`, `adjoint`,
+    `transpose`, `abs_squared_entries`, `vstack`, `hstack`, `block_diag`,
+    `identity`, `diagonal`, `from_scalars` and `entry`.  Tests outside
+    their own (test_cyclo.py, test_kernel.py) may not call them.
     """
 
     __slots__ = ("order", "_arr")
@@ -920,10 +927,6 @@ class CycMatrix:
         return a.shape == b.shape and bool(np.array_equal(a._arr, b._arr))
 
     __hash__ = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._arr.any()
 
     def __repr__(self):
         return (f"CycMatrix(order={self.order}, rows={self.rows}, "

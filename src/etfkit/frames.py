@@ -205,9 +205,13 @@ class EtfCertificate:
 
     @cached_property
     def centered(self) -> bool:
-        """The frame vectors sum to zero: Phi times the all-ones vector."""
-        syn = self._synthesis
-        return (syn @ CycMatrix.ones(self.n, 1, syn.order)).is_zero
+        """The frame vectors sum to zero: Phi times the all-ones vector,
+        the row sums of the coefficient array.  They are exact in int64
+        while max|Phi_ij| N < 2^63, and in Python ints past that."""
+        arr = self._synthesis.array
+        if arr.dtype != object and _max_abs(arr) * self.n >= 2**63:
+            arr = arr.astype(object)
+        return not arr.sum(axis=1).any()
 
     @property
     def tdtf(self) -> TdtfReport | None:

@@ -1,4 +1,4 @@
-"""A reference ring Z[zeta_n] in pure Python, for the tests.
+"""A reference ring Z[zeta_n] for the tests, in pure Python and numpy.
 
 It imports nothing from etfkit, so what it computes does not go through the
 library's evaluation-space engine.  An element of Z[zeta_n] is the tuple
@@ -6,7 +6,10 @@ of its phi(n) integer coefficients in the basis 1, zeta, ..., zeta^(d-1),
 d = phi(n): its canonical residue mod Phi_n.  Phi_n is the Moebius product
 of the x^e - 1 over the divisors e of n; a product is a convolution folded
 back by long division by Phi_n; conjugation sends x^i to x^(n - i).
-Matrices are nested lists of such tuples.
+Matrices are nested lists of such tuples, or, for frames too large for
+lists, numpy coefficient arrays of shape (..., d) (see "arrays" below).
+Beside the ring: a design's incidence matrix, and the (D, N) of Chen's
+difference-set family.
 """
 
 import cmath
@@ -145,6 +148,107 @@ def entries(arr) -> list[list[tuple[int, ...]]]:
     return [[tuple(int(x) for x in cell) for cell in row] for row in arr]
 
 
+# ---------------------------------------------------------------------------
+# arrays
+#
+# The same ring on numpy coefficient arrays of shape (..., d).  A product is
+# formed in Z[x]/(x^n - 1): slot s of one factor times slot t of the other
+# lands in slot (s + t) mod n, one integer product (or integer matrix
+# product) per pair of slots.  The result is folded mod Phi_n by the table
+# whose row k is x^k mod Phi_n; x^n = 1 in Z[zeta_n], so this is exact.
+# Each step runs in a dtype whose sums stay exact under a bound on the sum
+# of the absolute values of its terms: float64 below 2^53 (the products
+# then run in BLAS), int64 below 2^63, Python ints past that.
+
+
+@lru_cache(maxsize=None)
+def _powers(n: int) -> np.ndarray:
+    return np.array([root(n, k) for k in range(n)], dtype=object)
+
+
+def _max(arr) -> int:
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+def _typed(bound: int, *arrs) -> list[np.ndarray]:
+    dtype = (np.float64 if bound < 2**53 else
+             np.int64 if bound < 2**63 else object)
+    out = []
+    for a in map(np.asarray, arrs):
+        if a.dtype == np.float64:       # integers below 2^53: exact
+            a = a.astype(np.int64)
+        out.append(a.astype(dtype))
+    return out
+
+
+def _fold_array(n: int, poly) -> np.ndarray:
+    """An (..., n) array of polynomials mod x^n - 1, folded mod Phi_n."""
+    table = _powers(n)
+    poly, table = _typed(_max(poly) * n * _max(table), poly, table)
+    out = poly @ table
+    return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def conj_array(n: int, a) -> np.ndarray:
+    """Each element conjugated: x^i goes to x^(n - i)."""
+    a = np.asarray(a)
+    poly = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+    for i in range(a.shape[-1]):
+        poly[..., -i % n] = a[..., i]
+    return _fold_array(n, poly)
+
+
+def _products(n: int, a, b, product, terms: int) -> np.ndarray:
+    """The sum over slot pairs s, t of product(a_s, b_t), at slot
+    (s + t) mod n, folded; `terms` bounds the number of products that one
+    entry of `product` sums."""
+    d = degree(n)
+    a, b = _typed(_max(a) * _max(b) * terms * d, a, b)
+    poly = None
+    for s in range(d):
+        for t in range(d):
+            x = product(a[..., s], b[..., t])
+            if poly is None:
+                poly = np.zeros(x.shape + (n,), dtype=x.dtype)
+            poly[..., (s + t) % n] += x
+    return _fold_array(n, poly)
+
+
+def mul_array(n: int, a, b) -> np.ndarray:
+    """The entrywise products of two arrays, broadcast against each
+    other."""
+    return _products(n, a, b, np.multiply, 1)
+
+
+def matmul_array(n: int, a, b) -> np.ndarray:
+    """The matrix product of a (rows, k, d) and a (k, cols, d) array."""
+    return _products(n, a, b, np.matmul, np.shape(a)[-2])
+
+
+def adjoint_array(n: int, a) -> np.ndarray:
+    """The conjugate transpose of a (rows, cols, d) array."""
+    return conj_array(n, np.asarray(a).transpose(1, 0, 2))
+
+
+def abs2_array(n: int, a) -> np.ndarray:
+    """Each element times its conjugate."""
+    return mul_array(n, a, conj_array(n, a))
+
+
+def full(n: int, shape: tuple[int, ...], c: int = 1) -> np.ndarray:
+    """The array of the given shape whose every element is c."""
+    arr = np.zeros(shape + (degree(n),), dtype=np.int64)
+    arr[..., 0] = c
+    return arr
+
+
+def eye(n: int, size: int, c: int = 1) -> np.ndarray:
+    """c times the size x size identity."""
+    arr = np.zeros((size, size, degree(n)), dtype=np.int64)
+    arr[np.arange(size), np.arange(size), 0] = c
+    return arr
+
+
 def incidence(design) -> np.ndarray:
     """The {0,1} incidence matrix of a design's blocks, rows indexed by
     blocks and columns by the M U vertices."""
@@ -152,3 +256,15 @@ def incidence(design) -> np.ndarray:
     for i, blk in enumerate(design.blocks):
         x[i, list(blk)] = 1
     return x
+
+
+def chen(q: int, j: int) -> tuple[int, int]:
+    """(D, N) of Chen's two-parameter difference-set family at base Q and
+    exponent J: D = Q^(2J-1)(2Q^(2J) + Q - 1)/(Q + 1) and
+    N = 4Q^(2J)(Q^(2J) - 1)/(Q^2 - 1), both exact divisions."""
+    q2j = q ** (2 * j)
+    d, d_rem = divmod(q ** (2 * j - 1) * (2 * q2j + q - 1), q + 1)
+    n, n_rem = divmod(4 * q2j * (q2j - 1), q * q - 1)
+    if d_rem or n_rem:
+        raise ArithmeticError(f"D or N of Q={q}, J={j} is not an integer")
+    return d, n

@@ -16,7 +16,6 @@ from etfkit.constructions import (
     UNKNOWN,
     AdmissibilityError,
     ConstructionError,
-    check_chen_classification,
     existence_status,
     gdd_etf,
     mols_tdtf,
@@ -168,13 +167,17 @@ def _steiner_scatter(bibd, h):
 
 def _mols_product(tdes, h, variant):
     """The MOLS synthesis as the product (I_K x F) X*, after a row of ones
-    when augmented."""
+    when augmented.  X is a {0,1} matrix, so the product is one integer
+    matrix product per coefficient slot."""
     tails = simplex_from_hadamard(h)
-    x = CycMatrix.from_int_matrix(oracle.incidence(tdes))
-    phi = CycMatrix.identity(tdes.K, tails.order).kron(tails) @ x.transpose()
+    blocks = np.einsum("kl,rcs->krlcs", np.eye(tdes.K, dtype=np.int64),
+                       tails.array)
+    r, c, d = tails.array.shape
+    phi = np.einsum("rvs,bv->rbs", blocks.reshape(tdes.K * r, tdes.K * c, d),
+                    oracle.incidence(tdes))
     if variant == "augmented":
-        phi = CycMatrix.vstack([CycMatrix.ones(1, tdes.B, phi.order), phi])
-    return phi
+        phi = np.concatenate([oracle.full(tails.order, (1, tdes.B)), phi])
+    return CycMatrix(tails.order, phi)
 
 
 def _assert_same_synthesis(got, want):
@@ -308,12 +311,12 @@ def test_gdd_etf_15_36():
 def test_gdd_etf_15_36_same_block_offdiagonals():
     # columns sharing (u, m, i) but differing in j have inner product -L = 1
     frame, _ = build_etf_15_36()
-    g = gram(frame)
+    g = oracle.entries(gram(frame).array)
     w1 = 4                     # W + 1 columns per (u, m, i) cluster
     for base in range(0, 36, w1):
         for j1 in range(w1):
             for j2 in range(j1 + 1, w1):
-                assert g.entry(base + j1, base + j2) == 1
+                assert g[base + j1][base + j2] == oracle.const(frame.order, 1)
 
 
 def test_gdd_etf_random_regrouping_certifies():
@@ -440,16 +443,14 @@ def test_existence_precondition():
 
 
 def test_chen_pinned():
-    assert EtfType(4, -1, 3) in check_chen_classification(2, 1)
-    assert EtfType(3, -1, 5) in check_chen_classification(3, 1)
-    types = check_chen_classification(5, 1)
+    assert EtfType(4, -1, 3) in classify_type(*oracle.chen(2, 1))
+    assert EtfType(3, -1, 5) in classify_type(*oracle.chen(3, 1))
+    types = classify_type(*oracle.chen(5, 1))
     assert types == [EtfType(2, 1, 9)]
     assert not any(t.L == -1 and t.K >= 4 for t in types)
 
 
 def test_chen_larger():
     # J=2, Q=2 gives the next member of the K=4 geometric family
-    types = check_chen_classification(2, 2)
+    types = classify_type(*oracle.chen(2, 2))
     assert EtfType(4, -1, 11) in types
-    with pytest.raises(ConstructionError):
-        check_chen_classification(1, 1)

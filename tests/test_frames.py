@@ -1,5 +1,6 @@
 """Gram computation, ETF certification, type classification, Naimark."""
 
+import functools
 import random
 from fractions import Fraction
 from math import isqrt, prod
@@ -27,14 +28,9 @@ def simplex_frame(n: int) -> Frame:
     return Frame(simplex_from_hadamard(fourier(n)))
 
 
-def zeta(n: int, k: int) -> CycScalar:
-    """zeta_n^k, from the reference ring."""
-    return CycScalar(n, oracle.root(n, k))
-
-
-def abs2(x: CycScalar) -> CycScalar:
-    """|x|^2, from the reference ring."""
-    return CycScalar(x.order, oracle.abs2(x.order, x.coeffs))
+def matrix(order: int, rows) -> CycMatrix:
+    """The matrix of a nested list of coefficient tuples."""
+    return CycMatrix(order, np.array(rows, dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +38,21 @@ def abs2(x: CycScalar) -> CycScalar:
 
 
 def test_gram_simplex3():
-    g = gram(simplex_frame(3))
-    assert g.entry(0, 0) == 2 and g.entry(1, 1) == 2
+    g = oracle.entries(gram(simplex_frame(3)).array)
+    assert g[0][0] == g[1][1] == oracle.const(3, 2)
     for r, c in ((0, 1), (0, 2), (1, 2)):
-        assert abs2(g.entry(r, c)) == 1
+        assert oracle.abs2(3, g[r][c]) == oracle.const(3, 1)
 
 
 def test_gram_single_column():
-    col = CycMatrix.from_scalars([[zeta(3, 0)], [zeta(3, 1)]])
+    col = matrix(3, [[oracle.root(3, 0)], [oracle.root(3, 1)]])
     g = gram(Frame(col))
-    assert g.shape == (1, 1) and g.entry(0, 0) == 2
+    assert oracle.entries(g.array) == [[oracle.const(3, 2)]]
 
 
 def test_gram_orthonormal_basis():
-    f = Frame(CycMatrix.identity(4))
-    assert gram(f) == CycMatrix.identity(4)
+    f = Frame(CycMatrix(1, oracle.eye(1, 4)))
+    assert np.array_equal(gram(f).array, oracle.eye(1, 4))
     cert = verify_etf(f)
     assert cert.welch_equality and cert.s == 1 and cert.t == 0
 
@@ -91,27 +87,50 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
     assert len(shapes) == 1
 
 
+B = 2**62 - 1                           # the largest int64 coefficient
+Z3 = [oracle.root(3, k) for k in range(3)]
+CENTERED = [
+    # order 3: 1 + zeta + zeta^2 = 0 is the only cancellation
+    (3, [Z3], np.int64, True),
+    (3, [[Z3[0], Z3[1], Z3[0]]], np.int64, False),
+    # int64 coefficients whose row sums pass 2^63: row 0 sums to 2^64,
+    # which int64 would wrap to 0
+    (1, [[(B,), (B,), (B,), (B,), (4,)], [(1,), (-1,), (1,), (-1,), (0,)]],
+     np.int64, False),
+    (1, [[(B,), (B,), (-B,), (-B,)]], np.int64, True),
+    # coefficients past 2^62, stored as Python ints
+    (1, [[(2**70,), (-2**70,)], [(1,), (-1,)]], object, True),
+    (5, [[(2**70, 0, 0, 1), (-2**70, 0, 0, 0)]], object, False),
+]
+
+
+@pytest.mark.parametrize("order, rows, dtype, want", CENTERED)
+def test_centered_is_the_exact_row_sum(kernel_paths, order, rows, dtype,
+                                       want):
+    frame = Frame(matrix(order, rows))
+    arr = frame.synthesis.array
+    assert arr.dtype == dtype
+    zero = oracle.const(order, 0)
+    assert want == all(functools.reduce(oracle.add, row) == zero
+                       for row in oracle.entries(arr))
+    cert = verify_etf(frame)
+    with kernel_paths() as seen:
+        assert cert.centered == want
+    assert seen == []                   # no product, no prime
+
+
 @pytest.mark.parametrize("h", [fourier(3), sylvester(2)])   # d = 2 and 1
-def test_certification_forms_no_adjoint(monkeypatch, h):
+def test_certification_forms_no_adjoint(h):
     # Phi*'s values are Phi's, transposed, at the conjugate points: neither
-    # the certifier nor gram forms Phi*
+    # the certifier nor gram forms Phi* (conftest's guard makes
+    # CycMatrix.adjoint raise)
     frame = Frame(simplex_from_hadamard(h))
-    calls = []
-    real = CycMatrix.adjoint
-
-    def counted(self):
-        calls.append(self.shape)
-        return real(self)
-
-    monkeypatch.setattr(CycMatrix, "adjoint", counted)
     assert verify_etf(frame).welch_equality
     gram(frame)
-    assert calls == []
 
 
 def test_verify_etf_two_equal_columns():
-    one = CycScalar.from_int(1, 2)
-    m = CycMatrix.from_scalars([[one, one], [one, one]])
+    m = CycMatrix.from_int_matrix([[1, 1], [1, 1]], order=2)
     cert = verify_etf(Frame(m))
     assert cert.equal_norm and cert.s == 2
     assert cert.equiangular and cert.t == 4       # t = s^2
@@ -208,38 +227,39 @@ def test_naimark_simplex23():
     res = naimark_gram(gram(f), 3)
     assert res.denominator == 1
     assert res.input_tight and res.transfer_ok
-    comp = res.complement
+    comp = oracle.entries(res.complement.array)
     for i in range(3):
-        assert comp.entry(i, i) == 1
+        assert comp[i][i] == oracle.const(3, 1)
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert abs2(comp.entry(i, j)) == 1
+                assert oracle.abs2(3, comp[i][j]) == oracle.const(3, 1)
 
 
 def test_naimark_orthogonal_case():
-    g = CycMatrix.identity(3).scalar_mul(5)
+    g = CycMatrix(1, oracle.eye(1, 3, 5))
     res = naimark_gram(g, 5)
-    assert res.complement.is_zero
+    assert not res.complement.array.any()
     assert res.input_tight and res.transfer_ok
 
 
 def test_naimark_fractional_constant():
     # a 1x2 frame [1, zeta4]: Gram has A = N s / D = 2
-    m = CycMatrix.from_scalars([[zeta(4, 0), zeta(4, 1)]])
+    m = matrix(4, [[oracle.root(4, 0), oracle.root(4, 1)]])
     res = naimark_gram(gram(Frame(m)), Fraction(2))
     assert res.input_tight and res.transfer_ok
-    assert res.complement.entry(0, 0) == 1
+    assert oracle.entries(res.complement.array)[0][0] == oracle.const(4, 1)
 
 
 def test_naimark_fractional_constant_scales_the_gram():
     # A = 3/2: G' = 3 I - 2 G, and 2 G G = 3 G fails for this G
-    m = CycMatrix.from_scalars([[zeta(3, 0), zeta(3, 1)],
-                                [zeta(3, 2), zeta(3, 0)]])
+    m = matrix(3, [[oracle.root(3, 0), oracle.root(3, 1)],
+                   [oracle.root(3, 2), oracle.root(3, 0)]])
     g = gram(Frame(m))
     res = naimark_gram(g, Fraction(3, 2))
     assert res.denominator == 2 and not res.input_tight
-    want = CycMatrix.identity(2, 3).scalar_mul(3) - g.scalar_mul(2)
+    want = CycMatrix(3, oracle.eye(3, 2, 3) - 2 * oracle.matmul_array(
+        3, oracle.adjoint_array(3, m.array), m.array))
     assert res.complement == want
     assert res.complement.array.dtype == want.array.dtype
 
@@ -250,9 +270,9 @@ def test_naimark_not_tight_input():
     res = naimark_gram(gram(Frame(m)), 2)
     assert not res.input_tight
     # the transfer identity G' G' = num G', computed directly, fails too
-    comp = res.complement
+    comp = res.complement.array
     assert not res.transfer_ok
-    assert comp @ comp != comp.scalar_mul(2)
+    assert not np.array_equal(oracle.matmul_array(1, comp, comp), 2 * comp)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +281,11 @@ def test_naimark_not_tight_input():
 
 def test_tdtf_random_frame_fails():
     rng = random.Random(43)
-    m = CycMatrix.from_scalars(
-        [[CycScalar(7, oracle.add(
-            oracle.add(oracle.root(7, rng.randrange(7)),
-                       oracle.root(7, rng.randrange(7))),
-            oracle.const(7, rng.randint(0, 2))))
-          for _ in range(6)] for _ in range(3)])
+    m = matrix(7, [[oracle.add(
+        oracle.add(oracle.root(7, rng.randrange(7)),
+                   oracle.root(7, rng.randrange(7))),
+        oracle.const(7, rng.randint(0, 2)))
+        for _ in range(6)] for _ in range(3)])
     rep = verify_etf(Frame(m)).tdtf
     assert rep is not None and not rep.ok
 
@@ -317,24 +336,25 @@ def offdiag_values(g: CycMatrix, rows: int):
 def first_appearances(g: CycMatrix):
     """The same, read off every off-diagonal entry in row-major order."""
     values = []
-    for i in range(g.rows):
-        for j in range(g.cols):
-            if i != j and g.entry(i, j) not in values:
-                values.append(g.entry(i, j))
-    return None if len(values) > 2 else tuple(values)
+    for i, row in enumerate(oracle.entries(g.array)):
+        for j, v in enumerate(row):
+            if i != j and v not in values:
+                values.append(v)
+    return (None if len(values) > 2
+            else tuple(CycScalar(g.order, v) for v in values))
 
 
 def hermitian_gram(n: int, order: int, upper, cells=()):
     """An n x n Hermitian Gram: 7 on the diagonal, `upper` above it unless
     `cells` names another value for an entry (i, j), i < j, and below it
     their conjugates."""
-    g = [[CycScalar.from_int(7, order) if i == j else
-          CycScalar(order, dict(cells).get((min(i, j), max(i, j)), upper))
+    g = [[oracle.const(order, 7) if i == j else
+          tuple(dict(cells).get((min(i, j), max(i, j)), upper))
           for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            g[i][j] = g[j][i].conjugate()
-    return CycMatrix.from_scalars(g)
+            g[i][j] = oracle.conj(order, g[j][i])
+    return matrix(order, g)
 
 
 def test_offdiag_values_reads_the_distinct_values_in_order():
@@ -374,7 +394,7 @@ def test_offdiag_values_reads_the_distinct_values_in_order():
             g = hermitian_gram(4, 3, upper, cells)
             assert first_appearances(g) == want
             assert offdiag_values(g, rows) == want
-        assert offdiag_values(CycMatrix.identity(1, 3), rows) == ()
+        assert offdiag_values(CycMatrix(3, oracle.eye(3, 1)), rows) == ()
 
 
 @pytest.mark.parametrize("order", [3, 4, 5])
@@ -485,12 +505,13 @@ def pass_certificate(frame) -> dict:
 
 def whole_gram_oracle(frame) -> dict:
     """The fields from the whole Gram matrix and frame operator, each one
-    product of the synthesis and its adjoint."""
-    syn = frame.synthesis
-    g = syn.adjoint() @ syn
-    return whole_gram_certificate(frame.order, frame.d, frame.n, g.array,
-                                  g.abs_squared_entries().array,
-                                  (syn @ syn.adjoint()).array)
+    product of the synthesis and its adjoint in the reference ring's
+    arrays."""
+    n, syn = frame.order, frame.synthesis.array
+    g = oracle.matmul_array(n, oracle.adjoint_array(n, syn), syn)
+    fo = oracle.matmul_array(n, syn, oracle.adjoint_array(n, syn))
+    return whole_gram_certificate(n, frame.d, frame.n, g,
+                                  oracle.abs2_array(n, g), fo)
 
 
 def scalar_phi(frame) -> list[list[tuple[int, ...]]]:
@@ -539,11 +560,10 @@ def rooted(frame, rng) -> Frame:
     """The frame with each column times a random root of unity: the same
     Gram moduli, other coefficients."""
     n, order = frame.n, frame.order
-    roots = CycMatrix.from_scalars(
-        [[zeta(order, int(rng.integers(order))) for _ in range(n)]])
-    syn = frame.synthesis.entrywise_mul(
-        CycMatrix.vstack([roots] * frame.d))
-    return Frame(syn)
+    roots = np.array([[oracle.root(order, int(rng.integers(order)))
+                       for _ in range(n)]], dtype=object)
+    return Frame(CycMatrix(order, oracle.mul_array(
+        order, frame.synthesis.array, roots)))
 
 
 def corrupted(frame, cells, how) -> Frame:
@@ -648,9 +668,8 @@ def test_pass_finds_the_witness_in_the_first_and_the_last_tile(order, height,
 
 def columns_frame(order, columns) -> Frame:
     """The frame whose columns list the coefficients of their entries."""
-    return Frame(CycMatrix.from_scalars(
-        [[CycScalar(order, col[r]) for col in columns]
-         for r in range(len(columns[0]))]))
+    return Frame(CycMatrix(order, np.array(columns, dtype=object)
+                           .transpose(1, 0, 2)))
 
 
 @pytest.mark.parametrize("height", [1, 2, 3, None])
@@ -761,11 +780,12 @@ def test_pass_matches_the_whole_gram_on_random_sparse_frames(order, height,
 
 
 def assert_gram_exact(frame, scalar=True) -> CycMatrix:
-    """gram(frame) is Phi* Phi as one product of the adjoint, bit for bit
-    and of the same dtype, and (with `scalar`) as summed in the reference
-    ring."""
-    got, syn = gram(frame), frame.synthesis
-    want = (syn.adjoint() @ syn).array
+    """gram(frame) is Phi* Phi, bit for bit and in its storage dtype, as
+    one product of the adjoint in the reference ring's arrays, and (with
+    `scalar`) as summed in its lists."""
+    got, n, syn = gram(frame), frame.order, frame.synthesis.array
+    want = CycMatrix(n, oracle.matmul_array(
+        n, oracle.adjoint_array(n, syn), syn)).array
     assert got.array.dtype == want.dtype and got.array.shape == want.shape
     assert np.array_equal(got.array, want)
     if want.dtype != object:
@@ -908,9 +928,7 @@ def test_tightness_of_one_column(order, d):
 
 def test_pass_matches_the_whole_gram_on_an_equiangular_frame_not_tight():
     for order in (1, 3, 8):
-        one = CycScalar.from_int(1, order)
-        two = CycScalar.from_int(2, order)
-        frame = Frame(CycMatrix.from_scalars([[one, two], [two, one]]))
+        frame = Frame(CycMatrix.from_int_matrix([[1, 2], [2, 1]], order))
         got = pass_certificate(frame)
         assert got == whole_gram_oracle(frame)
         assert got["equiangular"] and not got["tight"]

@@ -8,7 +8,7 @@ import pytest
 import oracle
 from etfkit import cyclo
 from etfkit.cli import hadamard_from_spec
-from etfkit.cyclo import CycMatrix, CycScalar
+from etfkit.cyclo import CycMatrix
 from etfkit.designs import gf_build
 from etfkit.hadamard import (
     HadamardError,
@@ -26,8 +26,9 @@ from etfkit.hadamard import (
 def test_sylvester_small():
     h = sylvester(2)
     assert h.size == 4 and h.dephased
-    target = CycMatrix.identity(4, 2).scalar_mul(4)
-    assert h.mat.adjoint() @ h.mat == target
+    order, arr = h.mat.order, h.mat.array
+    hh = oracle.matmul_array(order, oracle.adjoint_array(order, arr), arr)
+    assert np.array_equal(hh, oracle.eye(order, 4, 4))
     assert sylvester(0).size == 1
     assert verify_hadamard(sylvester(0)).ok
 
@@ -35,7 +36,7 @@ def test_sylvester_small():
 def test_fourier3_exact():
     h = fourier(3)
     assert h.size == 3 and h.dephased
-    assert h.mat.entry(1, 2).coeffs == oracle.root(3, 2)
+    assert oracle.entries(h.mat.array)[1][2] == oracle.root(3, 2)
     assert verify_hadamard(h).ok
 
 
@@ -71,12 +72,11 @@ def test_paley_i_prime_power_field():
 
 def test_dephase_complex_phases():
     # scramble fourier(5) with a unimodular column scaling, then restore
-    from etfkit.hadamard import HadamardMatrix
-
     h = fourier(5)
-    scales = CycMatrix.diagonal([CycScalar(5, oracle.root(5, 2 * c))
-                                 for c in range(5)])
-    scrambled = HadamardMatrix(h.mat @ scales)
+    scales = np.array([[oracle.root(5, 2 * c) for c in range(5)]],
+                      dtype=object)
+    scrambled = HadamardMatrix(
+        CycMatrix(5, oracle.mul_array(5, h.mat.array, scales)))
     assert not scrambled.dephased
     fixed = dephase(scrambled)
     assert fixed.dephased and verify_hadamard(fixed).ok
@@ -91,7 +91,7 @@ def test_paley_residue_preconditions():
 
 
 def test_verify_rejects_identity():
-    rep = verify_hadamard(CycMatrix.identity(2))
+    rep = verify_hadamard(CycMatrix(1, oracle.eye(1, 2)))
     assert not rep.ok
 
 
@@ -109,11 +109,11 @@ def test_verify_rejects_nonunimodular():
 def test_dephase():
     h = fourier(4)
     assert dephase(h) is h                         # already dephased
-    neg = sylvester(1).mat.scalar_mul(-1)          # both columns negated
-    fixed = dephase(__import__("etfkit.hadamard", fromlist=["x"])
-                    .HadamardMatrix(neg))
+    syl = sylvester(1).mat
+    neg = CycMatrix(syl.order, -syl.array)         # both columns negated
+    fixed = dephase(HadamardMatrix(neg))
     assert fixed.dephased
-    assert fixed.mat == sylvester(1).mat
+    assert fixed.mat == syl
 
 
 def test_dephase_paley_ii():
@@ -135,19 +135,21 @@ def test_simplex_from_hadamard_spec(spec):
     # the simplex carries no certificate: its identities must follow from H's
     h = hadamard_from_spec(spec)
     s = simplex_from_hadamard(h)
-    n, order = h.size, h.mat.order
+    n, order, arr = h.size, h.mat.order, s.array
     assert s.shape == (n - 1, n)
-    assert s.abs_squared_entries() == CycMatrix.ones(n - 1, n, order)
-    n_eye = CycMatrix.identity(n, order).scalar_mul(n)
-    assert s.adjoint() @ s == n_eye - CycMatrix.ones(n, n, order)
-    assert s @ s.adjoint() == CycMatrix.identity(n - 1, order).scalar_mul(n)
+    assert np.array_equal(oracle.abs2_array(order, arr),
+                          oracle.full(order, (n - 1, n)))
+    adj = oracle.adjoint_array(order, arr)
+    assert np.array_equal(oracle.matmul_array(order, adj, arr),
+                          oracle.eye(order, n, n) - oracle.full(order, (n, n)))
+    assert np.array_equal(oracle.matmul_array(order, arr, adj),
+                          oracle.eye(order, n - 1, n))
 
 
 def test_simplex_from_sylvester1():
     s = simplex_from_hadamard(sylvester(1))
     assert s.shape == (1, 2)
-    assert s.entry(0, 0) == 1
-    assert s.entry(0, 1) == CycScalar.from_int(-1, 2)
+    assert oracle.entries(s.array) == [[(1,), (-1,)]]
 
 
 def test_simplex_fourier10():
@@ -264,18 +266,14 @@ REPORTS = [
 
 @pytest.fixture
 def forbid(monkeypatch):
-    """Make the CycMatrix methods that verify_hadamard and dephase do not
-    call raise; return a list of the shapes cyclo._Space.values evaluates
-    from then on."""
-    def refuse(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"CycMatrix.{name} called")
-        return call
+    """Make CycMatrix.ones raise, which verify_hadamard and dephase do not
+    call (conftest's guard refuses the algebra members); return a list of
+    the shapes cyclo._Space.values evaluates from then on."""
+    def ones(*args, **kwargs):
+        raise AssertionError("CycMatrix.ones called")
 
     def install():
-        for name in ("abs_squared_entries", "ones", "entry", "diagonal",
-                     "__matmul__"):
-            monkeypatch.setattr(CycMatrix, name, refuse(name))
+        monkeypatch.setattr(CycMatrix, "ones", ones)
         evaluated = []
         real = cyclo._Space.values
 
@@ -300,8 +298,9 @@ def test_reports_match_the_recorded_strings(forbid, index):
 
 def dephase_oracle(h: HadamardMatrix) -> np.ndarray:
     """H times the diagonal of the conjugates of its first row."""
-    scales = [h.mat.entry(0, c).conjugate() for c in range(h.size)]
-    return (h.mat @ CycMatrix.diagonal(scales)).array
+    n, arr = h.mat.order, h.mat.array
+    return CycMatrix(n, oracle.mul_array(
+        n, arr, oracle.conj_array(n, arr[:1]))).array
 
 
 @pytest.mark.parametrize("make", [
@@ -312,10 +311,10 @@ def test_dephase_matches_the_diagonal_product(forbid, make):
     rng = random.Random(5)
     h = make()
     n, order = h.size, h.mat.order
-    roots = CycMatrix.from_scalars(
-        [[CycScalar(order, oracle.root(order, rng.randrange(order)))
-          for _ in range(n)]])
-    h = HadamardMatrix(h.mat.entrywise_mul(CycMatrix.vstack([roots] * n)))
+    roots = np.array([[oracle.root(order, rng.randrange(order))
+                       for _ in range(n)]], dtype=object)
+    h = HadamardMatrix(
+        CycMatrix(order, oracle.mul_array(order, h.mat.array, roots)))
     assert not h.dephased
     want = dephase_oracle(h)
     forbid()
