@@ -1,6 +1,12 @@
 """Command-line front end: build pipelines, verify artifacts, classify
 parameters, and read/write the design and frame text formats.
 
+Input files are read as bytes and parsed from them (fileio); `verify`
+holds no reference to a file's bytes while it certifies what they held.
+`design` and `build` write their file block by block as fileio makes the
+blocks, so the whole text is never held; a failure part way, such as
+running out of memory, removes the partial file.
+
 Exit codes: 0 success/pass, 1 verification failure, 2 usage, parameter,
 file or resource error (such as running out of memory).
 """
@@ -8,6 +14,8 @@ file or resource error (such as running out of memory).
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -38,14 +46,15 @@ from .designs import (
 from .fileio import (
     DesignVerifyError,
     FileFormatError,
+    _design_bytes,
+    _design_header,
+    _frame_bytes,
     _parse_matrix,
     parse_design,
-    parse_frame,
-    serialize_design,
-    serialize_frame,
 )
 from .frames import (
     EtfType,
+    Frame,
     FrameError,
     classify_type,
     verify_etf,
@@ -121,12 +130,28 @@ def certificate_line(cert) -> str:
     return f"{cert} types={_types_field(cert.d, cert.n)}"
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> bytes:
+    return Path(path).read_bytes()
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _read_frame(path: str) -> Frame:
+    # not parse_frame, which perfbench/tracing.py wraps with a hook that
+    # encodes its argument as text
+    return Frame(_parse_matrix(_read(path)))
+
+
+def _write(path: str, blocks) -> None:
+    """Write the blocks to path as they are made.  A failure part way, such
+    as running out of memory, leaves no partial file behind."""
+    with open(path, "wb") as fh:
+        try:
+            for block in blocks:
+                fh.write(block)
+            fh.flush()
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.unlink(path)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +196,8 @@ def cmd_design(args) -> int:
     if not report.ok:
         print(f"verification failed: {report.failure}", file=sys.stderr)
         return VERIFY_ERROR
-    text = serialize_design(design)
-    _write(args.output, text)
-    print(text.splitlines()[0])
+    _write(args.output, _design_bytes(design))
+    print(_design_header(design))
     return 0
 
 
@@ -192,7 +216,7 @@ def cmd_build(args) -> int:
                                 args.variant)
     else:
         frame, cert = _build_gdd_etf(args)
-    _write(args.output, serialize_frame(frame))
+    _write(args.output, _frame_bytes(frame))
     if cert.welch_equality:
         print(certificate_line(cert))
     else:
@@ -203,7 +227,7 @@ def cmd_build(args) -> int:
 
 
 def _build_gdd_etf(args):
-    seed = parse_frame(_read(args.seed))
+    seed = _read_frame(args.seed)
     gdd = parse_design(_read(args.gdd))
     matches = []
     if seed.d > 1:
@@ -222,20 +246,20 @@ def _build_gdd_etf(args):
 
 
 def cmd_verify(args) -> int:
-    text = _read(args.path)
+    # no reference to the file's bytes outlives its parse
     if args.kind == "design":
         try:
-            design = parse_design(text)
+            design = parse_design(_read(args.path))
         except DesignVerifyError as exc:
             print(f"fail: {exc.report.failure}")
             return VERIFY_ERROR
         print(str(verify_gdd(design)))
         return 0
     if args.kind == "hadamard":         # a zero entry fails here, not in Frame
-        report = verify_hadamard(_parse_matrix(text))
+        report = verify_hadamard(_parse_matrix(_read(args.path)))
         print(str(report))
         return 0 if report.ok else VERIFY_ERROR
-    cert = verify_etf(parse_frame(text))
+    cert = verify_etf(_read_frame(args.path))
     if cert.welch_equality:
         print(certificate_line(cert))
         return 0

@@ -12,24 +12,30 @@ Frame files:
 Both formats round-trip losslessly; design files must additionally pass
 verify_gdd to parse at all.
 
-A design body is read as one (B, K) int64 array when the file is ASCII,
-its only line break is the newline, and its body is B lines of K tokens
--?[0-9]{1,18}, one space apart, each line ascending.  Any other file, and
-a body that fails these checks, is read line by line, so that an error
-names its first bad line.  A design is written from its array, as int64
-frame rows are.
+The parsers take a file's bytes or its text.  A plain file, ASCII with
+the newline as its only line break, is read from its bytes as they are
+(text is encoded once).  Bytes of any other file are decoded as
+Path.read_text(encoding="utf-8") decodes them: strict UTF-8, so that a
+file that is not UTF-8 raises the same UnicodeDecodeError, with "\r\n"
+and a lone "\r" read as "\n".  Such a file is read line by line.
+
+A design body is read as one (B, K) int64 array when the file is plain
+and its body is B lines of K tokens -?[0-9]{1,18}, one space apart, each
+line ascending.  Any other file, and a body that fails these checks, is
+read line by line, so that an error names its first bad line.
 
 A frame body is read whole, not entry by entry.  The header, the row
 count and every row's width are checked before anything of the header's
 size is allocated.  deg = phi(n) comes from the factorisation of n, so
 Phi_n is built only by the CycMatrix that receives the coefficients, after
-every check.  An ASCII file whose only line break is the newline is read
-from its encoded bytes as they are: the line ends are found by memchr, one
-pass deletes every byte but the separators, which must be exactly those of
-D lines of N entries of deg tokens, and one count of " | " shows that each
-"|" is a separator.  Any other file, and any that fails these checks, is
-split by str.splitlines() and checked line by line, so that an error names
-the first line or entry that breaks it whichever way the file was read.
+every check.  In a plain file the line ends are found by memchr, one pass
+deletes every byte but the separators, which must be exactly those of D
+lines of N entries of deg tokens (the expected separators are built only
+after their count matches), and one count of " | " shows that each "|" is
+a separator: "1 | 1 0| 1" has the separator bytes of "1 | 10 | 1".  Any
+other file, and any that fails these checks, is split by str.splitlines()
+and checked line by line, so that an error names the first line or entry
+that breaks it whichever way the file was read.
 
 The coefficients are then read as bytes, in blocks of whole rows of about
 2^15 coefficients, so that no Python object is made per coefficient and
@@ -45,15 +51,21 @@ they fit.  Only when int() fails too is the body walked entry by entry, to
 name the first bad entry (r, c) in row-major order, its count checked
 before its integers.
 
-A frame with int64 storage is written in the same blocks of rows: each
-coefficient's digits are counted against the powers of ten, one cumulative
-sum places every token and separator in a uint8 buffer, the digits are
-written column by column, and each block is decoded once.  Python-int
-storage (a coefficient at or above 2^62) is written one row at a time, each
-row formatted from one list of Python ints.
+A file is written as ASCII bytes in the same blocks of whole rows, each
+made only when the one before has been taken: serialize_frame and
+serialize_design join them into a str, while the CLI writes each block to
+its file as it is made.  In an int64 block every coefficient is written
+right-aligned into a uint8 cell of one width, its "-", its digits (one
+pass per digit of the longest token) and its separator slots ("," or " "
+within a row, " | " between entries, the newline after the last), NUL
+elsewhere; one bytes.translate deletes the NULs.  Python-int storage (a
+coefficient at or above 2^62) is written one row at a time, each row
+formatted from one list of Python ints.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -97,36 +109,48 @@ class DesignVerifyError(ValueError):
 
 
 def serialize_design(design: GroupDivisibleDesign) -> str:
-    head = f"GDD {design.K} {design.U} {design.M} {design.B}\n"
+    return b"".join(_design_bytes(design)).decode("ascii")
+
+
+def _design_header(design: GroupDivisibleDesign) -> str:
+    return f"GDD {design.K} {design.U} {design.M} {design.B}"
+
+
+def _design_bytes(design: GroupDivisibleDesign) -> Iterator[bytes]:
+    """The design file in blocks of whole lines, each made when asked."""
+    yield f"{_design_header(design)}\n".encode("ascii")
     blocks = design.blocks
     if blocks.size == 0:
-        return head + "\n" * design.B
-    return head + _row_text(blocks, blocks.shape[1], " ")
+        yield b"\n" * design.B
+    else:
+        yield from _int64_lines(blocks, blocks.shape[1], " ")
 
 
-def parse_design(text: str) -> GroupDivisibleDesign:
-    raw = text.encode("utf-8", "surrogatepass")
-    cut = raw.find(b"\n") % (len(raw) + 1)
-    first = raw[:cut].decode("utf-8", "surrogatepass")
-    # a plain file's header is its first line, and its body may be read
-    # from its bytes
-    plain = (raw.isascii() and first.strip()
-             and not any(b in raw for b in _LINE_BREAKS))
-    lines = ([first] if plain
-             else [ln for ln in text.splitlines() if ln.strip()])
-    if not lines:
-        raise FileFormatError("empty design file")
-    head = lines[0].split()
+def parse_design(data: str | bytes) -> GroupDivisibleDesign:
+    raw, lines = _plain(data), None
+    if raw is not None:
+        cut = raw.find(b"\n") % (len(raw) + 1)
+        first = raw[:cut].decode("ascii")
+    # any other file, and a plain one whose first line is blank, is read
+    # line by line
+    if raw is None or not first.strip():
+        raw = None
+        lines = [ln for ln in _text(data).splitlines() if ln.strip()]
+        if not lines:
+            raise FileFormatError("empty design file")
+        first = lines[0]
+    head = first.split()
     if len(head) != 5 or head[0] != "GDD":
-        raise FileFormatError(f"bad design header: {lines[0]!r}")
+        raise FileFormatError(f"bad design header: {first!r}")
     try:
         k, u, m, b = (int(x) for x in head[1:])
     except ValueError as exc:
-        raise FileFormatError(f"non-integer design header: {lines[0]!r}") \
+        raise FileFormatError(f"non-integer design header: {first!r}") \
             from exc
-    blocks = _plain_blocks(raw[cut + 1:], k, b) if plain else None
+    blocks = None if raw is None else _plain_blocks(raw[cut + 1:], k, b)
     if blocks is None:      # line by line, naming the first bad line
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if lines is None:
+            lines = [ln for ln in _text(data).splitlines() if ln.strip()]
         if len(lines) - 1 != b:
             raise FileFormatError(
                 f"header promises {b} blocks, file has {len(lines) - 1}")
@@ -150,6 +174,23 @@ def parse_design(text: str) -> GroupDivisibleDesign:
     return design
 
 
+def _plain(data: str | bytes) -> bytes | None:
+    """The bytes of a plain file, which are read as they are: ASCII, with
+    no line break but the newline.  None for any other file."""
+    if not data.isascii():
+        return None
+    raw = data.encode("ascii") if isinstance(data, str) else data
+    return None if any(b in raw for b in _LINE_BREAKS) else raw
+
+
+def _text(data: str | bytes) -> str:
+    """The text of a file as read_text(encoding="utf-8") reads it: strict
+    UTF-8, with "\r\n" and "\r" read as "\n"."""
+    if isinstance(data, str):
+        return data
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _plain_blocks(body: bytes, k: int, b: int) -> np.ndarray | None:
     """The blocks of a plain body of b lines of k tokens -?[0-9]{1,18},
     one space apart, each line ascending; else None."""
@@ -166,60 +207,73 @@ def _plain_blocks(body: bytes, k: int, b: int) -> np.ndarray | None:
 
 
 def serialize_frame(frame: Frame) -> str:
+    return b"".join(_frame_bytes(frame)).decode("ascii")
+
+
+def _frame_bytes(frame: Frame) -> Iterator[bytes]:
+    """The frame file in blocks of whole lines, each made when asked."""
     syn = frame.synthesis
     deg = syn.array.shape[2]
     rows = syn.array.reshape(frame.d, -1)
-    head = f"FRAME {syn.order} {frame.d} {frame.n}"
+    yield f"FRAME {syn.order} {frame.d} {frame.n}\n".encode("ascii")
     if rows.dtype == np.int64:
-        step = max(1, _BLOCK // rows.shape[1])
-        return "".join([head + "\n"] + [
-            _row_text(rows[r:r + step], deg)
-            for r in range(0, frame.d, step)])
-    lines = [head]
+        yield from _int64_lines(rows, deg, ",")
+        return
     for row in rows:             # Python ints: formatted one row at a time
         tokens = map(str, row.tolist())
         if deg > 1:                      # each run of deg tokens is one entry
             tokens = map(",".join, zip(*[tokens] * deg))
-        lines.append(" | ".join(tokens))
-    return "\n".join(lines) + "\n"
+        yield (" | ".join(tokens) + "\n").encode("ascii")
 
 
-def _row_text(rows: np.ndarray, deg: int, comma: str = ",") -> str:
-    """The text of whole rows of int64 coefficients, each row's entries of
-    deg coefficients joined by comma, every line ended by a newline."""
-    # the separator after each coefficient of a row is "," within an entry,
-    # " | " between entries and the line end after the last
-    bar = np.zeros(rows.shape[1], dtype=bool)
-    bar[deg - 1:-1:deg] = True
-    mag = np.abs(rows)
+def _int64_lines(rows: np.ndarray, deg: int, comma: str) -> Iterator[bytes]:
+    """The lines of int64 rows, each row's entries of deg coefficients
+    joined by comma and the entries by " | ", in blocks of whole rows of
+    about _BLOCK coefficients.
+
+    Each coefficient is written right-aligned in a cell of one width, its
+    sign and digits followed by the separator slots; the padding is NUL,
+    and one translate per block deletes it."""
+    width = rows.shape[1]
+    # the separator after each coefficient of a row is comma within an
+    # entry, " | " between entries and the line end after the last
+    seps = np.zeros((width, 1 if deg == width else 3), dtype=np.uint8)
+    seps[:, 0] = ord(comma)
+    if deg < width:
+        seps[deg - 1::deg] = np.frombuffer(b" | ", dtype=np.uint8)
+    seps[-1] = 0
+    seps[-1, 0] = ord("\n")
+    step = max(1, _BLOCK // width)
+    for r in range(0, rows.shape[0], step):
+        yield _cells(rows[r:r + step], seps).tobytes().translate(None, b"\0")
+
+
+def _cells(rows: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """A (rows, width, cell) uint8 array: each coefficient right-aligned,
+    "-" before its digits when negative, then the separator slots seps;
+    NUL elsewhere."""
+    mag = np.abs(rows)                     # |coefficient| < 2^62
     neg = rows < 0
-    ndig = np.ones(rows.shape, dtype=np.uint8)
-    for p in _POW10[_POW10 <= mag.max()]:
-        ndig += mag >= p
-    # |coefficient| < 2^62, so a token is at most 20 bytes and its
-    # separator 3; int32 offsets suffice below 2^31 bytes
-    sep = np.where(bar, 3, 1).astype(np.uint8)
-    end = np.cumsum(ndig + neg + sep, dtype=np.int32 if 23 * rows.size < 2**31
-                    else np.int64).reshape(rows.shape)
-    buf = np.full(int(end[-1, -1]), ord(comma), dtype=np.uint8)
-    buf[end[:, -1] - 1] = ord("\n")
-    bars = end[:, bar]
-    buf[bars - 1] = ord(" ")
-    buf[bars - 2] = ord("|")
-    buf[bars - 3] = ord(" ")
-    stop = end - sep                       # one past each token's last digit
-    q = mag
-    for j in range(int(ndig.max())):       # one masked pass per digit
-        high = q // 10
-        digit = q - 10 * high + ord("0")
-        if j == 0:
-            buf[stop - 1] = digit
+    ndig = len(str(int(mag.max())))
+    tok = ndig + bool(neg.any())           # the widest token
+    line = np.zeros((rows.shape[1], tok + seps.shape[1]), dtype=np.uint8)
+    line[:, tok:] = seps
+    cells = np.empty(rows.shape + line.shape[1:], dtype=np.uint8)
+    cells[:] = line                        # one contiguous copy per row
+    q, digit = np.divmod(mag, 10) if ndig > 1 else (None, mag)
+    np.add(digit, ord("0"), out=cells[..., tok - 1], casting="unsafe")
+    sign = neg                             # no "-" written yet
+    for j in range(1, tok):                # one pass per digit or sign
+        at = cells[..., tok - 1 - j]
+        if j < ndig:
+            more = q > 0                   # those with a digit j
+            q, digit = np.divmod(q, 10)
+            np.add(digit, ord("0"), out=at, where=more, casting="unsafe")
+            at[sign & ~more] = ord("-")
+            sign = sign & more
         else:
-            at = ndig > j
-            buf[stop[at] - 1 - j] = digit[at]
-        q = high
-    buf[stop[neg] - 1 - ndig[neg]] = ord("-")
-    return buf.tobytes().decode("ascii")
+            at[sign] = ord("-")
+    return cells
 
 
 def _totient(n: int) -> int:
@@ -291,8 +345,9 @@ def _int64_coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
         block = raw[lo if r == 0 else ends[r - 1] + 1:ends[r + rows - 1]]
         # each row holds n - 1 "|", each inside its own " | ": with no other
         # " ", deleting every " " leaves one separator per "|"
-        spaces = np.count_nonzero(np.frombuffer(block, np.uint8) == ord(" "))
-        block = block.translate(_SEPARATORS, b" ") + b","
+        kept = block.translate(_SEPARATORS, b" ")
+        spaces = len(block) - len(kept)         # those the translate deleted
+        block = kept + b","
         if spaces != 2 * rows * (n - 1) or b"x" in block:
             return None
         buf = np.frombuffer(block, dtype=np.uint8)
@@ -349,24 +404,25 @@ def _plain_lines(raw: bytes, lo: int, d: int, n: int,
     return ends
 
 
-def parse_frame(text: str) -> Frame:
-    return Frame(_parse_matrix(text))
+def parse_frame(data: str | bytes) -> Frame:
+    return Frame(_parse_matrix(data))
 
 
-def _parse_matrix(text: str) -> CycMatrix:
+def _parse_matrix(data: str | bytes) -> CycMatrix:
     """The matrix of a frame file, read before `Frame` checks its columns,
     so that a Hadamard file with a zero entry reaches its certifier."""
-    raw = text.encode("utf-8", "surrogatepass")
-    # ASCII with no line break but "\n" splits at each newline, so the body
-    # can be read from the encoded text as it is
-    plain = raw.isascii() and not any(b in raw for b in _LINE_BREAKS)
-    lines = None if plain else text.splitlines()
-    if plain:
-        head_line = raw[:raw.find(b"\n") % (len(raw) + 1)].decode("ascii")
-    else:
-        head_line = lines[0] if lines else ""
-    if not text:
+    if not data:
         raise FileFormatError("empty frame file")
+    raw = _plain(data)
+    lines = None
+    if raw is None:
+        text = _text(data)
+        lines = text.splitlines()
+        head_line = lines[0] if lines else ""
+        size = len(text)
+    else:
+        head_line = raw[:raw.find(b"\n") % (len(raw) + 1)].decode("ascii")
+        size = len(raw)
     head = head_line.split()
     if len(head) != 4 or head[0] != "FRAME":
         raise FileFormatError(f"bad frame header: {head_line!r}")
@@ -377,20 +433,22 @@ def _parse_matrix(text: str) -> CycMatrix:
             from exc
     if order < 1 or d < 1 or n < 1:
         raise FileFormatError("frame dimensions must be positive")
-    # phi(n) >= sqrt(n / 2), so past 2 len(text)^2 no entry of the file
-    # holds phi(n) coefficients; below it, trial division takes about as
-    # many steps as the file has characters
-    if order > max(2 * len(text) ** 2, _TRIAL_DIVISION_LIMIT):
+    # phi(n) >= sqrt(n / 2), so past 2 size^2 no entry of a file of `size`
+    # characters holds phi(n) coefficients; below it, trial division takes
+    # about as many steps as the file has characters
+    if order > max(2 * size ** 2, _TRIAL_DIVISION_LIMIT):
         raise FileFormatError(
             f"order {order} needs more coefficients per entry than the "
             f"file has characters")
     deg = _totient(order)
     lo = len(head_line) + 1
-    ends = _plain_lines(raw, lo, d, n, deg) if plain else None
+    ends = None if raw is None else _plain_lines(raw, lo, d, n, deg)
     if ends is None:
         # any other file is split into lines; each check, in order, names
         # the first line or entry that fails it
-        body = [ln for ln in (lines or text.splitlines())[1:] if ln.strip()]
+        if lines is None:
+            lines = _text(data).splitlines()
+        body = [ln for ln in lines[1:] if ln.strip()]
         if len(body) != d:
             raise FileFormatError(
                 f"header promises {d} rows, file has {len(body)}")

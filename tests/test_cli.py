@@ -7,7 +7,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import prod
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from etfkit import cli, cyclo, fileio, frames
 from etfkit import designs as design_module
-from etfkit.cli import main
+from etfkit.cli import hadamard_from_spec, main
+from etfkit.constructions import regular_simplex, steiner_etf
 from etfkit.cyclo import CycMatrix, cyclotomic_polynomial
 from etfkit.fileio import (
     DesignVerifyError,
@@ -151,6 +154,8 @@ def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys):
                f"{str(missing)!r}")
     assert run(capsys, "design", "sts", "7", "-o", str(folder)) == (
         2, "", is_dir)
+    assert run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3",
+               "-o", str(folder)) == (2, "", is_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +567,34 @@ def test_parse_frame_rejects_garbage():
 
 
 def test_parse_frame_checks_row_widths_before_allocating():
-    # 21 bytes whose header promises ten million columns
+    # 21 bytes whose header promises ten million columns, read from bytes
+    # or from text: the separators a plain body must hold are built only
+    # once their count matches the body's
     text = "FRAME 1 1 10000000\n0\n"
-    tracemalloc.start()
-    try:
-        with pytest.raises(FileFormatError, match="row 0 has 1 entries"):
-            parse_frame(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for data in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="row 0 has 1 entries"):
+                parse_frame(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def test_parse_frame_counts_each_bar_as_one_separator():
+    # "1 | 1 0| 1 | 1" has the separator bytes and the spaces of
+    # "1 | 10 | 1 | 1": only the count of " | " shows that its second "|"
+    # is not one, and the line reader then names the row
+    bad = "FRAME 2 1 4\n1 | 1 0| 1 | 1\n"
+    good = "FRAME 2 1 4\n1 | 10 | 1 | 1\n"
+    for data in (bad, bad.encode()):
+        with pytest.raises(FileFormatError) as info:
+            parse_frame(data)
+        assert str(info.value) == "row 0 has 3 entries, expected 4"
+    for data in (good, good.encode()):
+        assert parse_frame(data).synthesis.array.ravel().tolist() == \
+            [1, 10, 1, 1]
 
 
 def test_parse_frame_of_a_large_order_builds_no_ring_tables():
@@ -642,6 +665,9 @@ def test_parse_frame_error_messages_pinned(text, message):
     with pytest.raises(FileFormatError) as info:
         parse_frame(text)
     assert str(info.value) == message
+    # and the same error from the text's bytes
+    got, want = _from_bytes(_outcome, parse_frame, text)
+    assert got == want == (FileFormatError, message)
 
 
 # The frame parser and writer as they were when every entry was read and
@@ -705,6 +731,18 @@ def _outcome(parse, text):
     return syn.order, syn.array.dtype, syn.array.tolist()
 
 
+def _from_bytes(outcome, parse, text):
+    """The outcome of parsing the UTF-8 bytes of `text`, and the outcome it
+    must equal: that of parsing the text, or, for text that no UTF-8 file
+    holds (a lone surrogate), the UnicodeDecodeError of reading them."""
+    data = text.encode("utf-8", "surrogatepass")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return outcome(parse, data), (UnicodeDecodeError, str(exc))
+    return outcome(parse, data), outcome(parse, text)
+
+
 def _matrix(order, rows):
     return CycMatrix(order, np.array(rows, dtype=object))
 
@@ -739,6 +777,8 @@ def test_parse_frame_agrees_with_the_per_entry_parser(data):
         text = text[:at] + ("" if edit == "delete" else char) + tail
     assert _outcome(parse_frame, text) == \
         _outcome(_parse_frame_per_entry, text)
+    got, want = _from_bytes(_outcome, parse_frame, text)
+    assert got == want
 
 
 COEFFICIENT = st.one_of(
@@ -750,17 +790,20 @@ COEFFICIENT = st.one_of(
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_serialize_frame_writes_each_entry_as_before(data):
-    order = data.draw(st.sampled_from([2, 3, 5, 15]))      # deg 1, 2, 4, 8
+    order = data.draw(st.sampled_from([2, 3, 5, 15, 21]))  # deg 1 ... 12
     deg = cyclo._ring(order).degree
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     coeffs = data.draw(st.lists(COEFFICIENT, min_size=rows * cols * deg,
                                 max_size=rows * cols * deg))
     arr = np.array(coeffs, dtype=object).reshape(rows, cols, deg)
     assume(arr.any(axis=(0, 2)).all())
     frame = Frame(CycMatrix(order, arr))
-    text = serialize_frame(frame)
+    # blocks of one row, of a few rows, or the whole frame
+    block = data.draw(st.sampled_from([1, 2 * cols * deg, fileio._BLOCK]))
+    with mock.patch.object(fileio, "_BLOCK", block):
+        text = serialize_frame(frame)
+        again = parse_frame(text).synthesis
     assert text == _serialize_frame_per_entry(frame)
-    again = parse_frame(text).synthesis
     assert again == frame.synthesis
     assert again.array.dtype == frame.synthesis.array.dtype
 
@@ -783,6 +826,8 @@ def test_parse_frame_reads_edge_tokens_as_the_per_entry_parser(token):
                  f"FRAME 2 2 1\n{token}\n1\n"):
         assert _outcome(parse_frame, text) == \
             _outcome(_parse_frame_per_entry, text)
+        got, want = _from_bytes(_outcome, parse_frame, text)
+        assert got == want
 
 
 # Every FileFormatError of parse_design, word for word; each check comes in
@@ -819,6 +864,9 @@ def test_parse_design_error_messages_pinned(text, message):
     with pytest.raises(FileFormatError) as info:
         parse_design(text)
     assert str(info.value) == message
+    # and the same error from the text's bytes
+    got, want = _from_bytes(_design_outcome, parse_design, text)
+    assert got == want == (FileFormatError, message)
 
 
 def _parse_design_per_line(text: str):
@@ -887,6 +935,8 @@ def test_parse_design_agrees_with_the_per_line_parser(data):
         text = text[:at] + ("" if edit == "delete" else char) + tail
     assert _design_outcome(parse_design, text) == \
         _design_outcome(_parse_design_per_line, text)
+    got, want = _from_bytes(_design_outcome, parse_design, text)
+    assert got == want
 
 
 @pytest.mark.parametrize("token", EDGE_TOKENS)
@@ -895,6 +945,51 @@ def test_parse_design_reads_edge_tokens_as_the_per_line_parser(token):
                  f"GDD 2 3 1 3\n{token} 1\n0 2\n1 2\n"):
         assert _design_outcome(parse_design, text) == \
             _design_outcome(_parse_design_per_line, text)
+        got, want = _from_bytes(_design_outcome, parse_design, text)
+        assert got == want
+
+
+def _read_text_outcome(outcome, parse, path):
+    """The outcome of parsing what read_text reads from path."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return UnicodeDecodeError, str(exc)
+    return outcome(parse, text)
+
+
+@pytest.mark.parametrize("kind", ["frame", "design"])
+def test_parse_reads_file_bytes_as_read_text_reads_them(tmp_path, kind):
+    # CRLF and lone-CR line ends, a BOM, non-ASCII UTF-8 and bytes that are
+    # not UTF-8: the parse of a file's bytes is the parse of the text
+    # read_text gives, its error or the UnicodeDecodeError read_text raises
+    outcome, parse, text = {
+        "frame": (_outcome, parse_frame, VALID_FRAMES[1]),
+        "design": (_design_outcome, parse_design, VALID_DESIGNS[0])}[kind]
+    lf = text.encode()
+    crlf, cr = lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r")
+    head, body = lf.split(b"\n", 1)        # CRLF, then CR, then LF
+    mixed = head + b"\r\n" + body.replace(b"\n", b"\r", 1)
+    cases = {
+        "crlf": crlf, "cr": cr, "mixed": mixed,
+        "bom": b"\xef\xbb\xbf" + lf,
+        "arabic-indic 0": text.replace("0", "\u0660", 1).encode(),
+        "e acute": lf.replace(b"0", "\u00e9".encode(), 1),
+        "0xff": lf[:20] + b"\xff" + lf[20:],
+        "crlf 0xff": crlf[:-3] + b"\xff" + crlf[-3:],
+        "cut short": lf + "\u20ac".encode()[:2],
+    }
+    want_lf = outcome(parse, text)
+    assert want_lf[0] is not FileFormatError
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.{kind}"
+        path.write_bytes(data)
+        got = outcome(parse, path.read_bytes())
+        assert got == _read_text_outcome(outcome, parse, path), name
+        if name in ("crlf", "cr", "mixed"):
+            assert got == want_lf, name
+        if "ff" in name or name == "cut short":
+            assert got[0] is UnicodeDecodeError, name
 
 
 def test_parse_design_peaks_below_the_dense_certificate(tmp_path, capsys):
@@ -1111,18 +1206,109 @@ def test_parse_frame_reads_rows_across_blocks(d, n, order, rows_per_block):
             _outcome(_parse_frame_per_entry, bad)
 
 
-def test_serialize_frame_writes_every_digit_count_as_before():
+def test_serialize_frame_writes_every_digit_count_as_before(monkeypatch):
     values = [sign * v for k in range(1, 19)
               for v in (10**(k - 1), 10**k - 1) for sign in (1, -1)]
     values += [10**18, -(10**18), 2**62 - 1, -(2**62 - 1)]   # 19 digits
     values += [0, 0, -1, 1]
-    for order, shape in ((2, (8, 10, 1)), (5, (4, 5, 4))):
-        frame = Frame(CycMatrix(order, np.array(values).reshape(shape)))
+    for order, shape in ((2, (8, 10, 1)), (5, (4, 5, 4)), (21, (2, 4, 12))):
+        arr = np.resize(np.array(values), prod(shape)).reshape(shape)
+        frame = Frame(CycMatrix(order, arr))
         assert frame.synthesis.array.dtype == np.int64
-        assert serialize_frame(frame) == _serialize_frame_per_entry(frame)
+        want = _serialize_frame_per_entry(frame)
+        for block in (fileio._BLOCK, 1, 2 * shape[1] * shape[2]):
+            monkeypatch.setattr(fileio, "_BLOCK", block)
+            assert serialize_frame(frame) == want
+        monkeypatch.undo()
     for k in range(19):                  # the largest coefficient is 10^k
         frame = Frame(CycMatrix(2, np.array([[[10**k], [-3]]])))
         assert serialize_frame(frame) == _serialize_frame_per_entry(frame)
+
+
+def _serialize_design_per_line(design) -> str:
+    return "".join([f"GDD {design.K} {design.U} {design.M} {design.B}\n"]
+                   + [" ".join(map(str, blk)) + "\n"
+                      for blk in design.blocks.tolist()])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_serialize_design_writes_each_line_as_before(data):
+    # the writer takes any int64 rows; serialize_design does not certify
+    k, b = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
+    label = st.one_of(st.integers(0, 40), st.integers(-40, 2**62 - 1))
+    blocks = data.draw(st.lists(st.lists(label, min_size=k, max_size=k),
+                                min_size=b, max_size=b))
+    design = design_module.GroupDivisibleDesign(k, 3, 7, blocks)
+    block = data.draw(st.sampled_from([1, 2 * k, fileio._BLOCK]))
+    with mock.patch.object(fileio, "_BLOCK", block):
+        text = serialize_design(design)
+    assert text == _serialize_design_per_line(design)
+
+
+def _streamed(tmp_path, capsys):
+    """The design and frames etfkit writes, each beside what the library's
+    serializer gives for the same object."""
+    sts7, etf, simplex = (tmp_path / name for name in
+                          ("sts7.design", "etf7x28.frame", "mb3.frame"))
+    assert run(capsys, "design", "sts", "7", "-o", str(sts7))[0] == 0
+    assert run(capsys, "build", "steiner", "--bibd", str(sts7),
+               "--hadamard", "sylvester:2", "-o", str(etf))[0] == 0
+    assert run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3",
+               "-o", str(simplex))[0] == 0
+    design = design_module.steiner_triple_system(7)
+    return [
+        (sts7, serialize_design(design)),
+        (etf, serialize_frame(
+            steiner_etf(design, hadamard_from_spec("sylvester:2"))[0])),
+        (simplex, serialize_frame(
+            regular_simplex(3, hadamard_from_spec("fourier:3"))[0])),
+    ]
+
+
+def test_cli_writes_the_bytes_of_the_serializers(tmp_path, capsys,
+                                                 monkeypatch):
+    # whole files, and files streamed a row at a time
+    for block in (fileio._BLOCK, 1):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        for path, text in _streamed(tmp_path, capsys):
+            assert path.read_bytes() == text.encode(), (block, path.name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("design", "sts", "7"),                               # 7 rows
+    ("build", "simplex", "5", "--hadamard", "fourier:5"),  # 4 rows
+])
+def test_memory_error_while_writing_leaves_no_file(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    # a row a block: two blocks are made, and making the third runs out of
+    # memory while the file is open
+    out = tmp_path / "out"
+    real, made = fileio._cells, []
+
+    def cells(*args):
+        if len(made) == 2:
+            assert out.exists()
+            raise MemoryError
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fileio, "_BLOCK", 1)
+    monkeypatch.setattr(fileio, "_cells", cells)
+    assert run(capsys, *argv, "-o", str(out)) == (
+        2, "", "error: out of memory")
+    assert len(made) == 2 and not out.exists()
+
+
+def test_verify_reads_a_crlf_copy_as_the_file(tmp_path, capsys):
+    # the CRLF copy of a frame and of a design certify as the LF files do
+    for path, _ in _streamed(tmp_path, capsys):
+        kind = path.suffix[1:]
+        copy = tmp_path / f"crlf-{path.name}"
+        copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        lf = run(capsys, "verify", str(path), "--kind", kind)
+        assert lf[0] == 0 and lf[1]
+        assert run(capsys, "verify", str(copy), "--kind", kind) == lf
 
 
 def test_frame_text_peaks_within_the_text_output_and_a_block():

@@ -397,3 +397,29 @@ def test_from_int_matrix_and_scalar_mul():
     doubled = m.scalar_mul(2)
     assert doubled.entry(1, 1) == 4
     assert (-m).entry(0, 0) == -1
+
+
+@pytest.mark.parametrize("order", [1, 3, 12])
+def test_products_with_a_zero_operand(kernel_paths, order):
+    # a pass bounded by 0 runs at no prime and evaluates no operand, though
+    # the other operand's coefficients are far past 2^53; each result is
+    # the oracle's
+    ring = cyclo._ring(order)
+    d = ring.degree
+    rng = np.random.default_rng(order)
+    a = rng.integers(-9, 10, size=(2, 3, d)).astype(object) * 2**200
+    b = rng.integers(-9, 10, size=(3, 4, d)).astype(object) * 2**200
+    za, zb = np.zeros((2, 3, d), np.int64), np.zeros((3, 4, d), np.int64)
+    cases = [(cyclo._matmul, za, b, oracle.matmul_array),
+             (cyclo._matmul, a, zb, oracle.matmul_array),
+             (cyclo._entrywise, za, a, oracle.mul_array),
+             (cyclo._entrywise, a, za, oracle.mul_array),
+             (cyclo._entrywise, za[:1], a, oracle.mul_array),   # broadcast
+             (cyclo._entrywise, za, None, oracle.abs2_array)]   # |0|^2
+    for product, x, y, reference in cases:
+        want = reference(order, x) if y is None else reference(order, x, y)
+        with kernel_paths() as seen:
+            got = product(x, y, ring)
+        assert seen == [0]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+

@@ -275,6 +275,24 @@ def test_naimark_not_tight_input():
     assert not np.array_equal(oracle.matmul_array(1, comp, comp), 2 * comp)
 
 
+def test_naimark_gram_of_a_zero_gram(kernel_paths):
+    # a pass bounded by 0 runs at no prime, and each residue in it is 0:
+    # den G G = num G holds for G = 0, and G' = num I - den G = num I
+    order, n = 5, 3
+    g = np.zeros((n, n, cyclo._ring(order).degree), dtype=np.int64)
+    for a in (Fraction(2), Fraction(3, 2), Fraction(-7, 4)):
+        with kernel_paths() as seen:
+            res = naimark_gram(CycMatrix(order, g), a)
+        assert seen == [0]
+        gg = oracle.matmul_array(order, g, g)
+        tight = np.array_equal(a.denominator * gg, a.numerator * g)
+        assert res.input_tight == res.transfer_ok == tight
+        assert res.denominator == a.denominator
+        assert np.array_equal(res.complement.array,
+                              oracle.eye(order, n, a.numerator)
+                              - a.denominator * g)
+
+
 # ---------------------------------------------------------------------------
 # the two-distance report of a failed certificate
 

@@ -95,6 +95,18 @@ def test_verify_rejects_identity():
     assert not rep.ok
 
 
+def test_verify_hadamard_of_a_zero_matrix(kernel_paths):
+    # a pass bounded by 0 runs at no prime, and reads |0|^2 = 0, not 1: the
+    # first entry fails, with the oracle's |H_00|^2
+    zero = np.zeros((3, 3, 2), dtype=np.int64)
+    with kernel_paths() as seen:
+        rep = verify_hadamard(CycMatrix(3, zero))
+    assert seen == [0]
+    mod = tuple(int(x) for x in oracle.abs2_array(3, zero)[0, 0])
+    assert not rep.ok
+    assert rep.failure == f"entry (0, 0) is not unimodular: |.|^2 = {mod}"
+
+
 def test_hadamard_matrix_refuses_a_failed_certificate():
     with pytest.raises(HadamardError, match=r"H\*H differs from nI"):
         HadamardMatrix(CycMatrix.ones(2, 2, 2))
