@@ -420,9 +420,9 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min()))
 
 
-def _stored(arr: np.ndarray) -> np.ndarray:
-    """The storage form of a coefficient array: int64 when every
-    coefficient is below 2^62 in magnitude, else Python ints."""
+def _stored(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """The storage form of a coefficient array, int64 when every
+    coefficient is below 2^62 in magnitude (else Python ints), and its max."""
     small = arr
     if arr.dtype != np.int64:
         if arr.dtype.kind not in "biuO":
@@ -431,10 +431,10 @@ def _stored(arr: np.ndarray) -> np.ndarray:
         try:
             small = arr.astype(np.int64)
         except OverflowError:
-            return arr
-    if _max_abs(small) < _INT64_SAFE:
-        return small
-    return arr.astype(object, copy=False)
+            return arr, _max_abs(arr)
+    mag = _max_abs(small)
+    big = mag >= _INT64_SAFE
+    return (arr.astype(object, copy=False) if big else small), mag
 
 
 def _scaled(arr: np.ndarray, s: int) -> np.ndarray:
@@ -663,7 +663,7 @@ class CycMatrix:
 
     Immutable.  The backing array has shape (rows, cols, phi(n)) and is
     int64 while every coefficient is below 2^62 in magnitude, Python ints
-    otherwise.
+    otherwise; `mag`, max|coefficient|, is found as it is stored.
 
     No program path calls these 16 members; they are kept only because
     perfbench/tracing.py wraps them by name: `__add__`, `__sub__`,
@@ -673,18 +673,19 @@ class CycMatrix:
     their own (test_cyclo.py, test_kernel.py) may not call them.
     """
 
-    __slots__ = ("order", "_arr")
+    __slots__ = ("order", "mag", "_arr")
 
     def __init__(self, order: int, arr: np.ndarray, _copy: bool = True):
         ring = _ring(order)
         if arr.ndim != 3 or arr.shape[2] != ring.degree:
             raise ValueError(
                 f"backing array must be (rows, cols, {ring.degree})")
-        a = _stored(arr)
+        a, mag = _stored(arr)
         if _copy and a is arr:
             a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mag", mag)
         object.__setattr__(self, "_arr", a)
 
     def __setattr__(self, name, value):

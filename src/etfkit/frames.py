@@ -17,8 +17,13 @@ steps:
    which fixes t.  Tile I is G[I, I.start:]: a tile multiplies only the
    rows of Phi that its columns touch, gathered (a dense frame's tiles
    take every row, as a plain slice), and only the columns of Phi from
-   its first row on.  Each tile is interpolated once, and its |G|^2 is
-   compared with |G_01|^2 at the points; past the primes, in its own space.
+   its first row on.  Past its product a tile costs its interpolation
+   (none with no prime: its float64 values are its coefficients), then,
+   until a witness is found, its max|coefficient| and its |G|^2 against
+   |G_01|^2 at the points (past the primes, in its own space), and while
+   there are at most two its distinct off-diagonal values, which a failed
+   certificate reports.  At d = 1 a tile with no witness holds only
+   +-G_01 off its diagonal, so once both are held it is not read for them.
 3. Tightness.  For an equal-norm, equiangular frame it is Welch equality:
    sum |G_ij|^2 = N s^2 + N(N - 1) t, so
    ||Phi Phi* - (N s / D) I||_F^2 = (N / D)(t D (N - 1) - s^2 (N - D)),
@@ -29,12 +34,11 @@ steps:
 The pass follows the zero pattern of Phi, which `Frame` keeps.  A
 coefficient of G sums over the rows where both of its columns are
 nonzero, and one of Phi Phi* over the columns where both of its rows are.
-So the a-priori bound counts the most nonzeros of a column or of a row,
-not max(D, N).  A zero entry is 0 at every point, so the same count is the
-width of the prime ladder.  The pass stops once every field of the
-certificate is fixed, and forms no N x N array.  `gram` runs the same row
-tiles, each over all N columns, to the end, each interpolated into its
-N x N output.
+So the a-priori bound, and the width of the prime ladder (a zero entry is
+0 at every point), count the most nonzeros of a column or of a row, not
+max(D, N).  The pass stops once every field of the certificate is fixed,
+and forms no N x N array.  `gram` runs the same row tiles, each over all
+N columns, to the end, into its N x N output.
 
 Hermitian symmetry halves the work twice.  G is Hermitian, G_rc =
 conj(G_cr), so the pass never forms its lower block triangle: |G_rc|^2
@@ -209,7 +213,7 @@ class EtfCertificate:
         the row sums of the coefficient array.  They are exact in int64
         while max|Phi_ij| N < 2^63, and in Python ints past that."""
         arr = self._synthesis.array
-        if arr.dtype != object and _max_abs(arr) * self.n >= 2**63:
+        if arr.dtype != object and self._synthesis.mag * self.n >= 2**63:
             arr = arr.astype(object)
         return not arr.sum(axis=1).any()
 
@@ -238,13 +242,13 @@ def _first(mask: np.ndarray) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
-def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
+def _distinct(values: list[np.ndarray], coef: np.ndarray,
               off: np.ndarray, conj) -> list[np.ndarray] | None:
     """The distinct off-diagonal values of a Hermitian Gram so far, in order
     of first appearance, after a row tile of its upper block triangle:
     `coef` holds the tile's exact coefficients (d, entries) in row-major
     order, `off` marks its off-diagonal entries.  None once there are more
-    than two.
+    than two, after which no tile is read.
 
     A value left out, below the diagonal, is the conjugate of one a tile
     holds.  So `conj`, which maps a value's coefficients to its
@@ -252,8 +256,6 @@ def _distinct(values: list[np.ndarray] | None, coef: np.ndarray,
     the values kept are closed under conjugation, as the whole Gram's are.
     The order needs no positions: with at most two values, the first is
     G_01, the first off-diagonal entry, found first."""
-    if values is None:
-        return None
     for v in values:
         off = off & (coef != v[:, None]).any(axis=0)
     while len(values) < 2 and (new := _first(off)) is not None:
@@ -336,9 +338,7 @@ def _frame_space(mat: CycMatrix,
     """The space of a pass over the products of Phi and Phi*, max|Phi| and
     the growth of such a product.  `support` is Phi's zero pattern, None
     when Phi is dense."""
-    arr, (d, n) = mat.array, mat.shape
-    ring = _ring(mat.order)
-    mag = _max_abs(arr)
+    (d, n), ring, mag = mat.shape, _ring(mat.order), mat.mag
     # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
     # where both entries are nonzero, so over at most `terms` entries, the
     # most nonzeros of a column (of a row).  Each term is deg products of
@@ -408,20 +408,16 @@ def _tight(space: _Space, phi: list[np.ndarray], c: int) -> bool:
 def verify_etf(frame: Frame) -> EtfCertificate:
     """Certify equal norms, equiangularity, tightness and Welch equality,
     all as exact integer identities, in one pass: norms, then Gram tiles,
-    then tightness.  Tightness of an equal-norm, equiangular frame is its
-    Welch identity (see the module docstring); only another frame whose
-    N s / D is an integer forms Phi Phi*.  A failed certificate carries its
-    witness and the distinct off-diagonal Gram values (None past two);
-    flatness and centering are computed when first read."""
-    support = frame.support
+    then tightness (see the module docstring).  A failed certificate
+    carries its witness and the distinct off-diagonal Gram values (None
+    past two); flatness and centering are computed when first read."""
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg, half = ring.degree, _half(ring.degree)
-    space, mag, growth = _frame_space(frame.synthesis, support)
+    space, mag, growth = _frame_space(frame.synthesis, frame.support)
     phi = space.values(frame.synthesis.array, mag)        # (deg, D, N)
 
-    # a column norm is real: its values at the first ceil(d/2) points give
-    # the rest
+    # a column norm is real: its first ceil(d/2) values give the rest
     norms = space.exact([
         _mirrored(space.reduce(np.einsum("jki,jki->ji", space.conj(v)[:half],
                                          v[:half]), i), deg)
@@ -434,20 +430,18 @@ def verify_etf(frame: Frame) -> EtfCertificate:
         return v if deg == 1 else np.array(
             CycScalar(order, v.tolist()).conjugate().coeffs, dtype=v.dtype)
 
-    # row tiles of G's upper block triangle, G[rows, rows.start:], in
-    # row-major order until every field is fixed; entry (0, 1), whose |.|^2
-    # is ref, is entry 1 of the first.  An entry left out, (r, c) with
-    # c < rows.start, is conj(G_cr), and |G_cr|^2 was compared in an
-    # earlier tile: so the first entry of G that breaks an identity is the
-    # first in the tiles
+    # row tiles of G's upper block triangle until every field is fixed;
+    # entry (0, 1), whose |.|^2 is ref, is entry 1 of the first
     values, ref, at, angle = [], np.zeros(0, np.int64), None, None
-    for rows, hit in _tiles(support, deg) if n > 1 else ():
+    for rows, hit in _tiles(frame.support, deg) if n > 1 else ():
         tile = _gram_tile(space, phi, rows, hit, rows.start)
-        coef = space.exact(tile)                          # (deg, entries)
+        # (deg, entries); with no prime, the values: integers below 2^53
+        coef = space.exact(tile) if space.primes else tile[0].reshape(deg, -1)
         w = n - rows.start                                # the tile's width
-        off = np.ones(coef.shape[1], dtype=bool)
-        off[::w + 1] = False
-        values = _distinct(values, coef, off, conj)
+        # at d = 1 a tile with no witness has g^2 = t = G_01^2 off its
+        # diagonal, so g = +-G_01: once both are held (one at t = 0), it has
+        # no new value.  At d > 1, |g|^2 = t has others, such as zeta G_01
+        held = deg == 1 and values and values[-1][0] == -values[0][0]
         if angle is None:
             # |G|^2 and ref, both real, are compared at the first ceil(d/2)
             # points of the pass's space if it covers both, else of one in
@@ -462,14 +456,21 @@ def verify_etf(frame: Frame) -> EtfCertificate:
                 ref = own.exact([_mirrored(m[:, 1], deg) for m in mods])[:, 0]
             if at is None or at[0] is not own:   # ref's values in this space
                 at = own, own.values(ref[None], _max_abs(ref))
-            bad = _first(off & np.any([(m != r[:half]).any(axis=0)
-                                       for m, r in zip(mods, at[1])], axis=0))
-            if bad is not None:
+            diff = np.zeros(coef.shape[1], dtype=bool)    # |G|^2 != ref
+            for m, r in zip(mods, at[1]):         # one point needs no any
+                diff |= m[0] != r[0] if half == 1 else (m != r[:half]).any(0)
+            diff[::w + 1] = False                 # the tile's diagonal
+            if (bad := _first(diff)) is not None:
                 angle = (rows.start + bad // w, rows.start + bad % w,
                          own.exact([_mirrored(m[:, bad], deg)
                                     for m in mods])[:, 0])
+        if values is not None and not (held and angle is None):
+            off = np.ones(coef.shape[1], dtype=bool)
+            off[::w + 1] = False
+            values = _distinct(values, coef, off, conj)
         if angle is not None and values is None:
             break
+        tile = coef = vals = mods = None    # freed before the next tile
     t = (int(ref[0]) if ref.size and angle is None and not ref[1:].any()
          else None)
     equiangular = n == 1 or t is not None
@@ -555,10 +556,8 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
         raise FrameError("Gram matrix must be square")
     frac = Fraction(a)
     num, den = frac.numerator, frac.denominator
-    n, arr = g.rows, g.array
-    ring = _ring(g.order)
-    deg, mag = ring.degree, _max_abs(arr)
-    half = _half(deg)
+    n, arr, mag, ring = g.rows, g.array, g.mag, _ring(g.order)
+    deg, half = ring.degree, _half(ring.degree)
     space = _Space(ring, max(n, deg),
                    den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
 

@@ -87,6 +87,24 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
     assert len(shapes) == 1
 
 
+@pytest.mark.parametrize("order", [2, 3, 10])
+def test_max_abs_of_a_matrix_is_read_where_it_is_stored(order, monkeypatch):
+    # CycMatrix finds max|coefficient| as it stores its array, so the pass,
+    # flat, gram and naimark_gram reduce no whole synthesis or Gram again:
+    # only a tile's coefficients, (d, entries), and |G_01|^2
+    frame = simplex_over(order)
+    seen, real = [], frames._max_abs
+    monkeypatch.setattr(frames, "_max_abs",
+                        lambda arr: seen.append(arr.ndim) or real(arr))
+    cert = verify_etf(frame)
+    assert cert.welch_equality and cert.flat and cert.centered
+    g = gram(frame)
+    assert naimark_gram(g, cert.a).input_tight
+    assert seen and max(seen) <= 2
+    assert frame.synthesis.mag == real(frame.synthesis.array)
+    assert g.mag == real(g.array)
+
+
 B = 2**62 - 1                           # the largest int64 coefficient
 Z3 = [oracle.root(3, k) for k in range(3)]
 CENTERED = [
@@ -340,6 +358,8 @@ def offdiag_values(g: CycMatrix, rows: int):
 
     values = []
     for r0 in range(0, n, rows):
+        if values is None:          # more than two: no tile is read
+            break
         tile = slice(r0, min(r0 + rows, n))
         part = arr[tile, r0:]
         off = np.ones(part.shape[:2], dtype=bool)
@@ -761,6 +781,122 @@ def test_pass_multiplies_only_the_upper_block_triangle(height, tiles,
     assert_gram_exact(etf, scalar=False)
     assert seen and all(start == 0 and shapes[0][2] == n
                         for _, start, shapes in seen)
+
+
+# At d = 1, a tile with no witness holds only +-G_01 off its diagonal, so
+# once both are held the pass reads no more distinct values from such a
+# tile; at d > 1 it reads them on.  Each frame below puts the edge of that
+# rule in a different tile.
+
+
+def gadget_frame(order, n, unit, cells=None) -> Frame:
+    """N columns with G_rc = unit for r < c, each pair of columns through
+    a coordinate of its own (column r holds 1 there, column c the unit),
+    so every norm is N - 1.  `cells` maps a pair to another unit, or to
+    None for G_rc = 0: then r and c hold 1 at two coordinates of their
+    own, and the norms stay N - 1."""
+    one, zero = oracle.const(order, 1), oracle.const(order, 0)
+    columns = [[] for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            g = (cells or {}).get((r, c), unit)
+            places = [(one, g)] if g is not None else [(one, zero),
+                                                       (zero, one)]
+            for a, b in places:
+                for j, x in enumerate(columns):
+                    x.append(a if j == r else b if j == c else zero)
+    return columns_frame(order, columns)
+
+
+def distinct_calls(monkeypatch) -> list:
+    """The values that each call of `_distinct` returns, as it returns
+    them."""
+    calls, real = [], frames._distinct
+
+    def recorded(values, coef, off, conj):
+        out = real(values, coef, off, conj)
+        calls.append(None if out is None else [tuple(v) for v in out])
+        return out
+
+    monkeypatch.setattr(frames, "_distinct", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_pass_at_d1_finds_a_third_value_after_both_signs(order, height,
+                                                        tiles, monkeypatch):
+    # G_01 = 1 and G_02 = -1 in the first tile; the only witness, G = 0, at
+    # (n - 2, n - 1), in the last tile that holds an off-diagonal entry
+    tiles(height)
+    calls = distinct_calls(monkeypatch)
+    n = 9
+    frame = gadget_frame(order, n, (1,), {(0, 2): (-1,), (n - 2, n - 1): None})
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame)
+    assert got["witness"].startswith(f"Gram entry ({n - 2}, {n - 1}) has "
+                                     f"|.|^2 = (0,)")
+    assert got["tdtf_values"] is None
+    # one call for the first tile, one for the witness's
+    assert calls == [[(1,), (-1,)], None]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_pass_at_d1_finds_the_other_sign_in_a_late_tile(order, height, tiles,
+                                                        monkeypatch):
+    # every G_rc is 1 but G = -1 at (n - 2, n - 1): no witness of
+    # equiangularity, and one sign alone is not both, so every tile is read
+    tiles(height)
+    calls = distinct_calls(monkeypatch)
+    n = 9
+    frame = gadget_frame(order, n, (1,), {(n - 2, n - 1): (-1,)})
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame)
+    assert got["equiangular"] and got["tdtf_values"] == ((1,), (-1,))
+    assert len(calls) == len(range(0, n - 1, height))
+    assert calls[-1] == [(1,), (-1,)] and all(c == [(1,)] for c in calls[:-1])
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_pass_at_d2_reads_a_third_value_of_the_same_modulus(order, height,
+                                                            tiles):
+    # G_rc = zeta for r < c, so the early tiles hold {zeta, conj(zeta)};
+    # G = 1 at (n - 2, n - 1) has |1|^2 = t too, so no witness stops the
+    # pass, and only reading that tile's values finds the third
+    tiles(height)
+    n = 9
+    frame = gadget_frame(order, n, oracle.root(order, 1),
+                         {(n - 2, n - 1): oracle.const(order, 1)})
+    got = pass_certificate(frame)
+    assert got == whole_gram_oracle(frame)
+    assert got["equiangular"] and got["tdtf_values"] is None
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_pass_reads_distinct_values_only_until_both_signs(height, tiles,
+                                                          monkeypatch):
+    # the Steiner ETF(6, 16) over Z, each column signed so that row 0 of
+    # its Gram is +1 off the diagonal: -1 is first held in a later row
+    from etfkit.constructions import steiner_etf
+    from etfkit.designs import affine_plane, gf_build
+    tiles(height)
+    etf, _ = steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))
+    syn, n = etf.synthesis.array, etf.n
+    signs = np.where(oracle.matmul_array(
+        2, oracle.adjoint_array(2, syn[:, :1]), syn)[0, :, 0] < 0, -1, 1)
+    etf = Frame(CycMatrix(2, syn * signs[None, :, None]))
+    g = oracle.matmul_array(2, oracle.adjoint_array(2, etf.synthesis.array),
+                            etf.synthesis.array)[..., 0]
+    first = min(r for r in range(n) if (g[r, r + 1:] == -1).any())
+    assert first > 0
+    calls = distinct_calls(monkeypatch)
+    assert verify_etf(etf).welch_equality
+    # a call per tile up to the one that holds row `first`, then none
+    assert len(calls) == first // height + 1 < len(range(0, n, height))
+    assert calls[-1] == [(1,), (-1,)] and all(c == [(1,)]
+                                               for c in calls[:-1])
 
 
 def random_sparse_frame(order, rng, density, equal_norms) -> Frame:

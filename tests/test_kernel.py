@@ -117,9 +117,11 @@ def scalar_matmul(a: CycMatrix, b: CycMatrix) -> list[list[tuple[int, ...]]]:
 
 
 def assert_stored(m: CycMatrix) -> None:
-    """int64 exactly when every coefficient is below 2^62 in magnitude."""
+    """int64 exactly when every coefficient is below 2^62 in magnitude, and
+    `mag` that largest magnitude."""
     big = max(abs(int(c)) for c in m.array.flat)
     assert m.array.dtype == (np.int64 if big < STORE else object)
+    assert m.mag == big
 
 
 # Each check runs one operation one below and at every step of its bound,
