@@ -24,30 +24,45 @@ and its body is B lines of K tokens -?[0-9]{1,18}, one space apart, each
 line ascending.  Any other file, and a body that fails these checks, is
 read line by line, so that an error names its first bad line.
 
-A frame body is read whole, not entry by entry.  The header, the row
-count and every row's width are checked before anything of the header's
-size is allocated.  deg = phi(n) comes from the factorisation of n, so
-Phi_n is built only by the CycMatrix that receives the coefficients, after
-every check.  In a plain file the line ends are found by memchr, one pass
-deletes every byte but the separators, which must be exactly those of D
-lines of N entries of deg tokens (the expected separators are built only
-after their count matches), and one count of " | " shows that each "|" is
-a separator: "1 | 1 0| 1" has the separator bytes of "1 | 10 | 1".  Any
-other file, and any that fails these checks, is split by str.splitlines()
-and checked line by line, so that an error names the first line or entry
-that breaks it whichever way the file was read.
+A frame body is read whole, not entry by entry, in blocks of whole rows
+of about 2^15 coefficients, so that no Python object is made per
+coefficient and the temporaries are those of one block.  deg = phi(n)
+comes from the factorisation of n, so Phi_n is built only by the
+CycMatrix that receives the coefficients, after every check.
 
-The coefficients are then read as bytes, in blocks of whole rows of about
-2^15 coefficients, so that no Python object is made per coefficient and
-the temporaries are those of one block.  In a block, "|" and the line ends
-become commas and the spaces of " | " are deleted; only the bytes 0-9, "-"
-and "," may remain, and every token must match -?[0-9]{1,18}.  Such a
-token is below 10^18 < 2^62, so it fits a CycMatrix's int64 storage; its
-digits are summed column by column, one masked pass per digit of the
-longest token.  When any token fails these checks (more digits, a "+", a
-space, a non-ASCII digit, or no integer at all), the whole body is read
-again as Python ints with int(), and CycMatrix narrows them to int64 where
-they fit.  Only when int() fails too is the body walked entry by entry, to
+A plain file's body goes to the block reader.  Before it allocates its
+int64 output, the body must hold a byte for each of the D N deg
+coefficients and one for each separator but the last, so that a header
+promising more allocates nothing.  Then, in each block:
+  - the line ends are found by memchr;
+  - one bytes.translate deletes the spaces, turns "|" into "!" and every
+    byte no token holds into "x";
+  - the token scan's separators, the bytes below "-" ("," "!" and the line
+    end), must be those of the block's lines of N entries of deg tokens:
+    their count first, then their bytes, which are built once, for the
+    first block, after its count matched;
+  - the spaces deleted must be those of the " | ".  The block holds
+    2 rows (N - 1) spaces, and the byte pairs " |" and "| " each occur
+    rows (N - 1) times.  The separators have shown that the block holds
+    rows (N - 1) "|", so each has a space on either side; no space sits
+    beside two, since the token between two "|" is not empty; so these
+    are 2 rows (N - 1) spaces, and there is no other.  Deleting the spaces
+    made each " | " one separator and changed nothing else;
+  - every token must match -?[0-9]{1,18}, so that it is below
+    10^18 < 2^62 and fits a CycMatrix's int64 storage.  Its digits are
+    summed column by column, one masked pass per digit of the longest
+    token, and each byte read as a digit must be one: an "x", a "-" after
+    the first byte and a token with no digit fail there.
+
+Any other file, and a plain one the block reader refuses, is split by
+str.splitlines() and checked line by line: the row count, then each row's
+width, before anything of the header's size is allocated, so that an
+error names the first line or entry that breaks it whichever way the file
+was read.  Its lines, joined, go to the same block reader.  When it
+refuses them too (more digits, a "+", a stray space, a non-ASCII digit,
+or no integer at all), the separators are checked whole, and the body is
+read again as Python ints with int(), which CycMatrix narrows to int64
+where they fit.  When either fails, the body is walked entry by entry, to
 name the first bad entry (r, c) in row-major order, its count checked
 before its integers.
 
@@ -87,8 +102,9 @@ _TRIAL_DIVISION_LIMIT = 2**40     # at most 2^19 trial divisions
 _BLOCK = 2**15                    # coefficients per block of whole rows
 _MAX_DIGITS = 18                  # 10^18 < 2^62: such a token is stored int64
 _POW10 = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
-# "|" and the line end become ",", and a byte no token holds becomes "x"
-_SEPARATORS = bytes(c if c in b"0123456789-," else b","[0] if c in b"|\n"
+# "|" becomes "!", below "-" as "," and the line end are, and a byte no
+# token holds becomes "x"
+_SEPARATORS = bytes(c if c in b"0123456789-,\n" else b"!"[0] if c == b"|"[0]
                     else b"x"[0] for c in range(256))
 # every byte but the separators ",", "|" and the line end
 _TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b",|\n")))
@@ -303,105 +319,141 @@ def _first_bad_entry(body: str, deg: int) -> FileFormatError:
     raise AssertionError("every entry holds deg integers")
 
 
-def _separators_ok(raw: bytes, lo: int, hi: int, d: int, n: int,
-                   deg: int) -> bool:
-    """Whether the body raw[lo:hi], d lines after a header line holding no
-    "," or "|", has the separators of lines of n entries of deg
-    comma-separated tokens, in order; a "|" inside an entry is one too
-    many.  One pass over the bytes: every other byte is deleted."""
-    seps = raw.translate(None, _TOKEN_BYTES)
-    tail = raw[hi:]                     # the last line's newline, if any
-    if len(seps) != d * n * deg + len(tail):
+def _separators_ok(body: bytes, d: int, n: int, deg: int) -> bool:
+    """Whether the body, d lines joined by "\n", has the separators of
+    lines of n entries of deg comma-separated tokens, in order; a "|"
+    inside an entry is one too many.  One pass over the bytes: every other
+    byte is deleted, and the expected separators are built only after
+    their count matches."""
+    seps = body.translate(None, _TOKEN_BYTES)
+    if len(seps) != d * n * deg - 1:
         return False
     row = b"|".join([b"," * (deg - 1)] * n)
-    return seps == b"\n".join([b""] + [row] * d) + tail
+    return seps == b"\n".join([row] * d)
 
 
-def _coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
-                  deg: int) -> np.ndarray:
-    """Every coefficient of the body raw[lo:ends[-1]], whose line r ends at
-    ends[r] and whose separators are those of n entries per line:
-    int64, or Python ints when a token is not -?[0-9]{1,18}."""
-    out = _int64_coefficients(raw, lo, ends, n, deg)
-    if out is not None:
-        return out
-    body = raw[lo:ends[-1]].decode("utf-8", "surrogatepass")
-    tokens = body.replace(" | ", ",").replace("\n", ",")
-    try:
-        return np.array([int(t) for t in tokens.split(",")], dtype=object)
-    except ValueError:
-        raise _first_bad_entry(body, deg) from None
-
-
-def _int64_coefficients(raw: bytes, lo: int, ends: np.ndarray, n: int,
+def _int64_coefficients(raw: bytes, lo: int, d: int, n: int,
                         deg: int) -> np.ndarray | None:
-    """The body's coefficients as int64, read in blocks of whole lines;
-    None when a token is not -?[0-9]{1,18}.  Each line holds n - 1 " | "."""
+    """The coefficients of the body raw[lo:] as int64, read in blocks of
+    whole lines; None unless the body is d lines of n entries joined by
+    " | ", each entry deg comma-separated tokens -?[0-9]{1,18}, the last
+    line end optional."""
     width = n * deg
-    out = np.empty(ends.size * width, dtype=np.int64)
+    # a coefficient takes a digit and a separator, but the last line end
+    # may be missing: a header promising more allocates nothing
+    if 2 * d * width - 1 > len(raw) - lo:
+        return None
+    out = np.empty(d * width, dtype=np.int64)
     step = max(1, _BLOCK // width)
-    for r in range(0, ends.size, step):
-        rows = min(step, ends.size - r)
-        block = raw[lo if r == 0 else ends[r - 1] + 1:ends[r + rows - 1]]
-        # each row holds n - 1 "|", each inside its own " | ": with no other
-        # " ", deleting every " " leaves one separator per "|"
-        kept = block.translate(_SEPARATORS, b" ")
-        spaces = len(block) - len(kept)         # those the translate deleted
-        block = kept + b","
-        if spaces != 2 * rows * (n - 1) or b"x" in block:
+    pattern = None          # the first block's separators, the most rows
+    start = lo
+    for r in range(0, d, step):
+        rows = min(step, d - r)
+        stop = start
+        final = r + rows == d             # its last line ends the body
+        for _ in range(rows - final):     # each line end, by memchr
+            stop = raw.find(b"\n", stop) + 1
+            if not stop:
+                return None
+        block = raw[start:len(raw) if final else stop]
+        start = stop
+        kept = block.translate(_SEPARATORS, b" ")     # the one pass
+        if len(block) - len(kept) != 2 * rows * (n - 1):
             return None
-        buf = np.frombuffer(block, dtype=np.uint8)
-        if not _int64_tokens(buf, np.flatnonzero(buf == ord(",")),
-                             out[r * width:(r + rows) * width]):
+        if not kept.endswith(b"\n"):
+            kept += b"\n"
+        buf = np.frombuffer(kept, dtype=np.uint8)
+        end = np.flatnonzero(buf < ord("-"))          # every separator
+        if end.size != rows * width:
+            return None
+        if pattern is None:               # built once its count matches
+            line = (b"," * (deg - 1) + b"!") * n
+            pattern = (line[:-1] + b"\n") * rows
+        # The spaces deleted were those of the " | ": with its separators
+        # in place, the block holds rows (n - 1) "|", each with a space on
+        # either side.  No space sits beside two "|", since the token
+        # between them is not empty, so those are 2 rows (n - 1) spaces,
+        # and the block holds no other.
+        if not (buf[end].tobytes() == pattern[:end.size]
+                and (n == 1 or _bars_spaced(block, rows * (n - 1)))
+                and _int64_tokens(buf, end,
+                                  out[r * width:(r + rows) * width])):
             return None
     return out
 
 
+def _bars_spaced(block: bytes, bars: int) -> bool:
+    """Whether each of the `bars` "|" of block has a space on either side:
+    the byte pairs " |" and "| " each occur `bars` times.  Each pair of
+    adjacent bytes is one uint16 of the block's pairs from offset 0 joined
+    to those from offset 1."""
+    k = len(block)
+    pairs = np.frombuffer(block[:k & ~1] + block[1:(k - 1 & ~1) + 1], "<u2")
+    return (np.count_nonzero(pairs == 0x7C20) == bars          # " |"
+            == np.count_nonzero(pairs == 0x207C))               # "| "
+
+
 def _int64_tokens(buf: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
     """Read into out the tokens of buf, which end at the separators at
-    `end`, the first starting at 0, and whose other bytes are 0-9 and "-";
-    False when a token is not -?[0-9]{1,18}."""
+    `end`, the first starting at 0, and the last byte of buf a separator;
+    False when a token is not -?[0-9]{1,18}.
+
+    Every byte of a token but its "-" is read as a digit, and a byte that
+    is not one reads past 9.  A token with no digit ("" or "-") reads the
+    byte before it, a separator or its "-", as its last digit."""
     start = np.empty_like(end)
     start[0] = 0
     np.add(end[:-1], 1, out=start[1:])
     neg = buf[start] == ord("-")
-    ndig = end - start - neg
-    if (np.count_nonzero(buf == ord("-")) != np.count_nonzero(neg)
-            or ndig.min() < 1 or ndig.max() > _MAX_DIGITS):
+    ndig = np.subtract(end, start, out=start)
+    ndig -= neg
+    top = int(ndig.max())
+    if top > _MAX_DIGITS:
         return False
-    np.subtract(buf[end - 1], ord("0"), out=out)
-    for j in range(1, int(ndig.max())):        # one masked pass per digit
+    last = end - 1
+    # in uint8, a byte that is no digit ("-", "x", a separator) reads past 9
+    np.subtract(buf[last], ord("0"), out=out, dtype=np.uint8)
+    if out.max() > 9:
+        return False
+    for j in range(1, top):                    # one masked pass per digit
         at = np.flatnonzero(ndig > j)
-        out[at] += (buf[end[at] - 1 - j] - ord("0")) * _POW10[j - 1]
+        digit = buf[last[at] - j] - ord("0")
+        if digit.max() > 9:
+            return False
+        out[at] += digit * _POW10[j - 1]
     np.negative(out, out=out, where=neg)
     return True
 
 
-def _plain_lines(raw: bytes, lo: int, d: int, n: int,
-                 deg: int) -> np.ndarray | None:
-    """The line ends of a plain body raw[lo:], read as it is: ASCII, with
-    no line break but the newline.  None unless it has d lines, each with
-    the separators of n entries of deg tokens (n deg > 1, so no line is
-    blank) and n - 1 " | ": then str.splitlines() gives the same lines, and
-    each passes the width check."""
-    hi = max(lo, len(raw) - raw.endswith(b"\n"))
-    if n * deg == 1 or d > hi - lo + 1:
-        return None
-    ends = np.empty(d, dtype=np.int64)
-    pos = lo
-    for r in range(d - 1):                 # each newline, by memchr
-        ends[r] = end = raw.find(b"\n", pos, hi)
-        if end < 0:
-            return None
-        pos = end + 1
-    ends[d - 1] = hi
-    if not _separators_ok(raw, lo, hi, d, n, deg):   # a newline too many
-        return None
-    # the d (n - 1) "|" are those of the d (n - 1) " | ", which do not
-    # overlap: each line holds n - 1 " | ", as it holds n - 1 "|"
-    if raw.count(b" | ", lo, hi) != d * (n - 1):
-        return None
-    return ends
+def _coefficients_by_line(data: str | bytes, lines: list[str] | None,
+                          d: int, n: int, deg: int) -> np.ndarray:
+    """Every coefficient of a file's body, d lines of n entries of deg
+    tokens, read from its lines: int64, or Python ints when a token is not
+    -?[0-9]{1,18}.  Each check, in order, names the first line or entry
+    that fails it."""
+    if lines is None:
+        lines = _text(data).splitlines()
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != d:
+        raise FileFormatError(
+            f"header promises {d} rows, file has {len(body)}")
+    for r, ln in enumerate(body):            # before allocating anything
+        width = ln.count(" | ") + 1
+        if width != n:
+            raise FileFormatError(
+                f"row {r} has {width} entries, expected {n}")
+    raw = "\n".join(body).encode("utf-8", "surrogatepass")
+    out = _int64_coefficients(raw, 0, d, n, deg)
+    if out is not None:
+        return out
+    text = raw.decode("utf-8", "surrogatepass")
+    if not _separators_ok(raw, d, n, deg):
+        raise _first_bad_entry(text, deg)
+    tokens = text.replace(" | ", ",").replace("\n", ",")
+    try:
+        return np.array([int(t) for t in tokens.split(",")], dtype=object)
+    except ValueError:
+        raise _first_bad_entry(text, deg) from None
 
 
 def parse_frame(data: str | bytes) -> Frame:
@@ -441,28 +493,9 @@ def _parse_matrix(data: str | bytes) -> CycMatrix:
             f"order {order} needs more coefficients per entry than the "
             f"file has characters")
     deg = _totient(order)
-    lo = len(head_line) + 1
-    ends = None if raw is None else _plain_lines(raw, lo, d, n, deg)
-    if ends is None:
-        # any other file is split into lines; each check, in order, names
-        # the first line or entry that fails it
-        if lines is None:
-            lines = _text(data).splitlines()
-        body = [ln for ln in lines[1:] if ln.strip()]
-        if len(body) != d:
-            raise FileFormatError(
-                f"header promises {d} rows, file has {len(body)}")
-        for r, ln in enumerate(body):        # before allocating anything
-            width = ln.count(" | ") + 1
-            if width != n:
-                raise FileFormatError(
-                    f"row {r} has {width} entries, expected {n}")
-        raw = "\n".join([""] + body).encode("utf-8", "surrogatepass")
-        lo = 1
-        if not _separators_ok(raw, lo, len(raw), d, n, deg):
-            raise _first_bad_entry(raw[lo:].decode("utf-8", "surrogatepass"),
-                                   deg)
-        ends = np.cumsum([len(ln.encode("utf-8", "surrogatepass")) + 1
-                          for ln in body], dtype=np.int64)
-    arr = _coefficients(raw, lo, ends, n, deg).reshape(d, n, deg)
-    return CycMatrix(order, arr, _copy=False)
+    out = None
+    if raw is not None:
+        out = _int64_coefficients(raw, len(head_line) + 1, d, n, deg)
+    if out is None:          # any other file, and any the blocks refuse
+        out = _coefficients_by_line(data, lines, d, n, deg)
+    return CycMatrix(order, out.reshape(d, n, deg), _copy=False)

@@ -567,25 +567,35 @@ def test_parse_frame_rejects_garbage():
 
 
 def test_parse_frame_checks_row_widths_before_allocating():
-    # 21 bytes whose header promises ten million columns, read from bytes
-    # or from text: the separators a plain body must hold are built only
-    # once their count matches the body's
-    text = "FRAME 1 1 10000000\n0\n"
-    for data in (text, text.encode()):
-        tracemalloc.start()
-        try:
-            with pytest.raises(FileFormatError, match="row 0 has 1 entries"):
-                parse_frame(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+    # files of a few bytes whose headers promise 10^7 to 2 * 10^11
+    # coefficients, read from bytes or from text: the block reader bounds
+    # D N deg by the body's length before it allocates its int64 output,
+    # and the line reader counts rows and entries before it allocates
+    for text, message in [
+        ("FRAME 1 1 10000000\n0\n", "row 0 has 1 entries, expected 10000000"),
+        ("FRAME 2 2 100000000000\n1\n1\n",
+         "row 0 has 1 entries, expected 100000000000"),
+        ("FRAME 2 100000 1000\n1\n",
+         "header promises 100000 rows, file has 1"),
+        ("FRAME 2 1 100000000000\n1\n",
+         "row 0 has 1 entries, expected 100000000000"),
+    ]:
+        for data in (text, text.encode()):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FileFormatError) as info:
+                    parse_frame(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == message
+            assert peak < 2**20
 
 
 def test_parse_frame_counts_each_bar_as_one_separator():
     # "1 | 1 0| 1 | 1" has the separator bytes and the spaces of
-    # "1 | 10 | 1 | 1": only the count of " | " shows that its second "|"
-    # is not one, and the line reader then names the row
+    # "1 | 10 | 1 | 1": only the pairs " |" and "| " show that its second
+    # "|" is not within a " | ", and the line reader then names the row
     bad = "FRAME 2 1 4\n1 | 1 0| 1 | 1\n"
     good = "FRAME 2 1 4\n1 | 10 | 1 | 1\n"
     for data in (bad, bad.encode()):
@@ -609,6 +619,45 @@ def test_parse_frame_of_a_large_order_builds_no_ring_tables():
         tracemalloc.stop()
     assert frame.synthesis.array.tolist() == [[[1] + [0] * 2001]]
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("order", [2, 10, 30])         # deg 1, 4 and 8
+def test_parse_frame_reads_the_files_etfkit_writes_block_by_block(
+        order, monkeypatch):
+    # a silent return to the line reader would keep every result and lose
+    # the speed: the files etfkit writes never reach it, in one block or
+    # in several, while a CRLF copy and a coefficient of 2^62 do
+    real, calls = fileio._coefficients_by_line, []
+    monkeypatch.setattr(fileio, "_coefficients_by_line",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def read(data):
+        calls.clear()
+        return fileio._parse_matrix(data), len(calls)
+
+    # int64 coefficients of up to 18 digits, most of them small
+    rng = np.random.default_rng(order)
+    shape = (7, 5, cyclo._ring(order).degree)
+    arr = np.where(rng.random(shape) < 0.05,
+                   rng.integers(-(10**18) + 1, 10**18, size=shape),
+                   rng.integers(-3, 4, size=shape))
+    arr[:, :, 0] += arr[:, :, 0] == 0               # no zero column
+    frame = Frame(CycMatrix(order, arr))
+    data = serialize_frame(frame).encode()
+    width = 5 * shape[2]
+    for block in (width, 3 * width, fileio._BLOCK):   # 7, 3 and 1 blocks
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        matrix, lines = read(data)
+        assert lines == 0 and matrix.array.dtype == np.int64
+        assert matrix == frame.synthesis
+        matrix, lines = read(data.replace(b"\n", b"\r\n"))
+        assert lines == 1 and matrix == frame.synthesis
+    arr = arr.astype(object)
+    arr[3, 2, 0] = 2**62
+    frame = Frame(CycMatrix(order, arr))
+    matrix, lines = read(serialize_frame(frame).encode())
+    assert lines == 1 and matrix.array.dtype == object
+    assert matrix == frame.synthesis
 
 
 # Every FileFormatError of parse_frame, word for word; each check comes in
@@ -769,15 +818,33 @@ MUTATION = settings(max_examples=400, deadline=None, derandomize=True,
 @given(st.data())
 def test_parse_frame_agrees_with_the_per_entry_parser(data):
     text = data.draw(st.sampled_from(VALID_FRAMES), label="frame")
+    _, order, _, n = text.split("\n", 1)[0].split()
+    width = int(n) * cyclo._ring(int(order)).degree
+    # blocks of one row, of two rows, or the whole frame, so that each
+    # check of the block reader also runs in a block after the first
+    block = data.draw(st.sampled_from([1, 2 * width, fileio._BLOCK]),
+                      label="block")
     for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace",
+                                          "move"]), label="edit")
+        bars = [i for i in range(len(text)) if text.startswith(" | ", i)]
+        if edit == "move" and bars:
+            # one space of a " | " moves by one byte: "1 |2  | 3"
+            at = data.draw(st.sampled_from(bars)) + data.draw(
+                st.sampled_from([0, 2]))
+            to = max(0, at + data.draw(st.sampled_from([-1, 1])))
+            chars = list(text)
+            chars.insert(to, chars.pop(at))
+            text = "".join(chars)
+            continue
         at = data.draw(st.sampled_from(range(len(text) + 1)), label="at")
-        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
-        char = data.draw(st.sampled_from("0123456789,|-+ \nx"))
+        char = data.draw(st.sampled_from("0123456789,|-+ \nx\r\t"))
         tail = text[at + 1:] if edit != "insert" else text[at:]
         text = text[:at] + ("" if edit == "delete" else char) + tail
-    assert _outcome(parse_frame, text) == \
-        _outcome(_parse_frame_per_entry, text)
-    got, want = _from_bytes(_outcome, parse_frame, text)
+    with mock.patch.object(fileio, "_BLOCK", block):
+        assert _outcome(parse_frame, text) == \
+            _outcome(_parse_frame_per_entry, text)
+        got, want = _from_bytes(_outcome, parse_frame, text)
     assert got == want
 
 
