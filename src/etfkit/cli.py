@@ -366,7 +366,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, DesignError, ConstructionError, FrameError,
             HadamardError, FileFormatError, OSError,
-            UnicodeDecodeError) as exc:   # a file that cannot be read/written
+            UnicodeDecodeError,       # a file that cannot be read/written
+            OverflowError) as exc:    # an order past the prime ladder
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DesignVerifyError as exc:

@@ -14,10 +14,12 @@ verify_gdd to parse at all.
 
 The parsers take a file's bytes or its text.  A plain file, ASCII with
 the newline as its only line break, is read from its bytes as they are
-(text is encoded once).  Bytes of any other file are decoded as
-Path.read_text(encoding="utf-8") decodes them: strict UTF-8, so that a
-file that is not UTF-8 raises the same UnicodeDecodeError, with "\r\n"
-and a lone "\r" read as "\n".  Such a file is read line by line.
+(text is encoded once).  Only its header line is searched for the other
+line breaks but "\r": the block readers refuse one in a body, and the
+file is then read as any other file is.  Bytes of any other file are
+decoded as Path.read_text(encoding="utf-8") decodes them: strict UTF-8,
+so that a file that is not UTF-8 raises the same UnicodeDecodeError, with
+"\r\n" and a lone "\r" read as "\n".  Such a file is read line by line.
 
 A design body is read as one (B, K) int64 array when the file is plain
 and its body is B lines of K tokens -?[0-9]{1,18}, one space apart, each
@@ -192,11 +194,20 @@ def parse_design(data: str | bytes) -> GroupDivisibleDesign:
 
 def _plain(data: str | bytes) -> bytes | None:
     """The bytes of a plain file, which are read as they are: ASCII, with
-    no line break but the newline.  None for any other file."""
+    no line break but the newline.  None for any other file.
+
+    Only the header line is searched for the breaks other than "\r": in a
+    body, each is a byte that no token or separator holds, which the block
+    readers refuse, and the file is then read line by line, as any other
+    file is.  A "\r" is searched for in the whole file, as a "\r\n" read
+    from bytes is one character, and a frame's order is bounded by the
+    characters."""
     if not data.isascii():
         return None
     raw = data.encode("ascii") if isinstance(data, str) else data
-    return None if any(b in raw for b in _LINE_BREAKS) else raw
+    head = raw[:raw.find(b"\n") % (len(raw) + 1)]
+    return (None if b"\r" in raw or any(b in head for b in _LINE_BREAKS)
+            else raw)
 
 
 def _text(data: str | bytes) -> str:

@@ -17,13 +17,24 @@ steps:
    which fixes t.  Tile I is G[I, I.start:]: a tile multiplies only the
    rows of Phi that its columns touch, gathered (a dense frame's tiles
    take every row, as a plain slice), and only the columns of Phi from
-   its first row on.  Past its product a tile costs its interpolation
-   (none with no prime: its float64 values are its coefficients), then,
-   until a witness is found, its max|coefficient| and its |G|^2 against
-   |G_01|^2 at the points (past the primes, in its own space), and while
-   there are at most two its distinct off-diagonal values, which a failed
-   certificate reports.  At d = 1 a tile with no witness holds only
-   +-G_01 off its diagonal, so once both are held it is not read for them.
+   its first row on.  Past its product a tile is read at the pass's
+   points, and only the entries that a certificate prints are
+   interpolated: G_01 and ref = |G_01|^2, the witness, and each distinct
+   value reported.  Two rules read it:
+   (a) Until a witness is found, its |G|^2 is compared with ref.  Where
+       the norms are certified equal to s and the primes cover s^2 (see
+       the norm rule below), that is at the pass's points.  Else, and in
+       the tile that holds the first witness, the tile is interpolated
+       (none with no prime: its float64 values are its coefficients), and
+       |G|^2 is compared in a space that covers max|coefficient|^2 growth
+       and ref: the pass's, or one of its own in which the tile is
+       evaluated.
+   (b) While there are at most two, its distinct off-diagonal values,
+       which a failed certificate reports, are found by their values: the
+       pass covers every coefficient of G, so two entries are equal
+       exactly when they agree at every point modulo every prime.  At
+       d = 1 a tile with no witness holds only +-G_01 off its diagonal,
+       so once both are held it is not read for them.
 3. Tightness.  For an equal-norm, equiangular frame it is Welch equality:
    sum |G_ij|^2 = N s^2 + N(N - 1) t, so
    ||Phi Phi* - (N s / D) I||_F^2 = (N / D)(t D (N - 1) - s^2 (N - D)),
@@ -55,6 +66,21 @@ At d = 1 that is the one point.  `naimark_gram` is handed any G, so it
 checks, per prime, that G's values at the conjugate points are the
 transposes of its values at the points; only then is den G G = num G
 checked at half of them.
+
+The norm rule bounds the values of a comparison, not its coefficients, as
+FFLAS-FFPACK's argument bounds the sums of a product (see `cyclo`).  Let
+sigma be a complex embedding of Q(zeta_n).  The field is abelian, so
+sigma commutes with complex conjugation, and sigma(G_ij) is the inner
+product of columns i and j of sigma(Phi).  Once every G_ii is certified
+equal to the integer s, Cauchy-Schwarz gives |sigma(G_ij)|^2 <= s^2, so
+sigma(|G_ij|^2) and sigma(ref) lie in [0, s^2], and x = |G_ij|^2 - ref has
+|sigma(x)| <= s^2 for every sigma.  If their values agree at every point
+modulo primes whose product is P, then x = P y for some y in Z[zeta_n].
+A nonzero y has a norm, the product of its sigma(y), that is a nonzero
+integer, so |sigma(y)| >= 1 for some sigma, and |sigma(x)| >= P.  So
+P > 2 s^2 forces x = 0 (L. Washington, Introduction to Cyclotomic Fields,
+GTM 83, ch. 1-2).  The coefficients of |G|^2 are not bounded by s^2, so a
+witness's |G|^2 is interpolated where its coefficients' bound is covered.
 """
 
 from __future__ import annotations
@@ -242,32 +268,41 @@ def _first(mask: np.ndarray) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
-def _distinct(values: list[np.ndarray], coef: np.ndarray,
-              off: np.ndarray, conj) -> list[np.ndarray] | None:
+def _distinct(values: list[np.ndarray], tile: list[np.ndarray],
+              off: np.ndarray) -> list[np.ndarray] | None:
     """The distinct off-diagonal values of a Hermitian Gram so far, in order
     of first appearance, after a row tile of its upper block triangle:
-    `coef` holds the tile's exact coefficients (d, entries) in row-major
-    order, `off` marks its off-diagonal entries.  None once there are more
-    than two, after which no tile is read.
+    `tile` holds the tile's values, (d, entries) per prime, in row-major
+    order, and `off` marks its off-diagonal entries.  A value is held as
+    its values, (primes, d).  The pass's primes cover every coefficient of
+    G, so two entries are equal exactly when their values agree at every
+    point modulo every prime.  None once there are more than two, after
+    which no tile is read.
 
     A value left out, below the diagonal, is the conjugate of one a tile
-    holds.  So `conj`, which maps a value's coefficients to its
-    conjugate's, adds the conjugate of each value found, on every tile:
-    the values kept are closed under conjugation, as the whole Gram's are.
-    The order needs no positions: with at most two values, the first is
-    G_01, the first off-diagonal entry, found first."""
+    holds: its values read backwards, a view.  So the conjugate of each
+    value found is added, on every tile: the values kept are closed under
+    conjugation, as the whole Gram's are.  The order needs no positions:
+    with at most two values, the first is G_01, the first off-diagonal
+    entry, found first."""
+    def other(off, v):      # off, less the entries whose values are v's
+        differs = (tile[0] != v[0][:, None]).any(axis=0)
+        for t, x in zip(tile[1:], v[1:]):
+            differs |= (t != x[:, None]).any(axis=0)
+        return off & differs
+
     for v in values:
-        off = off & (coef != v[:, None]).any(axis=0)
+        off = other(off, v)
     while len(values) < 2 and (new := _first(off)) is not None:
-        found = [coef[:, new].copy()]       # not a view that holds the tile
-        c = conj(found[0])
+        found = [np.array([t[:, new] for t in tile])]   # not a tile view
+        c = found[0][:, ::-1]
         if not any((c == v).all() for v in found + values):
             found.append(c)                 # a real value is its own
         for v in found:
             if len(values) == 2:
                 return None
             values.append(v)
-            off = off & (coef != v[:, None]).any(axis=0)
+            off = other(off, v)
     return None if off.any() else values
 
 
@@ -374,6 +409,25 @@ def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
     return tile
 
 
+def _moduli(space: _Space, vals: list[np.ndarray]) -> list[np.ndarray]:
+    """|G|^2 of Gram entries from their values, (d, entries) per prime: a
+    real element, so at the first ceil(d/2) points only."""
+    half = _half(space.degree)
+    return [space.reduce(g[:half] * space.conj(g)[:half], i).reshape(half, -1)
+            for i, g in enumerate(vals)]
+
+
+def _differs(mods: list[np.ndarray], ref: list[np.ndarray],
+             w: int) -> np.ndarray:
+    """Where a tile of width w has |G|^2, `mods`, other than ref's values in
+    the same space, its diagonal left out."""
+    diff = np.zeros(mods[0].shape[1], dtype=bool)
+    for m, r in zip(mods, ref):                   # one point needs no any
+        diff |= m[0] != r[0] if len(m) == 1 else (m != r[:len(m)]).any(0)
+    diff[::w + 1] = False                         # the tile's diagonal
+    return diff
+
+
 def _unimodular(mat: CycMatrix) -> tuple:
     """A dense pass over `mat`: its space and values, the row-major index
     of the first entry whose |.|^2, real, is not 1 at the first ceil(d/2)
@@ -426,48 +480,67 @@ def verify_etf(frame: Frame) -> EtfCertificate:
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
          else None)
 
-    def conj(v):        # exact, as only a few values are conjugated
-        return v if deg == 1 else np.array(
-            CycScalar(order, v.tolist()).conjugate().coeffs, dtype=v.dtype)
+    # the norm rule (see the module docstring): |G|^2 is compared with
+    # ref = |G_01|^2 at the pass's own points, with no coefficients; the
+    # tile that holds the first witness is then read again as every tile
+    # is read where the rule does not hold.  A pass with no prime has its
+    # tiles' coefficients as their values, so it gains nothing from it
+    by_norm = s is not None and bool(space.primes) and space.covers(s * s)
+
+    def covering(vals, coef, least):
+        # a space whose primes cover |G|^2 of Gram entries with exact
+        # coefficients coef, (deg, entries), and least, and their values in
+        # it: the pass's if its primes do, else one where coef is evaluated
+        bound = max(_max_abs(coef) ** 2 * growth, least)
+        if space.covers(bound):
+            return space, vals
+        own = _Space(ring, deg, bound)
+        return own, own.values(coef.T, _max_abs(coef))
 
     # row tiles of G's upper block triangle until every field is fixed;
     # entry (0, 1), whose |.|^2 is ref, is entry 1 of the first
     values, ref, at, angle = [], np.zeros(0, np.int64), None, None
+    held = False
     for rows, hit in _tiles(frame.support, deg) if n > 1 else ():
-        tile = _gram_tile(space, phi, rows, hit, rows.start)
-        # (deg, entries); with no prime, the values: integers below 2^53
-        coef = space.exact(tile) if space.primes else tile[0].reshape(deg, -1)
+        tile = [g.reshape(deg, -1) for g in          # (deg, entries)
+                _gram_tile(space, phi, rows, hit, rows.start)]
         w = n - rows.start                                # the tile's width
-        # at d = 1 a tile with no witness has g^2 = t = G_01^2 off its
-        # diagonal, so g = +-G_01: once both are held (one at t = 0), it has
-        # no new value.  At d > 1, |g|^2 = t has others, such as zeta G_01
-        held = deg == 1 and values and values[-1][0] == -values[0][0]
-        if angle is None:
+        same = False        # |G|^2 = ref off the diagonal, by the norm rule
+        if angle is None and by_norm:
+            if not ref.size:        # from G_01 alone, which the pass covers
+                one = [g[:, 1:2] for g in tile]
+                own, vals = covering(one, space.exact(one), 0)
+                ref = own.exact([_mirrored(m, deg)
+                                 for m in _moduli(own, vals)])[:, 0]
+                at = space, space.values(ref[None], _max_abs(ref))
+            same = not _differs(_moduli(space, tile), at[1], w).any()
+        if angle is None and not same:
             # |G|^2 and ref, both real, are compared at the first ceil(d/2)
             # points of the pass's space if it covers both, else of one in
             # which the tile is evaluated; ref is bounded apart, as no
             # G_r0 = conj(G_0r) in a later tile bounds it
-            bound = max(_max_abs(coef) ** 2 * growth, _max_abs(ref))
-            own = space if space.covers(bound) else _Space(ring, deg, bound)
-            vals = tile if own is space else own.values(coef.T, _max_abs(coef))
-            mods = [own.reduce(g[:half] * own.conj(g)[:half], i).reshape(
-                half, -1) for i, g in enumerate(vals)]    # |G|^2 values
+            # (deg, entries); with no prime, the values: integers below 2^53
+            coef = space.exact(tile) if space.primes else tile[0]
+            own, vals = covering(tile, coef, _max_abs(ref))
+            mods = _moduli(own, vals)
             if not ref.size:
                 ref = own.exact([_mirrored(m[:, 1], deg) for m in mods])[:, 0]
             if at is None or at[0] is not own:   # ref's values in this space
                 at = own, own.values(ref[None], _max_abs(ref))
-            diff = np.zeros(coef.shape[1], dtype=bool)    # |G|^2 != ref
-            for m, r in zip(mods, at[1]):         # one point needs no any
-                diff |= m[0] != r[0] if half == 1 else (m != r[:half]).any(0)
-            diff[::w + 1] = False                 # the tile's diagonal
-            if (bad := _first(diff)) is not None:
+            if (bad := _first(_differs(mods, at[1], w))) is not None:
                 angle = (rows.start + bad // w, rows.start + bad % w,
                          own.exact([_mirrored(m[:, bad], deg)
                                     for m in mods])[:, 0])
         if values is not None and not (held and angle is None):
-            off = np.ones(coef.shape[1], dtype=bool)
+            off = np.ones(tile[0].shape[1], dtype=bool)
             off[::w + 1] = False
-            values = _distinct(values, coef, off, conj)
+            values = _distinct(values, tile, off)
+            # at d = 1 a tile with no witness has g^2 = t = G_01^2 off its
+            # diagonal, so g = +-G_01: once both are held (one at t = 0),
+            # no later tile has a new value.  At d > 1, |g|^2 = t has
+            # others, such as zeta G_01
+            held = (deg == 1 and bool(values)
+                    and (values[-1] == -values[0]).all())
         if angle is not None and values is None:
             break
         tile = coef = vals = mods = None    # freed before the next tile
@@ -487,8 +560,10 @@ def verify_etf(frame: Frame) -> EtfCertificate:
         witness = values = None
     else:
         witness = _witness(order, norms, bad_norm, ref, angle, sides)
-        values = (None if values is None
-                  else tuple(CycScalar(order, v) for v in values))
+        # one interpolation per value reported
+        values = (None if values is None else tuple(
+            CycScalar(order, space.exact([x[:, None] for x in v])[:, 0])
+            for v in values))
     a = Fraction(n * s, d) if s is not None else None
     return EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
                           welch, witness, values, frame.synthesis)

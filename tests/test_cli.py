@@ -1440,3 +1440,63 @@ def test_memory_error_exits_2_with_one_error_line(capsys, monkeypatch):
     code, out, err = run(capsys, "classify", "6", "16")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: out of memory"]
+
+
+def test_an_order_past_the_prime_ladder_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    # with no prime = 1 (mod n) on the ladder, the certifier's products
+    # cannot run: one `error:` line and exit 2, not exit 1, the status of a
+    # failed identity
+    path = tmp_path / "mb3.frame"
+    assert run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3",
+               "-o", str(path))[0] == 0
+    cyclo._ring.cache_clear()
+    monkeypatch.setattr(cyclo, "_ladder", lambda n, width: iter(()))
+    try:
+        code, out, err = run(capsys, "verify", str(path), "--kind", "frame")
+    finally:
+        cyclo._ring.cache_clear()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: too few primes = 1 (mod 3) for an exact product of width 4"]
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+@pytest.mark.parametrize("kind", ["frame", "design"])
+def test_other_line_breaks_read_as_the_line_reader_reads_them(brk, kind):
+    # a line break other than "\n" in the header line, or in the body, where
+    # the block readers refuse it: each file, as text and as bytes, gives
+    # what it gives read line by line, the design or frame or the error.
+    # Put in place of a line's "\n", the break gives the file itself
+    if kind == "frame":
+        text = _serialize_frame_per_entry(Frame(fourier(3).mat))
+        parse, outcome = parse_frame, _outcome
+    else:
+        text, parse, outcome = VALID_DESIGNS[0], parse_design, _design_outcome
+    want = outcome(parse, text)
+    for line in (0, 1):                     # the header, the first row
+        end = [i for i, c in enumerate(text) if c == "\n"][line]
+        start = text.rfind("\n", 0, end) + 1
+        for edited, same in ((text[:end] + brk + text[end + 1:], True),
+                             (text[:end] + brk + text[end:], False),
+                             (text[:start + 1] + brk + text[start + 1:],
+                              False)):
+            for data in (edited, edited.encode("ascii")):
+                got = outcome(parse, data)
+                with mock.patch.object(fileio, "_plain", return_value=None):
+                    assert got == outcome(parse, data)
+                if same:
+                    assert got == want
+
+
+def test_a_crlf_body_bounds_the_order_by_its_text():
+    # read from bytes, each "\r\n" is one character: this file has 800,015
+    # bytes but 400,015 characters, so an order past 2^40 and below 2 x
+    # 800,015^2 is refused as the text bounds it, before it is factored
+    order = 2**40 + 15
+    data = b"FRAME %d 1 1\n0" % order + b"\r\n" * 400_000
+    assert 2 * (len(data) - 400_000) ** 2 < 2**40 < order < 2 * len(data) ** 2
+    with pytest.raises(FileFormatError) as info:
+        parse_frame(data)
+    assert str(info.value) == (f"order {order} needs more coefficients per "
+                               f"entry than the file has characters")

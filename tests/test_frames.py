@@ -1,6 +1,7 @@
 """Gram computation, ETF certification, type classification, Naimark."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, prod
@@ -350,25 +351,23 @@ def test_failed_certificate_carries_witness_and_tdtf_values():
 def offdiag_values(g: CycMatrix, rows: int):
     """The distinct off-diagonal values of a Hermitian Gram matrix, read in
     row tiles of `rows` rows over its upper block triangle, G[I, I.start:],
-    as the certifying pass reads them."""
+    as the certifying pass reads them: as values in a space whose primes
+    cover G's coefficients."""
     arr, n = g.array, g.rows
-
-    def conjugate(v):
-        return np.array(oracle.conj(g.order, v))
-
+    space = cyclo._Space(cyclo._ring(g.order), max(n, arr.shape[2]), g.mag)
+    vals = space.values(arr, g.mag)                    # (d, n, n) per prime
     values = []
     for r0 in range(0, n, rows):
         if values is None:          # more than two: no tile is read
             break
-        tile = slice(r0, min(r0 + rows, n))
-        part = arr[tile, r0:]
-        off = np.ones(part.shape[:2], dtype=bool)
-        off[np.arange(part.shape[0]), np.arange(part.shape[0])] = False
-        values = _distinct(
-            values, part.reshape(-1, arr.shape[2]).T, off.reshape(-1),
-            conjugate)
-    return (None if values is None
-            else tuple(CycScalar(g.order, v) for v in values))
+        tile = [v[:, r0:r0 + rows, r0:].reshape(len(v), -1) for v in vals]
+        height = min(rows, n - r0)
+        off = np.ones((height, n - r0), dtype=bool)
+        off[np.arange(height), np.arange(height)] = False
+        values = _distinct(values, tile, off.reshape(-1))
+    return (None if values is None else tuple(
+        CycScalar(g.order, space.exact([x[:, None] for x in v])[:, 0])
+        for v in values))
 
 
 def first_appearances(g: CycMatrix):
@@ -810,12 +809,13 @@ def gadget_frame(order, n, unit, cells=None) -> Frame:
 
 def distinct_calls(monkeypatch) -> list:
     """The values that each call of `_distinct` returns, as it returns
-    them."""
+    them: at d = 1 with no prime, a value's one value is its
+    coefficient."""
     calls, real = [], frames._distinct
 
-    def recorded(values, coef, off, conj):
-        out = real(values, coef, off, conj)
-        calls.append(None if out is None else [tuple(v) for v in out])
+    def recorded(values, tile, off):
+        out = real(values, tile, off)
+        calls.append(None if out is None else [tuple(v[0]) for v in out])
         return out
 
     monkeypatch.setattr(frames, "_distinct", recorded)
@@ -1474,3 +1474,165 @@ def test_certification_forms_no_whole_gram_matrix(order, n):
         tracemalloc.stop()
     assert cert.equiangular and cert.t == 4 and not cert.tight
     assert peak < n * n * deg * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# the norm rule at its edge
+#
+# Once the column norms are certified equal to s, |G_ij|^2 and ref =
+# |G_01|^2 lie in [0, s^2] at every complex embedding (Cauchy-Schwarz), so
+# where their values agree modulo primes whose product P exceeds 2 s^2 they
+# are equal: the pass compares them at its own points and interpolates only
+# G_01 and ref.  At P <= 2 s^2 every tile is interpolated, as the rule does
+# not hold there.  The real ladder's primes are far past 2 s^2 on these
+# frames, so the ladder is patched to begin with small primes.
+
+
+@pytest.fixture
+def interpolated(monkeypatch):
+    """The number of entries that each interpolation interpolates, in
+    order."""
+    counts, real = [], cyclo._Space.exact
+
+    def exact(self, vals):
+        counts.append(vals[0].size // self.degree)
+        return real(self, vals)
+
+    monkeypatch.setattr(cyclo._Space, "exact", exact)
+    return counts
+
+
+@pytest.fixture
+def ladder(monkeypatch):
+    """Make the prime ladder of every width begin with the given primes,
+    then go on as it does; the ring cache is cleared at each call and after
+    the test."""
+    real = cyclo._ladder
+
+    def begin_with(*primes):
+        cyclo._ring.cache_clear()
+        monkeypatch.setattr(cyclo, "_ladder", lambda n, width: (
+            itertools.chain(primes, real(n, width))))
+
+    yield begin_with
+    cyclo._ring.cache_clear()
+
+
+def one_prime_of(order: int, low: int, high: int, last: bool) -> int:
+    """The last (else the first) prime p = 1 (mod order), low < p <= high."""
+    from etfkit.designs import is_prime
+    span = range(high, low, -1) if last else range(low + 1, high + 1)
+    return next(p for p in span if p % order == 1 and is_prime(p))
+
+
+@pytest.mark.parametrize("order, scale", [(3, 3), (4, 2), (5, 3)])
+def test_norm_rule_fires_only_past_twice_s_squared(order, scale, ladder,
+                                                   interpolated):
+    # the Fourier simplex scaled by `scale`: s = (order - 1) scale^2, and
+    # a pass bound B = scale^2 growth order below s^2.  One prime, just
+    # below 2 s^2 and just above it, with the pass's bound under each;
+    # ETFs, rotated copies and corrupted copies give the oracle's fields
+    ring = cyclo._ring(order)
+    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    etf = Frame(CycMatrix(order, simplex_frame(order).synthesis.array
+                          * scale))
+    s, bound = (order - 1) * scale ** 2, scale ** 2 * growth * order
+    rng = np.random.default_rng(order)
+    copies = [etf, rooted(etf, rng),
+              corrupted(etf, [(order // 2, order - 1)], lambda x: -x)]
+    below = one_prime_of(order, 2 * bound, 2 * s * s, last=True)
+    above = one_prime_of(order, 2 * s * s, 4 * s * s, last=False)
+    for p, fires in ((below, False), (above, True)):
+        ladder(p)
+        for frame in copies:
+            space = frames._frame_space(frame.synthesis, frame.support)[0]
+            assert space.primes == (p,)
+            assert space.covers(s * s) == fires
+            interpolated.clear()
+            got = pass_certificate(frame)
+            assert got == python_int_oracle(frame)
+            whole = [k for k in interpolated[1:] if k > 1]  # past the norms
+            assert interpolated[0] == frame.n
+            if not got["equiangular"]:      # the witness's tile, on both
+                assert whole == [frame.n * frame.n]
+            else:
+                assert whole == ([] if fires else [frame.n * frame.n])
+
+
+@pytest.mark.parametrize("height", [None, 1])
+def test_norm_rule_does_not_accept_a_congruent_modulus(ladder, tiles,
+                                                       height):
+    # over Z[i], columns (10, -3, -2), (10, -3, 2) and (10, 2, 3): s = 113,
+    # ref = 105^2 and |G_02|^2 = 88^2, which differ by 17 * 193 = 3281.
+    # With the ladder at 17, 193 the pass runs mod P = 3281, past its 2B =
+    # 2400 but not past 2 s^2 = 25538: the two agree mod P, so the rule
+    # must not fire, and (0, 2) is the witness, as the oracle's is.  Were
+    # it to fire, tiles of one row would pass row 0 and name (1, 2)
+    tiles(height)
+    cols = [(10, -3, -2), (10, -3, 2), (10, 2, 3)]
+    arr = np.zeros((3, 3, 2), dtype=np.int64)
+    arr[..., 0] = np.array(cols).T
+    frame = Frame(CycMatrix(4, arr))
+    ladder(17, 193)
+    space = frames._frame_space(frame.synthesis, frame.support)[0]
+    assert space.primes == (17, 193)
+    assert (105 ** 2 - 88 ** 2) % 3281 == 0 and not space.covers(113 ** 2)
+    rng = np.random.default_rng(4)
+    for copy in (frame, rooted(frame, rng)):
+        got = pass_certificate(copy)
+        assert got == python_int_oracle(copy)
+        assert got["witness"] == ("Gram entry (0, 2) has |.|^2 = (7744, 0), "
+                                  "entry (0, 1) has (11025, 0): "
+                                  "equiangularity fails")
+
+
+def gdd_88_320() -> Frame:
+    """The GDD extension ETF(88,320) over Z[zeta_10]."""
+    from etfkit.constructions import gdd_etf, steiner_etf
+    from etfkit.designs import (affine_plane, gf_build, mols_from_field,
+                                td_from_mols)
+    seed, _ = steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))
+    td = td_from_mols(mols_from_field(gf_build(2, 3)), 4)
+    return gdd_etf(seed, EtfType(4, -1, 3), td, sylvester(1), fourier(5))[0]
+
+
+def paley_frame(p: int) -> Frame:
+    """The dense Paley ETF((p - 1)/2, p) over Z[zeta_p]: row q is
+    zeta^(q k), k in Z_p, for the quadratic residues q mod p."""
+    qr = sorted({x * x % p for x in range(1, p)})
+    arr = cyclo._ring(p).powers(np.outer(qr, np.arange(p)).ravel())
+    return Frame(CycMatrix(p, arr.reshape(len(qr), p, -1)))
+
+
+@pytest.mark.parametrize("build, cert", [
+    (gdd_88_320, "ETF D=88 N=320 s=11 t=1 A=40"),
+    (functools.partial(paley_frame, 103), "ETF D=51 N=103 s=51 t=26 A=103"),
+], ids=["etf-88-320", "paley-51-103"])
+def test_pass_interpolates_no_gram_tile_of_an_etf(build, cert, interpolated):
+    # the norms are interpolated, then G_01 and its |.|^2, one entry each,
+    # and no Gram tile: on the ETF and on a rotated copy
+    etf = build()
+    for frame in (etf, rooted(etf, np.random.default_rng(1))):
+        interpolated.clear()
+        assert str(verify_etf(frame)) == cert
+        assert interpolated[0] == frame.n and set(interpolated[1:]) == {1}
+
+
+def test_pass_interpolates_only_the_witness_tile_of_a_corrupted_etf(
+        interpolated):
+    # ETF(88,320) with entry (40, 289) negated keeps equal norms; its
+    # witness lies in a late tile, which alone is interpolated whole, and
+    # every field is the whole Gram's
+    bad = corrupted(gdd_88_320(), [(40, 289)], lambda x: -x)
+    got = pass_certificate(bad)
+    assert got == whole_gram_oracle(bad)
+    assert got["witness"] == ("Gram entry (280, 289) has |.|^2 = (3, 0, -2, "
+                              "2), entry (0, 1) has (1, 0, 0, 0): "
+                              "equiangularity fails")
+    interpolated.clear()
+    verify_etf(bad)
+    rows = next(rows for rows, _ in frames._tiles(bad.support, 4)
+                if rows.start <= 280 < rows.stop)
+    assert interpolated[0] == bad.n
+    assert [k for k in interpolated[1:] if k > 1] == [
+        (rows.stop - rows.start) * (bad.n - rows.start)]
