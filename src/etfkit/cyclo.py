@@ -165,7 +165,6 @@ class _Ring:
         self.order = n
         self.degree = len(phi) - 1
         self._head = phi[:-1]
-        self._terms = [(j, h) for j, h in enumerate(self._head) if h]
         self._ladders = {}
 
     @cached_property
@@ -191,18 +190,6 @@ class _Ring:
         out[np.flatnonzero(low), t[low]] = 1
         out[~low] = self.tail[t[~low] - self.degree]
         return out
-
-    def fold(self, poly: list[int]) -> list[int]:
-        """The canonical form of an integer polynomial, a little-endian
-        list that this consumes, by long division from the top:
-        x^t = -x^(t - d) (Phi_n - x^d)."""
-        d = self.degree
-        for t in range(len(poly) - 1, d - 1, -1):
-            c = poly[t]
-            if c:
-                for j, h in self._terms:
-                    poly[t - d + j] -= c * h
-        return poly[:d]
 
     def _abs_powers(self, exps):
         """|x^t mod Phi_n| for t in exps, in chunks of about 2^20 values."""
@@ -361,14 +348,6 @@ class CycScalar:
     def from_int(cls, value: int, order: int = 1) -> "CycScalar":
         ring = _ring(order)
         return cls(order, (int(value),) + (0,) * (ring.degree - 1))
-
-    def conjugate(self) -> "CycScalar":
-        """Complex conjugate: zeta^k maps to zeta^(n-k), then reduce."""
-        n = self.order
-        poly = [0] * n
-        for i, a in enumerate(self.coeffs):
-            poly[-i % n] += a
-        return CycScalar(n, _ring(n).fold(poly))
 
     def lift_to_order(self, order: int) -> "CycScalar":
         """Re-express the same complex number in Z[zeta_order]."""
@@ -550,10 +529,11 @@ class _Space:
         return vals[::-1]
 
     def residue(self, c: int, i: int) -> int:
-        """The integer c mod prime i, centred; with no prime c itself, or 0
-        in a pass whose values are all 0."""
+        """The integer c mod prime i, centred; with no prime c itself, also
+        in a pass bounded by 0, whose values are the true zeros, so that c
+        compares with them truthfully."""
         if not self.primes:
-            return 0 if self.zero else c
+            return c
         p = self.primes[i]
         return (c + p // 2) % p - p // 2
 

@@ -60,7 +60,8 @@ Any other file, and a plain one the block reader refuses, is split by
 str.splitlines() and checked line by line: the row count, then each row's
 width, before anything of the header's size is allocated, so that an
 error names the first line or entry that breaks it whichever way the file
-was read.  Its lines, joined, go to the same block reader.  When it
+was read.  Its lines, joined, go to the same block reader, unless they
+are the plain body it has just refused (less its last line end).  When it
 refuses them too (more digits, a "+", a stray space, a non-ASCII digit,
 or no integer at all), the separators are checked whole, and the body is
 read again as Python ints with int(), which CycMatrix narrows to int64
@@ -437,11 +438,13 @@ def _int64_tokens(buf: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
 
 
 def _coefficients_by_line(data: str | bytes, lines: list[str] | None,
-                          d: int, n: int, deg: int) -> np.ndarray:
+                          d: int, n: int, deg: int,
+                          refused: bytes | None) -> np.ndarray:
     """Every coefficient of a file's body, d lines of n entries of deg
     tokens, read from its lines: int64, or Python ints when a token is not
     -?[0-9]{1,18}.  Each check, in order, names the first line or entry
-    that fails it."""
+    that fails it.  Lines that join to `refused`, a plain body that the
+    block reader has refused, less its last line end, skip that reader."""
     if lines is None:
         lines = _text(data).splitlines()
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -454,9 +457,10 @@ def _coefficients_by_line(data: str | bytes, lines: list[str] | None,
             raise FileFormatError(
                 f"row {r} has {width} entries, expected {n}")
     raw = "\n".join(body).encode("utf-8", "surrogatepass")
-    out = _int64_coefficients(raw, 0, d, n, deg)
-    if out is not None:
-        return out
+    if refused is None or raw != refused.removesuffix(b"\n"):
+        out = _int64_coefficients(raw, 0, d, n, deg)
+        if out is not None:
+            return out
     text = raw.decode("utf-8", "surrogatepass")
     if not _separators_ok(raw, d, n, deg):
         raise _first_bad_entry(text, deg)
@@ -508,5 +512,6 @@ def _parse_matrix(data: str | bytes) -> CycMatrix:
     if raw is not None:
         out = _int64_coefficients(raw, len(head_line) + 1, d, n, deg)
     if out is None:          # any other file, and any the blocks refuse
-        out = _coefficients_by_line(data, lines, d, n, deg)
+        out = _coefficients_by_line(data, lines, d, n, deg,
+                                    raw and raw[len(head_line) + 1:])
     return CycMatrix(order, out.reshape(d, n, deg), _copy=False)

@@ -18,17 +18,14 @@ steps:
    rows of Phi that its columns touch, gathered (a dense frame's tiles
    take every row, as a plain slice), and only the columns of Phi from
    its first row on.  Past its product a tile is read at the pass's
-   points, and only the entries that a certificate prints are
-   interpolated: G_01 and ref = |G_01|^2, the witness, and each distinct
-   value reported.  Two rules read it:
-   (a) Until a witness is found, its |G|^2 is compared with ref.  Where
-       the norms are certified equal to s and the primes cover s^2 (see
-       the norm rule below), that is at the pass's points.  Else, and in
-       the tile that holds the first witness, the tile is interpolated
-       (none with no prime: its float64 values are its coefficients), and
-       |G|^2 is compared in a space that covers max|coefficient|^2 growth
-       and ref: the pass's, or one of its own in which the tile is
-       evaluated.
+   points; only what a certificate prints is interpolated, one entry each
+   (ref = |G_01|^2, the witness's |G|^2 and each distinct value reported;
+   see `_abs_squared`).  Two rules read it:
+   (a) Until a witness is found, its |G|^2 is compared with ref at the
+       pass's points, which is exact by the norm rule below once the
+       primes cover m^2, m the largest l1 norm of a column norm's
+       coefficients (s for equal rational norms); else Phi is evaluated
+       once more, in a pass that also covers m^2.
    (b) While there are at most two, its distinct off-diagonal values,
        which a failed certificate reports, are found by their values: the
        pass covers every coefficient of G, so two entries are equal
@@ -71,16 +68,18 @@ The norm rule bounds the values of a comparison, not its coefficients, as
 FFLAS-FFPACK's argument bounds the sums of a product (see `cyclo`).  Let
 sigma be a complex embedding of Q(zeta_n).  The field is abelian, so
 sigma commutes with complex conjugation, and sigma(G_ij) is the inner
-product of columns i and j of sigma(Phi).  Once every G_ii is certified
-equal to the integer s, Cauchy-Schwarz gives |sigma(G_ij)|^2 <= s^2, so
-sigma(|G_ij|^2) and sigma(ref) lie in [0, s^2], and x = |G_ij|^2 - ref has
-|sigma(x)| <= s^2 for every sigma.  If their values agree at every point
+product of columns i and j of sigma(Phi).  So 0 <= sigma(G_ii) <= m, the
+l1 norm of G_ii's coefficients bounding it as each sigma(zeta^k) has
+modulus 1, and Cauchy-Schwarz gives |sigma(G_ij)|^2 <= m^2, so
+sigma(|G_ij|^2) and sigma(ref) lie in [0, m^2], and x = |G_ij|^2 - ref has
+|sigma(x)| <= m^2 for every sigma.  If their values agree at every point
 modulo primes whose product is P, then x = P y for some y in Z[zeta_n].
 A nonzero y has a norm, the product of its sigma(y), that is a nonzero
 integer, so |sigma(y)| >= 1 for some sigma, and |sigma(x)| >= P.  So
-P > 2 s^2 forces x = 0 (L. Washington, Introduction to Cyclotomic Fields,
-GTM 83, ch. 1-2).  The coefficients of |G|^2 are not bounded by s^2, so a
-witness's |G|^2 is interpolated where its coefficients' bound is covered.
+P > 2 m^2 forces x = 0 (L. Washington, Introduction to Cyclotomic Fields,
+GTM 83, ch. 1-2).  Likewise, where the values of a |G_ij|^2 interpolate
+to an integer c, |c| < P/2, it is c, as |sigma(|G_ij|^2) - c| < P.  With
+no prime (d = 1) all of these are integers below 2^53.
 """
 
 from __future__ import annotations
@@ -93,8 +92,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _float_exact,
-                    _max_abs, _ring, _row_blocks, _scaled, _Space)
+from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _entrywise,
+                    _float_exact, _ring, _row_blocks, _scaled, _Space)
 
 __all__ = [
     "FrameError",
@@ -196,7 +195,7 @@ def gram(frame: Frame) -> CycMatrix:
     """The exact N x N Gram matrix Phi*Phi, by the certifier's row tiles
     over every column (start 0), lower block triangle included: Phi is
     evaluated once, and each tile is interpolated into the output."""
-    space, mag, _ = _frame_space(frame.synthesis, frame.support)
+    space, mag = _frame_space(frame.synthesis, frame.support)
     n, deg = frame.n, space.degree
     # the output first: allocated after Phi's values, it left them, once
     # freed, as a hole beneath it in the heap (1.5 MiB more peak RSS in
@@ -307,11 +306,12 @@ def _distinct(values: list[np.ndarray], tile: list[np.ndarray],
 
 
 def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
-             ref: np.ndarray, angle, sides: tuple[int, int] | None) -> str:
+             ref: np.ndarray | None, angle,
+             sides: tuple[int, int] | None) -> str:
     """The first Gram entry, in row-major order, that breaks equal norms,
     then rational norms, then equiangularity, then a rational |G_01|^2;
     else the missing tightness.  `norms` is the Gram diagonal (d, N), `ref`
-    the coefficients of |G_01|^2 (none at N = 1), `angle` the first
+    the coefficients of |G_01|^2 (None at N = 1), `angle` the first
     off-diagonal entry (r, c, |G_rc|^2) whose |.|^2 differs from it, or
     None, and `sides` the two sides s^2 (N - D) and t D (N - 1) of the
     Welch identity of an equal-norm, equiangular frame."""
@@ -322,7 +322,7 @@ def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
                 f"norms (entry (0, 0) = {ref0.coeffs})")
     if not ref0.is_rational_integer:
         return f"Gram diagonal {ref0.coeffs} is not a rational integer"
-    ref = CycScalar(order, ref) if ref.size else None
+    ref = None if ref is None else CycScalar(order, ref)
     if angle is not None:
         r, c, bad = angle
         return (f"Gram entry ({r}, {c}) has |.|^2 = "
@@ -368,11 +368,11 @@ def _tiles(support: np.ndarray,
     return out
 
 
-def _frame_space(mat: CycMatrix,
-                 support: np.ndarray | None) -> tuple[_Space, int, int]:
-    """The space of a pass over the products of Phi and Phi*, max|Phi| and
-    the growth of such a product.  `support` is Phi's zero pattern, None
-    when Phi is dense."""
+def _frame_space(mat: CycMatrix, support: np.ndarray | None,
+                 least: int = 0) -> tuple[_Space, int]:
+    """The space of a pass over the products of Phi and Phi*, and max|Phi|.
+    `support` is Phi's zero pattern, None when Phi is dense; the pass's
+    bound is at least `least`."""
     (d, n), ring, mag = mat.shape, _ring(mat.order), mat.mag
     # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
     # where both entries are nonzero, so over at most `terms` entries, the
@@ -390,8 +390,8 @@ def _frame_space(mat: CycMatrix,
         counted = support.view(np.uint8)     # summed faster than booleans
         terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
                     int(counted.sum(axis=1, dtype=np.int32).max()))
-    space = _Space(ring, max(terms, ring.degree), mag * mag * growth * terms)
-    return space, mag, growth
+    bound = max(mag * mag * growth * terms, least)
+    return _Space(ring, max(terms, ring.degree), bound), mag
 
 
 def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
@@ -410,8 +410,8 @@ def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
 
 
 def _moduli(space: _Space, vals: list[np.ndarray]) -> list[np.ndarray]:
-    """|G|^2 of Gram entries from their values, (d, entries) per prime: a
-    real element, so at the first ceil(d/2) points only."""
+    """|.|^2 of entries from their values, (d, ...) per prime: a real
+    element, so at the first ceil(d/2) points only, (ceil(d/2), entries)."""
     half = _half(space.degree)
     return [space.reduce(g[:half] * space.conj(g)[:half], i).reshape(half, -1)
             for i, g in enumerate(vals)]
@@ -420,23 +420,33 @@ def _moduli(space: _Space, vals: list[np.ndarray]) -> list[np.ndarray]:
 def _differs(mods: list[np.ndarray], ref: list[np.ndarray],
              w: int) -> np.ndarray:
     """Where a tile of width w has |G|^2, `mods`, other than ref's values in
-    the same space, its diagonal left out."""
+    the same space, (ceil(d/2), 1) per prime, its diagonal left out."""
     diff = np.zeros(mods[0].shape[1], dtype=bool)
     for m, r in zip(mods, ref):                   # one point needs no any
-        diff |= m[0] != r[0] if len(m) == 1 else (m != r[:len(m)]).any(0)
+        diff |= m[0] != r[0] if len(m) == 1 else (m != r).any(0)
     diff[::w + 1] = False                         # the tile's diagonal
     return diff
+
+
+def _abs_squared(space: _Space, ring, tile: list[np.ndarray],
+                 mods: list[np.ndarray], k: int) -> np.ndarray:
+    """The exact |G|^2 of entry k of a tile, (d,): read off the tile's
+    |G|^2 values `mods` where they interpolate to an integer (the norm
+    rule), else squared by `_entrywise` from the interpolated entry."""
+    x = space.exact([_mirrored(m[:, k], space.degree) for m in mods])[:, 0]
+    if not x[1:].any():
+        return x
+    g = space.exact([v[:, k:k + 1] for v in tile]).T          # (1, d)
+    return _entrywise(g, None, ring)[0]
 
 
 def _unimodular(mat: CycMatrix) -> tuple:
     """A dense pass over `mat`: its space and values, the row-major index
     of the first entry whose |.|^2, real, is not 1 at the first ceil(d/2)
     points, and that |.|^2; else None, None."""
-    space, mag, _ = _frame_space(mat, None)
+    space, mag = _frame_space(mat, None)
     phi, deg = space.values(mat.array, mag), space.degree
-    half = _half(deg)
-    mods = [space.reduce(v[:half] * space.conj(v)[:half], i).reshape(half, -1)
-            for i, v in enumerate(phi)]
+    mods = _moduli(space, phi)
     bad = _first(np.any([(m != 1).any(axis=0) for m in mods], axis=0))
     mod = None if bad is None else CycScalar(mat.order, space.exact(
         [_mirrored(m[:, bad], deg) for m in mods])[:, 0])
@@ -468,7 +478,7 @@ def verify_etf(frame: Frame) -> EtfCertificate:
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg, half = ring.degree, _half(ring.degree)
-    space, mag, growth = _frame_space(frame.synthesis, frame.support)
+    space, mag = _frame_space(frame.synthesis, frame.support)
     phi = space.values(frame.synthesis.array, mag)        # (deg, D, N)
 
     # a column norm is real: its first ceil(d/2) values give the rest
@@ -480,57 +490,30 @@ def verify_etf(frame: Frame) -> EtfCertificate:
     s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
          else None)
 
-    # the norm rule (see the module docstring): |G|^2 is compared with
-    # ref = |G_01|^2 at the pass's own points, with no coefficients; the
-    # tile that holds the first witness is then read again as every tile
-    # is read where the rule does not hold.  A pass with no prime has its
-    # tiles' coefficients as their values, so it gains nothing from it
-    by_norm = s is not None and bool(space.primes) and space.covers(s * s)
-
-    def covering(vals, coef, least):
-        # a space whose primes cover |G|^2 of Gram entries with exact
-        # coefficients coef, (deg, entries), and least, and their values in
-        # it: the pass's if its primes do, else one where coef is evaluated
-        bound = max(_max_abs(coef) ** 2 * growth, least)
-        if space.covers(bound):
-            return space, vals
-        own = _Space(ring, deg, bound)
-        return own, own.values(coef.T, _max_abs(coef))
+    # the norm rule (see the module docstring) compares every |G|^2 with
+    # ref at the points of a pass that covers m^2; the l1 sums are of
+    # Python ints, as int64 ones could pass 2^63
+    m = int(np.abs(norms).sum(axis=0, dtype=object).max()) if n > 1 else 0
+    if not space.covers(m * m):
+        phi = None                      # freed before Phi is evaluated again
+        space, mag = _frame_space(frame.synthesis, frame.support, m * m)
+        phi = space.values(frame.synthesis.array, mag)
 
     # row tiles of G's upper block triangle until every field is fixed;
     # entry (0, 1), whose |.|^2 is ref, is entry 1 of the first
-    values, ref, at, angle = [], np.zeros(0, np.int64), None, None
-    held = False
+    values, ref, angle, held = [], None, None, False
     for rows, hit in _tiles(frame.support, deg) if n > 1 else ():
         tile = [g.reshape(deg, -1) for g in          # (deg, entries)
                 _gram_tile(space, phi, rows, hit, rows.start)]
         w = n - rows.start                                # the tile's width
-        same = False        # |G|^2 = ref off the diagonal, by the norm rule
-        if angle is None and by_norm:
-            if not ref.size:        # from G_01 alone, which the pass covers
-                one = [g[:, 1:2] for g in tile]
-                own, vals = covering(one, space.exact(one), 0)
-                ref = own.exact([_mirrored(m, deg)
-                                 for m in _moduli(own, vals)])[:, 0]
-                at = space, space.values(ref[None], _max_abs(ref))
-            same = not _differs(_moduli(space, tile), at[1], w).any()
-        if angle is None and not same:
-            # |G|^2 and ref, both real, are compared at the first ceil(d/2)
-            # points of the pass's space if it covers both, else of one in
-            # which the tile is evaluated; ref is bounded apart, as no
-            # G_r0 = conj(G_0r) in a later tile bounds it
-            # (deg, entries); with no prime, the values: integers below 2^53
-            coef = space.exact(tile) if space.primes else tile[0]
-            own, vals = covering(tile, coef, _max_abs(ref))
-            mods = _moduli(own, vals)
-            if not ref.size:
-                ref = own.exact([_mirrored(m[:, 1], deg) for m in mods])[:, 0]
-            if at is None or at[0] is not own:   # ref's values in this space
-                at = own, own.values(ref[None], _max_abs(ref))
-            if (bad := _first(_differs(mods, at[1], w))) is not None:
+        if angle is None:
+            mods = _moduli(space, tile)
+            if ref is None:
+                ref_at = [x[:, 1:2].copy() for x in mods]   # ref's values
+                ref = _abs_squared(space, ring, tile, mods, 1)
+            if (bad := _first(_differs(mods, ref_at, w))) is not None:
                 angle = (rows.start + bad // w, rows.start + bad % w,
-                         own.exact([_mirrored(m[:, bad], deg)
-                                    for m in mods])[:, 0])
+                         _abs_squared(space, ring, tile, mods, bad))
         if values is not None and not (held and angle is None):
             off = np.ones(tile[0].shape[1], dtype=bool)
             off[::w + 1] = False
@@ -543,9 +526,9 @@ def verify_etf(frame: Frame) -> EtfCertificate:
                     and (values[-1] == -values[0]).all())
         if angle is not None and values is None:
             break
-        tile = coef = vals = mods = None    # freed before the next tile
-    t = (int(ref[0]) if ref.size and angle is None and not ref[1:].any()
-         else None)
+        tile = mods = None                  # freed before the next tile
+    t = (int(ref[0]) if ref is not None and angle is None
+         and not ref[1:].any() else None)
     equiangular = n == 1 or t is not None
     if s is not None and equiangular:
         sides = s * s * (n - d), (t or 0) * d * (n - 1)
@@ -651,9 +634,10 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
         return True
 
     # G evaluated once; then, its values freed, -den G with num on its
-    # diagonal
-    input_tight = all(holds(i, v)
-                      for i, v in enumerate(space.values(arr, mag)))
+    # diagonal.  G = 0 is tight at every A, whose num and den need not fit
+    # a float64 beside its values
+    input_tight = not mag or all(holds(i, v) for i, v
+                                 in enumerate(space.values(arr, mag)))
     comp = -arr if den == 1 else _scaled(arr, -den)
     if comp.dtype != object and abs(num) >= _INT64_SAFE:
         comp = comp.astype(object)

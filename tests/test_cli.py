@@ -660,6 +660,34 @@ def test_parse_frame_reads_the_files_etfkit_writes_block_by_block(
     assert matrix == frame.synthesis
 
 
+def test_a_refused_plain_body_is_not_read_by_the_block_reader_again(
+        monkeypatch):
+    # the lines of a plain file that join to the body the block reader has
+    # just refused (less its last line end) go straight to the Python-int
+    # path; lines that join to another body are read by it once more
+    real, calls = fileio._int64_coefficients, []
+    monkeypatch.setattr(fileio, "_int64_coefficients",
+                        lambda *args: calls.append(args) or real(*args))
+    frame = steiner_etf(design_module.steiner_triple_system(39),
+                        hadamard_from_spec("paley1:19"))[0]
+    assert (frame.d, frame.n) == (247, 780)
+    arr = frame.synthesis.array.astype(object)
+    arr[-1, -1, -1] = 2**62
+    big = Frame(CycMatrix(frame.order, arr))
+    text = serialize_frame(big)
+    for data in (text, text.encode()):
+        calls.clear()
+        matrix = fileio._parse_matrix(data)
+        assert len(calls) == 1 and matrix.array.dtype == object
+        assert matrix == big.synthesis
+    head, first, rest = serialize_frame(frame).split("\n", 2)
+    for data in (f"{head}\n{first}\n\n{rest}", f"{head}\n{first}\n\n{rest}\n"):
+        calls.clear()
+        matrix = fileio._parse_matrix(data.encode())
+        assert len(calls) == 2 and matrix.array.dtype == np.int64
+        assert matrix == frame.synthesis
+
+
 # Every FileFormatError of parse_frame, word for word; each check comes in
 # this order, and within the body the first bad entry in row-major order
 # wins, its coefficient count checked before its integers.

@@ -92,16 +92,22 @@ def test_flat_and_centered_are_computed_when_read(monkeypatch):
 def test_max_abs_of_a_matrix_is_read_where_it_is_stored(order, monkeypatch):
     # CycMatrix finds max|coefficient| as it stores its array, so the pass,
     # flat, gram and naimark_gram reduce no whole synthesis or Gram again:
-    # only a tile's coefficients, (d, entries), and |G_01|^2
+    # an ETF's pass reads its rational |G_01|^2 off its values and reduces
+    # nothing, and gram and naimark_gram only their output, as it is
+    # stored
     frame = simplex_over(order)
-    seen, real = [], frames._max_abs
-    monkeypatch.setattr(frames, "_max_abs",
-                        lambda arr: seen.append(arr.ndim) or real(arr))
+    seen, real = [], cyclo._max_abs
+    monkeypatch.setattr(cyclo, "_max_abs",
+                        lambda arr: seen.append(arr.shape) or real(arr))
     cert = verify_etf(frame)
     assert cert.welch_equality and cert.flat and cert.centered
+    assert seen == []
+    seen.clear()
     g = gram(frame)
+    assert seen == [g.array.shape]
+    seen.clear()
     assert naimark_gram(g, cert.a).input_tight
-    assert seen and max(seen) <= 2
+    assert seen == [g.array.shape]
     assert frame.synthesis.mag == real(frame.synthesis.array)
     assert g.mag == real(g.array)
 
@@ -295,8 +301,8 @@ def test_naimark_not_tight_input():
 
 
 def test_naimark_gram_of_a_zero_gram(kernel_paths):
-    # a pass bounded by 0 runs at no prime, and each residue in it is 0:
-    # den G G = num G holds for G = 0, and G' = num I - den G = num I
+    # a pass bounded by 0 runs at no prime; den G G = num G holds for
+    # G = 0, and G' = num I - den G = num I
     order, n = 5, 3
     g = np.zeros((n, n, cyclo._ring(order).degree), dtype=np.int64)
     for a in (Fraction(2), Fraction(3, 2), Fraction(-7, 4)):
@@ -1295,20 +1301,23 @@ def squares(x: int, parts: int) -> list[int]:
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
 def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
-                                                            order):
-    # column 0 has squared norm x = max|G|, so the tile's |G|^2 bound is
-    # x^2 conj_l1 d fold_l1; the pass's own bound stays below one prime
-    # (2^53 at d = 1).  At the largest x it covers |G|^2 is formed at the
-    # points; at x + 1 at those of a space of its own, one more kernel
-    # call.  Column 3 has every entry 1, so the pass's width is D = 10
-    # whatever x is
+                                                            order, spaces):
+    # column 0 has squared norm x, the largest, so m = x: every |G|^2 is
+    # compared at the pass's points while its primes cover x^2 (2^53 at
+    # d = 1, with no prime), and past that in one more pass, bounded by
+    # max(B, x^2), where Phi is evaluated again; the pass's own bound B
+    # stays below one prime.  x runs over the largest x^2 the primes cover
+    # and one past it, and over the same edge for x^2 conj_l1 d fold_l1,
+    # the bound of |G|^2 by its coefficients.  Column 3 has every entry 1,
+    # so the pass's width is D = 10 whatever x is
     ring = cyclo._ring(order)
     d, n = 10, 4
     width = max(d, ring.degree)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
     step = prime_steps(ring, width)[0]
-    top = isqrt((step - 1) // growth)
-    for x, calls in ((top, 1), (top + 1, 2)):
+    top = isqrt(step - 1)
+    by_coefficients = isqrt((step - 1) // growth)
+    for x in sorted({by_coefficients, by_coefficients + 1, top, top + 1}):
         arr = np.zeros((d, n, ring.degree), dtype=np.int64)
         arr[:, 0, 0] = squares(x, d)
         arr[0, 1, 0] = arr[1, 2, 0] = 1
@@ -1316,22 +1325,27 @@ def test_tile_abs_squared_bound_at_the_points_and_past_them(kernel_paths,
         frame = Frame(CycMatrix(order, arr))
         assert gram(frame).array.max() == x
         assert max(nonzero_terms(frame.support), ring.degree) == width
+        spaces.clear()
         with kernel_paths() as seen:
             verify_etf(frame)
-        assert len(seen) == calls
         assert seen[0] == expected_primes(ring, width, _pass_bound(frame))
+        assert spaces[0].covers(x * x) == (x <= top)
+        assert len(spaces) == (1 if x <= top else 2)
+        if x > top:
+            assert spaces[1].bound == max(spaces[0].bound, x * x)
+        assert all(space.evaluated == 1 for space in spaces)
         assert pass_certificate(frame) == python_int_oracle(frame)
 
 
 @pytest.mark.parametrize("order", [3, 5, 12])
 def test_later_tile_compares_at_the_points_only_where_ref_is_covered(
-        kernel_paths, order, tiles):
+        order, tiles, spaces):
     # column 0 is A e_0, column c > 0 is B e_0 + e_c: row 0 of G is
     # (A^2, A B, A B, A B), so ref = A^2 B^2, and row 1 of the upper
     # triangle is (B^2 + 1, B^2, B^2).  B is the largest that lets the
-    # pass's primes cover that row's |G|^2; they do not cover ref, which no
-    # entry of the row bounds, so the row's |G|^2 is compared in a space of
-    # its own, as the first row's is: one kernel call each after the pass's
+    # pass's primes cover that row's |G|^2 by its coefficients; they cover
+    # neither ref nor m^2 = A^4, so Phi is evaluated once more, in a pass
+    # bounded by A^4, and every one-row tile compares there
     tiles(1)
     ring = cyclo._ring(order)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
@@ -1352,10 +1366,12 @@ def test_later_tile_compares_at_the_points_only_where_ref_is_covered(
     frame = frame_with(b)
     assert frames._frame_space(frame.synthesis, frame.support)[0].primes == (
         space.primes)
-    assert not space.covers((big * b) ** 2)
-    with kernel_paths() as seen:
-        verify_etf(frame)
-    assert len(seen) == 3
+    assert not space.covers((big * b) ** 2) and not space.covers(big**4)
+    spaces.clear()
+    verify_etf(frame)
+    assert len(spaces) == 2
+    assert spaces[1].bound == max(spaces[0].bound, big**4)
+    assert all(space.evaluated == 1 for space in spaces)
     got = pass_certificate(frame)
     assert got == python_int_oracle(frame)
     assert not got["equiangular"]
@@ -1391,21 +1407,27 @@ def spread_frame(order: int, cols: list[dict]) -> Frame:
     return Frame(CycMatrix(order, arr))
 
 
+def largest_norm(frame) -> int:
+    """m of a frame over Z: its largest squared column norm."""
+    return int((frame.synthesis.array[..., 0].astype(object) ** 2)
+               .sum(axis=0).max())
+
+
 @pytest.mark.parametrize("order", [1, 3, 12])
 @pytest.mark.parametrize("height", [1, 2, 3, None])
 def test_tiles_compare_in_the_pass_space_and_in_their_own(order, height,
                                                           tiles, spaces):
-    # big = 2^20 puts |G|^2 of a tile that holds a big column past the
-    # pass's primes (past 2^53 at d = 1), while a tile of small columns
-    # stays covered.  The big columns touch no row of the first three
-    # columns, so for tiles of 1 to 3 rows:
+    # big = 2^20 puts m^2 >= big^4 past the pass's primes (past 2^53 at
+    # d = 1), though a tile of small columns alone would stay covered.
+    # The big columns touch no row of the first three columns, so for
+    # tiles of 1 to 3 rows:
     # - small first: columns e_0..e_3 (ref = 0), then B e_4, B e_4 + e_5,
-    #   e_6: the big tile is evaluated in a space of its own, where
-    #   |G_45|^2 = B^4 breaks equiangularity;
-    # - big first: B e_0, then e_1..e_4 and e_3 + e_5: the first tile has
-    #   a space of its own, and |G_35|^2 = 1 breaks equiangularity in the
-    #   pass's.
-    # Every field must be the whole Gram's, on rotated copies too
+    #   e_6: |G_45|^2 = B^4 breaks equiangularity;
+    # - big first: B e_0, then e_1..e_4 and e_3 + e_5: |G_35|^2 = 1 breaks
+    #   it.
+    # Either way Phi is evaluated once more, in a pass bounded by
+    # max(B, m^2), and every tile compares there.  Every field must be the
+    # whole Gram's, on rotated copies too
     tiles(height)
     big = 2**20
     small_first = [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: big},
@@ -1414,13 +1436,12 @@ def test_tiles_compare_in_the_pass_space_and_in_their_own(order, height,
     rng = np.random.default_rng(order)
     for cols in (small_first, big_first):
         frame = spread_frame(order, cols)
+        m = largest_norm(frame)
         spaces.clear()
         verify_etf(frame)
-        if height is not None:
-            # each space evaluates ref once a tile compares in it: the
-            # pass's after Phi, a tile's own after the tile
-            assert len(spaces) > 1
-            assert all(space.evaluated == 2 for space in spaces)
+        assert not spaces[0].covers(m * m) and len(spaces) == 2
+        assert spaces[1].bound == max(spaces[0].bound, m * m)
+        assert all(space.evaluated == 1 for space in spaces)
         for copy in (frame, rooted(frame, rng)):
             assert pass_certificate(copy) == whole_gram_oracle(copy)
 
@@ -1431,8 +1452,9 @@ def test_a_later_tile_space_is_bounded_by_ref(order, height, tiles, spaces):
     # column 0 is a (e_0 + ... + e_3), column c = 1..4 is b e_(c-1) +
     # e_(3+c): G_0c = a b, so ref = a^2 b^2, past the pass's primes, and
     # row 1 of G is (b^2 + 1, 0, 0, 0), whose |G|^2 bound (b^2 + 1)^2
-    # growth is below ref.  The tile of row 1 is compared in a space of
-    # its own that ref bounds, where |G_12|^2 = 0 breaks equiangularity
+    # growth is below ref.  m = 4 a^2 bounds ref as every |G|^2: Phi is
+    # evaluated once more, in a pass bounded by max(B, m^2), where
+    # |G_12|^2 = 0 breaks equiangularity
     tiles(height)
     ring = cyclo._ring(order)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
@@ -1440,12 +1462,14 @@ def test_a_later_tile_space_is_bounded_by_ref(order, height, tiles, spaces):
     a = 2 * b * (isqrt(growth) + 1)
     frame = spread_frame(order, [{r: a for r in range(4)}] + [
         {c - 1: b, 3 + c: 1} for c in range(1, 5)])
+    m = largest_norm(frame)
+    assert m == 4 * a * a
     spaces.clear()
     verify_etf(frame)
     assert not spaces[0].covers((a * b) ** 2)
-    assert (b * b + 1) ** 2 * growth < (a * b) ** 2
-    if height == 1:
-        assert spaces[2].bound == (a * b) ** 2
+    assert (b * b + 1) ** 2 * growth < (a * b) ** 2 <= m * m
+    assert len(spaces) == 2
+    assert spaces[1].bound == max(spaces[0].bound, m * m)
     rng = np.random.default_rng(order)
     for copy in (frame, rooted(frame, rng)):
         assert pass_certificate(copy) == whole_gram_oracle(copy)
@@ -1479,13 +1503,15 @@ def test_certification_forms_no_whole_gram_matrix(order, n):
 # ---------------------------------------------------------------------------
 # the norm rule at its edge
 #
-# Once the column norms are certified equal to s, |G_ij|^2 and ref =
-# |G_01|^2 lie in [0, s^2] at every complex embedding (Cauchy-Schwarz), so
-# where their values agree modulo primes whose product P exceeds 2 s^2 they
-# are equal: the pass compares them at its own points and interpolates only
-# G_01 and ref.  At P <= 2 s^2 every tile is interpolated, as the rule does
-# not hold there.  The real ladder's primes are far past 2 s^2 on these
-# frames, so the ladder is patched to begin with small primes.
+# Let m be the largest l1 norm of a column norm's coefficients (s once the
+# norms are equal).  |G_ij|^2 and ref = |G_01|^2 lie in [0, m^2] at every
+# complex embedding (Cauchy-Schwarz), so where their values agree modulo
+# primes whose product P exceeds 2 m^2 they are equal: the pass compares
+# them at its own points and interpolates single entries only (ref, the
+# witness's |G|^2, their Gram entries, the values reported).  At
+# P <= 2 m^2 Phi is evaluated once more, in a pass bounded by max(B, m^2).
+# The real ladder's primes are far past 2 m^2 on these frames, so the
+# ladder is patched to begin with small primes.
 
 
 @pytest.fixture
@@ -1527,63 +1553,85 @@ def one_prime_of(order: int, low: int, high: int, last: bool) -> int:
 
 @pytest.mark.parametrize("order, scale", [(3, 3), (4, 2), (5, 3)])
 def test_norm_rule_fires_only_past_twice_s_squared(order, scale, ladder,
-                                                   interpolated):
-    # the Fourier simplex scaled by `scale`: s = (order - 1) scale^2, and
-    # a pass bound B = scale^2 growth order below s^2.  One prime, just
-    # below 2 s^2 and just above it, with the pass's bound under each;
-    # ETFs, rotated copies and corrupted copies give the oracle's fields
+                                                   interpolated, spaces):
+    # the Fourier simplex scaled by `scale`, whose norms are s = (order - 1)
+    # scale^2 = m, and a copy with its last column doubled, whose norms
+    # are s and m = 4 s; each pass's bound B = mag^2 growth order is below
+    # m^2.  One prime, just below 2 m^2 and just above it, with the pass's
+    # bound under each: above, the rule fires in the pass; below, Phi is
+    # evaluated once more in a pass bounded by max(B, m^2).  Each frame, a
+    # rotated copy and a corrupted copy give the oracle's fields, and past
+    # the norms no more than one entry is interpolated at a time
     ring = cyclo._ring(order)
     growth = ring.conj_l1 * ring.degree * ring.fold_l1
-    etf = Frame(CycMatrix(order, simplex_frame(order).synthesis.array
-                          * scale))
-    s, bound = (order - 1) * scale ** 2, scale ** 2 * growth * order
+    even = simplex_frame(order).synthesis.array * scale
+    uneven = even.copy()
+    uneven[:, -1] *= 2
+    s = (order - 1) * scale ** 2
     rng = np.random.default_rng(order)
-    copies = [etf, rooted(etf, rng),
-              corrupted(etf, [(order // 2, order - 1)], lambda x: -x)]
-    below = one_prime_of(order, 2 * bound, 2 * s * s, last=True)
-    above = one_prime_of(order, 2 * s * s, 4 * s * s, last=False)
-    for p, fires in ((below, False), (above, True)):
-        ladder(p)
-        for frame in copies:
-            space = frames._frame_space(frame.synthesis, frame.support)[0]
-            assert space.primes == (p,)
-            assert space.covers(s * s) == fires
-            interpolated.clear()
-            got = pass_certificate(frame)
-            assert got == python_int_oracle(frame)
-            whole = [k for k in interpolated[1:] if k > 1]  # past the norms
-            assert interpolated[0] == frame.n
-            if not got["equiangular"]:      # the witness's tile, on both
-                assert whole == [frame.n * frame.n]
-            else:
-                assert whole == ([] if fires else [frame.n * frame.n])
+    for arr, m, mag in ((even, s, scale), (uneven, 4 * s, 2 * scale)):
+        etf = Frame(CycMatrix(order, arr))
+        bound = mag ** 2 * growth * order
+        copies = [etf, rooted(etf, rng),
+                  corrupted(etf, [(order // 2, order - 1)], lambda x: -x)]
+        below = one_prime_of(order, 2 * bound, 2 * m * m, last=True)
+        above = one_prime_of(order, 2 * m * m, 4 * m * m, last=False)
+        for p, fires in ((below, False), (above, True)):
+            ladder(p)
+            for frame in copies:
+                space = frames._frame_space(frame.synthesis, frame.support)[0]
+                assert space.primes == (p,) and space.bound == bound
+                assert space.covers(m * m) == fires
+                spaces.clear()
+                interpolated.clear()
+                got = pass_certificate(frame)
+                assert got == python_int_oracle(frame)
+                assert len(spaces) == (1 if fires else 2)
+                if not fires:
+                    assert spaces[1].bound == max(bound, m * m)
+                assert interpolated[0] == frame.n
+                assert set(interpolated[1:]) == {1}
 
 
 @pytest.mark.parametrize("height", [None, 1])
 def test_norm_rule_does_not_accept_a_congruent_modulus(ladder, tiles,
-                                                       height):
-    # over Z[i], columns (10, -3, -2), (10, -3, 2) and (10, 2, 3): s = 113,
-    # ref = 105^2 and |G_02|^2 = 88^2, which differ by 17 * 193 = 3281.
-    # With the ladder at 17, 193 the pass runs mod P = 3281, past its 2B =
-    # 2400 but not past 2 s^2 = 25538: the two agree mod P, so the rule
-    # must not fire, and (0, 2) is the witness, as the oracle's is.  Were
-    # it to fire, tiles of one row would pass row 0 and name (1, 2)
+                                                       height, spaces):
+    # over Z[i], with the ladder at 17, 193, the pass runs mod P = 3281 =
+    # 17 * 193, past its 2B but not past 2 m^2: values that agree mod P
+    # need not be equal, and Phi is evaluated once more in a pass bounded
+    # by m^2.  Two frames, whose columns are given:
+    # - (10, -3, -2), (10, -3, 2), (10, 2, 3): m = s = 113, 2B = 2400,
+    #   ref = 105^2 and |G_02|^2 = 88^2, which differ by P.  (0, 2) is the
+    #   witness, as the oracle's is; a rule fired mod P would pass row 0
+    #   in tiles of one row and name (1, 2);
+    # - (-4, 4, -9), (-1, 3, -8), (-1, 5, -9): unequal norms 113, 74 and
+    #   107, so m = 113, 2B = 1944, and G_01 = G_12 = 88, G_02 = 105.  The
+    #   frame is not equiangular, as the oracle says, though every |G|^2
+    #   agrees with ref mod P: a rule fired mod P would find t = 88^2
     tiles(height)
-    cols = [(10, -3, -2), (10, -3, 2), (10, 2, 3)]
-    arr = np.zeros((3, 3, 2), dtype=np.int64)
-    arr[..., 0] = np.array(cols).T
-    frame = Frame(CycMatrix(4, arr))
+    cases = [
+        ([(10, -3, -2), (10, -3, 2), (10, 2, 3)], 113,
+         "Gram entry (0, 2) has |.|^2 = (7744, 0), entry (0, 1) has "
+         "(11025, 0): equiangularity fails"),
+        ([(-4, 4, -9), (-1, 3, -8), (-1, 5, -9)], 113,
+         "Gram entry (1, 1) = (74, 0) breaks equal norms (entry (0, 0) = "
+         "(113, 0))"),
+    ]
     ladder(17, 193)
-    space = frames._frame_space(frame.synthesis, frame.support)[0]
-    assert space.primes == (17, 193)
-    assert (105 ** 2 - 88 ** 2) % 3281 == 0 and not space.covers(113 ** 2)
     rng = np.random.default_rng(4)
-    for copy in (frame, rooted(frame, rng)):
-        got = pass_certificate(copy)
-        assert got == python_int_oracle(copy)
-        assert got["witness"] == ("Gram entry (0, 2) has |.|^2 = (7744, 0), "
-                                  "entry (0, 1) has (11025, 0): "
-                                  "equiangularity fails")
+    for cols, m, witness in cases:
+        arr = np.zeros((3, 3, 2), dtype=np.int64)
+        arr[..., 0] = np.array(cols).T
+        frame = Frame(CycMatrix(4, arr))
+        space = frames._frame_space(frame.synthesis, frame.support)[0]
+        assert space.primes == (17, 193) and not space.covers(m * m)
+        assert (105 ** 2 - 88 ** 2) % 3281 == 0
+        for copy in (frame, rooted(frame, rng)):
+            spaces.clear()
+            got = pass_certificate(copy)
+            assert got == python_int_oracle(copy)
+            assert len(spaces) == 2 and spaces[1].bound == m * m
+            assert not got["equiangular"] and got["witness"] == witness
 
 
 def gdd_88_320() -> Frame:
@@ -1618,21 +1666,20 @@ def test_pass_interpolates_no_gram_tile_of_an_etf(build, cert, interpolated):
         assert interpolated[0] == frame.n and set(interpolated[1:]) == {1}
 
 
-def test_pass_interpolates_only_the_witness_tile_of_a_corrupted_etf(
+def test_pass_interpolates_only_the_witness_entry_of_a_corrupted_etf(
         interpolated):
     # ETF(88,320) with entry (40, 289) negated keeps equal norms; its
-    # witness lies in a late tile, which alone is interpolated whole, and
-    # every field is the whole Gram's
+    # witness lies in a late tile, of which only the witness is
+    # interpolated, then its |.|^2, one entry each, and every field is the
+    # whole Gram's
     bad = corrupted(gdd_88_320(), [(40, 289)], lambda x: -x)
     got = pass_certificate(bad)
     assert got == whole_gram_oracle(bad)
     assert got["witness"] == ("Gram entry (280, 289) has |.|^2 = (3, 0, -2, "
                               "2), entry (0, 1) has (1, 0, 0, 0): "
                               "equiangularity fails")
+    assert got["tdtf_values"] is None
     interpolated.clear()
     verify_etf(bad)
-    rows = next(rows for rows, _ in frames._tiles(bad.support, 4)
-                if rows.start <= 280 < rows.stop)
-    assert interpolated[0] == bad.n
-    assert [k for k in interpolated[1:] if k > 1] == [
-        (rows.stop - rows.start) * (bad.n - rows.start)]
+    # the norms; G_01 and ref; the witness and its |.|^2
+    assert interpolated == [bad.n, 1, 1, 1, 1]
