@@ -229,11 +229,9 @@ def cmd_build(args) -> int:
 def _build_gdd_etf(args):
     seed = _read_frame(args.seed)
     gdd = parse_design(_read(args.gdd))
-    matches = []
-    if seed.d > 1:
-        for t in classify_type(seed.d, seed.n):
-            if t.K == gdd.K and t.seed_group_size == gdd.M:
-                matches.append(t)
+    types = classify_type(seed.d, seed.n) if 1 < seed.d < seed.n else []
+    matches = [t for t in types
+               if t.K == gdd.K and t.seed_group_size == gdd.M]
     if not matches:
         raise CliError(
             f"seed ({seed.d}, {seed.n}) has no type matching a K={gdd.K} "

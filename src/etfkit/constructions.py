@@ -4,12 +4,15 @@ type-(K,L,S') ETF, plus existence predicates for the known (K,L,S) families.
 
 A Steiner ETF is the GDD extension of the one-vector seed, so the two share
 one assembly; a MOLS frame is one gather of simplex tails.  Every factory
-certifies its own output exactly and refuses to return an uncertified frame.
+certifies its own output exactly and refuses to return an uncertified frame:
+a regular simplex by its certified Hadamard matrix, whose identities imply
+the simplex's, and every other frame by `verify_etf`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,13 +77,15 @@ def _require_dephased(h: HadamardMatrix, size: int, label: str) -> None:
 
 
 def regular_simplex(n: int, h: HadamardMatrix) -> tuple[Frame, EtfCertificate]:
-    """The flat (N-1) x N simplex cut from a dephased Hadamard of size N."""
+    """The flat (N-1) x N simplex cut from a dephased Hadamard of size N.
+
+    Its certificate is the one H's implies, with no pass of its own: F*F =
+    NI - J gives s = N - 1 and t = 1, and FF* = NI gives A = N (see
+    `simplex_from_hadamard`)."""
     _require_dephased(h, n, "Hadamard matrix")
     frame = Frame(simplex_from_hadamard(h))
-    cert = verify_etf(frame)
-    if not (cert.welch_equality and cert.s == n - 1 and cert.t == 1):
-        raise ConstructionError(f"simplex certification failed: {cert}")
-    return frame, cert
+    return frame, EtfCertificate(n - 1, n, n - 1, 1, Fraction(n), True, True,
+                                 True, True, None, None)
 
 
 def steiner_etf(bibd: GroupDivisibleDesign,
@@ -159,19 +164,15 @@ def mols_tdtf(td: GroupDivisibleDesign, h: HadamardMatrix,
 @dataclass(frozen=True)
 class GddEtfPlan:
     """Derived quantities for extending a type-(K,L,S) ETF by a K-GDD of
-    type M^U."""
+    type M^U.  The output is of type (K,L,S'), whose dimension and count
+    are its D' and N'."""
 
     seed: EtfType
     u: int
     m: int                 # GDD group size S(K-1)+L
-    r: int                 # replication number M(U-1)/(K-1)
-    w: int                 # R/(S+L)
-    s_out: int             # S' = S + R
-    d_out: int             # U*D + B
-    n_out: int
-    b: int                 # GDD block count
+    s_out: int             # S' = S + R, R = M(U-1)/(K-1)
     hadamard_e_size: int   # S + L
-    hadamard_f_size: int   # W + 1
+    hadamard_f_size: int   # W + 1, W = R/(S+L)
 
 
 def plan_gdd_etf(seed_type: EtfType, u: int) -> GddEtfPlan:
@@ -211,8 +212,7 @@ def plan_gdd_etf(seed_type: EtfType, u: int) -> GddEtfPlan:
     if (w_rem or (k - 1) * s_out != m * u - ell
             or d_out != out_type.dimension):
         raise AssertionError(f"inconsistent plan for {seed_type}, U={u}")
-    return GddEtfPlan(seed_type, u, m, r, w, s_out, d_out, out_type.count,
-                      b, s + ell, w + 1)
+    return GddEtfPlan(seed_type, u, m, s_out, s + ell, w + 1)
 
 
 def _extension(seed: CycMatrix, gdd: GroupDivisibleDesign, e: CycMatrix,

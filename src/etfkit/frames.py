@@ -84,9 +84,8 @@ no prime (d = 1) all of these are integers below 2^53.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 from typing import NamedTuple
 
@@ -225,22 +224,6 @@ class EtfCertificate:
     # when there are more than two)
     witness: str | None
     tdtf_values: tuple[CycScalar, ...] | None
-    _synthesis: CycMatrix = field(repr=False, compare=False)
-
-    @cached_property
-    def flat(self) -> bool:
-        """Every entry of the synthesis operator has |Phi_ij|^2 = 1."""
-        return _unimodular(self._synthesis)[2] is None
-
-    @cached_property
-    def centered(self) -> bool:
-        """The frame vectors sum to zero: Phi times the all-ones vector,
-        the row sums of the coefficient array.  They are exact in int64
-        while max|Phi_ij| N < 2^63, and in Python ints past that."""
-        arr = self._synthesis.array
-        if arr.dtype != object and self._synthesis.mag * self.n >= 2**63:
-            arr = arr.astype(object)
-        return not arr.sum(axis=1).any()
 
     @property
     def tdtf(self) -> TdtfReport | None:
@@ -382,16 +365,23 @@ def _frame_space(mat: CycMatrix, support: np.ndarray | None,
     # A zero entry is 0 at every point, so a sum at a point holds at most
     # `terms` nonzero products too: that is the width of the ladder.  The
     # counts are taken only where they can pay: a sparse frame whose
-    # max(D, N) bound needs a prime
-    growth = ring.conj_l1 * ring.degree * ring.fold_l1
+    # max(D, N) bound needs a prime.  The growth factors are 1 at d = 1,
+    # and past it only a zero bound needs no prime, so that is read
+    # without them
     terms = max(d, n)
     if not (support is None or support.all()
-            or _float_exact(ring, mag * mag * growth * terms)):
+            or _float_exact(ring, mag * mag * terms)):
         counted = support.view(np.uint8)     # summed faster than booleans
         terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
                     int(counted.sum(axis=1, dtype=np.int32).max()))
-    bound = max(mag * mag * growth * terms, least)
-    return _Space(ring, max(terms, ring.degree), bound), mag
+    width = max(terms, ring.degree)
+    if ring.degree > 1 and mag:
+        # an order with no prime on its ladder is refused before its
+        # growth factors, which cost O(n d), are computed
+        ring.primes(width, 1)
+    bound = max(mag * mag * ring.conj_l1 * ring.degree * ring.fold_l1
+                * terms, least)
+    return _Space(ring, width, bound), mag
 
 
 def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
@@ -474,7 +464,7 @@ def verify_etf(frame: Frame) -> EtfCertificate:
     all as exact integer identities, in one pass: norms, then Gram tiles,
     then tightness (see the module docstring).  A failed certificate
     carries its witness and the distinct off-diagonal Gram values (None
-    past two); flatness and centering are computed when first read."""
+    past two).  It is a plain value: it keeps no reference to the frame."""
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg, half = ring.degree, _half(ring.degree)
@@ -549,7 +539,7 @@ def verify_etf(frame: Frame) -> EtfCertificate:
             for v in values))
     a = Fraction(n * s, d) if s is not None else None
     return EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
-                          welch, witness, values, frame.synthesis)
+                          welch, witness, values)
 
 
 def classify_type(d: int, n: int) -> list[EtfType]:

@@ -5,8 +5,8 @@ exactly; `HadamardMatrix` certifies both where a matrix enters the library.
 Dephasing scales columns so the first row is all ones; dropping that row
 then leaves a flat regular simplex: n equal-norm vectors in n-1 dimensions
 summing to zero, the seed ingredient of every frame construction in this
-package.  The simplex has no certificate of its own: its identities follow
-from H's, as `simplex_from_hadamard` shows.
+package.  The simplex runs no certifying pass: its identities follow from
+H's, as `simplex_from_hadamard` shows, and so does its certificate.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ difference-set family.
 """
 
 import cmath
+import functools
 from functools import lru_cache
 
 import numpy as np
@@ -146,6 +147,19 @@ def entries(arr) -> list[list[tuple[int, ...]]]:
     """The elements of a (rows, cols, d) coefficient array, as Python
     ints."""
     return [[tuple(int(x) for x in cell) for cell in row] for row in arr]
+
+
+def flat(n: int, arr) -> bool:
+    """Every entry of a (rows, cols, d) coefficient array has |.|^2 = 1."""
+    one = const(n, 1)
+    return all(abs2(n, x) == one for row in entries(arr) for x in row)
+
+
+def centered(n: int, arr) -> bool:
+    """The columns of a (rows, cols, d) coefficient array sum to zero: each
+    row sums to 0, in Python ints."""
+    zero = const(n, 0)
+    return all(functools.reduce(add, row) == zero for row in entries(arr))
 
 
 # ---------------------------------------------------------------------------

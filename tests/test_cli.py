@@ -227,6 +227,22 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
                "type 3^3")
 
 
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]])
+def test_build_gdd_etf_refuses_a_seed_with_no_more_vectors_than_rows(
+        tmp_path, capsys, rows):
+    # N <= D has no type: the build says so itself, as the classifier
+    # needs 1 < D < N
+    seed, td = tmp_path / "seed.frame", tmp_path / "td33.design"
+    seed.write_text(serialize_frame(Frame(CycMatrix.from_int_matrix(rows))))
+    run(capsys, "design", "td", "3", "3", "-o", str(td))
+    d, n = len(rows), len(rows[0])
+    assert run(capsys, "build", "gdd-etf", "--seed", str(seed), "--gdd",
+               str(td), "--he", "sylvester:1", "--hf", "sylvester:2", "-o",
+               str(tmp_path / "out.frame")) == (
+        2, "", f"error: seed ({d}, {n}) has no type matching a K=3 design "
+               f"of type 3^3")
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     # the parser is built once per process: after a usage error, a design,
     # a build and a verify call each print and exit as in a fresh process
@@ -1487,6 +1503,26 @@ def test_an_order_past_the_prime_ladder_exits_2(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "error: too few primes = 1 (mod 3) for an exact product of width 4"]
+
+
+def test_an_order_past_the_prime_ladder_is_refused_before_its_constants(
+        tmp_path, capsys):
+    # n = 262147 is prime, so a 1 x 1 frame is 512 KB of coefficients; the
+    # ladder of width 2^19 is empty there.  The certifier refuses it before
+    # the ring's growth factors, which cost O(n d), are computed
+    path = tmp_path / "one262147.frame"
+    path.write_text("FRAME 262147 1 1\n1" + ",0" * 262145 + "\n")
+    try:
+        code, out, err = run(capsys, "verify", str(path), "--kind", "frame")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: too few primes = 1 (mod 262147) for an exact product of "
+            "width 524288"]
+        assert "conj_l1" not in vars(cyclo._ring(262147))
+        assert "fold_l1" not in vars(cyclo._ring(262147))
+    finally:
+        cyclo._ring.cache_clear()
+        cyclotomic_polynomial.cache_clear()
 
 
 @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])

@@ -71,6 +71,30 @@ def test_simplex_size_mismatch():
         regular_simplex(3, sylvester(2))
 
 
+# every Hadamard spec of perfbench's small-zoo simplices, with its size
+SIMPLEX_SPECS = ([(f"sylvester:{k}", 2 ** k) for k in range(1, 6)]
+                 + [(f"paley1:{q}", q + 1) for q in (3, 7, 11, 19, 23)]
+                 + [(f"paley2:{q}", 2 * (q + 1)) for q in (5, 13)]
+                 + [(f"fourier:{n}", n) for n in range(2, 13)])
+
+
+@pytest.mark.parametrize("spec, n", SIMPLEX_SPECS)
+def test_simplex_takes_the_certificate_its_hadamard_implies(spec, n,
+                                                            monkeypatch):
+    # regular_simplex runs no pass: its certificate, read off H's, is the
+    # one the certifier gives, every field compared, and the frame is flat
+    # and centered
+    h, calls = hadamard_from_spec(spec), []
+    monkeypatch.setattr(construction_module, "verify_etf",
+                        lambda frame: calls.append(frame))
+    frame, cert = regular_simplex(n, h)
+    assert calls == []
+    want = verify_etf(frame)
+    assert cert == want and str(cert) == str(want)
+    arr = frame.synthesis.array
+    assert oracle.flat(frame.order, arr) and oracle.centered(frame.order, arr)
+
+
 # ---------------------------------------------------------------------------
 # Steiner ETFs
 
@@ -112,13 +136,18 @@ def test_steiner_rejects_bad_inputs():
 def test_mols_centered_etf_6_16():
     frame, cert = mols_tdtf(td(2, 4), sylvester(2), "centered")
     assert (frame.d, frame.n) == (6, 16)
-    assert cert.welch_equality and cert.flat and cert.centered
+    assert cert.welch_equality
+    arr = frame.synthesis.array
+    assert oracle.flat(frame.order, arr) and oracle.centered(frame.order, arr)
 
 
 def test_mols_augmented_etf_10_16():
     frame, cert = mols_tdtf(td(3, 4), sylvester(2), "augmented")
     assert (frame.d, frame.n) == (10, 16)
-    assert cert.welch_equality and cert.flat and not cert.centered
+    assert cert.welch_equality
+    arr = frame.synthesis.array
+    assert oracle.flat(frame.order, arr)
+    assert not oracle.centered(frame.order, arr)
     assert classify_type(10, 16) == [EtfType(2, -1, 5)]
 
 
@@ -236,15 +265,17 @@ def test_mols_matches_the_kronecker_product(monkeypatch, m, k):
 
 def test_plan_small_seed():
     plan = plan_gdd_etf(EtfType(3, -1, 2), 3)
-    assert (plan.m, plan.r, plan.w, plan.s_out) == (3, 3, 3, 5)
-    assert (plan.d_out, plan.n_out) == (15, 36)
+    out = EtfType(3, -1, plan.s_out)
+    assert (plan.m, plan.hadamard_f_size - 1, plan.s_out) == (3, 3, 5)
+    assert (out.dimension, out.count) == (15, 36)
     assert plan.hadamard_e_size == 1 and plan.hadamard_f_size == 4
 
 
 def test_plan_medium_seed():
     plan = plan_gdd_etf(EtfType(4, -1, 3), 4)
-    assert (plan.m, plan.r, plan.w, plan.s_out) == (8, 8, 4, 11)
-    assert (plan.d_out, plan.n_out) == (88, 320)
+    out = EtfType(4, -1, plan.s_out)
+    assert (plan.m, plan.hadamard_f_size - 1, plan.s_out) == (8, 4, 11)
+    assert (out.dimension, out.count) == (88, 320)
     assert plan.s_out % 8 == 3
 
 
@@ -268,14 +299,15 @@ def test_plan_accepts_canonical_residue_class():
             if u < seed.K:
                 continue
             plan = plan_gdd_etf(seed, u)
-            assert plan.s_out == seed.S + plan.r
+            # S' = S + R, R = M(U-1)/(K-1)
+            assert plan.s_out == seed.S + plan.m * (u - 1) // (seed.K - 1)
 
 
 def test_every_admissible_plan_classifies_as_its_output_type():
     # gdd_etf does not re-classify its output of type (K, L, S'):
-    # plan_gdd_etf refuses a plan whose D' is not that type's dimension,
-    # and N' is its count, so D'(N' - 1)/(N' - D') = S'^2 makes it one of
-    # the types of (D', N')
+    # plan_gdd_etf refuses a plan whose D' = U D + B is not that type's
+    # dimension, and N' is its count, so D'(N' - 1)/(N' - D') = S'^2 makes
+    # it one of the types of (D', N')
     plans = []
     for k in range(1, 9):
         for ell in (1, -1):
@@ -288,7 +320,7 @@ def test_every_admissible_plan_classifies_as_its_output_type():
     assert len(plans) == 9473
     for plan in plans:
         out = EtfType(plan.seed.K, plan.seed.L, plan.s_out)
-        assert out in classify_type(plan.d_out, plan.n_out), plan
+        assert out in classify_type(out.dimension, out.count), plan
 
 
 # ---------------------------------------------------------------------------
