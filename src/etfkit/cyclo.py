@@ -436,6 +436,14 @@ def _kernel_primes(ring: _Ring, width: int, bound: int) -> tuple[int, ...]:
     return () if _float_exact(ring, bound) else ring.primes(width, bound)
 
 
+def _ladder_first(ring: _Ring, width: int, mag: int) -> None:
+    """Refuse an order whose ladder for `width` holds no prime before the
+    growth factors, which cost O(n d), are read: at d > 1 a pass over
+    operands whose product of magnitudes `mag` is nonzero needs a prime."""
+    if ring.degree > 1 and mag:
+        ring.primes(width, 1)
+
+
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x - p rint(x / p) in place: the centred residue of every |x| < 2^52.
     x is C-contiguous; it is taken in blocks, so the temporary stays
@@ -592,6 +600,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, ring: _Ring) -> np.ndarray:
     """
     (r, k, d), c = a.shape, b.shape[1]
     ma, mb = _max_abs(a), _max_abs(b)
+    _ladder_first(ring, max(k, d), ma * mb)
     space = _Space(ring, max(k, d), ma * mb * k * d * ring.fold_l1)
     right = space.values(b, mb)
 
@@ -612,7 +621,10 @@ def _entrywise(a: np.ndarray, b: np.ndarray | None,
     B = max|a| max|b| d fold_l1, with max|conj a| <= max|a| conj_l1."""
     d = ring.degree
     ma = _max_abs(a)
-    mb = ma * ring.conj_l1 if b is None else _max_abs(b)
+    mb = ma if b is None else _max_abs(b)
+    _ladder_first(ring, d, ma * mb)
+    if b is None:
+        mb *= ring.conj_l1
     shape = a.shape if b is None else np.broadcast_shapes(a.shape, b.shape)
     space = _Space(ring, d, ma * mb * d * ring.fold_l1)
     operands = [(a, ma)] if b is None else [(a, ma), (b, mb)]

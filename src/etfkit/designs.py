@@ -523,10 +523,12 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
     blocks, mu = design.blocks, m * u
     if blocks.shape[1] != k:
         return fail(f"block 0 does not have {k} distinct vertices")
-    faults = np.array([
-        (np.diff(blocks, axis=1) <= 0).any(axis=1),
-        (blocks[:, 0] < 0) | (blocks[:, -1] >= mu),
-        (np.diff(blocks // m, axis=1) <= 0).any(axis=1)])
+    # a column pair at a time, so that no temporary holds every vertex
+    faults = np.zeros((3, b), dtype=bool)
+    faults[1] = (blocks[:, 0] < 0) | (blocks[:, -1] >= mu)
+    for i in range(1, k):
+        faults[0] |= blocks[:, i] <= blocks[:, i - 1]
+        faults[2] |= blocks[:, i] // m <= blocks[:, i - 1] // m
     hit = faults.any(axis=0)
     first = int(hit.argmax()) if hit.any() else b
     if first == b:
@@ -534,8 +536,10 @@ def _gdd_report(design: GroupDivisibleDesign) -> GddReport:
         keys = np.empty((b, k * (k - 1) // 2), dtype=np.int64)
         at = 0
         for i in range(k - 1):  # pairs (v_i, v_j), j > i, of every block,
-            step = k - 1 - i    # with no temporary of every pair
-            keys[:, at:at + step] = blocks[:, i, None] * mu + blocks[:, i + 1:]
+            step = k - 1 - i    # written in place, with no temporary
+            part = keys[:, at:at + step]
+            np.multiply(blocks[:, i, None], mu, out=part)
+            part += blocks[:, i + 1:]
             at += step
         keys = keys.reshape(-1)
         keys.sort()

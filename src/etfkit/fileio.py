@@ -15,34 +15,33 @@ verify_gdd to parse at all.
 The parsers take a file's bytes or its text.  A plain file, ASCII with
 the newline as its only line break, is read from its bytes as they are
 (text is encoded once).  Only its header line is searched for the other
-line breaks but "\r": the block readers refuse one in a body, and the
+line breaks but "\r": the block reader refuses one in a body, and the
 file is then read as any other file is.  Bytes of any other file are
 decoded as Path.read_text(encoding="utf-8") decodes them: strict UTF-8,
 so that a file that is not UTF-8 raises the same UnicodeDecodeError, with
 "\r\n" and a lone "\r" read as "\n".  Such a file is read line by line.
 
-A design body is read as one (B, K) int64 array when the file is plain
-and its body is B lines of K tokens -?[0-9]{1,18}, one space apart, each
-line ascending.  Any other file, and a body that fails these checks, is
-read line by line, so that an error names its first bad line.
+One block reader reads the body of a plain file of either format into
+int64: a design body is a frame body of one entry of K tokens a line.  It
+takes the format's byte table and the bytes that table deletes.  A
+frame's spaces are deleted and its "|" read as "!", so that each " | " is
+one separator; a design's space separates its tokens, and "," and "|" are
+bytes that no token holds.  deg = phi(n) comes from the factorisation of
+n, so Phi_n is built only by the CycMatrix that receives the
+coefficients, after every check.
 
-A frame body is read whole, not entry by entry, in blocks of whole rows
-of about 2^15 coefficients, so that no Python object is made per
-coefficient and the temporaries are those of one block.  deg = phi(n)
-comes from the factorisation of n, so Phi_n is built only by the
-CycMatrix that receives the coefficients, after every check.
-
-A plain file's body goes to the block reader.  Before it allocates its
-int64 output, the body must hold a byte for each of the D N deg
-coefficients and one for each separator but the last, so that a header
-promising more allocates nothing.  Then, in each block:
-  - the line ends are found by memchr;
-  - one bytes.translate deletes the spaces, turns "|" into "!" and every
-    byte no token holds into "x";
+Before it allocates its int64 output, the body must hold a byte for each
+of the D N deg tokens and one for each separator but the last, so that a
+header promising more allocates nothing.  Then it is read in blocks of
+whole lines of about 2^17 bytes, so that no Python object is made per
+token and the temporaries are those of one block.  A block ends at the
+last line end within that budget, found by one bytes.rfind; a longer line
+is a block of its own.  In each block:
+  - one bytes.translate deletes the format's deleted bytes, writes its
+    separators as bytes below "-" and every byte no token holds as "x";
   - the token scan's separators, the bytes below "-" ("," "!" and the line
-    end), must be those of the block's lines of N entries of deg tokens:
-    their count first, then their bytes, which are built once, for the
-    first block, after its count matched;
+    end), must be those of whole lines of N entries of deg tokens, no more
+    lines than the header has left: their count, then their bytes;
   - the spaces deleted must be those of the " | ".  The block holds
     2 rows (N - 1) spaces, and the byte pairs " |" and "| " each occur
     rows (N - 1) times.  The separators have shown that the block holds
@@ -56,29 +55,30 @@ promising more allocates nothing.  Then, in each block:
     token, and each byte read as a digit must be one: an "x", a "-" after
     the first byte and a token with no digit fail there.
 
-Any other file, and a plain one the block reader refuses, is split by
-str.splitlines() and checked line by line: the row count, then each row's
-width, before anything of the header's size is allocated, so that an
-error names the first line or entry that breaks it whichever way the file
-was read.  Its lines, joined, go to the same block reader, unless they
-are the plain body it has just refused (less its last line end).  When it
-refuses them too (more digits, a "+", a stray space, a non-ASCII digit,
-or no integer at all), the separators are checked whole, and the body is
-read again as Python ints with int(), which CycMatrix narrows to int64
-where they fit.  When either fails, the body is walked entry by entry, to
-name the first bad entry (r, c) in row-major order, its count checked
-before its integers.
+Any other file, a body the block reader refuses and a design whose rows
+do not ascend are read line by line, so that an error names the first
+line or entry that breaks it whichever way the file was read.  A frame's
+lines, from str.splitlines(), are checked before anything of the
+header's size is allocated: the row count, then each row's width.  Its
+lines, joined, go to the same block reader, unless they are the plain
+body it has just refused (less its last line end).  When it refuses them
+too (more digits, a "+", a stray space, a non-ASCII digit, or no integer
+at all), the separators are checked whole, and the body is read again as
+Python ints with int(), which CycMatrix narrows to int64 where they fit.
+When either fails, the body is walked entry by entry, to name the first
+bad entry (r, c) in row-major order, its count checked before its
+integers.
 
-A file is written as ASCII bytes in the same blocks of whole rows, each
-made only when the one before has been taken: serialize_frame and
-serialize_design join them into a str, while the CLI writes each block to
-its file as it is made.  In an int64 block every coefficient is written
-right-aligned into a uint8 cell of one width, its "-", its digits (one
-pass per digit of the longest token) and its separator slots ("," or " "
-within a row, " | " between entries, the newline after the last), NUL
-elsewhere; one bytes.translate deletes the NULs.  Python-int storage (a
-coefficient at or above 2^62) is written one row at a time, each row
-formatted from one list of Python ints.
+A file is written as ASCII bytes in blocks of whole rows of about 2^15
+coefficients, each made only when the one before has been taken:
+serialize_frame and serialize_design join them into a str, while the CLI
+writes each block to its file as it is made.  In an int64 block every
+coefficient is written right-aligned into a uint8 cell of one width, its
+"-", its digits (one pass per digit of the longest token) and its
+separator slots ("," or " " within a row, " | " between entries, the
+newline after the last), NUL elsewhere; one bytes.translate deletes the
+NULs.  Python-int storage (a coefficient at or above 2^62) is written one
+row at a time, each row formatted from one list of Python ints.
 """
 
 from __future__ import annotations
@@ -102,13 +102,25 @@ __all__ = [
 
 
 _TRIAL_DIVISION_LIMIT = 2**40     # at most 2^19 trial divisions
-_BLOCK = 2**15                    # coefficients per block of whole rows
+_BLOCK = 2**15                    # coefficients per block of written rows
+_BLOCK_BYTES = 2**17              # bytes per block of read lines
 _MAX_DIGITS = 18                  # 10^18 < 2^62: such a token is stored int64
 _POW10 = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
-# "|" becomes "!", below "-" as "," and the line end are, and a byte no
-# token holds becomes "x"
-_SEPARATORS = bytes(c if c in b"0123456789-,\n" else b"!"[0] if c == b"|"[0]
-                    else b"x"[0] for c in range(256))
+
+
+def _table(seps: dict[bytes, bytes]) -> bytes:
+    """A translate table that keeps digits, "-" and the line end, maps each
+    separator of `seps` to its byte below "-" and every other byte, which no
+    token holds, to "x"."""
+    return bytes(c if c in b"0123456789-\n" else seps.get(bytes([c]), b"x")[0]
+                 for c in range(256))
+
+
+# each format's byte table and the bytes it deletes.  A frame's spaces are
+# deleted and its "|" read as "!", so that each " | " is one separator; a
+# design's space is the separator of the tokens of its one entry a line
+_FRAME_TABLE = (_table({b",": b",", b"|": b"!"}), b" ")
+_DESIGN_TABLE = (_table({b" ": b","}), b"")
 # every byte but the separators ",", "|" and the line end
 _TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b",|\n")))
 # the ASCII line breaks of str.splitlines() besides "\n"
@@ -166,7 +178,12 @@ def parse_design(data: str | bytes) -> GroupDivisibleDesign:
     except ValueError as exc:
         raise FileFormatError(f"non-integer design header: {first!r}") \
             from exc
-    blocks = None if raw is None else _plain_blocks(raw[cut + 1:], k, b)
+    blocks = None if raw is None else _int64_coefficients(
+        raw, cut + 1, b, 1, k, _DESIGN_TABLE)
+    if blocks is not None:
+        blocks = blocks.reshape(b, k)
+        if (blocks[:, 1:] < blocks[:, :-1]).any():      # a row descends
+            blocks = None
     if blocks is None:      # line by line, naming the first bad line
         if lines is None:
             lines = [ln for ln in _text(data).splitlines() if ln.strip()]
@@ -187,6 +204,7 @@ def parse_design(data: str | bytes) -> GroupDivisibleDesign:
                 raise FileFormatError(f"block {ln!r} is not sorted")
             blocks.append(blk)
     design = GroupDivisibleDesign(k, m, u, blocks)
+    del blocks              # the design holds its own copy: free this one
     report = verify_gdd(design)
     if not report.ok:
         raise DesignVerifyError(report)
@@ -199,7 +217,7 @@ def _plain(data: str | bytes) -> bytes | None:
 
     Only the header line is searched for the breaks other than "\r": in a
     body, each is a byte that no token or separator holds, which the block
-    readers refuse, and the file is then read line by line, as any other
+    reader refuses, and the file is then read line by line, as any other
     file is.  A "\r" is searched for in the whole file, as a "\r\n" read
     from bytes is one character, and a frame's order is bounded by the
     characters."""
@@ -217,21 +235,6 @@ def _text(data: str | bytes) -> str:
     if isinstance(data, str):
         return data
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _plain_blocks(body: bytes, k: int, b: int) -> np.ndarray | None:
-    """The blocks of a plain body of b lines of k tokens -?[0-9]{1,18},
-    one space apart, each line ascending; else None."""
-    body += b"" if body.endswith(b"\n") else b"\n"
-    seps = body.translate(None, b"0123456789-")
-    if (k < 1 or b < 1 or len(seps) != b * k
-            or seps != (b" " * (k - 1) + b"\n") * b):
-        return None
-    buf = np.frombuffer(body, dtype=np.uint8)
-    out = np.empty((b, k), dtype=np.int64)
-    if not _int64_tokens(buf, np.flatnonzero(buf <= ord(" ")), out.ravel()):
-        return None
-    return None if (np.diff(out, axis=1) < 0).any() else out
 
 
 def serialize_frame(frame: Frame) -> str:
@@ -344,54 +347,49 @@ def _separators_ok(body: bytes, d: int, n: int, deg: int) -> bool:
     return seps == b"\n".join([row] * d)
 
 
-def _int64_coefficients(raw: bytes, lo: int, d: int, n: int,
-                        deg: int) -> np.ndarray | None:
-    """The coefficients of the body raw[lo:] as int64, read in blocks of
-    whole lines; None unless the body is d lines of n entries joined by
-    " | ", each entry deg comma-separated tokens -?[0-9]{1,18}, the last
-    line end optional."""
+def _int64_coefficients(raw: bytes, lo: int, d: int, n: int, deg: int,
+                        table: tuple[bytes, bytes]) -> np.ndarray | None:
+    """The tokens of the body raw[lo:] as int64, read in blocks of whole
+    lines of about _BLOCK_BYTES bytes; None unless the body is d lines of
+    n entries joined by " | ", each entry deg tokens -?[0-9]{1,18}, the
+    last line end optional.  `table`, the format's byte table and the bytes
+    it deletes, names the separator of an entry's tokens: "," in a frame,
+    " " in a design."""
     width = n * deg
     # a coefficient takes a digit and a separator, but the last line end
     # may be missing: a header promising more allocates nothing
-    if 2 * d * width - 1 > len(raw) - lo:
+    if min(d, width) < 1 or 2 * d * width - 1 > len(raw) - lo:
         return None
     out = np.empty(d * width, dtype=np.int64)
-    step = max(1, _BLOCK // width)
-    pattern = None          # the first block's separators, the most rows
-    start = lo
-    for r in range(0, d, step):
-        rows = min(step, d - r)
-        stop = start
-        final = r + rows == d             # its last line ends the body
-        for _ in range(rows - final):     # each line end, by memchr
-            stop = raw.find(b"\n", stop) + 1
-            if not stop:
-                return None
-        block = raw[start:len(raw) if final else stop]
+    line = b"!".join([b"," * (deg - 1)] * n) + b"\n"   # its separators
+    start, r = lo, 0
+    while start < len(raw):
+        # the block ends at its last line end within the budget; a line
+        # longer than the budget is a block of its own
+        cut = start + _BLOCK_BYTES
+        stop = len(raw) if cut >= len(raw) else (
+            raw.rfind(b"\n", start, cut) + 1 or raw.find(b"\n", cut) + 1
+            or len(raw))
+        block = raw[start:stop]
         start = stop
-        kept = block.translate(_SEPARATORS, b" ")     # the one pass
-        if len(block) - len(kept) != 2 * rows * (n - 1):
-            return None
+        kept = block.translate(*table)                 # the one pass
+        spaces = len(block) - len(kept)
         if not kept.endswith(b"\n"):
             kept += b"\n"
         buf = np.frombuffer(kept, dtype=np.uint8)
         end = np.flatnonzero(buf < ord("-"))          # every separator
-        if end.size != rows * width:
+        rows, rest = divmod(end.size, width)
+        if rest or r + rows > d or spaces != 2 * rows * (n - 1):
             return None
-        if pattern is None:               # built once its count matches
-            line = (b"," * (deg - 1) + b"!") * n
-            pattern = (line[:-1] + b"\n") * rows
-        # The spaces deleted were those of the " | ": with its separators
-        # in place, the block holds rows (n - 1) "|", each with a space on
-        # either side.  No space sits beside two "|", since the token
-        # between them is not empty, so those are 2 rows (n - 1) spaces,
-        # and the block holds no other.
-        if not (buf[end].tobytes() == pattern[:end.size]
+        # with its separators in place, and each "|" spaced, the spaces
+        # deleted were those of the " | " (see the module docstring)
+        if not (buf[end].tobytes() == line * rows
                 and (n == 1 or _bars_spaced(block, rows * (n - 1)))
                 and _int64_tokens(buf, end,
                                   out[r * width:(r + rows) * width])):
             return None
-    return out
+        r += rows
+    return out if r == d else None
 
 
 def _bars_spaced(block: bytes, bars: int) -> bool:
@@ -458,7 +456,7 @@ def _coefficients_by_line(data: str | bytes, lines: list[str] | None,
                 f"row {r} has {width} entries, expected {n}")
     raw = "\n".join(body).encode("utf-8", "surrogatepass")
     if refused is None or raw != refused.removesuffix(b"\n"):
-        out = _int64_coefficients(raw, 0, d, n, deg)
+        out = _int64_coefficients(raw, 0, d, n, deg, _FRAME_TABLE)
         if out is not None:
             return out
     text = raw.decode("utf-8", "surrogatepass")
@@ -510,7 +508,8 @@ def _parse_matrix(data: str | bytes) -> CycMatrix:
     deg = _totient(order)
     out = None
     if raw is not None:
-        out = _int64_coefficients(raw, len(head_line) + 1, d, n, deg)
+        out = _int64_coefficients(raw, len(head_line) + 1, d, n, deg,
+                                   _FRAME_TABLE)
     if out is None:          # any other file, and any the blocks refuse
         out = _coefficients_by_line(data, lines, d, n, deg,
                                     raw and raw[len(head_line) + 1:])

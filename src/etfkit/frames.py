@@ -92,7 +92,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _entrywise,
-                    _float_exact, _ring, _row_blocks, _scaled, _Space)
+                    _float_exact, _ladder_first, _ring, _row_blocks, _scaled,
+                    _Space)
 
 __all__ = [
     "FrameError",
@@ -155,17 +156,23 @@ class Frame:
         arr = synthesis.array
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise FrameError("frame must be nonempty")
-        # a slot at a time, as a reduction along the short slot axis would
-        # cost a call per entry; in chunks of rows past _CHUNK values, so
-        # that the slots of a chunk are read from cache
-        step = max(1, _CHUNK // arr[0].size)
-        parts = []
-        for i in range(0, arr.shape[0], step):
-            part = arr[i:i + step, :, 0] != 0
-            for j in range(1, arr.shape[2]):
-                part |= arr[i:i + step, :, j] != 0
-            parts.append(part)
-        support = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        d, n, deg = arr.shape
+        if deg <= 12 and 256 * deg <= d * n:
+            # a slot at a time, a call per slot, while that beats one
+            # reduction along the slot axis, which pays a step per entry:
+            # up to 12 slots, with 256 entries a slot or more.  In chunks
+            # of rows past _CHUNK values, so that the slots of a chunk are
+            # read from cache
+            step = max(1, _CHUNK // arr[0].size)
+            parts = []
+            for i in range(0, d, step):
+                part = arr[i:i + step, :, 0] != 0
+                for j in range(1, deg):
+                    part |= arr[i:i + step, :, j] != 0
+                parts.append(part)
+            support = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        else:
+            support = arr.any(axis=2)
         support.setflags(write=False)
         nonzero_cols = support.any(axis=0)
         if not nonzero_cols.all():
@@ -375,10 +382,7 @@ def _frame_space(mat: CycMatrix, support: np.ndarray | None,
         terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
                     int(counted.sum(axis=1, dtype=np.int32).max()))
     width = max(terms, ring.degree)
-    if ring.degree > 1 and mag:
-        # an order with no prime on its ladder is refused before its
-        # growth factors, which cost O(n d), are computed
-        ring.primes(width, 1)
+    _ladder_first(ring, width, mag)
     bound = max(mag * mag * ring.conj_l1 * ring.degree * ring.fold_l1
                 * terms, least)
     return _Space(ring, width, bound), mag
@@ -606,6 +610,7 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
     num, den = frac.numerator, frac.denominator
     n, arr, mag, ring = g.rows, g.array, g.mag, _ring(g.order)
     deg, half = ring.degree, _half(ring.degree)
+    _ladder_first(ring, max(n, deg), mag)
     space = _Space(ring, max(n, deg),
                    den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
 

@@ -660,9 +660,9 @@ def test_parse_frame_reads_the_files_etfkit_writes_block_by_block(
     arr[:, :, 0] += arr[:, :, 0] == 0               # no zero column
     frame = Frame(CycMatrix(order, arr))
     data = serialize_frame(frame).encode()
-    width = 5 * shape[2]
-    for block in (width, 3 * width, fileio._BLOCK):   # 7, 3 and 1 blocks
-        monkeypatch.setattr(fileio, "_BLOCK", block)
+    # a line a block, about three lines a block, and one block
+    for budget in (1, len(data) // 3, fileio._BLOCK_BYTES):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", budget)
         matrix, lines = read(data)
         assert lines == 0 and matrix.array.dtype == np.int64
         assert matrix == frame.synthesis
@@ -864,9 +864,9 @@ def test_parse_frame_agrees_with_the_per_entry_parser(data):
     text = data.draw(st.sampled_from(VALID_FRAMES), label="frame")
     _, order, _, n = text.split("\n", 1)[0].split()
     width = int(n) * cyclo._ring(int(order)).degree
-    # blocks of one row, of two rows, or the whole frame, so that each
+    # blocks of one line, of a few lines, or the whole frame, so that each
     # check of the block reader also runs in a block after the first
-    block = data.draw(st.sampled_from([1, 2 * width, fileio._BLOCK]),
+    block = data.draw(st.sampled_from([1, 8 * width, fileio._BLOCK_BYTES]),
                       label="block")
     for _ in range(data.draw(st.integers(1, 2), label="edits")):
         edit = data.draw(st.sampled_from(["insert", "delete", "replace",
@@ -885,7 +885,7 @@ def test_parse_frame_agrees_with_the_per_entry_parser(data):
         char = data.draw(st.sampled_from("0123456789,|-+ \nx\r\t"))
         tail = text[at + 1:] if edit != "insert" else text[at:]
         text = text[:at] + ("" if edit == "delete" else char) + tail
-    with mock.patch.object(fileio, "_BLOCK", block):
+    with mock.patch.object(fileio, "_BLOCK_BYTES", block):
         assert _outcome(parse_frame, text) == \
             _outcome(_parse_frame_per_entry, text)
         got, want = _from_bytes(_outcome, parse_frame, text)
@@ -1038,15 +1038,19 @@ VALID_DESIGNS = [
 @given(st.data())
 def test_parse_design_agrees_with_the_per_line_parser(data):
     text = data.draw(st.sampled_from(VALID_DESIGNS), label="design")
+    # blocks of one line, of a few lines, or the whole design
+    block = data.draw(st.sampled_from([1, 16, fileio._BLOCK_BYTES]),
+                      label="block")
     for _ in range(data.draw(st.integers(1, 2), label="edits")):
         at = data.draw(st.sampled_from(range(len(text) + 1)), label="at")
         edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
         char = data.draw(st.sampled_from("0123456789- \nx+\r\t"))
         tail = text[at + 1:] if edit != "insert" else text[at:]
         text = text[:at] + ("" if edit == "delete" else char) + tail
-    assert _design_outcome(parse_design, text) == \
-        _design_outcome(_parse_design_per_line, text)
-    got, want = _from_bytes(_design_outcome, parse_design, text)
+    with mock.patch.object(fileio, "_BLOCK_BYTES", block):
+        assert _design_outcome(parse_design, text) == \
+            _design_outcome(_parse_design_per_line, text)
+        got, want = _from_bytes(_design_outcome, parse_design, text)
     assert got == want
 
 

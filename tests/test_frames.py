@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -160,14 +161,15 @@ def test_frame_rejects_zero_column():
 
 @pytest.mark.parametrize("chunk", [1, 40, 2**17])
 def test_frame_support_is_the_nonzero_pattern(monkeypatch, chunk):
-    # built a coefficient slot at a time, in chunks of rows past _CHUNK
-    # values: of one row, of a few rows, and whole
+    # built a coefficient slot at a time when the slots are few against
+    # the entries (40 x 30), in chunks of rows past _CHUNK values: of one
+    # row, of a few rows, and whole; else (9 x 7) by one reduction
     monkeypatch.setattr(frames, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    for order in (1, 5, 12):
+    for order, (d, n) in itertools.product((1, 5, 12), ((9, 7), (40, 30))):
         deg = cyclo._ring(order).degree
-        arr = (rng.integers(-1, 2, size=(9, 7, deg))
-               * (rng.random((9, 7, 1)) < 0.4))
+        arr = (rng.integers(-1, 2, size=(d, n, deg))
+               * (rng.random((d, n, 1)) < 0.4))
         arr[0, :, 0] = 1
         frame = Frame(CycMatrix(order, arr))
         assert np.array_equal(frame.support, arr.any(axis=2))
@@ -175,6 +177,29 @@ def test_frame_support_is_the_nonzero_pattern(monkeypatch, chunk):
         arr[:, 4] = 0
         with pytest.raises(FrameError, match="column 4 is zero"):
             Frame(CycMatrix(order, arr))
+
+
+def test_frame_support_of_many_slots_is_one_reduction():
+    # a 1 x 1 frame of order 262147 (d = 262146): a slot at a time, its
+    # support took 0.46 s; one reduction along the slot axis takes well
+    # under a millisecond.  Python-int storage is read the same way
+    arr = np.zeros((1, 1, 262146), dtype=np.int64)
+    arr[0, 0, -1] = 1
+    syn = CycMatrix(262147, arr)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        frame = Frame(syn)
+        times.append(time.perf_counter() - start)
+    assert frame.support.tolist() == [[True]]
+    assert min(times) < 0.1
+    arr = np.zeros((2, 3, 30), dtype=object)       # order 31: d = 30
+    arr[0, :, 7] = [1, -(2**62), 0]
+    arr[1, 2, 29] = 2**70
+    frame = Frame(CycMatrix(31, arr))
+    assert frame.support.dtype == bool
+    assert frame.support.tolist() == [[True, True, False],
+                                      [False, False, True]]
 
 
 # ---------------------------------------------------------------------------

@@ -545,3 +545,31 @@ def test_empty_operands(kernel_paths, n):
     res = naimark_gram(CycMatrix.zeros(2, 2, n), big)
     assert res.input_tight and res.complement == CycMatrix.identity(
         2, n).scalar_mul(big)
+
+
+@pytest.mark.parametrize("op", [
+    lambda m: m @ m,                        # _matmul
+    lambda m: m.entrywise_mul(m),           # _entrywise of two operands
+    lambda m: m.abs_squared_entries(),      # _entrywise of one
+    lambda m: naimark_gram(m, 1),
+], ids=["matmul", "entrywise", "abs_squared", "naimark_gram"])
+def test_an_order_past_the_prime_ladder_is_refused_before_its_constants(
+        op, monkeypatch):
+    # n = 262147 is prime, and the ladder of width 2^19 holds no prime = 1
+    # (mod n).  Each pass asks it for one before the ring's growth
+    # factors, which cost O(n d) (past 300 s here), are computed
+    monkeypatch.setattr(cyclo._Ring, "_abs_powers", lambda self, exps:
+                        pytest.fail("growth factors computed"))
+    arr = np.zeros((1, 1, 262146), dtype=np.int64)
+    arr[0, 0, 0] = 1
+    m = CycMatrix(262147, arr)
+    try:
+        with pytest.raises(OverflowError) as info:
+            op(m)
+        assert str(info.value) == ("too few primes = 1 (mod 262147) for an "
+                                   "exact product of width 524288")
+        assert "conj_l1" not in vars(cyclo._ring(262147))
+        assert "fold_l1" not in vars(cyclo._ring(262147))
+    finally:
+        cyclo._ring.cache_clear()
+        cyclo.cyclotomic_polynomial.cache_clear()
