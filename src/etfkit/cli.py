@@ -4,8 +4,13 @@ parameters, and read/write the design and frame text formats.
 Input files are read as bytes and parsed from them (fileio); `verify`
 holds no reference to a file's bytes while it certifies what they held.
 `design` and `build` write their file block by block as fileio makes the
-blocks, so the whole text is never held; a failure part way, such as
-running out of memory, removes the partial file.
+blocks, so the whole text is never held.  An existing output is rewritten
+in place and then cut to its new length, rather than truncated before it
+is refilled; a failure part way, such as running out of memory, removes
+the partial file.  A process killed between its last write and that cut
+leaves the new bytes followed by the old file's tail (a truncating open
+left a prefix of the new bytes instead); the readers' row-count check
+refuses both.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage, parameter,
 file or resource error (such as running out of memory).
@@ -18,7 +23,6 @@ import os
 import stat
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from .constructions import (
     ConstructionError,
@@ -131,7 +135,8 @@ def certificate_line(cert) -> str:
 
 
 def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _read_frame(path: str) -> Frame:
@@ -141,15 +146,32 @@ def _read_frame(path: str) -> Frame:
 
 
 def _write(path: str, blocks) -> None:
-    """Write the blocks to path as they are made.  A failure part way, such
-    as running out of memory, leaves no partial file behind."""
-    with open(path, "wb") as fh:
+    """Write the blocks to path as they are made.  An existing output is
+    rewritten in place, not truncated first, and then cut to the bytes
+    written: truncating it would have the filesystem free its blocks only
+    to allocate them again.  A non-regular output such as /dev/null is
+    never cut.  A failure part way, such as running out of memory, leaves
+    no partial file behind.  A process killed between its last write and
+    the cut leaves the new bytes followed by the old file's tail, where a
+    truncating open left a prefix of the new bytes; the readers' row count
+    refuses both."""
+    try:                # a new file, which has no tail to cut: no fstat
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        regular, old = True, 0
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        old = st.st_size if regular else 0
+    with open(fd, "wb") as fh:
         try:
             for block in blocks:
                 fh.write(block)
             fh.flush()
+            if old and fh.tell() < old:
+                fh.truncate()
         except BaseException:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if regular:
                 os.unlink(path)
             raise
 

@@ -217,6 +217,7 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
     assert code == 0
     assert line == "ETF D=15 N=36 s=5 t=1 A=12 types=(2,+1,5),(3,-1,5)"
     assert run(capsys, "verify", str(out), "--kind", "frame")[0] == 0
+    built = out.read_bytes()
     # the simplex ETF(3, 4) has no type of block size 3 and group size 3
     run(capsys, "build", "simplex", "4", "--hadamard", "sylvester:2",
         "-o", str(seed))
@@ -225,6 +226,12 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
                str(out)) == (
         2, "", "error: seed (3, 4) has no type matching a K=3 design of "
                "type 3^3")
+    # a seed of a matching type that is no ETF fails its certification
+    seed.write_text("FRAME 1 2 3\n1 | 1 | 1\n1 | -1 | 0\n")
+    assert run(capsys, "build", "gdd-etf", "--seed", str(seed), "--gdd",
+               str(td), "--he", "fourier:1", "--hf", "sylvester:2", "-o",
+               str(out)) == (2, "", "error: seed frame is not a certified ETF")
+    assert out.read_bytes() == built        # neither refusal touched it
 
 
 @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]])
@@ -1240,14 +1247,19 @@ def test_hadamard_size_is_refused_before_the_matrix_is_built(
     argv = tuple(str(tmp_path / a) if a.endswith((".design", ".frame"))
                  else a for a in argv)
     out = tmp_path / "out.frame"
-    assert run(capsys, "build", *argv, "-o", str(out)) == (
-        2, "", f"error: {error}")
-    assert not out.exists()
+    for old in (None, b"an earlier output\n" * 1000):  # none, then one
+        if old is not None:
+            out.write_bytes(old)
+        assert run(capsys, "build", *argv, "-o", str(out)) == (
+            2, "", f"error: {error}")
+        assert (out.read_bytes() if out.exists() else None) == old
 
 
 def test_hadamard_spec_faults_keep_their_messages(tmp_path, capsys):
     # a spec of the right size, or none, that is at fault by itself is
-    # refused as before the size check
+    # refused as before the size check, and the output is left as it was
+    out = tmp_path / "out.frame"
+    out.write_bytes(b"an earlier output\n" * 1000)
     for n, spec, error in (
             (4, "sylvester:-1", "exponent must be nonnegative"),
             (4, "fourier", "Hadamard spec needs a parameter: 'fourier'"),
@@ -1257,8 +1269,8 @@ def test_hadamard_spec_faults_keep_their_messages(tmp_path, capsys):
             (4, "paley2:1", "1 is not a prime power"),
             (0, "fourier:0", "size must be positive")):
         assert run(capsys, "build", "simplex", str(n), "--hadamard", spec,
-                   "-o", str(tmp_path / "out.frame")) == (
-            2, "", f"error: {error}")
+                   "-o", str(out)) == (2, "", f"error: {error}")
+        assert out.read_bytes() == b"an earlier output\n" * 1000
 
 
 def test_totient_matches_the_cyclotomic_degree():
@@ -1287,10 +1299,10 @@ def test_verify_rejects_a_design_of_too_many_pairs(tmp_path, capsys):
 
 
 def _random_matrix(rng, order, d, n):
-    """int64 coefficients of every length from 1 to 19 digits, both signs,
-    no zero column."""
+    """int64 coefficients of every length from 1 to 18 digits, the most the
+    block reader takes, both signs, no zero column."""
     shape = (d, n, cyclo._ring(order).degree)
-    mag = rng.integers(1, 2**62, size=shape) >> rng.integers(0, 62, shape)
+    mag = rng.integers(1, 10**18, size=shape) >> rng.integers(0, 60, shape)
     sign = rng.choice([-1, 1], size=shape)
     return CycMatrix(order, np.maximum(mag, 1) * sign)
 
@@ -1303,17 +1315,28 @@ def _with_token(text, r, c, token):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("d, n, order, rows_per_block", [
-    (150, 500, 3, 32),               # four blocks of 32 rows, one of 22
-    (3, fileio._BLOCK + 7, 2, 1),    # each row longer than a block
+@pytest.mark.parametrize("d, n, order", [
+    (150, 500, 3),               # lines of about 11 KB, several a block
+    (3, fileio._BLOCK + 7, 2),   # each line longer than a block
 ])
-def test_parse_frame_reads_rows_across_blocks(d, n, order, rows_per_block):
-    deg = cyclo._ring(order).degree
-    assert max(1, fileio._BLOCK // (n * deg)) == rows_per_block
+def test_parse_frame_reads_rows_across_blocks(monkeypatch, d, n, order):
+    width = n * cyclo._ring(order).degree
     frame = Frame(_random_matrix(np.random.default_rng(d), order, d, n))
     text = _serialize_frame_per_entry(frame)
     assert serialize_frame(frame) == text
+    real, tokens = fileio._int64_tokens, []
+
+    def spy(buf, end, out):
+        tokens.append(out.size)
+        return real(buf, end, out)
+
+    monkeypatch.setattr(fileio, "_int64_tokens", spy)
     assert parse_frame(text).synthesis == frame.synthesis
+    # read by the block reader, in blocks of whole rows
+    assert len(tokens) > 1 and sum(tokens) == d * width
+    assert all(t % width == 0 for t in tokens)
+    if 4 * n - 3 > fileio._BLOCK_BYTES:     # no line fits in a block
+        assert tokens == [width] * d
     # one bad token in the last block: 19 digits, or not an integer
     for token in ("-" + "9" * 19, "0" * 19, "x"):
         bad = _with_token(text, d - 1, n - 1, token)
@@ -1390,10 +1413,13 @@ def test_cli_writes_the_bytes_of_the_serializers(tmp_path, capsys,
             assert path.read_bytes() == text.encode(), (block, path.name)
 
 
-@pytest.mark.parametrize("argv", [
+_OUTPUTS = [
     ("design", "sts", "7"),                               # 7 rows
     ("build", "simplex", "5", "--hadamard", "fourier:5"),  # 4 rows
-])
+]
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS)
 def test_memory_error_while_writing_leaves_no_file(tmp_path, capsys,
                                                    monkeypatch, argv):
     # a row a block: two blocks are made, and making the third runs out of
@@ -1410,9 +1436,37 @@ def test_memory_error_while_writing_leaves_no_file(tmp_path, capsys,
 
     monkeypatch.setattr(fileio, "_BLOCK", 1)
     monkeypatch.setattr(fileio, "_cells", cells)
-    assert run(capsys, *argv, "-o", str(out)) == (
-        2, "", "error: out of memory")
-    assert len(made) == 2 and not out.exists()
+    # no output yet, and an output longer than the new file
+    for old in (None, b"9 9 9\n" * 1000):
+        if old is not None:
+            out.write_bytes(old)
+        made.clear()
+        assert run(capsys, *argv, "-o", str(out)) == (
+            2, "", "error: out of memory")
+        assert len(made) == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS, ids=["design", "frame"])
+def test_an_existing_output_holds_exactly_the_new_bytes(tmp_path, capsys,
+                                                        argv):
+    # rewritten in place, then cut: an old file longer than the new one (by
+    # more than a write buffer), one as long, and one shorter
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    first = run(capsys, *argv, "-o", str(fresh))
+    want = fresh.read_bytes()
+    assert first[0] == 0 and first[1]
+    for old in (want + b"9" * 2**17, b"#" * len(want), want[:len(want) // 2]):
+        out.write_bytes(old)
+        assert run(capsys, *argv, "-o", str(out)) == first
+        assert out.read_bytes() == want, len(old)
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS, ids=["design", "frame"])
+def test_dev_null_takes_an_output(tmp_path, capsys, argv):
+    # a character device is written, not cut
+    first = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert first[0] == 0 and first[1]
+    assert run(capsys, *argv, "-o", os.devnull) == first
 
 
 def test_verify_reads_a_crlf_copy_as_the_file(tmp_path, capsys):
