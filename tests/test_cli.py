@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etfkit import cli, cyclo, fileio, frames
+from etfkit import constructions as construction_module
 from etfkit import designs as design_module
 from etfkit.cli import hadamard_from_spec, main
 from etfkit.constructions import regular_simplex, steiner_etf
@@ -232,6 +233,46 @@ def test_build_gdd_etf_pipeline(tmp_path, capsys):
                str(td), "--he", "fourier:1", "--hf", "sylvester:2", "-o",
                str(out)) == (2, "", "error: seed frame is not a certified ETF")
     assert out.read_bytes() == built        # neither refusal touched it
+
+
+def test_extension_builds_print_the_line_verify_prints(tmp_path, capsys,
+                                                      monkeypatch):
+    # a Steiner build runs no certifying pass and a GDD build one, on its
+    # seed; the certificate each prints, read off its theorem, is the line
+    # the full pass prints on the file it wrote
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in (("design", "affine", "2", "-o", path("affine-2.design")),
+                 ("design", "sts", "15", "-o", path("sts-15.design")),
+                 ("design", "td", "3", "3", "-o", path("td-3-3.design")),
+                 ("design", "td", "4", "8", "-o", path("td-4-8.design")),
+                 ("build", "simplex", "3", "--hadamard", "fourier:3",
+                  "-o", path("mb3.frame"))):
+        assert run(capsys, *argv)[0] == 0
+    passes = []
+    real = frames.verify_etf
+    for module in (cli, construction_module):
+        monkeypatch.setattr(module, "verify_etf",
+                            lambda f: passes.append(f) or real(f))
+    # each build, with the shape of each frame it certifies
+    for argv, certified in (
+            (("build", "steiner", "--bibd", path("affine-2.design"),
+              "--hadamard", "sylvester:2", "-o", path("seed-6.frame")), []),
+            (("build", "steiner", "--bibd", path("sts-15.design"),
+              "--hadamard", "sylvester:3", "-o", path("steiner-35.frame")),
+             []),
+            (("build", "gdd-etf", "--seed", path("mb3.frame"), "--gdd",
+              path("td-3-3.design"), "--he", "fourier:1", "--hf",
+              "sylvester:2", "-o", path("gdd-15.frame")), [(2, 3)]),
+            (("build", "gdd-etf", "--seed", path("seed-6.frame"), "--gdd",
+              path("td-4-8.design"), "--he", "sylvester:1", "--hf",
+              "fourier:5", "-o", path("gdd-88.frame")), [(6, 16)])):
+        passes.clear()
+        code, line, _ = run(capsys, *argv)
+        assert code == 0 and [(f.d, f.n) for f in passes] == certified
+        assert run(capsys, "verify", argv[-1], "--kind", "frame") == (
+            0, line, "")
 
 
 @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]])

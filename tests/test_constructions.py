@@ -1,5 +1,8 @@
 """Frame factories and existence predicates at desk scale."""
 
+import dataclasses
+import functools
+import itertools
 import random
 
 import numpy as np
@@ -26,6 +29,7 @@ from etfkit.constructions import (
 from etfkit.cyclo import CycMatrix
 from etfkit.designs import (
     DesignError,
+    GroupDivisibleDesign,
     _field_for,
     affine_plane,
     embedding_operators,
@@ -34,6 +38,7 @@ from etfkit.designs import (
     projective_plane,
     steiner_triple_system,
     td_from_mols,
+    wilson_product,
 )
 from etfkit.frames import EtfType, Frame, classify_type, gram, verify_etf
 from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
@@ -42,6 +47,17 @@ from etfkit.hadamard import fourier, simplex_from_hadamard, sylvester
 def td(k, m):
     p_k = {3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2)}[m]
     return td_from_mols(mols_from_field(gf_build(*p_k)), k)
+
+
+def assert_certifier_agrees(frame, cert):
+    """A factory's certificate, read off a theorem, is the one the
+    certifier gives its frame: field for field, each of the same type, and
+    in str."""
+    want = verify_etf(frame)
+    fields = [f.name for f in dataclasses.fields(want)]
+    assert [(type(getattr(cert, f)), getattr(cert, f)) for f in fields] == \
+        [(type(getattr(want, f)), getattr(want, f)) for f in fields]
+    assert cert == want and str(cert) == str(want)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +105,7 @@ def test_simplex_takes_the_certificate_its_hadamard_implies(spec, n,
                         lambda frame: calls.append(frame))
     frame, cert = regular_simplex(n, h)
     assert calls == []
-    want = verify_etf(frame)
-    assert cert == want and str(cert) == str(want)
+    assert_certifier_agrees(frame, cert)
     arr = frame.synthesis.array
     assert oracle.flat(frame.order, arr) and oracle.centered(frame.order, arr)
 
@@ -220,19 +235,36 @@ def _assert_same_synthesis(got, want):
     *(("sts", v) for v in (7, 9, 13, 15)),
     *(("affine", q) for q in (2, 3, 4, 5)),
     *(("projective", q) for q in (2, 3, 4)),
+    # one block (D = 1), and every pair of V points (K = 2)
+    *(("single", k) for k in (2, 3, 5)),
+    *(("pairs", v) for v in (3, 5, 6)),
 ])
-def test_steiner_matches_the_per_vertex_scatter(build, arg):
-    bibd = (steiner_triple_system(arg) if build == "sts" else
-            {"affine": affine_plane,
-             "projective": projective_plane}[build](_field_for(arg)))
+def test_steiner_matches_the_per_vertex_scatter(build, arg, monkeypatch):
+    # the scatter is built apart from _extension, and the certificate the
+    # Steiner theorem gives is the certifier's on it; the factory runs no
+    # pass of its own
+    if build == "sts":
+        bibd = steiner_triple_system(arg)
+    elif build == "single":
+        bibd = GroupDivisibleDesign(arg, 1, arg, [range(arg)])
+    elif build == "pairs":
+        bibd = GroupDivisibleDesign(2, 1, arg,
+                                    list(itertools.combinations(range(arg),
+                                                                2)))
+    else:
+        bibd = {"affine": affine_plane,
+                "projective": projective_plane}[build](_field_for(arg))
     specs = _specs_of_size(bibd.R + 1)
     assert specs
+    calls = []
+    monkeypatch.setattr(construction_module, "verify_etf", calls.append)
     for spec in specs:
         h = hadamard_from_spec(spec)
         frame, cert = steiner_etf(bibd, h)
+        assert calls == []
         want = _steiner_scatter(bibd, h)
         _assert_same_synthesis(frame.synthesis, want)
-        assert cert == verify_etf(Frame(want))
+        assert_certifier_agrees(Frame(want), cert)
 
 
 @pytest.mark.parametrize("m, k", [(m, k) for m in (3, 4, 5, 7, 8, 9)
@@ -361,6 +393,62 @@ def test_gdd_etf_random_regrouping_certifies():
     frame, cert = gdd_etf(shuffled, EtfType(3, -1, 2), td(3, 3),
                           fourier(1), sylvester(2))
     assert cert.welch_equality and cert.s == 5
+    assert_certifier_agrees(frame, cert)
+
+
+def tremain_gdd(u):
+    """The 3-GDD of type 3^U that is the Bose STS(3U) less its U vertical
+    blocks {3x, 3x+1, 3x+2}, found by value: these are its groups."""
+    blocks = steiner_triple_system(3 * u).blocks
+    vertical = (blocks[:, 0] % 3 == 0) & (blocks[:, 2] == blocks[:, 0] + 2)
+    assert vertical.sum() == u
+    return GroupDivisibleDesign(3, 3, u, blocks[~vertical])
+
+
+def _simplex_seed():
+    return regular_simplex(3, fourier(3))[0]
+
+
+def _steiner_seed():
+    return steiner_etf(affine_plane(gf_build(2, 1)), sylvester(2))[0]
+
+
+# every GDD extension the tests build: its (D', N'), the seed, its type,
+# the design, and the inner and outer Hadamard specs
+EXTENSIONS = {
+    **{f"15x36-{he}-{hf}": ((15, 36), _simplex_seed, EtfType(3, -1, 2),
+                             lambda: td(3, 3), he, hf)
+       for he in _specs_of_size(1) for hf in _specs_of_size(4)},
+    "88x320": ((88, 320), _steiner_seed, EtfType(4, -1, 3),
+               lambda: td(4, 8), "sylvester:1", "fourier:5"),
+    "77x210": ((77, 210), _simplex_seed, EtfType(3, -1, 2),
+               lambda: wilson_product(td(3, 3), steiner_triple_system(7)),
+               "fourier:1", "fourier:10"),
+    # the Tremain-type recipe, from designs of type 3^U
+    **{f"tremain-{u}-{hf}": (dims, _simplex_seed, EtfType(3, -1, 2),
+                             functools.partial(tremain_gdd, u), "fourier:1",
+                             hf)
+       for u, dims in ((3, (15, 36)), (5, (40, 105)), (7, (77, 210)),
+                       (9, (126, 351)), (11, (187, 528)))
+       for hf in _specs_of_size(3 * (u - 1) // 2 + 1)},
+}
+
+
+@pytest.mark.parametrize("label", EXTENSIONS)
+def test_extension_takes_the_certificate_the_certifier_gives(label,
+                                                             monkeypatch):
+    # gdd_etf certifies its seed, and only it; its output's certificate,
+    # read off the extension theorem, is the certifier's on the output
+    dims, make_seed, seed_type, make_gdd, he, hf = EXTENSIONS[label]
+    seed, gdd = make_seed(), make_gdd()
+    calls = []
+    monkeypatch.setattr(construction_module, "verify_etf",
+                        lambda f: calls.append(f) or verify_etf(f))
+    frame, cert = gdd_etf(seed, seed_type, gdd, hadamard_from_spec(he),
+                          hadamard_from_spec(hf))
+    assert len(calls) == 1 and calls[0] is seed
+    assert (frame.d, frame.n) == (cert.d, cert.n) == dims
+    assert_certifier_agrees(frame, cert)
 
 
 def test_gdd_etf_rejects_wrong_hadamard_sizes():
