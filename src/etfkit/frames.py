@@ -59,10 +59,11 @@ transpose of its values at point j; a real element such as a norm or a
 |G|^2 has the same value at both.  So Phi Phi* = (N s / D) I, the column
 norms and each tile's |G|^2 are computed at the first ceil(d/2) points
 only, and a real element's values are mirrored where it is interpolated.
-At d = 1 that is the one point.  `naimark_gram` is handed any G, so it
-checks, per prime, that G's values at the conjugate points are the
-transposes of its values at the points; only then is den G G = num G
-checked at half of them.
+At d = 1 that is the one point.  `naimark_gram` checks a Gram that `gram`
+returned through its frame, as Phi Phi* = A I.  Any other G it is handed
+need not be Hermitian, so there it checks, per prime, that G's values at
+the conjugate points are the transposes of its values at the points; only
+then is den G G = num G checked at half of them.
 
 The norm rule bounds the values of a comparison, not its coefficients, as
 FFLAS-FFPACK's argument bounds the sums of a product (see `cyclo`).  Let
@@ -197,10 +198,24 @@ class Frame:
         return f"Frame(D={self.d}, N={self.n}, order={self.order})"
 
 
+class _FramedGram(CycMatrix):
+    """The Gram Phi* Phi that `gram` returns, with the frame Phi it was
+    computed from: a matrix made from it (a submatrix, a lift, a copy) is
+    a plain CycMatrix."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: Frame, arr: np.ndarray):
+        super().__init__(frame.order, arr, _copy=False)
+        object.__setattr__(self, "frame", frame)
+
+
 def gram(frame: Frame) -> CycMatrix:
     """The exact N x N Gram matrix Phi*Phi, by the certifier's row tiles
     over every column (start 0), lower block triangle included: Phi is
-    evaluated once, and each tile is interpolated into the output."""
+    evaluated once, and each tile is interpolated into the output.  The
+    Gram keeps the frame alive, so that `naimark_gram` can certify its
+    tightness through Phi."""
     space, mag = _frame_space(frame.synthesis, frame.support)
     n, deg = frame.n, space.degree
     # the output first: allocated after Phi's values, it left them, once
@@ -212,7 +227,7 @@ def gram(frame: Frame) -> CycMatrix:
         part = out[rows]
         part[...] = space.exact(_gram_tile(space, phi, rows, hit,
                                            0)).T.reshape(part.shape)
-    return CycMatrix(frame.order, out, _copy=False)
+    return _FramedGram(frame, out)
 
 
 @dataclass(frozen=True)
@@ -591,23 +606,14 @@ class NaimarkResult:
     transfer_ok: bool
 
 
-def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
-    """Complement Gram G' = num I - den G of G at A = num/den.
-
-    Certifies den G G = num G (a tight Gram) at the points of one pass,
-    bounded by den mag^2 N d fold_l1 + |num| mag for mag = max|G| (as a
-    product bounds each side), and interpolates nothing.  Where G's values
-    at the conjugate points are the transposes of its values at the points,
-    as a Hermitian G's are, each side at point d - 1 - j is the transpose of
-    its value at point j, so the identity is checked at the first ceil(d/2)
-    points; elsewhere at every point.  The transfer identity G' G' = num G'
-    follows without a second product: expanding gives G' G' - num G' =
-    den (den G G - num G), and den >= 1.
-    """
-    if g.rows != g.cols:
-        raise FrameError("Gram matrix must be square")
-    frac = Fraction(a)
-    num, den = frac.numerator, frac.denominator
+def _gram_tight(g: CycMatrix, num: int, den: int) -> bool:
+    """Whether den G G = num G, at the points of one pass bounded by
+    den mag^2 N d fold_l1 + |num| mag for mag = max|G| (as a product bounds
+    each side), interpolating nothing.  Where G's values at the conjugate
+    points are the transposes of its values at the points, as a Hermitian
+    G's are, each side at point d - 1 - j is the transpose of its value at
+    point j, so the identity is checked at the first ceil(d/2) points;
+    elsewhere at every point."""
     n, arr, mag, ring = g.rows, g.array, g.mag, _ring(g.order)
     deg, half = ring.degree, _half(ring.degree)
     _ladder_first(ring, max(n, deg), mag)
@@ -615,24 +621,57 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
                    den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
 
     def holds(i: int, v: np.ndarray) -> bool:
-        # den G G = num G a block of rows at a time, at the points it needs
         if half < deg and np.array_equal(
                 space.conj(v)[:half].transpose(0, 2, 1), v[:half]):
             v = v[:half]
         for rows in space.blocks(n, n * len(v), _TILE_ROWS):
             left = space.reduce(v[:, rows] @ v, i)
-            if den != 1:
-                left = space.reduce(left * space.residue(den, i), i)
-            if not np.array_equal(left, space.reduce(
-                    v[:, rows] * space.residue(num, i), i)):
-                return False
+            # compared a block of rows at a time: with no prime the product
+            # is one whole float64 array beside G's values, and no third
+            # is made
+            for part in _row_blocks(left.shape[1], n * len(v), _TILE_ROWS):
+                lhs = left[:, part]
+                if den != 1:
+                    lhs = space.reduce(lhs * space.residue(den, i), i)
+                if not np.array_equal(lhs, space.reduce(
+                        v[:, rows][:, part] * space.residue(num, i), i)):
+                    return False
         return True
 
-    # G evaluated once; then, its values freed, -den G with num on its
-    # diagonal.  G = 0 is tight at every A, whose num and den need not fit
-    # a float64 beside its values
-    input_tight = not mag or all(holds(i, v) for i, v
-                                 in enumerate(space.values(arr, mag)))
+    # G = 0 holds at every A, whose num and den need not fit a float64
+    # beside its values
+    return not mag or all(holds(i, v) for i, v
+                          in enumerate(space.values(arr, mag)))
+
+
+def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
+    """Complement Gram G' = num I - den G of G at A = num/den, with
+    whether den G G = num G (a tight Gram).
+
+    For a G that `gram` returned, G = Phi* Phi, and Phi Phi* = num I gives
+    G G = Phi* (Phi Phi*) Phi = num G.  That D x D identity is checked
+    first, by the certifier's tightness check in a pass whose bound also
+    covers |num|, and G's values are not formed.  It needs den = 1: Phi
+    Phi* has entries in Z[zeta_n], so it is no non-integer multiple of I.
+    Where it fails (a frame with a zero row can have G G = num G without
+    it), for any other G, or at den > 1, the N x N identity is checked
+    (see `_gram_tight`).  The transfer identity G' G' = num G' follows
+    without a second product: expanding gives G' G' - num G' =
+    den (den G G - num G), and den >= 1.
+    """
+    if g.rows != g.cols:
+        raise FrameError("Gram matrix must be square")
+    frac = Fraction(a)
+    num, den = frac.numerator, frac.denominator
+    n, arr = g.rows, g.array
+    input_tight = False
+    # at D > N, Phi Phi* has rank below D, and Phi != 0: it is not num I
+    if isinstance(g, _FramedGram) and den == 1 and g.frame.d <= n:
+        frame = g.frame
+        space, mag = _frame_space(frame.synthesis, frame.support, abs(num))
+        input_tight = _tight(space, space.values(frame.synthesis.array, mag),
+                             num)
+    input_tight = input_tight or _gram_tight(g, num, den)
     comp = -arr if den == 1 else _scaled(arr, -den)
     if comp.dtype != object and abs(num) >= _INT64_SAFE:
         comp = comp.astype(object)

@@ -1686,3 +1686,214 @@ def test_pass_interpolates_only_the_witness_entry_of_a_corrupted_etf(
     verify_etf(bad)
     # the norms; G_01 and ref; the witness and its |.|^2
     assert interpolated == [bad.n, 1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# naimark_gram through the frame a Gram was computed from
+
+
+def steiner_frames(build, arg) -> list[Frame]:
+    """The Steiner ETFs of a BIBD, one per Hadamard spec of size R + 1."""
+    from etfkit.cli import CliError, hadamard_from_spec
+    from etfkit.constructions import steiner_etf
+    from etfkit.designs import (GroupDivisibleDesign, _field_for,
+                                affine_plane, projective_plane,
+                                steiner_triple_system)
+    if build == "sts":
+        bibd = steiner_triple_system(arg)
+    elif build == "single":
+        bibd = GroupDivisibleDesign(arg, 1, arg, [range(arg)])
+    elif build == "pairs":
+        bibd = GroupDivisibleDesign(2, 1, arg,
+                                    list(itertools.combinations(range(arg),
+                                                                2)))
+    else:
+        bibd = {"affine": affine_plane,
+                "projective": projective_plane}[build](_field_for(arg))
+    n, out = bibd.R + 1, []
+    for spec in (f"fourier:{n}", f"paley1:{n - 1}", f"paley2:{n // 2 - 1}",
+                 f"sylvester:{n.bit_length() - 1}"):
+        try:
+            h = hadamard_from_spec(spec)
+        except CliError:
+            continue
+        if h.size == n:
+            out.append(steiner_etf(bibd, h)[0])
+    assert out
+    return out
+
+
+def extension_frames() -> list[Frame]:
+    """ETF(15,36) from every inner and outer Hadamard of sizes 1 and 4,
+    then ETF(88,320) and ETF(77,210)."""
+    from etfkit.cli import hadamard_from_spec
+    from etfkit.constructions import gdd_etf, regular_simplex
+    from etfkit.designs import (gf_build, mols_from_field,
+                                steiner_triple_system, td_from_mols,
+                                wilson_product)
+    seed = regular_simplex(3, fourier(3))[0]
+    td33 = td_from_mols(mols_from_field(gf_build(3, 1)), 3)
+    inner = [hadamard_from_spec(s) for s in ("fourier:1", "sylvester:0")]
+    outer = [hadamard_from_spec(s)
+             for s in ("fourier:4", "paley1:3", "sylvester:2")]
+    out = [gdd_etf(seed, EtfType(3, -1, 2), td33, he, hf)[0]
+           for he in inner for hf in outer]
+    gdd = wilson_product(td33, steiner_triple_system(7))
+    return out + [gdd_88_320(), gdd_etf(seed, EtfType(3, -1, 2), gdd,
+                                        fourier(1), fourier(10))[0]]
+
+
+def mols_frames() -> list[Frame]:
+    """The MOLS frames of TD(K, M), centred and augmented: ETFs and tight
+    two-distance frames."""
+    from etfkit.constructions import mols_tdtf
+    from etfkit.designs import _field_for, mols_from_field, td_from_mols
+    return [mols_tdtf(td_from_mols(mols_from_field(_field_for(m)), k),
+                      fourier(m), variant)[0]
+            for m in (3, 4, 5) for k in range(2, m + 1)
+            for variant in ("centered", "augmented")]
+
+
+NAIMARK_FRAMES = {
+    **{f"simplex-{order}": (lambda order=order: [simplex_over(order)])
+       for order in (2, 3, 10)},
+    **{f"steiner-{build}-{arg}": functools.partial(steiner_frames, build, arg)
+       for build, args in (("sts", (7, 9, 13, 15)),
+                           ("affine", (2, 3, 4, 5)),
+                           ("projective", (2, 3, 4)), ("single", (2, 3, 5)),
+                           ("pairs", (3, 5, 6)))
+       for arg in args},
+    "extensions": extension_frames,
+    "mols": mols_frames,
+}
+
+
+def tight_constant(g: CycMatrix, d: int) -> Fraction:
+    """A = trace(G) / D, the constant of a tight frame whose norms are
+    rational integers."""
+    diag = g.array[np.arange(g.rows), np.arange(g.rows)]
+    assert not diag[:, 1:].any()
+    return Fraction(int(diag[:, 0].sum()), d)
+
+
+def naimark_fields(res) -> tuple:
+    comp = res.complement
+    return (type(comp), comp.order, comp.array.dtype, comp.array.tolist(),
+            res.denominator, res.input_tight, res.transfer_ok)
+
+
+@pytest.mark.parametrize("label", NAIMARK_FRAMES)
+def test_naimark_through_the_frame_matches_the_gram_check(label):
+    # a Gram that keeps its frame is certified by Phi Phi* = A I at den = 1,
+    # a bare copy of it by den G G = num G: every field is the same, at A,
+    # at A + 1, at 0 and at a non-integer
+    for frame in NAIMARK_FRAMES[label]():
+        g = gram(frame)
+        bare = CycMatrix(g.order, g.array)
+        a = tight_constant(g, frame.d)
+        assert naimark_gram(g, a).input_tight
+        for x in (a, a + 1, Fraction(0), a + Fraction(1, 2)):
+            assert naimark_fields(naimark_gram(g, x)) == \
+                naimark_fields(naimark_gram(bare, x)), (frame, x)
+
+
+@pytest.fixture
+def naimark_passes(monkeypatch):
+    """What naimark_gram runs: each `_tight` result, and the shape of each
+    array a pass evaluates."""
+    seen = {"tight": [], "values": []}
+    real_tight, real_values = frames._tight, cyclo._Space.values
+
+    def tight(space, phi, c):
+        seen["tight"].append(real_tight(space, phi, c))
+        return seen["tight"][-1]
+
+    def values(self, arr, mag):
+        seen["values"].append(arr.shape)
+        return real_values(self, arr, mag)
+
+    monkeypatch.setattr(frames, "_tight", tight)
+    monkeypatch.setattr(cyclo._Space, "values", values)
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    functools.partial(simplex_over, 10), gdd_88_320,
+    lambda: steiner_frames("sts", 9)[0],
+], ids=["simplex-10", "etf-88-320", "steiner-12-45"])
+def test_naimark_at_its_own_constant_checks_only_the_frame(build,
+                                                           naimark_passes):
+    # at A one D x D check, and G is not evaluated; at A + 1 that check
+    # fails, and den G G = num G is checked on G's values
+    frame = build()
+    g = gram(frame)
+    a = tight_constant(g, frame.d)
+    whole = g.array.shape
+    for x, tight in ((a, [True]), (a + 1, [False])):
+        naimark_passes["tight"].clear()
+        naimark_passes["values"].clear()
+        assert naimark_gram(g, x).input_tight == (x == a)
+        assert naimark_passes["tight"] == tight
+        assert frame.synthesis.array.shape in naimark_passes["values"]
+        assert (whole in naimark_passes["values"]) == (x != a)
+
+
+def test_naimark_falls_back_where_the_frame_is_not_tight(naimark_passes):
+    # Phi = [[1, 1], [0, 0]] has a zero row: Phi Phi* = diag(2, 0) is not
+    # 2 I, yet G = J_2 has G G = 2 G
+    frame = Frame(CycMatrix(1, np.array([[[1], [1]], [[0], [0]]])))
+    g = gram(frame)
+    res = naimark_gram(g, 2)
+    assert naimark_passes["tight"] == [False]
+    assert res.input_tight and res.transfer_ok
+    assert res.complement.array[:, :, 0].tolist() == [[1, -1], [-1, 1]]
+
+
+def test_naimark_frame_travels_only_with_the_gram_itself(naimark_passes):
+    # a matrix made from the Gram keeps no frame, so it takes the N x N
+    # check; the Gram itself stays read-only and immutable
+    frame = simplex_over(3)
+    g = gram(frame)
+    a = tight_constant(g, frame.d)
+    assert g.frame is frame
+    assert not g.array.flags.writeable
+    with pytest.raises(ValueError):
+        g.array[0, 0, 0] = 0
+    with pytest.raises(AttributeError):
+        g.frame = simplex_over(10)
+    comp = naimark_gram(g, a).complement
+    others = [g.submatrix(slice(None), slice(None)), g.lift_to_order(6),
+              CycMatrix(g.order, g.array), comp]
+    assert g.lift_to_order(g.order) is g
+    for other in others:
+        assert type(other) is CycMatrix
+        naimark_passes["tight"].clear()
+        naimark_passes["values"].clear()
+        assert naimark_gram(other, a).input_tight
+        assert naimark_passes["tight"] == []
+        assert naimark_passes["values"] == [other.array.shape]
+
+
+def test_naimark_of_a_bare_gram_holds_two_whole_arrays():
+    # at d = 1 with no prime, den G G = num G takes one whole float64
+    # product beside G's values, compared a block of rows at a time: for
+    # ETF(247,780), whose Gram is 4.64 MiB, the peak stays below 10.5 MiB
+    # (14.51 MiB when the comparison made a third whole array)
+    import tracemalloc
+    from etfkit.constructions import steiner_etf
+    from etfkit.designs import gf_build, steiner_triple_system
+    from etfkit.hadamard import paley_i
+    frame, cert = steiner_etf(steiner_triple_system(39),
+                              paley_i(gf_build(19, 1)))
+    g = gram(frame)
+    bare = CycMatrix(g.order, g.array)
+    want = naimark_fields(naimark_gram(g, cert.a))
+    naimark_gram(bare, cert.a)
+    tracemalloc.start()
+    try:
+        res = naimark_gram(bare, cert.a)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert naimark_fields(res) == want and res.input_tight
+    assert peak < 10.5, f"peak {peak:.2f} MiB"
