@@ -146,24 +146,20 @@ def _read_frame(path: str) -> Frame:
 
 
 def _write(path: str, blocks) -> None:
-    """Write the blocks to path as they are made.  An existing output is
-    rewritten in place, not truncated first, and then cut to the bytes
-    written: truncating it would have the filesystem free its blocks only
-    to allocate them again.  A non-regular output such as /dev/null is
-    never cut.  A failure part way, such as running out of memory, leaves
+    """Write the blocks to path as they are made, after one open and one
+    fstat whether or not it exists.  An existing output is rewritten in
+    place, not truncated first, and then cut to the bytes written:
+    truncating it would have the filesystem free its blocks only to
+    allocate them again.  A non-regular output such as /dev/null is never
+    cut.  A failure part way, such as running out of memory, leaves
     no partial file behind.  A process killed between its last write and
     the cut leaves the new bytes followed by the old file's tail, where a
     truncating open left a prefix of the new bytes; the readers' row count
     refuses both."""
-    try:                # a new file, which has no tail to cut: no fstat
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        regular, old = True, 0
-    except FileExistsError:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        st = os.fstat(fd)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        st = os.fstat(fh.fileno())
         regular = stat.S_ISREG(st.st_mode)
         old = st.st_size if regular else 0
-    with open(fd, "wb") as fh:
         try:
             for block in blocks:
                 fh.write(block)

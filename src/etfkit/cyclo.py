@@ -353,14 +353,8 @@ class CycScalar:
         """Re-express the same complex number in Z[zeta_order]."""
         if order == self.order:
             return self
-        mat = _lift_map(self.order, order)
-        d2 = _ring(order).degree
-        out = [0] * d2
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, r in enumerate(mat[i].tolist()):
-                    out[j] += a * r
-        return CycScalar(order, out)
+        return CycScalar(order, np.array(self.coeffs, dtype=object)
+                         @ _lift_map(self.order, order))
 
     # -- predicates ---------------------------------------------------------
 

@@ -132,7 +132,8 @@ def _poly_mod(num, den, p: int) -> list[int]:
 
 
 class FiniteField:
-    """GF(p^k) with elements indexed 0..q-1.
+    """GF(p^k) with elements indexed 0..q-1, kept as its read-only int64
+    tables `_add`, `_sub`, `_mul` (q x q) and `_neg` (q).
 
     Element v has coefficient vector (v mod p, (v div p) mod p, ...), i.e.
     enumeration is 0 first then ascending polynomial-coefficient order.  The
@@ -203,36 +204,17 @@ class FiniteField:
             table.setflags(write=False)
 
     def _spot_check(self):
+        mul = self._mul
         for v in {1, 2 % self.q, self.q - 1} - {0}:
-            if self.pow(v, self.q - 1) != 1:
+            acc, base, e = 1, v, self.q - 1
+            while e:
+                if e & 1:
+                    acc = mul[acc, base]
+                base = mul[base, base]
+                e >>= 1
+            if acc != 1:
                 raise AssertionError(
                     f"element {v} violates x^(q-1) = 1 in GF({self.q})")
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self._add[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self._neg[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self._sub[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._mul[a, b])
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, k={self.k})"

@@ -63,11 +63,12 @@ header's size is allocated: the row count, then each row's width.  Its
 lines, joined, go to the same block reader, unless they are the plain
 body it has just refused (less its last line end).  When it refuses them
 too (more digits, a "+", a stray space, a non-ASCII digit, or no integer
-at all), the separators are checked whole, and the body is read again as
-Python ints with int(), which CycMatrix narrows to int64 where they fit.
-When either fails, the body is walked entry by entry, to name the first
-bad entry (r, c) in row-major order, its count checked before its
-integers.
+at all), they are walked entry by entry in row-major order: each entry's
+coefficient count is checked, then its tokens are read with int() into
+one list of Python ints, which CycMatrix narrows to int64 where they fit.
+The first entry (r, c) that fails either names the error.  No token that
+int() accepts holds a ",", a "|" or a line end, so a stray separator
+fails its entry there.
 
 A file is written as ASCII bytes in blocks of whole rows of about 2^15
 coefficients, each made only when the one before has been taken:
@@ -121,8 +122,6 @@ def _table(seps: dict[bytes, bytes]) -> bytes:
 # design's space is the separator of the tokens of its one entry a line
 _FRAME_TABLE = (_table({b",": b",", b"|": b"!"}), b" ")
 _DESIGN_TABLE = (_table({b" ": b","}), b"")
-# every byte but the separators ",", "|" and the line end
-_TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b",|\n")))
 # the ASCII line breaks of str.splitlines() besides "\n"
 _LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
@@ -315,38 +314,6 @@ def _totient(n: int) -> int:
     return phi
 
 
-def _first_bad_entry(body: str, deg: int) -> FileFormatError:
-    """The error of the first entry, in row-major order, that does not hold
-    deg integers; the coefficient count is checked before the integers."""
-    for r, ln in enumerate(body.split("\n")):
-        for c, cell in enumerate(ln.split(" | ")):
-            parts = cell.split(",")
-            if len(parts) != deg:
-                return FileFormatError(
-                    f"entry ({r}, {c}) has {len(parts)} coefficients, "
-                    f"expected {deg}")
-            try:
-                for part in parts:
-                    int(part)
-            except ValueError:
-                return FileFormatError(
-                    f"entry ({r}, {c}) is not an integer vector")
-    raise AssertionError("every entry holds deg integers")
-
-
-def _separators_ok(body: bytes, d: int, n: int, deg: int) -> bool:
-    """Whether the body, d lines joined by "\n", has the separators of
-    lines of n entries of deg comma-separated tokens, in order; a "|"
-    inside an entry is one too many.  One pass over the bytes: every other
-    byte is deleted, and the expected separators are built only after
-    their count matches."""
-    seps = body.translate(None, _TOKEN_BYTES)
-    if len(seps) != d * n * deg - 1:
-        return False
-    row = b"|".join([b"," * (deg - 1)] * n)
-    return seps == b"\n".join([row] * d)
-
-
 def _int64_coefficients(raw: bytes, lo: int, d: int, n: int, deg: int,
                         table: tuple[bytes, bytes]) -> np.ndarray | None:
     """The tokens of the body raw[lo:] as int64, read in blocks of whole
@@ -459,14 +426,20 @@ def _coefficients_by_line(data: str | bytes, lines: list[str] | None,
         out = _int64_coefficients(raw, 0, d, n, deg, _FRAME_TABLE)
         if out is not None:
             return out
-    text = raw.decode("utf-8", "surrogatepass")
-    if not _separators_ok(raw, d, n, deg):
-        raise _first_bad_entry(text, deg)
-    tokens = text.replace(" | ", ",").replace("\n", ",")
-    try:
-        return np.array([int(t) for t in tokens.split(",")], dtype=object)
-    except ValueError:
-        raise _first_bad_entry(text, deg) from None
+    out = []
+    for r, ln in enumerate(body):
+        for c, cell in enumerate(ln.split(" | ")):
+            parts = cell.split(",")
+            if len(parts) != deg:
+                raise FileFormatError(
+                    f"entry ({r}, {c}) has {len(parts)} coefficients, "
+                    f"expected {deg}")
+            try:
+                out.extend(map(int, parts))
+            except ValueError:
+                raise FileFormatError(
+                    f"entry ({r}, {c}) is not an integer vector") from None
+    return np.array(out, dtype=object)
 
 
 def parse_frame(data: str | bytes) -> Frame:

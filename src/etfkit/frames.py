@@ -61,9 +61,7 @@ norms and each tile's |G|^2 are computed at the first ceil(d/2) points
 only, and a real element's values are mirrored where it is interpolated.
 At d = 1 that is the one point.  `naimark_gram` checks a Gram that `gram`
 returned through its frame, as Phi Phi* = A I.  Any other G it is handed
-need not be Hermitian, so there it checks, per prime, that G's values at
-the conjugate points are the transposes of its values at the points; only
-then is den G G = num G checked at half of them.
+need not be Hermitian, so there den G G = num G is checked at every point.
 
 The norm rule bounds the values of a comparison, not its coefficients, as
 FFLAS-FFPACK's argument bounds the sums of a product (see `cyclo`).  Let
@@ -609,21 +607,15 @@ class NaimarkResult:
 def _gram_tight(g: CycMatrix, num: int, den: int) -> bool:
     """Whether den G G = num G, at the points of one pass bounded by
     den mag^2 N d fold_l1 + |num| mag for mag = max|G| (as a product bounds
-    each side), interpolating nothing.  Where G's values at the conjugate
-    points are the transposes of its values at the points, as a Hermitian
-    G's are, each side at point d - 1 - j is the transpose of its value at
-    point j, so the identity is checked at the first ceil(d/2) points;
-    elsewhere at every point."""
+    each side), interpolating nothing, at every point: a G handed in need
+    not be Hermitian."""
     n, arr, mag, ring = g.rows, g.array, g.mag, _ring(g.order)
-    deg, half = ring.degree, _half(ring.degree)
+    deg = ring.degree
     _ladder_first(ring, max(n, deg), mag)
     space = _Space(ring, max(n, deg),
                    den * mag * mag * n * deg * ring.fold_l1 + abs(num) * mag)
 
     def holds(i: int, v: np.ndarray) -> bool:
-        if half < deg and np.array_equal(
-                space.conj(v)[:half].transpose(0, 2, 1), v[:half]):
-            v = v[:half]
         for rows in space.blocks(n, n * len(v), _TILE_ROWS):
             left = space.reduce(v[:, rows] @ v, i)
             # compared a block of rows at a time: with no prime the product

@@ -1510,6 +1510,25 @@ def test_dev_null_takes_an_output(tmp_path, capsys, argv):
     assert run(capsys, *argv, "-o", os.devnull) == first
 
 
+@pytest.mark.parametrize("argv", _OUTPUTS, ids=["design", "frame"])
+def test_a_dangling_symlink_output_is_followed(tmp_path, capsys, argv):
+    # the link's target is made; a link into a missing directory and a
+    # path in one are refused with one error line
+    fresh = tmp_path / "fresh"
+    first = run(capsys, *argv, "-o", str(fresh))
+    link, target = tmp_path / "out", tmp_path / "target"
+    link.symlink_to(target)
+    assert run(capsys, *argv, "-o", str(link)) == first
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    lost = tmp_path / "lost"
+    lost.symlink_to(tmp_path / "nodir" / "target")
+    for path in (lost, tmp_path / "nodir" / "out"):
+        assert run(capsys, *argv, "-o", str(path)) == (
+            2, "", f"error: [Errno {errno.ENOENT}] "
+                   f"{os.strerror(errno.ENOENT)}: {str(path)!r}")
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_verify_reads_a_crlf_copy_as_the_file(tmp_path, capsys):
     # the CRLF copy of a frame and of a design certify as the LF files do
     for path, _ in _streamed(tmp_path, capsys):

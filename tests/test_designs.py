@@ -54,20 +54,39 @@ def test_gf8_build():
     assert f.q == 8
     assert f.irreducible == (1, 1, 0, 1)          # x^3 + x + 1
     for v in range(1, 8):
-        assert f.pow(v, 7) == 1
+        acc = 1
+        for _ in range(7):
+            acc = f._mul[acc, v]
+        assert acc == 1
 
 
 def test_gf5_prime_field():
     f = gf_build(5, 1)
     assert f.irreducible == (0, 1)                # the x - 0 convention
-    assert f.add(3, 4) == 2 and f.mul(3, 4) == 2
+    assert f._add[3, 4] == 2 and f._mul[3, 4] == 2
 
 
 def test_gf9_characteristic():
     f = gf_build(3, 2)
     assert f.q == 9
-    one_plus_one = f.add(1, 1)
-    assert f.add(one_plus_one, 1) == 0            # additive order of 1 is 3
+    one_plus_one = f._add[1, 1]
+    assert f._add[one_plus_one, 1] == 0           # additive order of 1 is 3
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 3), (3, 1), (3, 2), (7, 1),
+                                  (5, 3), (1021, 1)])
+def test_gf_spot_check_refuses_a_corrupted_product(p, k):
+    # x^(q-1) = 1 is checked by squaring through `_mul`: with 1 * 1 made
+    # 0 after the build, the power of 1 is 0, so at least 1 fails
+    field = gf_build(p, k)
+    field._spot_check()
+    bad = field._mul.copy()
+    bad[1, 1] = 0
+    field._mul = bad
+    with pytest.raises(AssertionError,
+                       match=rf"^element \d+ violates x\^\(q-1\) = 1 in "
+                             rf"GF\({p**k}\)$"):
+        field._spot_check()
 
 
 def test_gf_rejects_composite_characteristic():
@@ -649,8 +668,8 @@ def test_gf_tables_match_the_element_oracle(q):
     assert f.irreducible == irr
     assert np.array_equal(f._add, add)
     assert np.array_equal(f._mul, mul)
-    assert [f.neg(a) for a in range(q)] == neg
-    assert all(f.sub(a, b) == add[a, neg[b]]
+    assert f._neg.tolist() == neg
+    assert all(f._sub[a, b] == add[a, neg[b]]
                for a in range(q) for b in range(q))
 
 

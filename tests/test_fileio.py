@@ -228,6 +228,46 @@ def test_each_body_reads_as_it_did_before_the_reader_was_shared(
         assert _outcome(kind, text.encode()) == want, budget
 
 
+# bodies the block reader refuses, read entry by entry, and their outcomes
+WALKED = [
+    ("count before integer", "FRAME 3 2 2\n1,0 | 1,2,3\nx,0 | 1,0\n",
+     ("FileFormatError", "entry (0, 1) has 3 coefficients, expected 2")),
+    ("bar in an entry", "FRAME 3 1 2\n1,0 | 1|2,0\n",
+     ("FileFormatError", "entry (0, 1) is not an integer vector")),
+    ("bar splits an entry", "FRAME 3 1 2\n1,0 | 2|3\n",
+     ("FileFormatError", "entry (0, 1) has 1 coefficients, expected 2")),
+    ("plus", "FRAME 3 1 2\n+5,0 | 1,2\n", ("int64", [[[5, 0], [1, 2]]])),
+    ("non-ASCII digit", "FRAME 3 1 2\n\u0661,0 | 1,\u0662\n",
+     ("int64", [[[1, 0], [1, 2]]])),
+    ("19 digits", "FRAME 3 2 2\n1000000000000000000,0 | 1,2\n0,1 | -1,0\n",
+     ("int64", [[[10**18, 0], [1, 2]], [[0, 1], [-1, 0]]])),
+    ("past int64", "FRAME 3 2 2\n-" + "9" * 19 + ",0 | 1,2\n0,1 | -1,0\n",
+     ("object", [[[-(10**19 - 1), 0], [1, 2]], [[0, 1], [-1, 0]]])),
+    ("19 digits, blank lines",
+     "FRAME 3 2 2\n\n1000000000000000000,0 | 1,2\n\n0,1 | -1,0\n\n",
+     ("int64", [[[10**18, 0], [1, 2]], [[0, 1], [-1, 0]]])),
+]
+
+
+@pytest.mark.parametrize("name, text, want", WALKED,
+                         ids=[name for name, _, _ in WALKED])
+def test_a_refused_body_is_walked_entry_by_entry(name, text, want,
+                                                 monkeypatch):
+    # as bytes and as text, every block read of the body refuses it
+    real, refusals = fileio._int64_coefficients, []
+
+    def reader(*args):
+        out = real(*args)
+        refusals.append(out is None)
+        return out
+
+    monkeypatch.setattr(fileio, "_int64_coefficients", reader)
+    for data in (text, text.encode()):
+        refusals.clear()
+        assert _outcome("frame", data) == want
+        assert refusals and all(refusals)
+
+
 def _cuts(monkeypatch, raw, d, n, deg, table, budget):
     """The coefficients of the body raw, d lines of n entries of deg
     tokens, read in blocks of `budget` bytes, and the lines of each block;

@@ -9,10 +9,11 @@ import oracle
 from etfkit import cyclo
 from etfkit.cli import hadamard_from_spec
 from etfkit.cyclo import CycMatrix
-from etfkit.designs import gf_build
+from etfkit.designs import gf_build, prime_power_decomposition
 from etfkit.hadamard import (
     HadamardError,
     HadamardMatrix,
+    _quadratic_character,
     dephase,
     fourier,
     paley_i,
@@ -88,6 +89,30 @@ def test_paley_residue_preconditions():
         paley_i(gf_build(5, 1))
     with pytest.raises(HadamardError):
         paley_ii(gf_build(7, 1))
+
+
+def test_paley_character_is_the_power_of_every_element():
+    # chi(x) = x^((q-1)/2) at every x of GF(q) for every odd prime power
+    # q < 1024, the power squared through the multiplication table: 1 or
+    # -1 at every nonzero x, 0 at 0.  Building the 188 fields' tables
+    # takes nearly all of its time
+    for q in range(3, 1024, 2):
+        pk = prime_power_decomposition(q)
+        if pk is None:
+            continue
+        field = gf_build(*pk)
+        val, base, e = np.ones(q, dtype=np.int64), np.arange(q), (q - 1) // 2
+        while e:
+            if e & 1:
+                val = field._mul[val, base]
+            base = field._mul[base, base]
+            e >>= 1
+        minus_one = field._neg[1]
+        assert val[0] == 0 and np.isin(val[1:], (1, minus_one)).all(), q
+        chi = _quadratic_character(field)
+        assert chi.dtype == np.int64
+        assert np.array_equal(chi, np.select(
+            [val == 1, val == minus_one], [1, -1], 0)), q
 
 
 def test_verify_rejects_identity():

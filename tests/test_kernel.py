@@ -12,8 +12,8 @@ bound, with no product interpolated.
 """
 
 from fractions import Fraction
-from itertools import islice
-from math import isqrt
+from itertools import islice, product
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -433,6 +433,43 @@ def largest_below(step: int, bound_of) -> int:
     return lo
 
 
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("width", [4, 1000])
+def test_values_at_the_centring_edge(n, width):
+    # the values skip `% p` when max|a| <= p // 2: operands at that edge
+    # and one past it, every coefficient +-mag and one exactly mag, at the
+    # first prime of a pass, against evaluation mod p on Python ints.  A
+    # view records each `%` taken of it
+    mods = []
+
+    class Watched(np.ndarray):
+        def __mod__(self, other):
+            mods.append(other)
+            return super().__mod__(other)
+
+    ring = cyclo._ring(n)
+    d = ring.degree
+    space = cyclo._Space(ring, width, 2**100)
+    p = space.primes[0]
+    roots = [int(r) % p for r in space.points[0].v[1]]
+    w = roots[0]                         # r_j = w^e_j, e_j prime to n
+    assert [pow(w, e, p) for e in range(n) if gcd(e, n) == 1] == roots
+    assert pow(w, n, p) == 1 and all(pow(w, e, p) != 1 for e in range(1, n))
+    rng = np.random.default_rng(n)
+    for mag in (p // 2, p // 2 + 1):
+        arr = rng.choice([-mag, mag], size=(3, 5, d)).astype(np.int64)
+        arr[1, 2, d - 1] = mag
+        mods.clear()
+        vals = space.values(arr.view(Watched), mag)[0]
+        assert (p in mods) == (mag > p // 2)
+        assert vals.shape == (d, 3, 5)
+        for (r, c), j in product(np.ndindex(3, 5), range(d)):
+            want = sum(int(a) * pow(roots[j], k, p)
+                       for k, a in enumerate(arr[r, c])) % p
+            assert int(vals[j, r, c]) % p == want, (mag, r, c, j)
+            assert abs(vals[j, r, c]) <= p // 2
+
+
 @pytest.mark.parametrize("n", ORDERS)
 def test_naimark_identity_at_each_prime_step(kernel_paths, n):
     # G = mag J_2 in slot 0 has G G = 2 mag G, so A = 2 mag is tight, and
@@ -477,11 +514,9 @@ def test_naimark_identity_at_each_prime_step(kernel_paths, n):
 @pytest.mark.parametrize("n", ORDERS)
 def test_naimark_identity_on_a_gram_that_is_not_hermitian(monkeypatch, n):
     # G = [[1, zeta_n], [0, 0]] is idempotent, so tight at A = 1, but not
-    # Hermitian: its values at the conjugate points are not the transposes
-    # of its values at the points, so den G G = num G is checked at every
-    # point.  With G_00 negated G G != G, and at A = 2 G G = G != 2 G.
-    # H = v v* for v = (1, conj(zeta_n)) is Hermitian, and H H = 2 H: it is
-    # checked at the first ceil(d/2) points
+    # Hermitian.  With G_00 negated G G != G, and at A = 2 G G = G != 2 G.
+    # H = v v* for v = (1, conj(zeta_n)) is Hermitian, and H H = 2 H.  A
+    # bare G, Hermitian or not, is checked at every point
     d = cyclo._ring(n).degree
     points = []
     real = cyclo._Space.reduce
@@ -504,7 +539,7 @@ def test_naimark_identity_on_a_gram_that_is_not_hermitian(monkeypatch, n):
         assert (g.adjoint() == g) == hermitian
         points.clear()
         res = naimark_gram(g, a)
-        assert points and set(points) == {(d + 1) // 2 if hermitian else d}
+        assert points and set(points) == {d}
         assert res.input_tight == tight == naimark_tight(g, a)
         assert res.transfer_ok == res.input_tight
         assert res.denominator == 1
