@@ -496,31 +496,46 @@ class _Space:
         return (_row_blocks(rows, per_row, least) if self.primes
                 else (slice(None),))
 
-    def values(self, arr: np.ndarray, mag: int) -> list[np.ndarray]:
-        """The values of a (..., d) array; `mag` is max|arr|.  Past _CHUNK
-        values, each prime's are written into one (d, ...) array a chunk of
-        rows at a time, so the residues and the values of the whole array
-        are never held at once."""
+    def values(self, arr: np.ndarray, mag: int,
+               entries: slice | np.ndarray = slice(None)) -> list[np.ndarray]:
+        """The values of a (..., d) array, (d, ...) per prime; `mag` is
+        max|arr|.  `entries` picks what is evaluated: a plain slice, every
+        entry, or the flat indices of the nonzero entries of a (D, N, d)
+        array, whose values are written into zeroed arrays, as a zero entry
+        is 0 at every point.  Past _CHUNK values, a chunk of rows, or of
+        indexed entries, is evaluated at a time, so the residues and the
+        values of the whole array are never held at once."""
         shape = arr.shape[:-1]
         if not self.primes:
             return [np.zeros((self.degree,) + shape) if self.zero
                     else arr[..., 0].astype(np.float64)[None]]
         d = self.degree
+
+        def at_points(part, p, pts):         # (d, entries) of (..., d) part
+            # centred residues mod p, as float64
+            res = (part.astype(np.float64, order="C") if mag <= p // 2
+                   else _reduce((part % p).astype(np.float64, order="C"), p))
+            return _reduce(pts.v.T @ res.reshape(-1, d).T, p)
+
+        if not isinstance(entries, slice):
+            out = [np.zeros((d,) + shape) for _ in self.primes]
+            flat, step = arr.reshape(-1, d), max(1, _CHUNK // d)
+            for i in range(0, entries.size, step):
+                at = entries[i:i + step]
+                part = flat[at]
+                for p, pts, vals in zip(self.primes, self.points, out):
+                    vals.reshape(d, -1)[:, at] = at_points(part, p, pts)
+            return out
         step = max(1, _CHUNK // arr[0].size)
+        if step >= shape[0]:
+            return [at_points(arr, p, pts).reshape((d,) + shape)
+                    for p, pts in zip(self.primes, self.points)]
         out = []
         for p, pts in zip(self.primes, self.points):
-            vals = None if step >= shape[0] else np.empty((d,) + shape)
+            vals = np.empty((d,) + shape)
             for i in range(0, shape[0], step):
-                part = arr[i:i + step]
-                # centred residues mod p, as float64
-                res = (part.astype(np.float64, order="C") if mag <= p // 2
-                       else _reduce((part % p).astype(np.float64, order="C"),
-                                    p))
-                got = _reduce(pts.v.T @ res.reshape(-1, d).T, p)
-                if vals is None:
-                    vals = got.reshape((d,) + shape)
-                else:
-                    vals[:, i:i + step] = got.reshape((d, -1) + shape[1:])
+                got = at_points(arr[i:i + step], p, pts)
+                vals[:, i:i + step] = got.reshape((d, -1) + shape[1:])
             out.append(vals)
         return out
 
@@ -544,16 +559,17 @@ class _Space:
         return _reduce(vals, self.primes[i]) if self.primes else vals
 
     def exact(self, vals: list[np.ndarray]) -> np.ndarray:
-        """(d, entries): the exact coefficients of reduced values, by one
+        """(entries, d): the exact coefficients of reduced values, entries
+        in the row-major order of the values' trailing axes, by one
         interpolation per prime and Garner's mixed-radix CRT, x = c_0 +
         c_1 p_0 + c_2 p_0 p_1 + ..., with each digit c_i centred mod p_i.
         Every digit product mod a prime stays below 2^54."""
         d, primes = self.degree, self.primes
         if not primes:      # float64 holding integers converts exactly
-            return vals[0].reshape(d, -1).astype(np.int64)
+            return vals[0].reshape(d, -1).T.astype(np.int64, order="C")
         digits = []
         for i, (p, pts, v) in enumerate(zip(primes, self.points, vals)):
-            c = _reduce(pts.vinv.T @ v.reshape(d, -1), p).astype(np.int64)
+            c = _reduce(v.reshape(d, -1).T @ pts.vinv, p).astype(np.int64)
             if digits:
                 known = digits[-1] % p        # the digits so far, mod p
                 for j in range(i - 2, -1, -1):
@@ -567,18 +583,17 @@ class _Space:
         return x
 
     def results(self, shape: tuple[int, ...], block) -> np.ndarray:
-        """The exact (rows, ..., d) array of `shape` that a pass computes:
-        `block(rows)` gives the reduced values of its rows `rows`, per
-        prime, each block made exact as it comes.  One block is returned in
-        place (no copy at d = 1, where its coefficients are in row order)."""
+        """The exact (rows, ..., d) array of `shape` that a pass computes,
+        C-contiguous: `block(rows)` gives the reduced values of its rows
+        `rows`, per prime, each block made exact as it comes.  `exact` is
+        entries-major, so one block is returned as it is, reshaped."""
         blocks = list(self.blocks(shape[0], prod(shape[1:])))
         if len(blocks) == 1:
-            return np.ascontiguousarray(
-                self.exact(block(blocks[0])).T).reshape(shape)
+            return self.exact(block(blocks[0])).reshape(shape)
         out = np.empty(shape, dtype=self.dtype)
         for rows in blocks:
             part = out[rows]
-            part[...] = self.exact(block(rows)).T.reshape(part.shape)
+            part[...] = self.exact(block(rows)).reshape(part.shape)
         return out
 
 

@@ -39,14 +39,16 @@ steps:
    N = 1), an identity of integers.  Any other frame is tight when
    Phi Phi* = (N s / D) I at the points, one product per prime.
 
-The pass follows the zero pattern of Phi, which `Frame` keeps.  A
-coefficient of G sums over the rows where both of its columns are
-nonzero, and one of Phi Phi* over the columns where both of its rows are.
-So the a-priori bound, and the width of the prime ladder (a zero entry is
-0 at every point), count the most nonzeros of a column or of a row, not
-max(D, N).  The pass stops once every field of the certificate is fixed,
-and forms no N x N array.  `gram` runs the same row tiles, each over all
-N columns, to the end, into its N x N output.
+The pass follows the zero pattern of Phi, which `Frame` keeps.  A zero
+entry is 0 at every point, so where Phi's zeros hold a block of values
+(`_BLOCK`) or more, only its nonzero entries are evaluated.  A coefficient
+of G sums over the rows where both of its columns are nonzero, and one of
+Phi Phi* over the columns where both of its rows are, so the a-priori
+bound and the width of the prime ladder count the most nonzeros of a
+column or of a row, not max(D, N).  The pass stops once every field of
+the certificate is fixed, and forms no N x N array.  `gram` runs the same
+row tiles, each over all N columns, to the end, each interpolated
+straight into its row-major N x N output.
 
 Hermitian symmetry halves the work twice.  G is Hermitian, G_rc =
 conj(G_cr), so the pass never forms its lower block triangle: |G_rc|^2
@@ -90,9 +92,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import (_CHUNK, _INT64_SAFE, CycMatrix, CycScalar, _entrywise,
-                    _float_exact, _ladder_first, _ring, _row_blocks, _scaled,
-                    _Space)
+from .cyclo import (_BLOCK, _CHUNK, _INT64_SAFE, CycMatrix, CycScalar,
+                    _entrywise, _float_exact, _ladder_first, _ring,
+                    _row_blocks, _scaled, _Space)
 
 __all__ = [
     "FrameError",
@@ -214,17 +216,17 @@ def gram(frame: Frame) -> CycMatrix:
     evaluated once, and each tile is interpolated into the output.  The
     Gram keeps the frame alive, so that `naimark_gram` can certify its
     tightness through Phi."""
-    space, mag = _frame_space(frame.synthesis, frame.support)
+    space, mag, nonzero = _frame_space(frame.synthesis, frame.support)
     n, deg = frame.n, space.degree
     # the output first: allocated after Phi's values, it left them, once
     # freed, as a hole beneath it in the heap (1.5 MiB more peak RSS in
     # perfbench's gdd-multislot)
     out = np.empty((n, n, deg), dtype=space.dtype)
-    phi = space.values(frame.synthesis.array, mag)
+    phi = space.values(frame.synthesis.array, mag, nonzero)
     for rows, hit in _tiles(frame.support, deg):
         part = out[rows]
         part[...] = space.exact(_gram_tile(space, phi, rows, hit,
-                                           0)).T.reshape(part.shape)
+                                           0)).reshape(part.shape)
     return _FramedGram(frame, out)
 
 
@@ -313,14 +315,14 @@ def _witness(order: int, norms: np.ndarray, bad_norm: int | None,
              sides: tuple[int, int] | None) -> str:
     """The first Gram entry, in row-major order, that breaks equal norms,
     then rational norms, then equiangularity, then a rational |G_01|^2;
-    else the missing tightness.  `norms` is the Gram diagonal (d, N), `ref`
+    else the missing tightness.  `norms` is the Gram diagonal (N, d), `ref`
     the coefficients of |G_01|^2 (None at N = 1), `angle` the first
     off-diagonal entry (r, c, |G_rc|^2) whose |.|^2 differs from it, or
     None, and `sides` the two sides s^2 (N - D) and t D (N - 1) of the
     Welch identity of an equal-norm, equiangular frame."""
-    ref0 = CycScalar(order, norms[:, 0])
+    ref0 = CycScalar(order, norms[0])
     if bad_norm is not None:
-        bad = CycScalar(order, norms[:, bad_norm]).coeffs
+        bad = CycScalar(order, norms[bad_norm]).coeffs
         return (f"Gram entry ({bad_norm}, {bad_norm}) = {bad} breaks equal "
                 f"norms (entry (0, 0) = {ref0.coeffs})")
     if not ref0.is_rational_integer:
@@ -372,10 +374,11 @@ def _tiles(support: np.ndarray,
 
 
 def _frame_space(mat: CycMatrix, support: np.ndarray | None,
-                 least: int = 0) -> tuple[_Space, int]:
-    """The space of a pass over the products of Phi and Phi*, and max|Phi|.
-    `support` is Phi's zero pattern, None when Phi is dense; the pass's
-    bound is at least `least`."""
+                 least: int = 0) -> tuple[_Space, int, slice | np.ndarray]:
+    """The space of a pass over the products of Phi and Phi*, max|Phi|, and
+    the entries of Phi that `_Space.values` evaluates: a plain slice, or
+    the flat indices of its nonzeros.  `support` is Phi's zero pattern,
+    None when Phi is dense; the pass's bound is at least `least`."""
     (d, n), ring, mag = mat.shape, _ring(mat.order), mat.mag
     # a coefficient of Phi* Phi (of Phi Phi*) sums over the rows (columns)
     # where both entries are nonzero, so over at most `terms` entries, the
@@ -387,18 +390,23 @@ def _frame_space(mat: CycMatrix, support: np.ndarray | None,
     # counts are taken only where they can pay: a sparse frame whose
     # max(D, N) bound needs a prime.  The growth factors are 1 at d = 1,
     # and past it only a zero bound needs no prime, so that is read
-    # without them
-    terms = max(d, n)
+    # without them.  Only the nonzeros are evaluated where the zeros
+    # skipped hold a block of values, at which the indices pay for
+    # themselves
+    terms, entries = max(d, n), slice(None)
     if not (support is None or support.all()
             or _float_exact(ring, mag * mag * terms)):
         counted = support.view(np.uint8)     # summed faster than booleans
-        terms = max(int(counted.sum(axis=0, dtype=np.int32).max()),
+        per_col = counted.sum(axis=0, dtype=np.int32)
+        terms = max(int(per_col.max()),
                     int(counted.sum(axis=1, dtype=np.int32).max()))
+        if (d * n - int(per_col.sum())) * ring.degree >= _BLOCK:
+            entries = np.flatnonzero(support)
     width = max(terms, ring.degree)
     _ladder_first(ring, width, mag)
     bound = max(mag * mag * ring.conj_l1 * ring.degree * ring.fold_l1
                 * terms, least)
-    return _Space(ring, width, bound), mag
+    return _Space(ring, width, bound), mag, entries
 
 
 def _gram_tile(space: _Space, phi: list[np.ndarray], rows: slice,
@@ -440,10 +448,10 @@ def _abs_squared(space: _Space, ring, tile: list[np.ndarray],
     """The exact |G|^2 of entry k of a tile, (d,): read off the tile's
     |G|^2 values `mods` where they interpolate to an integer (the norm
     rule), else squared by `_entrywise` from the interpolated entry."""
-    x = space.exact([_mirrored(m[:, k], space.degree) for m in mods])[:, 0]
+    x = space.exact([_mirrored(m[:, k], space.degree) for m in mods])[0]
     if not x[1:].any():
         return x
-    g = space.exact([v[:, k:k + 1] for v in tile]).T          # (1, d)
+    g = space.exact([v[:, k:k + 1] for v in tile])            # (1, d)
     return _entrywise(g, None, ring)[0]
 
 
@@ -451,12 +459,12 @@ def _unimodular(mat: CycMatrix) -> tuple:
     """A dense pass over `mat`: its space and values, the row-major index
     of the first entry whose |.|^2, real, is not 1 at the first ceil(d/2)
     points, and that |.|^2; else None, None."""
-    space, mag = _frame_space(mat, None)
+    space, mag, _ = _frame_space(mat, None)
     phi, deg = space.values(mat.array, mag), space.degree
     mods = _moduli(space, phi)
     bad = _first(np.any([(m != 1).any(axis=0) for m in mods], axis=0))
     mod = None if bad is None else CycScalar(mat.order, space.exact(
-        [_mirrored(m[:, bad], deg) for m in mods])[:, 0])
+        [_mirrored(m[:, bad], deg) for m in mods])[0])
     return space, phi, bad, mod
 
 
@@ -485,26 +493,27 @@ def verify_etf(frame: Frame) -> EtfCertificate:
     d, n, order = frame.d, frame.n, frame.order
     ring = _ring(order)
     deg, half = ring.degree, _half(ring.degree)
-    space, mag = _frame_space(frame.synthesis, frame.support)
-    phi = space.values(frame.synthesis.array, mag)        # (deg, D, N)
+    space, mag, nonzero = _frame_space(frame.synthesis, frame.support)
+    phi = space.values(frame.synthesis.array, mag, nonzero)  # (deg, D, N)
 
     # a column norm is real: its first ceil(d/2) values give the rest
-    norms = space.exact([
+    norms = space.exact([                                      # (N, deg)
         _mirrored(space.reduce(np.einsum("jki,jki->ji", space.conj(v)[:half],
                                          v[:half]), i), deg)
         for i, v in enumerate(phi)])
-    bad_norm = _first((norms != norms[:, :1]).any(axis=0))
-    s = (int(norms[0, 0]) if bad_norm is None and not norms[1:, 0].any()
+    bad_norm = _first((norms != norms[:1]).any(axis=1))
+    s = (int(norms[0, 0]) if bad_norm is None and not norms[0, 1:].any()
          else None)
 
     # the norm rule (see the module docstring) compares every |G|^2 with
     # ref at the points of a pass that covers m^2; the l1 sums are of
     # Python ints, as int64 ones could pass 2^63
-    m = int(np.abs(norms).sum(axis=0, dtype=object).max()) if n > 1 else 0
+    m = int(np.abs(norms).sum(axis=1, dtype=object).max()) if n > 1 else 0
     if not space.covers(m * m):
         phi = None                      # freed before Phi is evaluated again
-        space, mag = _frame_space(frame.synthesis, frame.support, m * m)
-        phi = space.values(frame.synthesis.array, mag)
+        space, mag, nonzero = _frame_space(frame.synthesis, frame.support,
+                                           m * m)
+        phi = space.values(frame.synthesis.array, mag, nonzero)
 
     # row tiles of G's upper block triangle until every field is fixed;
     # entry (0, 1), whose |.|^2 is ref, is entry 1 of the first
@@ -552,7 +561,7 @@ def verify_etf(frame: Frame) -> EtfCertificate:
         witness = _witness(order, norms, bad_norm, ref, angle, sides)
         # one interpolation per value reported
         values = (None if values is None else tuple(
-            CycScalar(order, space.exact([x[:, None] for x in v])[:, 0])
+            CycScalar(order, space.exact([x[:, None] for x in v])[0])
             for v in values))
     a = Fraction(n * s, d) if s is not None else None
     return EtfCertificate(d, n, s, t, a, s is not None, equiangular, tight,
@@ -660,9 +669,10 @@ def naimark_gram(g: CycMatrix, a) -> NaimarkResult:
     # at D > N, Phi Phi* has rank below D, and Phi != 0: it is not num I
     if isinstance(g, _FramedGram) and den == 1 and g.frame.d <= n:
         frame = g.frame
-        space, mag = _frame_space(frame.synthesis, frame.support, abs(num))
-        input_tight = _tight(space, space.values(frame.synthesis.array, mag),
-                             num)
+        space, mag, nonzero = _frame_space(frame.synthesis, frame.support,
+                                           abs(num))
+        input_tight = _tight(space, space.values(frame.synthesis.array, mag,
+                                                 nonzero), num)
     input_tight = input_tight or _gram_tight(g, num, den)
     comp = -arr if den == 1 else _scaled(arr, -den)
     if comp.dtype != object and abs(num) >= _INT64_SAFE:

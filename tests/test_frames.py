@@ -375,7 +375,7 @@ def offdiag_values(g: CycMatrix, rows: int):
         off[np.arange(height), np.arange(height)] = False
         values = _distinct(values, tile, off.reshape(-1))
     return (None if values is None else tuple(
-        CycScalar(g.order, space.exact([x[:, None] for x in v])[:, 0])
+        CycScalar(g.order, space.exact([x[:, None] for x in v])[0])
         for v in values))
 
 
@@ -1392,9 +1392,9 @@ def spaces(monkeypatch):
             self.bound, self.evaluated = bound, 0
             made.append(self)
 
-        def values(self, arr, mag):
+        def values(self, arr, mag, entries=slice(None)):
             self.evaluated += 1
-            return super().values(arr, mag)
+            return super().values(arr, mag, entries)
 
     monkeypatch.setattr(frames, "_Space", Counted)
     return made
@@ -1808,9 +1808,9 @@ def naimark_passes(monkeypatch):
         seen["tight"].append(real_tight(space, phi, c))
         return seen["tight"][-1]
 
-    def values(self, arr, mag):
+    def values(self, arr, mag, entries=slice(None)):
         seen["values"].append(arr.shape)
-        return real_values(self, arr, mag)
+        return real_values(self, arr, mag, entries)
 
     monkeypatch.setattr(frames, "_tight", tight)
     monkeypatch.setattr(cyclo._Space, "values", values)
@@ -1897,3 +1897,153 @@ def test_naimark_of_a_bare_gram_holds_two_whole_arrays():
         tracemalloc.stop()
     assert naimark_fields(res) == want and res.input_tight
     assert peak < 10.5, f"peak {peak:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# sparse evaluation: where the zeros of a frame hold a block of values,
+# `_Space.values` evaluates its nonzero entries only
+
+
+def sparse_frame(order: int, zeros: int, mag: int, zero_row: bool,
+                 seed: int) -> Frame:
+    """A D x 2D frame over Z[zeta_order] with exactly `zeros` zero entries,
+    every column nonzero, and row 0 zero if `zero_row`; its nonzero entries
+    have coefficients in [-mag, mag], mag itself among them."""
+    rng = np.random.default_rng(seed)
+    deg = cyclo._ring(order).degree
+    d = isqrt(zeros // 2) + 2
+    n = 2 * d
+    top = int(zero_row)
+    support = np.zeros((d, n), dtype=bool)
+    support[rng.integers(top, d, n), np.arange(n)] = True
+    free = np.flatnonzero(~support[top:]) + top * n
+    more = d * n - zeros - n
+    support.reshape(-1)[rng.choice(free, more, replace=False)] = True
+    arr = rng.integers(-mag, mag + 1, (d, n, deg)) * support[..., None]
+    arr[..., 0][support & ~arr.any(axis=2)] = mag     # no nonzero entry is 0
+    arr.reshape(-1, deg)[np.argmax(support), 0] = mag
+    frame = Frame(CycMatrix(order, arr))
+    assert int((~frame.support).sum()) == zeros
+    assert frame.support[0].any() != zero_row
+    return frame
+
+
+def negative_zeros(x: np.ndarray) -> bool:
+    return bool((np.signbit(x) & (x == 0)).any())
+
+
+# (order, d); at each, the zeros skipped hold _BLOCK - d values (the slice)
+# or _BLOCK (the indices), in a space of one prime or of two
+SPARSE_ORDERS = [(3, 2), (5, 4), (15, 8)]
+SPARSE_CASES = [(order, deg, cut, mag, primes)
+                for order, deg in SPARSE_ORDERS
+                for cut in (deg, 0)
+                for mag, primes in ((3, 1), (2**13, 2))]
+
+
+@pytest.mark.parametrize("order, deg, cut, mag, primes", SPARSE_CASES)
+def test_sparse_values_are_the_dense_values_at_the_edge(order, deg, cut, mag,
+                                                        primes):
+    zeros = (cyclo._BLOCK - cut) // deg
+    for zero_row in (False, True):
+        frame = sparse_frame(order, zeros, mag, zero_row, seed=order + cut)
+        arr = frame.synthesis.array
+        space, got_mag, entries = frames._frame_space(frame.synthesis,
+                                                      frame.support)
+        assert cyclo._ring(order).degree == deg and got_mag == mag
+        assert len(space.primes) == primes
+        assert isinstance(entries, slice) == (cut > 0)
+        dense = space.values(arr, mag)
+        for picked in (entries, np.flatnonzero(frame.support)):
+            sparse = space.values(arr, mag, picked)
+            assert len(sparse) == len(dense) == primes
+            for s, x in zip(sparse, dense):
+                assert s.shape == x.shape == (deg,) + frame.support.shape
+                assert s.dtype == x.dtype == np.float64
+                assert np.array_equal(s, x)
+                assert not negative_zeros(s) and not negative_zeros(x)
+
+
+def dense_results(frame: Frame, a) -> tuple:
+    """verify_etf, gram and naimark_gram of a frame, every field."""
+    cert = verify_etf(frame)
+    g = gram(frame)
+    return (cert, str(cert), g.array.dtype, g.array.tolist(),
+            naimark_fields(naimark_gram(g, a)))
+
+
+@pytest.mark.parametrize("order, deg, cut, mag, primes", SPARSE_CASES)
+def test_sparse_pass_matches_the_dense_pass(order, deg, cut, mag, primes,
+                                           monkeypatch):
+    # the same frame, once as selected and once with every evaluation
+    # dense: the certificate, the Gram and the Naimark complement agree,
+    # field for field, at A = 1 (the framed check runs, D <= N, and fails)
+    # and at a non-integer A
+    zeros = (cyclo._BLOCK - cut) // deg
+    for zero_row in (False, True):
+        frame = sparse_frame(order, zeros, mag, zero_row, seed=order + cut)
+        for a in (1, Fraction(1, 2)):
+            got = dense_results(frame, a)
+            with monkeypatch.context() as m:
+                m.setattr(frames, "_BLOCK", 2**62)
+                want = dense_results(frame, a)
+            assert got == want
+            assert not got[0].welch_equality and got[0].witness
+
+
+def workload_frames(tmp_path, monkeypatch, name: str) -> dict:
+    """The frames that a perfbench workload builds, through the CLI, by
+    file name."""
+    import importlib
+    from pathlib import Path
+    from etfkit import cli, fileio
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    out = {}
+    for job in workload.designs + workload.frames:
+        argv = [str(tmp_path / a) if a.endswith((".design", ".frame")) else a
+                for a in job.argv]
+        assert cli.main(argv) == 0
+        if argv[-1].endswith(".frame"):
+            out[job.path] = fileio.parse_frame(
+                (tmp_path / job.path).read_text())
+    return out
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Each evaluation `_Space.values` makes: the shape it evaluates and
+    whether it takes every entry (a slice) or indices."""
+    seen, real = [], cyclo._Space.values
+
+    def values(self, arr, mag, entries=slice(None)):
+        seen.append((arr.shape, isinstance(entries, slice)))
+        return real(self, arr, mag, entries)
+
+    monkeypatch.setattr(cyclo._Space, "values", values)
+    return seen
+
+
+@pytest.mark.parametrize("workload, indexed", [
+    ("gdd-multislot", {"gdd-88.frame", "gdd-77.frame"}),
+    ("small-zoo", set()),
+    ("steiner-247", set()),
+])
+def test_only_the_gdd_extensions_evaluate_by_index(workload, indexed,
+                                                   tmp_path, monkeypatch,
+                                                   evaluated):
+    # verify_etf, gram and the framed Naimark check evaluate the frame
+    # itself: by the indices of its nonzeros on ETF(88,320) and
+    # ETF(77,210), every entry on every other frame of the benchmark
+    built = workload_frames(tmp_path, monkeypatch, workload)
+    if workload == "gdd-multislot":
+        assert {(f.d, f.n) for f in built.values()} >= {(88, 320), (77, 210)}
+    for path, frame in built.items():
+        evaluated.clear()
+        cert = verify_etf(frame)
+        g = gram(frame)
+        if cert.welch_equality:
+            assert naimark_gram(g, cert.a).input_tight
+        assert set(evaluated) == {(frame.synthesis.array.shape,
+                                   path not in indexed)}, path

@@ -314,9 +314,9 @@ def forbid(monkeypatch):
         evaluated = []
         real = cyclo._Space.values
 
-        def values(self, arr, mag):
+        def values(self, arr, mag, entries=slice(None)):
             evaluated.append(arr.shape)
-            return real(self, arr, mag)
+            return real(self, arr, mag, entries)
 
         monkeypatch.setattr(cyclo._Space, "values", values)
         return evaluated

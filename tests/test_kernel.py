@@ -608,3 +608,48 @@ def test_an_order_past_the_prime_ladder_is_refused_before_its_constants(
     finally:
         cyclo._ring.cache_clear()
         cyclo.cyclotomic_polynomial.cache_clear()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("several", [False, True], ids=["one", "several"])
+def test_exact_is_entries_major_at_each_prime_count(count, several,
+                                                    monkeypatch):
+    # in a space of `count` primes, its largest bound: `exact` gives the
+    # coefficients (entries, d), entries in row-major order, and `results`
+    # a C-contiguous (rows, cols, d) array, made of one block of rows or of
+    # several; both equal the reference ring's
+    if several:                     # blocks of about 64 values
+        monkeypatch.setattr(cyclo, "_BLOCK", 64)
+    n, (r, k, c) = 12, (6, 3, 5)
+    ring = cyclo._ring(n)
+    d = ring.degree
+    bound = steps(ring, max(k, d))[count] - 1
+    space = cyclo._Space(ring, max(k, d), bound)
+    assert len(space.primes) == count
+    rng = np.random.default_rng(count)
+    # operands whose product is bounded by `bound`, at full magnitude
+    ma = max(1, isqrt(bound // (k * d * ring.fold_l1)))
+    mb = max(1, bound // (ma * k * d * ring.fold_l1))
+    a, b = ([[[int(x) * m for x in row] for row in mat]
+             for mat in rng.choice([-1, 1], (rows, cols, d))]
+            for m, (rows, cols) in ((ma, (r, k)), (mb, (k, c))))
+    a, b = (np.array(x, dtype=object) for x in (a, b))
+    want = oracle.matmul_array(n, a, b)
+    assert int(np.abs(want).max()) <= bound
+    va = space.values(a, ma)
+    got = space.exact(va)
+    assert got.shape == (r * k, d) and got.dtype == space.dtype
+    assert got.tolist() == a.reshape(-1, d).tolist()
+    vb = space.values(b, mb)
+    rows_seen = []
+
+    def block_of(rows):
+        rows_seen.append(rows)
+        return [space.reduce(x[:, rows] @ y, i)
+                for i, (x, y) in enumerate(zip(va, vb))]
+
+    out = space.results((r, c, d), block_of)
+    assert (len(rows_seen) > 1) == several
+    assert out.shape == (r, c, d) and out.flags.c_contiguous
+    assert out.dtype == space.dtype
+    assert out.tolist() == want.tolist()
