@@ -490,53 +490,31 @@ class _Space:
             return bound < _F64_EXACT
         return 2 * bound < prod(self.primes)
 
-    def blocks(self, rows: int, per_row: int, least: int = 1):
-        """Row blocks of a pass's results, as `_row_blocks`; one with no
-        prime, as one float64 product is exact, and fastest, whole."""
-        return (_row_blocks(rows, per_row, least) if self.primes
-                else (slice(None),))
-
     def values(self, arr: np.ndarray, mag: int,
                entries: slice | np.ndarray = slice(None)) -> list[np.ndarray]:
         """The values of a (..., d) array, (d, ...) per prime; `mag` is
-        max|arr|.  `entries` picks what is evaluated: a plain slice, every
-        entry, or the flat indices of the nonzero entries of a (D, N, d)
-        array, whose values are written into zeroed arrays, as a zero entry
-        is 0 at every point.  Past _CHUNK values, a chunk of rows, or of
-        indexed entries, is evaluated at a time, so the residues and the
-        values of the whole array are never held at once."""
+        max|arr|.  One loop runs over the flat entries, _CHUNK // d of them
+        at a time, so the residues and the values of the whole array are
+        never held at once.  `entries` picks what it runs over: a plain
+        slice, every entry, written into an empty array, or the flat
+        indices of the nonzero entries, written into zeroed arrays, as a
+        zero entry is 0 at every point."""
         shape = arr.shape[:-1]
         if not self.primes:
             return [np.zeros((self.degree,) + shape) if self.zero
                     else arr[..., 0].astype(np.float64)[None]]
-        d = self.degree
-
-        def at_points(part, p, pts):         # (d, entries) of (..., d) part
-            # centred residues mod p, as float64
-            res = (part.astype(np.float64, order="C") if mag <= p // 2
-                   else _reduce((part % p).astype(np.float64, order="C"), p))
-            return _reduce(pts.v.T @ res.reshape(-1, d).T, p)
-
-        if not isinstance(entries, slice):
-            out = [np.zeros((d,) + shape) for _ in self.primes]
-            flat, step = arr.reshape(-1, d), max(1, _CHUNK // d)
-            for i in range(0, entries.size, step):
-                at = entries[i:i + step]
-                part = flat[at]
-                for p, pts, vals in zip(self.primes, self.points, out):
-                    vals.reshape(d, -1)[:, at] = at_points(part, p, pts)
-            return out
-        step = max(1, _CHUNK // arr[0].size)
-        if step >= shape[0]:
-            return [at_points(arr, p, pts).reshape((d,) + shape)
-                    for p, pts in zip(self.primes, self.points)]
-        out = []
-        for p, pts in zip(self.primes, self.points):
-            vals = np.empty((d,) + shape)
-            for i in range(0, shape[0], step):
-                got = at_points(arr[i:i + step], p, pts)
-                vals[:, i:i + step] = got.reshape((d, -1) + shape[1:])
-            out.append(vals)
+        d, every = self.degree, isinstance(entries, slice)
+        flat, step = arr.reshape(-1, d), max(1, _CHUNK // d)
+        out = [(np.empty if every else np.zeros)((d,) + shape)
+               for _ in self.primes]
+        for i in range(0, len(flat) if every else entries.size, step):
+            at = slice(i, i + step) if every else entries[i:i + step]
+            part = flat[at]
+            for p, pts, vals in zip(self.primes, self.points, out):
+                # centred residues mod p, as float64
+                res = (part.astype(np.float64) if mag <= p // 2
+                       else _reduce((part % p).astype(np.float64), p))
+                vals.reshape(d, -1)[:, at] = _reduce(pts.v.T @ res.T, p)
         return out
 
     @staticmethod
@@ -584,14 +562,11 @@ class _Space:
 
     def results(self, shape: tuple[int, ...], block) -> np.ndarray:
         """The exact (rows, ..., d) array of `shape` that a pass computes,
-        C-contiguous: `block(rows)` gives the reduced values of its rows
-        `rows`, per prime, each block made exact as it comes.  `exact` is
-        entries-major, so one block is returned as it is, reshaped."""
-        blocks = list(self.blocks(shape[0], prod(shape[1:])))
-        if len(blocks) == 1:
-            return self.exact(block(blocks[0])).reshape(shape)
+        C-contiguous, with or without a prime: `block(rows)` gives the
+        reduced values of its rows `rows`, per prime, and each block of
+        `_row_blocks` is made exact into the output as it comes."""
         out = np.empty(shape, dtype=self.dtype)
-        for rows in blocks:
+        for rows in _row_blocks(shape[0], prod(shape[1:])):
             part = out[rows]
             part[...] = self.exact(block(rows)).reshape(part.shape)
         return out

@@ -545,6 +545,45 @@ def test_verify_pins_the_duplicated_block(tmp_path, capsys, later_fault):
            "covered more than once", "")
 
 
+
+@pytest.mark.parametrize("base", [("td", "3", "3"), ("sts", "7")])
+@pytest.mark.parametrize("command", ["steiner", "gdd-etf", "product-outer",
+                                     "product-inner", "fill-inner",
+                                     "fill-outer"])
+def test_commands_refuse_a_duplicated_block(tmp_path, capsys, base,
+                                            command):
+    # block 5 replaced by block 2, read where a command takes a design: it
+    # fails as `verify` does, on stderr, and writes no output, also over
+    # an output that exists
+    bad, good = tmp_path / "bad.design", tmp_path / "good.design"
+    run(capsys, "design", *base, "-o", str(bad))
+    run(capsys, "design", "sts", "7", "-o", str(good))
+    lines = bad.read_text().splitlines()
+    lines[1 + 5] = lines[1 + 2]
+    bad.write_text("\n".join(lines) + "\n")
+    seed = tmp_path / "seed.frame"
+    run(capsys, "build", "simplex", "3", "--hadamard", "fourier:3",
+        "-o", str(seed))
+    argv = {
+        "steiner": ["build", "steiner", "--bibd", bad, "--hadamard",
+                    "sylvester:2"],
+        "gdd-etf": ["build", "gdd-etf", "--seed", seed, "--gdd", bad,
+                    "--he", "fourier:1", "--hf", "sylvester:2"],
+        "product-outer": ["design", "product", bad, good],
+        "product-inner": ["design", "product", good, bad],
+        "fill-inner": ["design", "fill", bad, good],
+        "fill-outer": ["design", "fill", good, bad],
+    }[command]
+    out = tmp_path / "out"
+    argv = [str(x) for x in argv] + ["-o", str(out)]
+    want = (1, "", "fail: block 5 duplicates an earlier block; pair (0, 5) "
+                   "is covered more than once")
+    assert run(capsys, *argv) == want
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert run(capsys, *argv) == want
+    assert out.read_bytes() == b"kept\n"
+
 def test_verify_hadamard_kind(tmp_path, capsys):
     # store a Hadamard matrix in the frame format and certify it
     from etfkit.fileio import serialize_frame

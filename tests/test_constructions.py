@@ -175,6 +175,24 @@ def test_mols_centered_tdtf_not_etf():
     assert vals == {1, -3}          # M XX* - K J with M=4, K=3
 
 
+
+def test_tdtf_report_strings():
+    # the pass line of the centred TD(3,4) frame, its values in order of
+    # first appearance, and the fail line of a frame that is not two-distance
+    # (H | 2I: tight, off-diagonal values 0, 2, -2) and of one that is not
+    # tight ([I | 1])
+    _, cert = mols_tdtf(td(3, 4), sylvester(2), "centered")
+    assert str(cert.tdtf) == "TDTF pass: off-diagonal values {(1,), (-3,)}"
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                  [1, -1, -1, 1]])
+    for synthesis, line in (
+            (np.hstack([h, 2 * np.eye(4, dtype=int)]),
+             "TDTF fail: tight=True, two_distance=False"),
+            (np.array([[1, 0, 1], [0, 1, 1]]),
+             "TDTF fail: tight=False, two_distance=True")):
+        cert = verify_etf(Frame(CycMatrix.from_int_matrix(synthesis)))
+        assert str(cert.tdtf) == line
+
 def test_mols_rejects_non_td():
     with pytest.raises(ConstructionError):
         mols_tdtf(steiner_triple_system(7), sylvester(2), "centered")

@@ -1008,20 +1008,32 @@ def test_gram_of_one_column(order):
     assert_gram_exact(Frame(CycMatrix(order, arr)))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_pass_evaluates_the_synthesis_in_chunks_of_rows(monkeypatch, rows):
-    # a synthesis of more than _CHUNK values is evaluated a chunk of rows
-    # at a time, the last chunk shorter: chunks of 1, 2 and 3 rows give the
-    # certificates of the whole
-    rng = np.random.default_rng(rows)
+@pytest.mark.parametrize("indexed", [False, True], ids=["dense", "indexed"])
+@pytest.mark.parametrize("offset", [None, -1, 1], ids=["1", "N-1", "N+1"])
+def test_pass_evaluates_the_synthesis_in_chunks_of_entries(monkeypatch,
+                                                           offset, indexed):
+    # `_Space.values` evaluates _CHUNK // d entries at a time, the last
+    # chunk shorter: chunks of 1, N - 1 and N + 1 entries end mid-row, and
+    # give the certificates of the whole, over every entry (a slice) and
+    # over the indices of the nonzeros, in a space of one prime and of two
+    monkeypatch.setattr(frames, "_BLOCK", 1 if indexed else 2**62)
+    rng = np.random.default_rng([(offset or 0) + 1, indexed])
+    primes = set()
     for order in (3, 5, 10, 30):
-        cases = [simplex_over(order), rooted(simplex_over(order), rng)]
-        cases += [random_sparse_frame(order, rng, 0.3, equal)
-                  for equal in (False, True)]
-        for frame in cases:
-            monkeypatch.setattr(cyclo, "_CHUNK",
-                                rows * frame.synthesis.array[0].size)
+        cases = [random_sparse_frame(order, rng, 0.3, equal)
+                 for equal in (False, True)]
+        if not indexed:
+            cases += [simplex_over(order), rooted(simplex_over(order), rng)]
+        for frame, scale in itertools.product(cases, (1, 2**13)):
+            frame = Frame(CycMatrix(order, frame.synthesis.array * scale))
+            space, _, entries = frames._frame_space(frame.synthesis,
+                                                    frame.support)
+            assert isinstance(entries, slice) != indexed
+            primes.add(len(space.primes))
+            per = 1 if offset is None else frame.n + offset
+            monkeypatch.setattr(cyclo, "_CHUNK", per * space.degree)
             assert pass_certificate(frame) == whole_gram_oracle(frame)
+    assert primes == {1, 2}
 
 
 @pytest.mark.parametrize("order", [2, 10])

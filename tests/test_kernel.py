@@ -653,3 +653,40 @@ def test_exact_is_entries_major_at_each_prime_count(count, several,
     assert out.shape == (r, c, d) and out.flags.c_contiguous
     assert out.dtype == space.dtype
     assert out.tolist() == want.tolist()
+
+
+def test_no_prime_results_are_made_in_row_blocks(monkeypatch):
+    # at d = 1 with no prime, `results` fills its output a row block at a
+    # time, as it does with primes: a lift, a Kronecker product and a
+    # dephasing over blocks of about 8 values each equal the reference
+    # ring's, int64 and C-contiguous
+    from etfkit.designs import gf_build
+    from etfkit.hadamard import dephase, paley_ii
+    monkeypatch.setattr(cyclo, "_BLOCK", 8)
+    seen, real = [], cyclo._Space.results
+
+    def results(self, shape, block):
+        rows = []
+        seen.append((len(self.primes), rows))
+        return real(self, shape, lambda r: rows.append(r) or block(r))
+
+    monkeypatch.setattr(cyclo._Space, "results", results)
+    rng = np.random.default_rng(1)
+    a, b = (rng.integers(-5, 6, shape) for shape in ((3, 4, 1), (2, 3, 1)))
+    h = paley_ii(gf_build(5, 1))
+    arr = h.mat.array
+    cases = [
+        (lambda: CycMatrix(2, a).lift_to_order(12),
+         np.array([[oracle.lift(x, 2, 12) for x in row] for row in a])),
+        (lambda: CycMatrix(2, a).kron(CycMatrix(2, b)),
+         oracle.mul_array(2, a[:, None, :, None], b[None, :, None, :])
+         .reshape(6, 12, 1)),
+        (lambda: dephase(h).mat,
+         oracle.mul_array(2, arr, oracle.conj_array(2, arr[:1]))),
+    ]
+    for build, want in cases:
+        seen.clear()
+        got = build().array
+        assert seen and all(not p and len(rows) > 1 for p, rows in seen)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tolist() == want.tolist()
