@@ -36,7 +36,27 @@ header promising more allocates nothing.  Then it is read in blocks of
 whole lines of about 2^17 bytes, so that no Python object is made per
 token and the temporaries are those of one block.  A block ends at the
 last line end within that budget, found by one bytes.rfind; a longer line
-is a block of its own.  In each block:
+is a block of its own.
+
+Each block is first read by its layout, when every token has one digit,
+as the coefficients of the paper's GDD extensions and Steiner ETFs and
+the vertices of a design below 10 do.  With its "-" deleted, such a
+block is whole lines of U = N (deg + 1) - 1 two-byte units: a digit and
+"," within an entry (a design's " "), a digit and " " before a bar, "| "
+for a bar and a digit and the line end last.  The block, viewed as
+(rows, U) little-endian uint16, less these units with "0" as each digit,
+must be at most 9 at each digit unit and 0 at each bar unit: one
+comparison checks every byte (see _one_digit_tokens), and the digit
+units' differences are the digits, cast into the int64 output by one
+copy, or one per coefficient slot in a block of many entries.  Each "-",
+found by one comparison, must be followed by a digit, and negates that
+digit's token.  The temporaries are a uint16 a unit, a bool a byte and
+an int64 a "-", none an int64 a token.  A block so read is one that the
+token reader below reads to the same coefficients.
+
+A block that does not fit the layout (a token of two or more digits, or
+any byte out of place) is read token by token, as it would be without
+the layout read, so that it is read, or refused, the same way:
   - one bytes.translate deletes the format's deleted bytes, writes its
     separators as bytes below "-" and every byte no token holds as "x";
   - the token scan's separators, the bytes below "-" ("," "!" and the line
@@ -329,6 +349,8 @@ def _int64_coefficients(raw: bytes, lo: int, d: int, n: int, deg: int,
         return None
     out = np.empty(d * width, dtype=np.int64)
     line = b"!".join([b"," * (deg - 1)] * n) + b"\n"   # its separators
+    # the byte that the table reads as "," separates an entry's tokens
+    comma = bytes([table[0].index(b",")])
     start, r = lo, 0
     while start < len(raw):
         # the block ends at its last line end within the budget; a line
@@ -339,24 +361,91 @@ def _int64_coefficients(raw: bytes, lo: int, d: int, n: int, deg: int,
             or len(raw))
         block = raw[start:stop]
         start = stop
-        kept = block.translate(*table)                 # the one pass
-        spaces = len(block) - len(kept)
-        if not kept.endswith(b"\n"):
-            kept += b"\n"
-        buf = np.frombuffer(kept, dtype=np.uint8)
-        end = np.flatnonzero(buf < ord("-"))          # every separator
-        rows, rest = divmod(end.size, width)
-        if rest or r + rows > d or spaces != 2 * rows * (n - 1):
-            return None
-        # with its separators in place, and each "|" spaced, the spaces
-        # deleted were those of the " | " (see the module docstring)
-        if not (buf[end].tobytes() == line * rows
-                and (n == 1 or _bars_spaced(block, rows * (n - 1)))
-                and _int64_tokens(buf, end,
-                                  out[r * width:(r + rows) * width])):
-            return None
+        rows = _one_digit_tokens(block, comma,
+                                 out[r * width:].reshape(d - r, n, deg))
+        if not rows:                      # read token by token
+            kept = block.translate(*table)                 # the one pass
+            spaces = len(block) - len(kept)
+            if not kept.endswith(b"\n"):
+                kept += b"\n"
+            buf = np.frombuffer(kept, dtype=np.uint8)
+            end = np.flatnonzero(buf < ord("-"))          # every separator
+            rows, rest = divmod(end.size, width)
+            if rest or r + rows > d or spaces != 2 * rows * (n - 1):
+                return None
+            # with its separators in place, and each "|" spaced, the spaces
+            # deleted were those of the " | " (see the module docstring)
+            if not (buf[end].tobytes() == line * rows
+                    and (n == 1 or _bars_spaced(block, rows * (n - 1)))
+                    and _int64_tokens(buf, end,
+                                      out[r * width:(r + rows) * width])):
+                return None
         r += rows
     return out if r == d else None
+
+
+def _one_digit_tokens(block: bytes, comma: bytes, out: np.ndarray) -> int:
+    """Read the block's lines into the first rows of out, (rows, n, deg),
+    when every token is -?[0-9] and every line n entries of deg tokens, a
+    token followed by `comma` within an entry; the lines read, or 0, and
+    nothing read, when the block is not so.
+
+    With its "-" deleted, such a block is whole lines of U = n (deg + 1) - 1
+    two-byte units: a digit and `comma`, a digit and " " before a bar, "| "
+    for a bar, and a digit and the line end last.  It is read as a
+    (rows, U) array of little-endian uint16, less the units of a line with
+    "0" as each digit.  In each difference the low byte is the unit's
+    first byte less its expected one, mod 256, and the high byte its
+    second byte less its expected one, less 1 when the low byte borrowed,
+    mod 256.  A digit unit's difference is at most 9 just when its first
+    byte is a digit ("0" plus 0..9, with no borrow) and its second the
+    expected one; a bar unit's is 0 just when both bytes are the expected
+    ones.  So one comparison checks every byte, and the digit units'
+    differences are the tokens' digits.
+
+    Each "-" must be followed by a digit (the block ends with a line end),
+    so that no "-" follows another and each token holds at most one, right
+    before its digit.  What is left has its digits only at the first bytes
+    of digit units, and the digit after the k-th "-", at byte i, is byte
+    i - k of it."""
+    _, n, deg = out.shape
+    if not block.endswith(b"\n"):        # as the token reader reads it
+        block += b"\n"
+    kept = block.replace(b"-", b"")
+    rows, rest = divmod(len(kept), 2 * (n * (deg + 1) - 1))
+    if rest or not 0 < rows <= len(out):
+        return 0
+    # a line's units, and the most that each may exceed them by: 9 at a
+    # digit unit, 0 at a bar unit
+    entry = (b"0" + comma) * (deg - 1) + b"0 "
+    want = np.frombuffer(b"| ".join([entry] * n)[:-1] + b"\n", "<u2")
+    top = np.frombuffer(b"\0\0".join([b"\x09\0" * deg] * n), "<u2")
+    diff = np.frombuffer(kept, "<u2").reshape(rows, -1) - want
+    if (diff > top).any():
+        return 0
+    digits = diff.view(np.int16)
+    if len(kept) < len(block):
+        buf = np.frombuffer(block, np.uint8)
+        at = np.flatnonzero(buf == ord("-"))
+        if (buf[at + 1] - ord("0") > 9).any():     # uint8: a digit follows
+            return 0
+        at -= np.arange(at.size)                  # that digit's byte in kept
+        flat = digits.reshape(-1)
+        at >>= 1
+        flat[at] = -flat[at]
+    # each line's n entries start deg + 1 units apart, the last ending at
+    # the line's last unit.  A cast copy runs one inner loop over the last
+    # axis per index of the others, at about 1/128 of the cost of a call,
+    # so a block of many entries is copied one coefficient slot at a time
+    two = digits.itemsize
+    tokens = np.ndarray((rows, n, deg), np.int16, digits, 0,
+                        (digits.strides[0], (deg + 1) * two, two))
+    if n > 1 and rows * n > 128 * deg:
+        for k in range(deg):
+            np.copyto(out[:rows, :, k], tokens[:, :, k])
+    else:
+        np.copyto(out[:rows], tokens)
+    return rows
 
 
 def _bars_spaced(block: bytes, bars: int) -> bool:

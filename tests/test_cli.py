@@ -328,30 +328,67 @@ GDD_FRAME_SHA256 = {
 }
 
 
+def _multislot_builds(path):
+    """The commands that build ETF(88,320) and ETF(77,210), and their
+    designs and seeds, into the files path(name)."""
+    return (("design", "affine", "2", "-o", path("affine-2.design")),
+            ("design", "td", "4", "8", "-o", path("td-4-8.design")),
+            ("design", "td", "3", "3", "-o", path("td-3-3.design")),
+            ("design", "sts", "7", "-o", path("sts-7.design")),
+            ("design", "product", path("td-3-3.design"),
+             path("sts-7.design"), "-o", path("product.design")),
+            ("build", "steiner", "--bibd", path("affine-2.design"),
+             "--hadamard", "sylvester:2", "-o", path("seed-6.frame")),
+            ("build", "simplex", "3", "--hadamard", "fourier:3",
+             "-o", path("simplex-fourier3.frame")),
+            ("build", "gdd-etf", "--seed", path("seed-6.frame"),
+             "--gdd", path("td-4-8.design"), "--he", "sylvester:1",
+             "--hf", "fourier:5", "-o", path("gdd-88.frame")),
+            ("build", "gdd-etf", "--seed", path("simplex-fourier3.frame"),
+             "--gdd", path("product.design"), "--he", "fourier:1",
+             "--hf", "fourier:10", "-o", path("gdd-77.frame")))
+
+
 def test_multislot_gdd_frames_are_byte_identical(tmp_path, capsys):
     def path(name):
         return str(tmp_path / name)
 
-    for argv in (("design", "affine", "2", "-o", path("affine-2.design")),
-                 ("design", "td", "4", "8", "-o", path("td-4-8.design")),
-                 ("design", "td", "3", "3", "-o", path("td-3-3.design")),
-                 ("design", "sts", "7", "-o", path("sts-7.design")),
-                 ("design", "product", path("td-3-3.design"),
-                  path("sts-7.design"), "-o", path("product.design")),
-                 ("build", "steiner", "--bibd", path("affine-2.design"),
-                  "--hadamard", "sylvester:2", "-o", path("seed-6.frame")),
-                 ("build", "simplex", "3", "--hadamard", "fourier:3",
-                  "-o", path("simplex-fourier3.frame")),
-                 ("build", "gdd-etf", "--seed", path("seed-6.frame"),
-                  "--gdd", path("td-4-8.design"), "--he", "sylvester:1",
-                  "--hf", "fourier:5", "-o", path("gdd-88.frame")),
-                 ("build", "gdd-etf", "--seed", path("simplex-fourier3.frame"),
-                  "--gdd", path("product.design"), "--he", "fourier:1",
-                  "--hf", "fourier:10", "-o", path("gdd-77.frame"))):
+    for argv in _multislot_builds(path):
         assert run(capsys, *argv)[0] == 0
     for name, want in GDD_FRAME_SHA256.items():
         data = (tmp_path / f"{name}.frame").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want
+
+
+def test_one_digit_frames_are_read_without_the_token_reader(
+        tmp_path, capsys, monkeypatch):
+    # ETF(88,320), ETF(77,210) and ETF(247,780) hold only coefficients of
+    # one digit, so every block of theirs takes the layout read; a design
+    # with a vertex of 10 or more still takes the token reader
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in _multislot_builds(path) + (
+            ("design", "sts", "39", "-o", path("sts-39.design")),
+            ("build", "steiner", "--bibd", path("sts-39.design"),
+             "--hadamard", "paley1:19", "-o", path("steiner-247.frame"))):
+        assert run(capsys, *argv)[0] == 0
+    real, calls = fileio._int64_tokens, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fileio, "_int64_tokens", counted)
+    for name, size in (("gdd-88", "D=88 N=320"), ("gdd-77", "D=77 N=210"),
+                       ("steiner-247", "D=247 N=780")):
+        code, line, _ = run(capsys, "verify", path(f"{name}.frame"),
+                            "--kind", "frame")
+        assert code == 0 and line.startswith(f"ETF {size} ")
+    assert calls == []
+    assert run(capsys, "verify", path("sts-39.design"),
+               "--kind", "design")[0] == 0
+    assert calls
 
 
 def test_each_command_certifies_each_design_once(tmp_path, capsys,

@@ -73,6 +73,20 @@ def test_gf9_characteristic():
     assert f._add[one_plus_one, 1] == 0           # additive order of 1 is 3
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 10), (3, 1), (3, 2), (3, 6),
+                                  (5, 3), (7, 2), (31, 2), (1021, 1)])
+def test_gf_add_table_is_the_digitwise_sum_mod_p(p, k):
+    # every digit's sum is reduced by % p, as the add table once was built
+    field = gf_build(p, k)
+    place = p ** np.arange(k, dtype=np.int64)
+    digits = np.arange(field.q, dtype=np.int64)[:, None] // place % p
+    want = sum((digits[:, i, None] + digits[:, i]) % p * place[i]
+               for i in range(k))
+    assert field._add.dtype == np.int64
+    assert np.array_equal(field._add, want)
+    assert np.array_equal(field._sub, want[:, field._neg])
+
+
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 3), (3, 1), (3, 2), (7, 1),
                                   (5, 3), (1021, 1)])
 def test_gf_spot_check_refuses_a_corrupted_product(p, k):

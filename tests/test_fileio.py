@@ -1,6 +1,8 @@
 """The one block reader of frame and design bodies: the outcomes of
 a table of bodies as they were before the two formats shared it, the
-blocks it cuts at line ends, and its memory on a large design."""
+blocks it cuts at line ends, its memory on a large design, and its
+layout read of one-digit blocks against the token reader and the
+line-by-line reader."""
 
 import tracemalloc
 
@@ -270,15 +272,24 @@ def test_a_refused_body_is_walked_entry_by_entry(name, text, want,
 
 def _cuts(monkeypatch, raw, d, n, deg, table, budget):
     """The coefficients of the body raw, d lines of n entries of deg
-    tokens, read in blocks of `budget` bytes, and the lines of each block;
-    None and the blocks read up to the refusal when the body is refused."""
-    real, lines = fileio._int64_tokens, []
+    tokens, read in blocks of `budget` bytes, and the lines of each block,
+    by either reader; None and the blocks read up to the refusal when the
+    body is refused."""
+    real, real_one_digit, lines = (fileio._int64_tokens,
+                                   fileio._one_digit_tokens, [])
 
     def tokens(buf, end, out):
         lines.append(end.size // (n * deg))
         return real(buf, end, out)
 
+    def one_digit(block, comma, out):
+        rows = real_one_digit(block, comma, out)
+        if rows:
+            lines.append(rows)
+        return rows
+
     monkeypatch.setattr(fileio, "_int64_tokens", tokens)
+    monkeypatch.setattr(fileio, "_one_digit_tokens", one_digit)
     monkeypatch.setattr(fileio, "_BLOCK_BYTES", budget)
     return fileio._int64_coefficients(raw, 0, d, n, deg, table), lines
 
@@ -358,3 +369,124 @@ def test_reading_a_design_body_holds_its_blocks_and_one_block_of_bytes():
     assert np.array_equal(again.blocks, design.blocks)
     assert read_peak < size + 32 * fileio._BLOCK_BYTES
     assert parse_peak < 3 * size
+
+
+# A one-digit line of each format: the line's (1, n, deg), the byte table,
+# the line, the kinds of its 2-byte units, each the offset of one unit in
+# the line and the unit's two bytes, and the file's text before and after
+# the line
+ONE_DIGIT = {
+    "frame": ((1, 2, 2), fileio._FRAME_TABLE, b"1,0 | 0,1\n",
+              {"in an entry": (0, b"1,"), "before a bar": (2, b"0 "),
+               "bar": (4, b"| "), "line end": (8, b"1\n")},
+              b"FRAME 3 1 2\n", b""),
+    "design": ((1, 1, 3), fileio._DESIGN_TABLE, b"0 1 2\n",
+               {"in an entry": (0, b"0 "), "line end": (4, b"2\n")},
+               b"GDD 3 7 1 7\n", STS7.encode().split(b"\n", 2)[2]),
+}
+# bytes that a body holds, or that its readers treat apart
+NOTABLE = b"0123456789-,| \n\r\t\v+x\0\x7f\x80\xff"
+
+
+def _no_one_digit(monkeypatch):
+    """Read every block token by token from here on."""
+    monkeypatch.setattr(fileio, "_one_digit_tokens", lambda *args: 0)
+
+
+def _readers(monkeypatch, kind, text):
+    """The outcome of a file read as it is, with the one-digit layout read
+    off, and read line by line, the block reader off."""
+    with monkeypatch.context() as m:
+        got = [_outcome(kind, text)]
+        _no_one_digit(m)
+        got.append(_outcome(kind, text))
+        m.setattr(fileio, "_int64_coefficients", lambda *args: None)
+        got.append(_outcome(kind, text))
+    return got
+
+
+@pytest.mark.parametrize("kind, unit", [
+    (kind, unit) for kind, (_, _, _, units, _, _) in ONE_DIGIT.items()
+    for unit in units])
+def test_each_unit_value_is_read_as_the_token_reader_reads_it(
+        kind, unit, monkeypatch):
+    # every 16-bit value at one unit of a one-digit line: the layout read
+    # takes just those of a digit and the unit's own second byte (a bar:
+    # just "| "; the line end: also "-" and a digit), and reads them as the
+    # token reader does
+    (d, n, deg), table, line, units, _, _ = ONE_DIGIT[kind]
+    at, own = units[unit]
+    comma = bytes([table[0].index(b",")])
+    out = np.empty((d, n, deg), dtype=np.int64)
+    body = bytearray(line)
+    taken = []
+    for value in range(2**16):
+        body[at:at + 2] = value.to_bytes(2, "little")
+        if fileio._one_digit_tokens(bytes(body), comma, out):
+            taken.append(bytes(body[at:at + 2]))
+            with monkeypatch.context() as m:
+                _no_one_digit(m)
+                want = fileio._int64_coefficients(bytes(body), 0, d, n, deg,
+                                                  table)
+            assert out.ravel().tolist() == want.tolist()
+    want = ([own] if own[0] == ord("|") else
+            [bytes([c, own[1]]) for c in b"0123456789"])
+    if own[1] == ord("\n"):      # a negative last token, no last line end
+        want += [bytes([ord("-"), c]) for c in b"0123456789"]
+    assert sorted(taken) == sorted(want)
+
+
+@pytest.mark.parametrize("kind", ["design", "frame"])
+def test_notable_unit_values_read_alike_by_every_reader(kind, monkeypatch):
+    # the unit's bytes drawn from those a body holds or that a reader
+    # treats apart: the file reads the same, to the error's message, with
+    # the layout read, without it, and line by line
+    _, _, line, units, head, tail = ONE_DIGIT[kind]
+    for at, _ in units.values():
+        for a in NOTABLE:
+            for b in NOTABLE:
+                text = head + line[:at] + bytes([a, b]) + line[at + 2:] + tail
+                got = _readers(monkeypatch, kind, text)
+                assert got[0] == got[1] == got[2], text
+
+
+# "-" at each place a token reader tells apart: before a 0, two before a
+# digit, after one, alone before a ",", a " " or a line end, before a "|",
+# and first or last in the body
+MINUS_FRAMES = [
+    sub(SIMPLEX3, "1,0 | 0,1", "-0,0 | 0,1"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1,0 | --0,1"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1-,0 | 0,1"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1,0- | 0,1"),
+    sub(SIMPLEX3, "-1,-1\n1,0", "-1,-1-\n1,0"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1,0 | -,1"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1,- | 0,1"),
+    sub(SIMPLEX3, "-1,-1\n1,0", "-1,-\n1,0"),
+    sub(SIMPLEX3, "1,0 | 0,1", "1,0 -| 0,1"),
+    SIMPLEX3 + "-", SIMPLEX3[:-1] + "-", SIMPLEX3[:-1] + "-\n",
+    "-" + SIMPLEX3[SIMPLEX3.index("\n") + 1:],
+    sub(SYLVESTER2, "1 | -1 | -1 | 1", "-1 | -1 | -0 | -1"),
+    sub(SYLVESTER2, "1 | -1 | -1 | 1", "-1 | -1 | --0 | -1"),
+]
+MINUS_DESIGNS = [
+    sub(STS7, "0 1 2", "-0 1 2"),
+    sub(STS7, "0 1 2", "0 --1 2"),
+    sub(STS7, "0 1 2", "0 1- 2"),
+    sub(STS7, "0 1 2", "0 - 2"),
+    sub(STS7, "0 1 2\n", "0 1 -\n"),
+    sub(STS7, "0 1 2", "0 1 2-"),
+    STS7 + "-", STS7[:-1] + "-",
+]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("frame", text) for text in MINUS_FRAMES] + [
+    ("design", text) for text in MINUS_DESIGNS])
+def test_each_minus_reads_alike_by_every_reader(kind, text, monkeypatch):
+    # at every block budget, a line a block up to the whole body
+    for budget in range(1, len(text) + 2):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", budget)
+        for data in (text, text.encode()):
+            got = _readers(monkeypatch, kind, data)
+            assert got[0] == got[1] == got[2], budget
+
