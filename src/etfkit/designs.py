@@ -194,9 +194,7 @@ class FiniteField:
         add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         for i in range(k):
-            total = digits[:, i, None] + digits[:, i]      # below 2p
-            np.subtract(total, p, out=total, where=total >= p)
-            add += total * place[i]
+            add += (digits[:, i, None] + digits[:, i]) % p * place[i]
             cols = np.stack([s[:, i] for s in shifted])      # (k, q)
             mul += digits @ cols % p * place[i]
         neg = (-digits) % p @ place

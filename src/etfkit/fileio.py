@@ -48,11 +48,11 @@ for a bar and a digit and the line end last.  The block, viewed as
 must be at most 9 at each digit unit and 0 at each bar unit: one
 comparison checks every byte (see _one_digit_tokens), and the digit
 units' differences are the digits, cast into the int64 output by one
-copy, or one per coefficient slot in a block of many entries.  Each "-",
-found by one comparison, must be followed by a digit, and negates that
-digit's token.  The temporaries are a uint16 a unit, a bool a byte and
-an int64 a "-", none an int64 a token.  A block so read is one that the
-token reader below reads to the same coefficients.
+copy.  Each "-", found by one comparison, must be followed by a digit,
+and negates that digit's token.  The temporaries are a uint16 a unit, a
+bool a byte and an int64 a "-", so an int64 for each negative token and
+none for another.  A block so read is one that the token reader below
+reads to the same coefficients.
 
 A block that does not fit the layout (a token of two or more digits, or
 any byte out of place) is read token by token, as it would be without
@@ -407,7 +407,8 @@ def _one_digit_tokens(block: bytes, comma: bytes, out: np.ndarray) -> int:
     so that no "-" follows another and each token holds at most one, right
     before its digit.  What is left has its digits only at the first bytes
     of digit units, and the digit after the k-th "-", at byte i, is byte
-    i - k of it."""
+    i - k of it.  The temporaries are a uint16 a unit, a bool a byte and
+    an int64 a "-": an int64 for each negative token, none for another."""
     _, n, deg = out.shape
     if not block.endswith(b"\n"):        # as the token reader reads it
         block += b"\n"
@@ -427,24 +428,17 @@ def _one_digit_tokens(block: bytes, comma: bytes, out: np.ndarray) -> int:
     if len(kept) < len(block):
         buf = np.frombuffer(block, np.uint8)
         at = np.flatnonzero(buf == ord("-"))
-        if (buf[at + 1] - ord("0") > 9).any():     # uint8: a digit follows
+        if (buf[1:][at] - ord("0") > 9).any():    # uint8: a digit follows
             return 0
         at -= np.arange(at.size)                  # that digit's byte in kept
         flat = digits.reshape(-1)
         at >>= 1
         flat[at] = -flat[at]
     # each line's n entries start deg + 1 units apart, the last ending at
-    # the line's last unit.  A cast copy runs one inner loop over the last
-    # axis per index of the others, at about 1/128 of the cost of a call,
-    # so a block of many entries is copied one coefficient slot at a time
+    # the line's last unit
     two = digits.itemsize
-    tokens = np.ndarray((rows, n, deg), np.int16, digits, 0,
-                        (digits.strides[0], (deg + 1) * two, two))
-    if n > 1 and rows * n > 128 * deg:
-        for k in range(deg):
-            np.copyto(out[:rows, :, k], tokens[:, :, k])
-    else:
-        np.copyto(out[:rows], tokens)
+    np.copyto(out[:rows], np.ndarray((rows, n, deg), np.int16, digits, 0,
+                                     (digits.strides[0], (deg + 1) * two, two)))
     return rows
 
 

@@ -76,7 +76,7 @@ def test_gf9_characteristic():
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 10), (3, 1), (3, 2), (3, 6),
                                   (5, 3), (7, 2), (31, 2), (1021, 1)])
 def test_gf_add_table_is_the_digitwise_sum_mod_p(p, k):
-    # every digit's sum is reduced by % p, as the add table once was built
+    # the sum of two elements is the sum of their base-p digits, each mod p
     field = gf_build(p, k)
     place = p ** np.arange(k, dtype=np.int64)
     digits = np.arange(field.q, dtype=np.int64)[:, None] // place % p
